@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .brackets import (
+    INNER,
     OmegaBracket,
     TriBracketSpec,
+    check_nested_identities,
     closed_triple_fn,
-    random_element,
     tri_bracket,
 )
 from .elements import BasisVector, Element, L, M, window_basis
@@ -96,7 +97,6 @@ def _project(e: Element, window: Window) -> Tuple[Element, Element]:
 MODE_IDEAL = "IdealClosure"
 MODE_DERIVED = "DerivedSeries"
 MODE_LOWER_CENTRAL = "LowerCentral"
-MODE_SELF_DERIVED = "SelfDerivedSeries"
 MODE_SELF_LOWER = "SelfLowerCentral"
 
 
@@ -112,7 +112,7 @@ def span_close(
     IdealClosure grows the seed span by brackets against two window basis
     slots; DerivedSeries rebrackets the previous step against itself plus
     one window slot; LowerCentral rebrackets the previous step against
-    the seed span plus one window slot.  The Self variants keep the third
+    the seed span plus one window slot.  SelfLowerCentral keeps the third
     slot inside the seed span as well, treating the seed span as the
     ambient algebra.  Results are projected onto the window; every
     out-of-window remainder is flagged in the report.
@@ -166,9 +166,6 @@ def span_close(
         elif mode == MODE_LOWER_CENTRAL:
             nxt = WindowSubspace(window)
             new_rows = list(bracket_rows(rows, seed_rows, basis))
-        elif mode == MODE_SELF_DERIVED:
-            nxt = WindowSubspace(window)
-            new_rows = list(bracket_rows(rows, rows, seed_rows))
         elif mode == MODE_SELF_LOWER:
             nxt = WindowSubspace(window)
             new_rows = list(bracket_rows(rows, seed_rows, seed_rows))
@@ -235,8 +232,6 @@ def _span_close_pure(
             nxt = targets(current, current, basis_lines)
         elif mode == MODE_LOWER_CENTRAL:
             nxt = targets(current, seed_set, basis_lines)
-        elif mode == MODE_SELF_DERIVED:
-            nxt = targets(current, current, seed_set)
         elif mode == MODE_SELF_LOWER:
             nxt = targets(current, seed_set, seed_set)
         else:
@@ -466,17 +461,6 @@ class WeightDecomposition:
                 return len(v)
         return 0
 
-    def verdicts(self) -> Dict[str, bool]:
-        """Window-scale flags.  Every window weight space is finite by
-        construction, so the Harish-Chandra flag on a single window only
-        says the decomposition exists; unbounded growth of a weight space
-        across increasing windows is the caller's counter-evidence."""
-        return {
-            "is_weight_module": self.diagonal,
-            "is_harish_chandra_on_window": self.diagonal,
-            "is_intermediate_series_on_window": self.diagonal and self.max_dim <= 1,
-        }
-
 
 def weight_decompose(
     spec: TriBracketSpec,
@@ -623,6 +607,23 @@ def natural_module_decompose(window: Window) -> Tuple[WeightDecomposition, Verdi
 # -- the two displayed module identities -------------------------------------
 
 
+# [[a,b,c],d,e] = [c,a,[b,d,e]] + [b,c,[a,d,e]] + [a,b,[c,d,e]]
+MODULE_IDENTITY_1 = (
+    (1, (0, 1, 2), (INNER, 3, 4)),
+    (-1, (1, 3, 4), (2, 0, INNER)),
+    (-1, (0, 3, 4), (1, 2, INNER)),
+    (-1, (2, 3, 4), (0, 1, INNER)),
+)
+
+# commutator reading: [a,b,[c,d,e]] - [c,d,[a,b,e]] = [c,[a,b,d],e] + [[a,b,c],d,e]
+MODULE_IDENTITY_2 = (
+    (1, (2, 3, 4), (0, 1, INNER)),
+    (-1, (0, 1, 4), (2, 3, INNER)),
+    (-1, (0, 1, 3), (2, INNER, 4)),
+    (-1, (0, 1, 2), (INNER, 3, 4)),
+)
+
+
 def module_axiom_check(
     spec: TriBracketSpec, window: Window, samples: int = 0, seed: int = 0
 ) -> VerdictReport:
@@ -636,93 +637,25 @@ def module_axiom_check(
         "module-axioms",
         {"bracket": spec.describe(), "window": str(window), "samples": samples, "seed": seed},
     )
-    triple = closed_triple_fn(spec)
-    basis = [(bv.family, bv.index) for bv in window_basis(window)]
-    count = 0
-    if triple is not None:
-
-        def acc_add(acc, res, sign, scale):
-            if res is None:
-                return
-            c, fam, idx = res
-            key = (fam, idx)
-            s = acc.get(key, 0) + sign * scale * c
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-
-        def chained(a, b, inner, sign, acc):
-            # acc += sign * [a, b, inner] for inner a scaled triple result
-            if inner is None:
-                return
-            ci, fam, idx = inner
-            acc_add(acc, triple(a, b, (fam, idx)), sign, ci)
-
-        for a in basis:
-            for b in basis:
-                ab = {}
-                for c in basis:
-                    abc = triple(a, b, c)  # used as [x1,x2,x3] and as [x1,x2,y1]
-                    for d in basis:
-                        abd = triple(a, b, d)
-                        for e in basis:
-                            count += 1
-                            # identity 1: [[a,b,c], d, e] = [c,a,[b,d,e]]
-                            #   + [b,c,[a,d,e]] + [a,b,[c,d,e]]
-                            acc = {}
-                            if abc is not None:
-                                ci, fam, idx = abc
-                                acc_add(acc, triple((fam, idx), d, e), 1, ci)
-                            chained(c, a, triple(b, d, e), -1, acc)
-                            chained(b, c, triple(a, d, e), -1, acc)
-                            chained(a, b, triple(c, d, e), -1, acc)
-                            if acc:
-                                rep.record_failure(
-                                    f"first module identity fails at {a},{b},{c},{d},{e}"
-                                )
-                            # identity 2 (commutator reading):
-                            # [a,b,[c,d,e]] - [c,d,[a,b,e]] =
-                            #   [c,[a,b,d],e] + [[a,b,c],d,e]
-                            acc2 = {}
-                            chained(a, b, triple(c, d, e), 1, acc2)
-                            chained(c, d, triple(a, b, e), -1, acc2)
-                            abd_ = abd
-                            if abd_ is not None:
-                                ci, fam, idx = abd_
-                                acc_add(acc2, triple(c, (fam, idx), e), -1, ci)
-                            if abc is not None:
-                                ci, fam, idx = abc
-                                acc_add(acc2, triple((fam, idx), d, e), -1, ci)
-                            if acc2:
-                                rep.record_failure(
-                                    f"second module identity fails at {a},{b},{c},{d},{e}"
-                                )
-    else:
-        raise ValueError("module axioms are checked for the closed-form brackets")
-    rep.stats["basis_tuples"] = count
-    import random as _random
-
-    rng = _random.Random(seed)
-    for _ in range(samples):
-        x1, x2, y1, y, v = (random_element(rng, window) for _ in range(5))
-        lhs1 = tri_bracket(spec, tri_bracket(spec, x1, x2, y1), y, v)
-        rhs1 = (
-            tri_bracket(spec, y1, x1, tri_bracket(spec, x2, y, v))
-            + tri_bracket(spec, x2, y1, tri_bracket(spec, x1, y, v))
-            + tri_bracket(spec, x1, x2, tri_bracket(spec, y1, y, v))
-        )
-        if lhs1 != rhs1:
-            rep.record_failure("first module identity fails on a sampled tuple")
-        lhs2 = tri_bracket(spec, x1, x2, tri_bracket(spec, y1, y, v)) - tri_bracket(
-            spec, y1, y, tri_bracket(spec, x1, x2, v)
-        )
-        rhs2 = tri_bracket(spec, y1, tri_bracket(spec, x1, x2, y), v) + tri_bracket(
-            spec, tri_bracket(spec, x1, x2, y1), y, v
-        )
-        if lhs2 != rhs2:
-            rep.record_failure("second module identity fails on a sampled tuple")
-    rep.stats["sampled_tuples"] = samples
+    check_nested_identities(
+        rep,
+        spec,
+        window,
+        samples,
+        seed,
+        [
+            (
+                MODULE_IDENTITY_1,
+                "first module identity fails at {},{},{},{},{}",
+                "first module identity fails on a sampled tuple",
+            ),
+            (
+                MODULE_IDENTITY_2,
+                "second module identity fails at {},{},{},{},{}",
+                "second module identity fails on a sampled tuple",
+            ),
+        ],
+    )
     rep.note(
         "second identity checked in the standard commutator reading; the printed "
         "display is typographically unbalanced"

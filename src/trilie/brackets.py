@@ -23,7 +23,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Tuple, Union
+from itertools import product
+from operator import itemgetter
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .elements import (
     FAMILY_L,
@@ -302,7 +304,6 @@ def random_element(rng: random.Random, window: Window, max_terms: int = 4) -> El
 # -- identity checkers ----------------------------------------------------
 
 _PERMS = (
-    ((0, 1, 2), 1),
     ((0, 2, 1), -1),
     ((1, 0, 2), -1),
     ((1, 2, 0), 1),
@@ -311,74 +312,121 @@ _PERMS = (
 )
 
 
+def _closed_kernel(spec: TriBracketSpec) -> Callable:
+    triple = closed_triple_fn(spec)
+    if triple is None:
+        raise ValueError(
+            f"basis sweeps need a closed-form bracket (omega or fk), not {spec.describe()}"
+        )
+    return triple
+
+
+def _kernel_element(res) -> Element:
+    return Element() if res is None else Element({BasisVector(res[1], res[2]): res[0]})
+
+
 def check_anticommutativity(spec: TriBracketSpec, window: Window) -> VerdictReport:
-    """Total antisymmetry under all six permutations, every basis triple."""
+    """Total antisymmetry under all six permutations, every basis triple,
+    comparing closed-form kernel results."""
     rep = VerdictReport(
         "anticommutativity", {"bracket": spec.describe(), "window": str(window)}
     )
-    basis = [Element({bv: 1}) for bv in window_basis(window)]
-    checked = 0
-    for u1 in basis:
-        for u2 in basis:
-            for u3 in basis:
-                base = tri_bracket(spec, u1, u2, u3)
-                args = (u1, u2, u3)
-                for perm, sign in _PERMS[1:]:
-                    checked += 1
-                    permuted = tri_bracket(spec, args[perm[0]], args[perm[1]], args[perm[2]])
-                    if permuted != base.scale(sign):
-                        rep.record_failure(
-                            f"[{u1}, {u2}, {u3}] vs permutation {perm}: {base} / {permuted}"
-                        )
-    rep.stats["permutation_checks"] = checked
+    triple = _closed_kernel(spec)
+    perms = [(perm, sign, itemgetter(*perm)) for perm, sign in _PERMS]
+    for args in product(window_basis(window), repeat=3):
+        base = triple(*args)
+        for perm, sign, permute in perms:
+            permuted = triple(*permute(args))
+            want = None if base is None else (sign * base[0], base[1], base[2])
+            if permuted != want:
+                rep.record_failure(
+                    f"[{args[0]}, {args[1]}, {args[2]}] vs permutation {perm}: "
+                    f"{_kernel_element(base)} / {_kernel_element(permuted)}"
+                )
+    rep.stats["permutation_checks"] = 5 * len(window_basis(window)) ** 3
     return rep
 
 
-def _fi_residual_basis(triple, u1, u2, u3, v2, v3) -> bool:
-    """Exact fundamental-identity residual on a basis 5-tuple; True if zero."""
-    acc = {}
-    inner = triple(u1, u2, u3)
-    if inner is not None:
-        ci, fam, idx = inner
-        outer = triple((fam, idx), v2, v3)
-        if outer is not None:
-            co, fo, io = outer
-            acc[(fo, io)] = ci * co
-    for args in (
-        (triple(u1, v2, v3), 0),
-        (triple(u2, v2, v3), 1),
-        (triple(u3, v2, v3), 2),
-    ):
-        sub, pos = args
-        if sub is None:
-            continue
-        cs, fam, idx = sub
-        slot = [(u1), (u2), (u3)]
-        slot[pos] = (fam, idx)
-        term = triple(slot[0], slot[1], slot[2])
-        if term is None:
-            continue
-        ct, ft, it = term
-        key = (ft, it)
-        s = acc.get(key, 0) - cs * ct
-        if s:
-            acc[key] = s
-        else:
-            acc.pop(key, None)
-    return not acc
+# -- nested identities in five slots ----------------------------------------
+#
+# An identity is a tuple of terms (sign, inner, outer) and claims that the
+# signed terms sum to zero.  Each term is a bracket of brackets: the inner
+# bracket takes the slots named by ``inner``; the outer bracket takes the
+# slots named by ``outer``, where slot INNER holds the inner value.
+
+INNER = 5
+
+# [[u1,u2,u3],v2,v3] = [[u1,v2,v3],u2,u3] + [u1,[u2,v2,v3],u3] + [u1,u2,[u3,v2,v3]]
+FUNDAMENTAL_IDENTITY = (
+    (1, (0, 1, 2), (INNER, 3, 4)),
+    (-1, (0, 3, 4), (INNER, 1, 2)),
+    (-1, (1, 3, 4), (0, INNER, 2)),
+    (-1, (2, 3, 4), (0, 1, INNER)),
+)
 
 
-def fundamental_identity_residual(
-    spec: TriBracketSpec, u1: Element, u2: Element, u3: Element, v2: Element, v3: Element
-) -> Element:
-    """[[u1,u2,u3],v2,v3] - sum_i [u1,..,[u_i,v2,v3],..,u3], exactly."""
-    lhs = tri_bracket(spec, tri_bracket(spec, u1, u2, u3), v2, v3)
-    rhs = (
-        tri_bracket(spec, tri_bracket(spec, u1, v2, v3), u2, u3)
-        + tri_bracket(spec, u1, tri_bracket(spec, u2, v2, v3), u3)
-        + tri_bracket(spec, u1, u2, tri_bracket(spec, u3, v2, v3))
-    )
-    return lhs - rhs
+def identity_residual(spec: TriBracketSpec, identity, args: Sequence[Element]) -> Element:
+    """The exact residual of a nested identity on five elements."""
+    out = Element.zero()
+    for sign, inner, outer in identity:
+        value = tri_bracket(spec, *itemgetter(*inner)(args))
+        if value:
+            out = out + tri_bracket(spec, *itemgetter(*outer)((*args, value))).scale(sign)
+    return out
+
+
+def check_nested_identities(
+    rep: VerdictReport, spec: TriBracketSpec, window: Window, samples: int, seed: int, checks
+) -> None:
+    """Record every failure of the given nested identities: on all window
+    basis 5-tuples, then on seeded random element 5-tuples.
+
+    Each check is (identity, basis message, sample message); the basis
+    message formats the five basis slots, the sample message may name
+    {residual} and {args}.  On basis tuples the exact residual is summed
+    in one dict with the closed-form kernel.  Inner brackets only take
+    window basis vectors, so their values are tabulated once per sweep.
+    """
+    triple = _closed_kernel(spec)
+    basis = [(bv.family, bv.index) for bv in window_basis(window)]
+    n = len(basis)
+    inner_values = {}
+    for ijk in product(range(n), repeat=3):
+        res = triple(*(basis[i] for i in ijk))
+        if res is not None:
+            inner_values[ijk] = (res[0], res[1:])
+    terms = [
+        [(sign, itemgetter(*inner), itemgetter(*outer)) for sign, inner, outer in identity]
+        for identity, _, _ in checks
+    ]
+    lookup = inner_values.get
+    for idx, vecs in zip(product(range(n), repeat=5), product(basis, repeat=5)):
+        for pos, identity in enumerate(terms):
+            acc = {}
+            for sign, inner, outer in identity:
+                value = lookup(inner(idx))
+                if value is None:
+                    continue
+                res = triple(*outer((*vecs, value[1])))
+                if res is None:
+                    continue
+                key = res[1:]
+                s = acc.get(key, 0) + sign * value[0] * res[0]
+                if s:
+                    acc[key] = s
+                else:
+                    acc.pop(key, None)
+            if acc:
+                rep.record_failure(checks[pos][1].format(*vecs))
+    rep.stats["basis_tuples"] = n**5
+    rng = random.Random(seed)
+    for _ in range(samples):
+        args = [random_element(rng, window) for _ in range(5)]
+        for identity, _, message in checks:
+            res = identity_residual(spec, identity, args)
+            if res:
+                rep.record_failure(message.format(residual=res, args="; ".join(map(str, args))))
+    rep.stats["sampled_tuples"] = samples
 
 
 def check_fundamental_identity(
@@ -395,43 +443,20 @@ def check_fundamental_identity(
             "seed": seed,
         },
     )
-    triple = closed_triple_fn(spec)
-    basis = [(bv.family, bv.index) for bv in window_basis(window)]
-    count = 0
-    if triple is not None:
-        for u1 in basis:
-            for u2 in basis:
-                for u3 in basis:
-                    for v2 in basis:
-                        for v3 in basis:
-                            count += 1
-                            if not _fi_residual_basis(triple, u1, u2, u3, v2, v3):
-                                rep.record_failure(
-                                    f"residual nonzero at basis tuple {u1},{u2},{u3};{v2},{v3}"
-                                )
-    else:
-        elems = [Element({bv: 1}) for bv in window_basis(window)]
-        for u1 in elems:
-            for u2 in elems:
-                for u3 in elems:
-                    for v2 in elems:
-                        for v3 in elems:
-                            count += 1
-                            res = fundamental_identity_residual(spec, u1, u2, u3, v2, v3)
-                            if res:
-                                rep.record_failure(
-                                    f"residual {res} at {u1},{u2},{u3};{v2},{v3}"
-                                )
-    rep.stats["basis_tuples"] = count
-    rng = random.Random(seed)
-    for _ in range(sample_elements):
-        args = [random_element(rng, window) for _ in range(5)]
-        res = fundamental_identity_residual(spec, *args)
-        if res:
-            rep.record_failure(
-                "residual " + str(res) + " at sampled tuple " + "; ".join(map(str, args))
+    check_nested_identities(
+        rep,
+        spec,
+        window,
+        sample_elements,
+        seed,
+        [
+            (
+                FUNDAMENTAL_IDENTITY,
+                "residual nonzero at basis tuple {},{},{};{},{}",
+                "residual {residual} at sampled tuple {args}",
             )
-    rep.stats["sampled_tuples"] = sample_elements
+        ],
+    )
     return rep
 
 

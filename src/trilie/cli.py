@@ -87,7 +87,7 @@ class RunConfig:
     depth: int = 8
     s0: int = 0
     fmt: str = "text"
-    seed_element: Optional[str] = None
+    seed_element: Optional[Element] = None
 
     def tri_spec(self):
         if self.bracket == "omega":
@@ -168,9 +168,7 @@ def _witt_module(cfg: RunConfig) -> List[VerdictReport]:
 
 
 def _ideal_closure(cfg: RunConfig) -> List[VerdictReport]:
-    seeds = None
-    if cfg.seed_element:
-        seeds = [parse_element(cfg.seed_element)]
+    seeds = [cfg.seed_element] if cfg.seed_element else None
     return [
         ideal_closure_reaches_all(
             cfg.tri_spec(), cfg.window, seeds, expect_full=cfg.bracket == "omega"
@@ -199,7 +197,7 @@ def _vandermonde(cfg: RunConfig) -> List[VerdictReport]:
 
     out: List[VerdictReport] = []
     if cfg.seed_element:
-        u = parse_element(cfg.seed_element)
+        u = cfg.seed_element
         top = max(bv.index for bv in u.terms)
         _, rep = vandermonde_extract(OMEGA, u, top + 1, max(len(u.terms) - 1, 1))
         out.append(rep)
@@ -350,31 +348,6 @@ CHECKS: Dict[str, Callable[[RunConfig], List[VerdictReport]]] = {
     "ideal-kinds": _ideal_kinds,
 }
 
-VERIFY_NAMES = (
-    "fundamental-identity",
-    "anticommutativity",
-    "constructor-agreement",
-    "nambu-realization",
-    "structure-maps",
-    "basis-independence",
-    "table-5-1",
-    "section3-structure",
-    "sl2-laurent",
-    "module-axioms",
-    "witt-module",
-)
-
-ANALYZE_NAMES = (
-    "ideal-closure",
-    "derived-series",
-    "vandermonde",
-    "weight-decomposition",
-    "natural-module",
-    "center",
-    "ideal-kinds",
-)
-
-
 # -- the default battery for `trilie report` ---------------------------------
 
 
@@ -514,6 +487,14 @@ def build_parser(file_defaults: Optional[dict] = None) -> argparse.ArgumentParse
 
 
 def make_config(args: argparse.Namespace) -> RunConfig:
+    for flag in ("samples", "depth"):
+        if getattr(args, flag) < 0:
+            raise ValueError(f"--{flag} must be nonnegative, got {getattr(args, flag)}")
+    seed_element = getattr(args, "seed_element", None)
+    if seed_element is not None:
+        seed_element = parse_element(seed_element)
+        if not seed_element:
+            raise ValueError("seed element must be nonzero")
     return RunConfig(
         bracket=args.bracket,
         k=args.k,
@@ -524,7 +505,7 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         depth=args.depth,
         s0=args.s0,
         fmt=args.fmt,
-        seed_element=getattr(args, "seed_element", None),
+        seed_element=seed_element,
     )
 
 

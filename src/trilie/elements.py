@@ -84,13 +84,6 @@ class Element:
         for bv in sorted(self.terms):
             yield bv, self.terms[bv]
 
-    def single_term(self) -> Optional[Tuple[BasisVector, Rational]]:
-        """The (basis, coefficient) pair if the element is a monomial."""
-        if len(self.terms) != 1:
-            return None
-        ((bv, c),) = self.terms.items()
-        return bv, c
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Element") -> "Element":

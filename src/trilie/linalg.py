@@ -96,17 +96,6 @@ class SpanSolver:
             return None
         return combo
 
-    def basis(self) -> Tuple[Vec, ...]:
-        return tuple({k: v for k, v in row.items()} for row in self.rows)
-
-    def copy(self) -> "SpanSolver":
-        out = SpanSolver()
-        out.rows = [dict(r) for r in self.rows]
-        out.pivots = list(self.pivots)
-        out.combos = [dict(c) for c in self.combos]
-        out._n_inserted = self._n_inserted
-        return out
-
 
 def span_equal(a: SpanSolver, b: SpanSolver) -> bool:
     return a.pivots == b.pivots and a.rows == b.rows

@@ -857,12 +857,14 @@ def verify_section3_structure(
     reach_lo = min(2 * window.lo + k, window.lo)
     reach_hi = max(2 * window.hi + k, window.hi)
 
-    def x_label_op(m: int) -> Tuple[str, Operator]:
-        if m == 0:
-            return "X(1,-1)", ad_x(spec, 1, -1)
-        return f"X({m},0)", ad_x(spec, m, 0)
+    # X basis labelled by m: X(m,0), with m = 0 standing for X(1,-1)
+    def x_name(m: int) -> str:
+        return "X(1,-1)" if m == 0 else f"X({m},0)"
 
-    extended = [x_label_op(m) for m in range(reach_lo, reach_hi + 1)]
+    def x_op(m: int) -> Operator:
+        return ad_x(spec, 1, -1) if m == 0 else ad_x(spec, m, 0)
+
+    extended = [(m, x_op(m)) for m in range(reach_lo, reach_hi + 1)]
 
     # (c) three-branch action of W on X(r,0), two-branch action on X(1,-1)
     branch_hits = {1: 0, 2: 0, 3: 0}
@@ -926,27 +928,26 @@ def verify_section3_structure(
         rep.flag(note)
 
     # (d) invariant-subspace search: diagonal pivot W(-k, s0), then closures
-    labels = [m for m in window.indices()]  # m = 0 stands for X(1,-1)
+    labels = list(window.indices())
     eigen: Dict[object, Rational] = {}
     pivot = ad_w(spec, -k, s0)
     diag_ok = True
     for m in labels:
-        lab, op = x_label_op(m)
+        op = x_op(m)
         comm = pivot.commutator(op)
         expected_eig = beta_s0 * (m + 2 * k)
         if not weq(comm, op.scale(expected_eig)):
             diag_ok = False
-            rep.record_failure(f"W({-k},{s0}) does not act diagonally on {lab}")
+            rep.record_failure(f"W({-k},{s0}) does not act diagonally on {x_name(m)}")
         eigen[m] = expected_eig
     edges: Dict[object, set] = {m: set() for m in labels}
     escapes = 0
     for s in window.indices():
         ws = ad_w(spec, s, s0)
         for m in labels:
-            comm = ws.commutator(x_label_op(m)[1])
+            comm = ws.commutator(x_op(m))
             combo = decompose(comm, extended, functional)
-            for lab, c in (combo or {}).items():
-                target = 0 if lab == "X(1,-1)" else int(lab[2:].split(",")[0])
+            for target in combo or {}:
                 if target in edges:
                     if target != m:
                         edges[m].add(target)
@@ -958,7 +959,7 @@ def verify_section3_structure(
         rep.stats["invariant_subspaces"] = "none proper (window-exact)"
     else:
         for sub in structure["minimal_proper"]:
-            names = ", ".join(x_label_op(m)[0] for m in sorted(sub))
+            names = ", ".join(x_name(m) for m in sorted(sub))
             rep.record_failure(f"proper W-invariant subspace found: span{{{names}}}")
 
     # (e) slot ratio

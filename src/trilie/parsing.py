@@ -169,13 +169,20 @@ def parse_poly(text: str) -> Poly:
     return Poly(tuple(coeffs.get(d, 0) for d in range(size)))
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in weight value {text!r}") from None
+
+
 def parse_beta(text: str) -> FunctionalSpec:
     """Weight specifications: 'const:1', 'poly:t^2+1', 'support:0=1,2=-1/3'."""
     kind, sep, body = text.partition(":")
     if not sep:
         raise ValueError(f"weight spec needs 'kind:value', got {text!r}")
     if kind == "const":
-        return ConstantFunctional(Fraction(body))
+        return ConstantFunctional(_fraction(body))
     if kind == "poly":
         return PolynomialFunctional(parse_poly(body))
     if kind == "support":
@@ -184,6 +191,6 @@ def parse_beta(text: str) -> FunctionalSpec:
             idx, eq, val = pair.partition("=")
             if not eq:
                 raise ValueError(f"support entry needs 'index=value', got {pair!r}")
-            values[int(idx)] = Fraction(val)
+            values[int(idx)] = _fraction(val)
         return FiniteSupportFunctional(values)
     raise ValueError(f"unknown weight kind {kind!r} (use const, poly, or support)")

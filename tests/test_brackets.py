@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -21,15 +23,20 @@ from trilie import (
     lie_bracket,
     tri_bracket,
 )
+from trilie import brackets, window_basis
+from trilie.analysis import MODULE_IDENTITY_1, MODULE_IDENTITY_2, module_axiom_check
 from trilie.brackets import (
+    _PERMS,
+    FUNDAMENTAL_IDENTITY,
     center_window,
     check_anticommutativity,
     check_constructor_agreement,
     check_fundamental_identity,
+    identity_residual,
     random_element,
 )
 from trilie.polys import T
-from trilie.report import Window
+from trilie.report import VerdictReport, Window
 
 ONE = ConstantFunctional(1)
 
@@ -143,3 +150,71 @@ def test_random_element_determinism():
     a = [random_element(random.Random(9), Window(-3, 3)) for _ in range(5)]
     b = [random_element(random.Random(9), Window(-3, 3)) for _ in range(5)]
     assert a == b
+
+
+# -- mutation and oracle checks of the nested-identity engine ---------------
+
+
+def _doubled_llm_kernel(closed_triple_fn):
+    """closed_triple_fn with the (L, L, M) coefficient doubled when r + s > 0."""
+
+    def closed(spec):
+        kernel = closed_triple_fn(spec)
+
+        def triple(a, b, c):
+            res = kernel(a, b, c)
+            if res is not None and (a[0], b[0], c[0]) == ("L", "L", "M") and a[1] + b[1] > 0:
+                return (2 * res[0], res[1], res[2])
+            return res
+
+        return triple
+
+    return closed
+
+
+@pytest.fixture
+def broken_kernel(monkeypatch):
+    """Break the closed-form kernels; return a Counter of recorded failures per check."""
+    monkeypatch.setattr(brackets, "closed_triple_fn", _doubled_llm_kernel(brackets.closed_triple_fn))
+    failures = Counter()
+    record = VerdictReport.record_failure
+
+    def counting(self, description):
+        failures[self.check] += 1
+        record(self, description)
+
+    monkeypatch.setattr(VerdictReport, "record_failure", counting)
+    return failures
+
+
+def test_engine_fails_on_broken_kernel(broken_kernel):
+    w = Window(-2, 2)
+    reports = [
+        check_fundamental_identity(OMEGA, w, 5),
+        module_axiom_check(OMEGA, w, 5),
+        check_anticommutativity(OMEGA, w),
+    ]
+    assert [r.status for r in reports] == ["fail"] * 3
+
+
+def test_engine_counts_match_element_oracle(broken_kernel):
+    # the counts the earlier per-identity checkers found under this mutation
+    w = Window(-2, 2)
+    check_fundamental_identity(OMEGA, w)
+    module_axiom_check(OMEGA, w)
+    check_anticommutativity(OMEGA, w)
+    assert broken_kernel == {"fundamental-identity": 10532, "module-axioms": 14618, "anticommutativity": 320}
+
+    # the same identity tuples, evaluated on Elements with tri_bracket
+    basis = [Element({bv: 1}) for bv in window_basis(w)]
+    fi = mod = 0
+    for args in product(basis, repeat=5):
+        fi += bool(identity_residual(OMEGA, FUNDAMENTAL_IDENTITY, args))
+        mod += bool(identity_residual(OMEGA, MODULE_IDENTITY_1, args))
+        mod += bool(identity_residual(OMEGA, MODULE_IDENTITY_2, args))
+    anti = sum(
+        tri_bracket(OMEGA, *(args[i] for i in perm)) != tri_bracket(OMEGA, *args).scale(sign)
+        for args in product(basis, repeat=3)
+        for perm, sign in _PERMS
+    )
+    assert (fi, mod, anti) == (10532, 14618, 320)

@@ -58,11 +58,20 @@ def test_json_format_schema():
     no_floats(doc)
 
 
-def test_config_error_exit_two():
-    code, _ = run_cli(["verify", "fundamental-identity", "--window", "5..1"])
-    assert code == 2
-    code, _ = run_cli(["verify", "fundamental-identity", "--beta", "const:0"])
-    assert code == 2
+def test_config_error_exit_two(capsys):
+    for args in (
+        ["verify", "fundamental-identity", "--window", "5..1"],
+        ["verify", "fundamental-identity", "--beta", "const:0"],
+        ["verify", "fundamental-identity", "--bracket", "fk", "--beta", "support:0=1/0"],
+        ["verify", "fundamental-identity", "--bracket", "fk", "--beta", "const:1/0"],
+        ["verify", "fundamental-identity", "--samples", "-3"],
+        ["analyze", "derived-series", "--depth", "-1"],
+        ["analyze", "vandermonde", "--seed-element", "0"],
+    ):
+        code, _ = run_cli(args)
+        err = capsys.readouterr().err
+        assert code == 2, args
+        assert err.startswith("trilie: ") and "Traceback" not in err, err
 
 
 def test_unknown_check_rejected():

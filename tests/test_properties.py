@@ -17,7 +17,7 @@ from trilie import (
     parse_element,
     tri_bracket,
 )
-from trilie.brackets import fundamental_identity_residual
+from trilie.brackets import FUNDAMENTAL_IDENTITY, identity_residual
 from trilie.nambu import nambu_bracket, partial
 from trilie.operators import gen_p, gen_q, gen_x, gen_z
 
@@ -86,7 +86,7 @@ def test_bracket_antisymmetry_random(spec, u, v, w):
     elements(max_terms=2, index_bound=3),
 )
 def test_fundamental_identity_random(spec, u1, u2, u3, v2, v3):
-    assert fundamental_identity_residual(spec, u1, u2, u3, v2, v3).is_zero()
+    assert identity_residual(spec, FUNDAMENTAL_IDENTITY, (u1, u2, u3, v2, v3)).is_zero()
 
 
 @given(SPECS, elements(max_terms=2, index_bound=3), elements(max_terms=2, index_bound=3))
