@@ -23,8 +23,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from operator import itemgetter
+from functools import lru_cache
+from itertools import compress, product
+from math import lcm
+from operator import add, itemgetter, mul, sub
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .elements import (
@@ -88,6 +90,13 @@ class OmegaBracket:
 class FKBracket:
     k: int
     functional: FunctionalSpec
+
+    def __post_init__(self):
+        # closed_triple_fn is memoised on the spec, and a Fraction weight hashes slowly
+        object.__setattr__(self, "_hash", hash((self.k, self.functional)))
+
+    def __hash__(self):
+        return self._hash
 
     def describe(self) -> str:
         return f"fk(k={self.k}, beta={self.functional.describe()})"
@@ -194,18 +203,21 @@ def fk_triple_fn(k: int, f: FunctionalSpec):
         if nL != 2:
             return None
         if fa == FAMILY_M:
-            r, s, t, sign = ib, ic, ia, 1             # cyclic (M,L,L) -> (L,L,M)
+            r, s, t = ib, ic, ia                      # cyclic (M,L,L) -> (L,L,M)
         elif fb == FAMILY_M:
-            r, s, t, sign = ia, ic, ib, -1            # swap last two
+            r, s, t = ic, ia, ib                      # swap last two, then the L's
         else:
-            r, s, t, sign = ia, ib, ic, 1
-        coef = beta(t) * (r - s) * sign
+            r, s, t = ia, ib, ic
+        coef = beta(t) * (r - s)
         return (coef, FAMILY_L, r + s + k) if coef else None
 
     return triple
 
 
+@lru_cache(maxsize=128)
 def closed_triple_fn(spec: TriBracketSpec) -> Optional[Callable]:
+    """The basis kernel of a closed-form bracket, built once per spec;
+    None for brackets without a closed form."""
     if isinstance(spec, OmegaBracket):
         return omega_triple
     if isinstance(spec, FKBracket):
@@ -217,8 +229,8 @@ def closed_triple_fn(spec: TriBracketSpec) -> Optional[Callable]:
 
 
 def tri_bracket(spec: TriBracketSpec, u: Element, v: Element, w: Element) -> Element:
-    if isinstance(spec, (OmegaBracket, FKBracket)):
-        triple = closed_triple_fn(spec)
+    triple = closed_triple_fn(spec)
+    if triple is not None:
         out = {}
         for b1, c1 in u.terms.items():
             for b2, c2 in v.terms.items():
@@ -321,29 +333,37 @@ def _closed_kernel(spec: TriBracketSpec) -> Callable:
     return triple
 
 
+def _tabulate(triple: Callable, basis: Sequence[Triple]) -> list:
+    """The kernel on every basis triple: entry i*n*n + j*n + k holds
+    triple(basis[i], basis[j], basis[k])."""
+    return [triple(*args) for args in product(basis, repeat=3)]
+
+
 def _kernel_element(res) -> Element:
     return Element() if res is None else Element({BasisVector(res[1], res[2]): res[0]})
 
 
 def check_anticommutativity(spec: TriBracketSpec, window: Window) -> VerdictReport:
     """Total antisymmetry under all six permutations, every basis triple,
-    comparing closed-form kernel results."""
+    comparing entries of the tabulated closed-form kernel."""
     rep = VerdictReport(
         "anticommutativity", {"bracket": spec.describe(), "window": str(window)}
     )
-    triple = _closed_kernel(spec)
+    basis = window_basis(window)
+    n = len(basis)
+    table = _tabulate(_closed_kernel(spec), basis)
     perms = [(perm, sign, itemgetter(*perm)) for perm, sign in _PERMS]
-    for args in product(window_basis(window), repeat=3):
-        base = triple(*args)
+    for pos, base in zip(product(range(n), repeat=3), table):
         for perm, sign, permute in perms:
-            permuted = triple(*permute(args))
+            i, j, k = permute(pos)
+            permuted = table[(i * n + j) * n + k]
             want = None if base is None else (sign * base[0], base[1], base[2])
             if permuted != want:
                 rep.record_failure(
-                    f"[{args[0]}, {args[1]}, {args[2]}] vs permutation {perm}: "
+                    f"[{basis[pos[0]]}, {basis[pos[1]]}, {basis[pos[2]]}] vs permutation {perm}: "
                     f"{_kernel_element(base)} / {_kernel_element(permuted)}"
                 )
-    rep.stats["permutation_checks"] = 5 * len(window_basis(window)) ** 3
+    rep.stats["permutation_checks"] = 5 * n**3
     return rep
 
 
@@ -375,6 +395,140 @@ def identity_residual(spec: TriBracketSpec, identity, args: Sequence[Element]) -
     return out
 
 
+# -- the graded scalar-residual kernel of the basis sweeps -------------------
+#
+# Both closed-form brackets are graded: every nonzero basis bracket has one
+# L fewer than its arguments, and its degree is the sum of theirs, with
+# deg L_r = r and deg M_t = -t (omega) or k (fk).  Every term of a nested
+# identity brackets all five slots, so on a basis 5-tuple all its nonzero
+# terms land on one basis vector and the residual is a single scalar.  The
+# grading is checked on every table entry, never assumed.
+#
+# The sweep runs over the slots (a0, a1, a2) and evaluates each identity on
+# all n*n "lanes" (a3, a4) at once, lane a3*n + a4, as a row of plain ints
+# gathered from tables built once per sweep.
+
+LANES = (3, 4)
+
+
+def _graded_output(spec: TriBracketSpec) -> Callable:
+    """The basis vector the grading assigns to a basis triple's bracket, or
+    None where it allows no nonzero value.  Every M_t has degree k under fk,
+    so fk may not output an M."""
+    is_omega = isinstance(spec, OmegaBracket)
+
+    def graded(args):
+        n_l = sum(fam == FAMILY_L for fam, _ in args)
+        degree = sum(idx if fam == FAMILY_L else -idx if is_omega else spec.k for fam, idx in args)
+        if n_l == 2:
+            return (FAMILY_L, degree)
+        return (FAMILY_M, -degree) if n_l == 1 and is_omega else None
+
+    return graded
+
+
+def _sweep_tables(spec: TriBracketSpec, basis: Sequence[Triple]):
+    """Integer tables of the kernel, all scaled by the lcm of their denominators.
+
+    Returns (coef, base, outer):
+    * coef[i], base[i]: entry i of the ``_tabulate`` table, as its
+      coefficient and its output's code times n*n;
+    * outer[p][code*n*n + x*n + y]: the coefficient of the bracket with the
+      coded vector at position p and basis[x], basis[y] at the other two.
+
+    Codes number the inner outputs that occur, so every one has a code.
+    """
+    triple, graded = _closed_kernel(spec), _graded_output(spec)
+
+    def entry(*args):
+        res = triple(*args)
+        if res is not None and res[1:] != graded(args):
+            raise ValueError(
+                f"{spec.describe()} breaks its grading: [{', '.join(map(str, args))}] "
+                f"lands on {res[1:]}, the grading puts it on {graded(args)}"
+            )
+        return res
+
+    n2 = len(basis) ** 2
+    inner = _tabulate(entry, basis)
+    ext = sorted({res[1:] for res in inner if res})
+    code = {vec: i for i, vec in enumerate(ext)}
+    outer = [
+        [entry(*xy[:p], vec, *xy[p:]) for vec in ext for xy in product(basis, repeat=2)]
+        for p in range(3)
+    ]
+    scale = lcm(*{res[0].denominator for table in (inner, *outer) for res in table if res})
+
+    def scaled(res):
+        return 0 if res is None else int(res[0] * scale)
+
+    base = [0 if res is None else code[res[1:]] * n2 for res in inner]
+    return list(map(scaled, inner)), base, [list(map(scaled, t)) for t in outer]
+
+
+def _index_rows(n: int, weights: dict):
+    """The linear index sum(weights[s] * a[s]) on every lane, as the fixed
+    slots and an iterator of (their values, row)."""
+    fixed = [s for s in weights if s not in LANES]
+    lane = [weights.get(3, 0) * a3 + weights.get(4, 0) * a4 for a3, a4 in product(range(n), repeat=2)]
+    rows = (
+        (key, list(map(sum(weights[s] * v for s, v in zip(fixed, key)).__add__, lane)))
+        for key in product(range(n), repeat=len(fixed))
+    )
+    return fixed, rows
+
+
+def _compile_term(sign, inner, outer, n: int, tables, cache: dict) -> Callable:
+    """A function of (a0, a1, a2) giving the term's unsigned row over the
+    lanes, or None when the inner bracket is zero on every lane.  Rows
+    depend on which slots are lanes, so terms share them through ``cache``."""
+    coef, base, outer_tables = tables
+    x, y = (s for s in outer if s != INNER)
+    if sign not in (1, -1) or sorted((*inner, x, y)) != [0, 1, 2, 3, 4]:
+        raise ValueError(f"nested term {sign}, {inner}, {outer} needs a unit sign and each slot once")
+    table = outer_tables[outer.index(INNER)]
+    fixed_out, offset_rows = _index_rows(n, {x: n, y: 1})
+    out_pattern = tuple(s if s in LANES else None for s in (x, y))
+    if out_pattern not in cache:
+        cache[out_pattern] = dict(offset_rows)
+    offsets = cache[out_pattern]
+    i0, i1, i2 = inner
+
+    if not fixed_out:  # inner slots all fixed: a scalar times a gathered outer row
+        n2, lane_offsets = n * n, offsets[()]
+        contiguous = lane_offsets == list(range(n2))
+
+        def term(a):
+            i = (a[i0] * n + a[i1]) * n + a[i2]
+            c, b = coef[i], base[i]
+            if not c:
+                return None
+            if contiguous:
+                return map(c.__mul__, table[b : b + n2])
+            return map(c.__mul__, map(table.__getitem__, map(b.__add__, lane_offsets)))
+
+        return term
+
+    fixed_in, index_rows = _index_rows(n, {i0: n * n, i1: n, i2: 1})
+    pattern = tuple(s if s in LANES else None for s in inner)
+    if pattern not in cache:
+        cache[pattern] = rows = {}
+        for key, index in index_rows:
+            c_row = list(map(coef.__getitem__, index))
+            rows[key] = (c_row, list(map(base.__getitem__, index))) if any(c_row) else None
+    rows = cache[pattern]
+
+    def term(a):
+        inner_row = rows[tuple(map(a.__getitem__, fixed_in))]
+        if inner_row is None:
+            return None
+        c_row, b_row = inner_row
+        lane_offsets = offsets[tuple(map(a.__getitem__, fixed_out))]
+        return map(mul, c_row, map(table.__getitem__, map(add, b_row, lane_offsets)))
+
+    return term
+
+
 def check_nested_identities(
     rep: VerdictReport, spec: TriBracketSpec, window: Window, samples: int, seed: int, checks
 ) -> None:
@@ -383,41 +537,33 @@ def check_nested_identities(
 
     Each check is (identity, basis message, sample message); the basis
     message formats the five basis slots, the sample message may name
-    {residual} and {args}.  On basis tuples the exact residual is summed
-    in one dict with the closed-form kernel.  Inner brackets only take
-    window basis vectors, so their values are tabulated once per sweep.
+    {residual} and {args}.  Basis tuples go through the graded
+    scalar-residual kernel; failures are recorded with tuples in
+    lexicographic order, then identities in order.
     """
-    triple = _closed_kernel(spec)
     basis = [(bv.family, bv.index) for bv in window_basis(window)]
     n = len(basis)
-    inner_values = {}
-    for ijk in product(range(n), repeat=3):
-        res = triple(*(basis[i] for i in ijk))
-        if res is not None:
-            inner_values[ijk] = (res[0], res[1:])
-    terms = [
-        [(sign, itemgetter(*inner), itemgetter(*outer)) for sign, inner, outer in identity]
+    tables = _sweep_tables(spec, basis)
+    cache = {}
+    identities = [
+        [(add if sign > 0 else sub, _compile_term(sign, inner, outer, n, tables, cache))
+         for sign, inner, outer in identity]
         for identity, _, _ in checks
     ]
-    lookup = inner_values.get
-    for idx, vecs in zip(product(range(n), repeat=5), product(basis, repeat=5)):
-        for pos, identity in enumerate(terms):
-            acc = {}
-            for sign, inner, outer in identity:
-                value = lookup(inner(idx))
-                if value is None:
-                    continue
-                res = triple(*outer((*vecs, value[1])))
-                if res is None:
-                    continue
-                key = res[1:]
-                s = acc.get(key, 0) + sign * value[0] * res[0]
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-            if acc:
-                rep.record_failure(checks[pos][1].format(*vecs))
+    lanes = range(n * n)
+    zeros = [0] * (n * n)
+    for a in product(range(n), repeat=3):
+        failing = []
+        for pos, terms in enumerate(identities):
+            row = zeros
+            for op, term in terms:
+                values = term(a)
+                if values is not None:
+                    row = map(op, row, values)
+            failing += ((lane, pos) for lane in compress(lanes, row))
+        for lane, pos in sorted(failing):
+            slots = (*a, *divmod(lane, n))
+            rep.record_failure(checks[pos][1].format(*(basis[i] for i in slots)))
     rep.stats["basis_tuples"] = n**5
     rng = random.Random(seed)
     for _ in range(samples):

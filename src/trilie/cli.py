@@ -203,17 +203,19 @@ def _vandermonde(cfg: RunConfig) -> List[VerdictReport]:
         out.append(rep)
         return out
     rng = random.Random(cfg.seed)
+    trials = max(cfg.samples, 1)
     agg = VerdictReport(
         "vandermonde",
-        {"window": str(cfg.window), "trials": cfg.samples, "seed": cfg.seed},
+        {"window": str(cfg.window), "trials": trials, "seed": cfg.seed},
     )
-    for _ in range(max(cfg.samples, 1)):
+    for _ in range(trials):
         u = random_element(rng, cfg.window, max_terms=4)
         top = max(bv.index for bv in u.terms)
         _, rep = vandermonde_extract(OMEGA, u, top + 1, max(len(u.terms) - 1, 1))
         agg.merge_status(rep)
-        agg.counterexamples.extend(rep.counterexamples)
-    agg.stats["trials"] = max(cfg.samples, 1)
+        for counterexample in rep.counterexamples:
+            agg.record_failure(counterexample)
+    agg.stats["trials"] = trials
     return [agg]
 
 

@@ -202,6 +202,7 @@ class ConstantFunctional:
     value: Rational
 
     def __post_init__(self):
+        object.__setattr__(self, "value", normalize_rational(self.value))
         if self.value == 0:
             raise ValueError("constant functional must be nonzero")
 
@@ -224,9 +225,13 @@ class PolynomialFunctional:
     def __post_init__(self):
         if self.poly.is_zero():
             raise ValueError("polynomial functional must be nonzero")
+        object.__setattr__(self, "_values", {})
 
     def beta(self, t: int) -> Rational:
-        return self.poly(t)
+        value = self._values.get(t)
+        if value is None:  # memoised: Horner over Fractions costs ~12 us
+            value = self._values[t] = self.poly(t)
+        return value
 
     def as_poly(self) -> Optional[Poly]:
         return self.poly
@@ -246,12 +251,10 @@ class FiniteSupportFunctional:
         if not items:
             raise ValueError("finite-support functional must have a nonzero value")
         object.__setattr__(self, "values", items)
+        object.__setattr__(self, "_by_index", dict(items))
 
     def beta(self, t: int) -> Rational:
-        for idx, c in self.values:
-            if idx == t:
-                return c
-        return 0
+        return self._by_index.get(t, 0)
 
     def as_poly(self) -> Optional[Poly]:
         return None

@@ -17,8 +17,8 @@ Rational = Union[int, Fraction]
 
 def normalize_rational(c: Rational) -> Rational:
     """Collapse integral Fractions to plain ints (hash/eq compatible anyway)."""
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
     return c
 
 

@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -32,10 +32,12 @@ from trilie.brackets import (
     check_anticommutativity,
     check_constructor_agreement,
     check_fundamental_identity,
+    closed_triple_fn,
     identity_residual,
     random_element,
 )
-from trilie.polys import T
+from trilie.cli import main
+from trilie.polys import Poly, T
 from trilie.report import VerdictReport, Window
 
 ONE = ConstantFunctional(1)
@@ -218,3 +220,102 @@ def test_engine_counts_match_element_oracle(broken_kernel):
         for perm, sign in _PERMS
     )
     assert (fi, mod, anti) == (10532, 14618, 320)
+
+
+# -- the graded scalar-residual kernel against the Element oracle ------------
+
+FI_CHECKS = ((FUNDAMENTAL_IDENTITY, "residual nonzero at basis tuple {},{},{};{},{}"),)
+MODULE_CHECKS = (
+    (MODULE_IDENTITY_1, "first module identity fails at {},{},{},{},{}"),
+    (MODULE_IDENTITY_2, "second module identity fails at {},{},{},{},{}"),
+)
+
+ORACLE_WEIGHTS = (
+    FKBracket(1, ConstantFunctional(2)),
+    FKBracket(0, ConstantFunctional(Fraction(1, 2))),
+    FKBracket(-1, FiniteSupportFunctional({-1: Fraction(1, 3), 2: Fraction(-1, 2)})),
+    FKBracket(2, PolynomialFunctional(Poly((-1, 0, Fraction(1, 2))))),
+)
+
+
+def _oracle_failures(spec, window, checks):
+    """The messages of failing (basis 5-tuple, identity) pairs, in the
+    sweep's order, from Element residuals."""
+    basis = window_basis(window)
+    elements = [Element({bv: 1}) for bv in basis]
+    for slots in product(range(len(basis)), repeat=5):
+        args = [elements[i] for i in slots]
+        for identity, message in checks:
+            if identity_residual(spec, identity, args):
+                yield message.format(*(tuple(basis[i]) for i in slots))
+
+
+@pytest.mark.parametrize("spec", ORACLE_WEIGHTS, ids=lambda spec: spec.describe())
+def test_kernel_matches_element_oracle(broken_kernel, spec):
+    w = Window(-2, 2)
+    for check, checks in ((check_fundamental_identity, FI_CHECKS), (module_axiom_check, MODULE_CHECKS)):
+        rep = check(spec, w)
+        failures = list(_oracle_failures(spec, w, checks))
+        assert failures
+        assert broken_kernel[rep.check] == len(failures)
+        assert rep.counterexamples == failures[: VerdictReport.MAX_COUNTEREXAMPLES]
+
+
+def test_kernel_first_counterexamples_match_element_oracle_omega(broken_kernel):
+    # test_engine_counts_match_element_oracle checks the omega counts
+    w = Window(-2, 2)
+    for check, checks in ((check_fundamental_identity, FI_CHECKS), (module_axiom_check, MODULE_CHECKS)):
+        rep = check(OMEGA, w)
+        first = list(islice(_oracle_failures(OMEGA, w, checks), VerdictReport.MAX_COUNTEREXAMPLES))
+        assert rep.counterexamples == first
+
+
+def _shifted_llm_kernel(closed_triple_fn):
+    """closed_triple_fn with the (L, L, M) output index shifted by one when r + s > 0."""
+
+    def closed(spec):
+        kernel = closed_triple_fn(spec)
+
+        def triple(a, b, c):
+            res = kernel(a, b, c)
+            if res is not None and (a[0], b[0], c[0]) == ("L", "L", "M") and a[1] + b[1] > 0:
+                return (res[0], res[1], res[2] + 1)
+            return res
+
+        return triple
+
+    return closed
+
+
+def test_kernel_rejects_broken_grading(monkeypatch, capsys):
+    monkeypatch.setattr(brackets, "closed_triple_fn", _shifted_llm_kernel(brackets.closed_triple_fn))
+    w = Window(-2, 2)
+    for spec in (OMEGA, FKBracket(1, ONE)):
+        for check in (check_fundamental_identity, module_axiom_check):
+            with pytest.raises(ValueError, match="breaks its grading"):
+                check(spec, w)
+    for bracket in ("omega", "fk"):
+        assert main(["verify", "fundamental-identity", "--bracket", bracket, "--window", "-1..1"]) == 2
+        assert "breaks its grading" in capsys.readouterr().err
+
+
+def test_module_axioms_counterexamples_under_mutation(broken_kernel):
+    # the list the per-tuple dict accumulator reported under this mutation
+    rep = module_axiom_check(OMEGA, Window(-2, 2))
+    assert rep.counterexamples == [
+        "second module identity fails at ('L', -2),('L', -1),('L', 2),('M', -2),('M', -2)",
+        "first module identity fails at ('L', -2),('L', -1),('L', 2),('M', -2),('M', -1)",
+        "second module identity fails at ('L', -2),('L', -1),('L', 2),('M', -2),('M', -1)",
+        "first module identity fails at ('L', -2),('L', -1),('L', 2),('M', -2),('M', 0)",
+        "second module identity fails at ('L', -2),('L', -1),('L', 2),('M', -2),('M', 0)",
+        "first module identity fails at ('L', -2),('L', -1),('L', 2),('M', -2),('M', 1)",
+        "second module identity fails at ('L', -2),('L', -1),('L', 2),('M', -2),('M', 1)",
+        "first module identity fails at ('L', -2),('L', -1),('L', 2),('M', -2),('M', 2)",
+    ]
+
+
+def test_closed_kernel_built_once_per_spec():
+    assert closed_triple_fn(FKBracket(1, ConstantFunctional(Fraction(2)))) is closed_triple_fn(
+        FKBracket(1, ConstantFunctional(2))
+    )
+    assert closed_triple_fn(DETERMINANT) is None

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from trilie import cli
 from trilie.cli import CHECKS, main
+from trilie.report import VerdictReport
 
 
 def run_cli(args):
@@ -131,3 +133,24 @@ def test_every_registered_check_runs_small():
 def test_identical_runs_are_byte_identical():
     args = ["analyze", "vandermonde", "--window", "-4..4", "--samples", "15", "--seed", "11", "--format", "json"]
     assert run_cli(args) == run_cli(args)
+
+
+def test_vandermonde_params_match_stats(monkeypatch):
+    code, out = run_cli(["analyze", "vandermonde", "--samples", "0", "--window", "-2..2", "--format", "json"])
+    assert code == 0
+    (rep,) = json.loads(out)["reports"]
+    assert rep["params"]["trials"] == rep["stats"]["trials"] == 1
+
+    # the aggregate keeps at most 8 counterexamples, however many trials fail
+    def failing_extract(*args):
+        rep = VerdictReport("vandermonde-extract", {})
+        for i in range(5):
+            rep.record_failure(f"failure {i}")
+        return None, rep
+
+    monkeypatch.setattr(cli, "vandermonde_extract", failing_extract)
+    code, out = run_cli(["analyze", "vandermonde", "--samples", "3", "--window", "-2..2", "--format", "json"])
+    assert code == 1
+    (rep,) = json.loads(out)["reports"]
+    assert rep["status"] == "fail"
+    assert rep["counterexamples"] == [f"failure {i}" for i in (0, 1, 2, 3, 4, 0, 1, 2)]

@@ -51,6 +51,8 @@ def test_parse_poly():
 
 def test_parse_beta():
     assert isinstance(parse_beta("const:1"), ConstantFunctional)
+    assert type(parse_beta("const:1").value) is int
+    assert parse_beta("const:4/2") == ConstantFunctional(2)
     assert parse_beta("const:-1/2").value == Fraction(-1, 2)
     poly = parse_beta("poly:t^2+1")
     assert isinstance(poly, PolynomialFunctional)
