@@ -241,11 +241,7 @@ def tri_bracket(spec: TriBracketSpec, u: Element, v: Element, w: Element) -> Ele
                         continue
                     coef, fam, idx = res
                     bv = BasisVector(fam, idx)
-                    s = out.get(bv, 0) + c12 * c3 * coef
-                    if s:
-                        out[bv] = s
-                    else:
-                        out.pop(bv, None)
+                    out[bv] = out.get(bv, 0) + c12 * c3 * coef
         return Element(out)
     if isinstance(spec, FromFunctionalBracket):
         if spec.certified is None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -193,8 +194,6 @@ def _derived_series(cfg: RunConfig) -> List[VerdictReport]:
 
 
 def _vandermonde(cfg: RunConfig) -> List[VerdictReport]:
-    import random
-
     out: List[VerdictReport] = []
     if cfg.seed_element:
         u = cfg.seed_element
@@ -457,11 +456,35 @@ def emit(reports: List[VerdictReport], cfg: RunConfig, header: dict) -> str:
     return "\n\n".join(lines[:-1]) + ("\n\n" if len(lines) > 1 else "") + lines[-1]
 
 
+INT_OPTIONS = ("k", "samples", "seed", "depth", "s0")
+CHOICES = {"bracket": ("omega", "fk"), "format": ("text", "json")}
+
+
+def read_config(path: str) -> dict:
+    """Option values of a JSON config file, as the strings a flag would
+    carry, checked like flags: integers parse and choices are respected."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("config file must hold a JSON object")
+    values = {key: str(value) for key, value in raw.items()}
+    for key in INT_OPTIONS:
+        if key in values:
+            try:
+                int(values[key])
+            except ValueError:
+                raise ValueError(f"config value {key}={raw[key]!r} is not an integer") from None
+    for key, choices in CHOICES.items():
+        if key in values and values[key] not in choices:
+            raise ValueError(f"config value {key}={raw[key]!r} is not one of {', '.join(choices)}")
+    return values
+
+
 def build_parser(file_defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     d = file_defaults or {}
     common.add_argument("--config", help="JSON file of default option values")
-    common.add_argument("--bracket", choices=("omega", "fk"), default=d.get("bracket", "omega"))
+    common.add_argument("--bracket", choices=CHOICES["bracket"], default=d.get("bracket", "omega"))
     common.add_argument("--k", type=int, default=d.get("k", 1))
     common.add_argument("--beta", default=d.get("beta", "const:1"))
     common.add_argument("--window", default=d.get("window", "-3..3"))
@@ -470,7 +493,7 @@ def build_parser(file_defaults: Optional[dict] = None) -> argparse.ArgumentParse
     common.add_argument("--depth", type=int, default=d.get("depth", 8))
     common.add_argument("--s0", type=int, default=d.get("s0", 0))
     common.add_argument(
-        "--format", dest="fmt", choices=("text", "json"), default=d.get("format", "text")
+        "--format", dest="fmt", choices=CHOICES["format"], default=d.get("format", "text")
     )
     parser = argparse.ArgumentParser(
         prog="trilie",
@@ -535,10 +558,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     file_defaults = None
     if known.config:
         try:
-            with open(known.config) as fh:
-                file_defaults = json.load(fh)
+            file_defaults = read_config(known.config)
         except (OSError, json.JSONDecodeError) as exc:
             print(f"trilie: cannot read config file: {exc}", file=sys.stderr)
+            return CONFIG_ERROR
+        except ValueError as exc:
+            print(f"trilie: {exc}", file=sys.stderr)
             return CONFIG_ERROR
     parser = build_parser(file_defaults)
     args = parser.parse_args(argv)

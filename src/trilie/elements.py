@@ -15,9 +15,9 @@ lowest terms, and zero coefficients are never stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, NamedTuple, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
-from .polys import Poly, Rational, normalize_rational, rat_str
+from .polys import Poly, Rational, Sparse, normalize_rational, rat_str
 from .report import PASS, VerdictReport, Window
 
 FAMILY_L = "L"
@@ -35,7 +35,7 @@ class BasisVector(NamedTuple):
         return f"{self.family}[{self.index}]"
 
 
-class Element:
+class Element(Sparse):
     """Finitely supported rational combination of basis vectors.
 
     Supports +, -, scalar multiplication, and the algebra product via *.
@@ -43,22 +43,7 @@ class Element:
     structural equality.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Dict[BasisVector, Rational]] = None):
-        clean: Dict[BasisVector, Rational] = {}
-        if terms:
-            for bv, c in terms.items():
-                c = normalize_rational(c)
-                if c:
-                    clean[bv] = c
-        self.terms = clean
-
-    # -- construction -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "Element":
-        return Element()
+    __slots__ = ()
 
     @staticmethod
     def basis(family: str, index: int, coef: Rational = 1) -> "Element":
@@ -66,88 +51,29 @@ class Element:
             raise ValueError(f"unknown family {family!r}")
         return Element({BasisVector(family, int(index)): coef})
 
-    # -- inspection ---------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def coefficient(self, bv: BasisVector) -> Rational:
         return self.terms.get(bv, 0)
 
     def support(self) -> Tuple[BasisVector, ...]:
         return tuple(sorted(self.terms))
 
-    def sorted_terms(self) -> Iterable[Tuple[BasisVector, Rational]]:
-        for bv in sorted(self.terms):
-            yield bv, self.terms[bv]
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other: "Element") -> "Element":
-        out = dict(self.terms)
-        for bv, c in other.terms.items():
-            s = out.get(bv, 0) + c
-            if s:
-                out[bv] = s
-            else:
-                out.pop(bv, None)
-        res = Element.__new__(Element)
-        res.terms = out
-        return res
-
-    def __neg__(self) -> "Element":
-        res = Element.__new__(Element)
-        res.terms = {bv: -c for bv, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
-
-    def scale(self, c: Rational) -> "Element":
-        if not c:
-            return Element()
-        c = normalize_rational(c)
-        res = Element.__new__(Element)
-        res.terms = {bv: normalize_rational(c * v) for bv, v in self.terms.items()}
-        return res
-
     def __mul__(self, other):
         if isinstance(other, Element):
             out: Dict[BasisVector, Rational] = {}
             for (f1, i1), c1 in self.terms.items():
                 for (f2, i2), c2 in other.terms.items():
-                    if f1 != f2:
-                        continue
-                    bv = BasisVector(f1, i1 + i2)
-                    s = out.get(bv, 0) + c1 * c2
-                    if s:
-                        out[bv] = s
-                    else:
-                        out.pop(bv, None)
-            res = Element.__new__(Element)
-            res.terms = {bv: normalize_rational(c) for bv, c in out.items()}
-            return res
+                    if f1 == f2:
+                        bv = BasisVector(f1, i1 + i2)
+                        out[bv] = out.get(bv, 0) + c1 * c2
+            return Element(out)
         return self.scale(other)
-
-    def __rmul__(self, c: Rational) -> "Element":
-        return self.scale(c)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Element) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    # -- rendering ----------------------------------------------------
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for bv, c in self.sorted_terms():
+        for bv in sorted(self.terms):
+            c = self.terms[bv]
             mag = -c if c < 0 else c
             body = str(bv) if mag == 1 else f"{rat_str(mag)}*{bv}"
             if not parts:
@@ -155,8 +81,6 @@ class Element:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-    __repr__ = __str__
 
 
 def L(index: int, coef: Rational = 1) -> Element:

@@ -12,20 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from .polys import normalize_rational
+from .polys import add_into, normalize_rational
 
 Vec = Dict[Hashable, object]
 
 
 def vec_add_scaled(target: Vec, src: Vec, c) -> None:
-    if not c:
-        return
-    for k, v in src.items():
-        s = target.get(k, 0) + c * v
-        if s:
-            target[k] = normalize_rational(s)
-        else:
-            target.pop(k, None)
+    if c:
+        add_into(target, ((k, c * v) for k, v in src.items()))
 
 
 def vec_scale(v: Vec, c) -> Vec:

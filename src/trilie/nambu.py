@@ -14,11 +14,12 @@ bracket term for term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
-from .elements import FAMILY_L, BasisVector, Element, FunctionalSpec
+from .brackets import FKBracket, OmegaBracket, tri_bracket
+from .elements import FAMILY_L, BasisVector, Element, FunctionalSpec, window_basis
 from .linalg import SpanSolver
-from .polys import Rational, normalize_rational, rat_str
+from .polys import Rational, Sparse, rat_str
 from .report import PASS, VerdictReport, Window
 
 # term key: (ypow, zpow, freq) with freq the integer coefficient of x
@@ -26,23 +27,10 @@ from .report import PASS, VerdictReport, Window
 TermKey = Tuple[int, int, int]
 
 
-class SymFunction:
+class SymFunction(Sparse):
     """Finitely supported rational combination of y^a z^b exp(r*x)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Dict[TermKey, Rational]] = None):
-        clean: Dict[TermKey, Rational] = {}
-        if terms:
-            for key, c in terms.items():
-                c = normalize_rational(c)
-                if c:
-                    clean[key] = c
-        self.terms = clean
-
-    @staticmethod
-    def zero() -> "SymFunction":
-        return SymFunction()
+    __slots__ = ()
 
     @staticmethod
     def term(coef: Rational = 1, ypow: int = 0, zpow: int = 0, freq: int = 0) -> "SymFunction":
@@ -50,59 +38,15 @@ class SymFunction:
             raise ValueError("powers of y and z must be nonnegative")
         return SymFunction({(ypow, zpow, freq): coef})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other: "SymFunction") -> "SymFunction":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        res = SymFunction.__new__(SymFunction)
-        res.terms = out
-        return res
-
-    def __neg__(self) -> "SymFunction":
-        res = SymFunction.__new__(SymFunction)
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other: "SymFunction") -> "SymFunction":
-        return self + (-other)
-
-    def scale(self, c: Rational) -> "SymFunction":
-        if not c:
-            return SymFunction()
-        return SymFunction({k: c * v for k, v in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, SymFunction):
             out: Dict[TermKey, Rational] = {}
             for (a1, b1, r1), c1 in self.terms.items():
                 for (a2, b2, r2), c2 in other.terms.items():
                     key = (a1 + a2, b1 + b2, r1 + r2)
-                    s = out.get(key, 0) + c1 * c2
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+                    out[key] = out.get(key, 0) + c1 * c2
             return SymFunction(out)
         return self.scale(other)
-
-    def __rmul__(self, c: Rational) -> "SymFunction":
-        return self.scale(c)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymFunction) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -128,8 +72,6 @@ class SymFunction:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-    __repr__ = __str__
 
 
 def partial(var: str, g: SymFunction) -> SymFunction:
@@ -228,8 +170,6 @@ def realize(rmap: RealizationMap, u: Element) -> SymFunction:
 
 
 def _pairing_ok(rmap, spec) -> bool:
-    from .brackets import FKBracket, OmegaBracket
-
     if isinstance(rmap, OmegaRealization):
         return isinstance(spec, OmegaBracket)
     if isinstance(rmap, FKRealization):
@@ -244,8 +184,6 @@ def _pairing_ok(rmap, spec) -> bool:
 def check_realization(rmap: RealizationMap, spec, window: Window) -> VerdictReport:
     """Homomorphism check: the Jacobian bracket of the images equals the
     image of the algebra bracket, on every window basis triple."""
-    from .brackets import tri_bracket
-
     if not _pairing_ok(rmap, spec):
         raise ValueError(
             f"realization {rmap.describe()} does not correspond to bracket {spec.describe()}"
@@ -254,8 +192,6 @@ def check_realization(rmap: RealizationMap, spec, window: Window) -> VerdictRepo
         "nambu-realization",
         {"map": rmap.describe(), "bracket": spec.describe(), "window": str(window)},
     )
-    from .elements import window_basis
-
     basis = window_basis(window)
     triples = 0
     for b1 in basis:
@@ -289,8 +225,6 @@ def check_injectivity(rmap: RealizationMap, window: Window) -> VerdictReport:
     rep = VerdictReport(
         "realization-injectivity", {"map": rmap.describe(), "window": str(window)}
     )
-    from .elements import window_basis
-
     solver = SpanSolver()
     basis = window_basis(window)
     for bv in basis:

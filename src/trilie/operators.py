@@ -35,7 +35,7 @@ from .elements import (
     window_basis,
 )
 from .linalg import SpanSolver
-from .polys import ZERO, Poly, Rational, normalize_rational, rat_str
+from .polys import ZERO, Poly, Rational, Sparse, add_into, normalize_rational, rat_str
 from .report import PASS, VerdictReport, Window
 
 # atom key: None for a plain polynomial, or (sign, off) for
@@ -43,18 +43,10 @@ from .report import PASS, VerdictReport, Window
 AtomKey = Optional[Tuple[int, int]]
 
 
-class CoeffFn:
+class CoeffFn(Sparse):
     """Exact coefficient function of the basis index."""
 
-    __slots__ = ("atoms",)
-
-    def __init__(self, atoms: Optional[Dict[AtomKey, Poly]] = None):
-        clean: Dict[AtomKey, Poly] = {}
-        if atoms:
-            for key, p in atoms.items():
-                if p:
-                    clean[key] = p
-        self.atoms = clean
+    __slots__ = ()
 
     @staticmethod
     def from_poly(p: Poly) -> "CoeffFn":
@@ -68,65 +60,32 @@ class CoeffFn:
     def from_beta(p: Poly, sign: int = 1, off: int = 0) -> "CoeffFn":
         return CoeffFn({(sign, off): p})
 
-    def is_zero(self) -> bool:
-        return not self.atoms
-
-    def __bool__(self) -> bool:
-        return bool(self.atoms)
-
-    def __add__(self, other: "CoeffFn") -> "CoeffFn":
-        out = dict(self.atoms)
-        for key, p in other.atoms.items():
-            s = out.get(key, ZERO) + p
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return CoeffFn(out)
-
-    def __neg__(self) -> "CoeffFn":
-        return CoeffFn({k: -p for k, p in self.atoms.items()})
-
-    def scale(self, c: Rational) -> "CoeffFn":
-        if not c:
-            return CoeffFn()
-        return CoeffFn({k: p.scale(c) for k, p in self.atoms.items()})
-
     def compose_affine(self, a: int, b: int) -> "CoeffFn":
         """Precompose the index argument with t -> a*t + b."""
         out: Dict[AtomKey, Poly] = {}
-        for key, p in self.atoms.items():
+        for key, p in self.terms.items():
             q = p.compose_affine(a, b)
             if key is None:
                 nk: AtomKey = None
             else:
                 sign, off = key
                 nk = (sign * a, sign * b + off)
-            s = out.get(nk, ZERO) + q
-            if s:
-                out[nk] = s
-            else:
-                out.pop(nk, None)
+            out[nk] = out.get(nk, ZERO) + q
         return CoeffFn(out)
 
     def __mul__(self, other: "CoeffFn") -> "CoeffFn":
         out: Dict[AtomKey, Poly] = {}
-        for k1, p1 in self.atoms.items():
-            for k2, p2 in other.atoms.items():
+        for k1, p1 in self.terms.items():
+            for k2, p2 in other.terms.items():
                 if k1 is not None and k2 is not None:
                     # never produced by the ad-calculus of these algebras
                     raise ArithmeticError("product of two beta-weighted atoms is not representable")
                 nk = k1 if k1 is not None else k2
-                q = p1 * p2
-                s = out.get(nk, ZERO) + q
-                if s:
-                    out[nk] = s
-                else:
-                    out.pop(nk, None)
+                out[nk] = out.get(nk, ZERO) + p1 * p2
         return CoeffFn(out)
 
     def has_beta(self) -> bool:
-        return any(k is not None for k in self.atoms)
+        return any(k is not None for k in self.terms)
 
     def substitute(self, f: FunctionalSpec) -> "CoeffFn":
         """Reduce beta atoms when the functional has a closed polynomial form."""
@@ -134,8 +93,8 @@ class CoeffFn:
         if bp is None or not self.has_beta():
             return self
         out: Dict[AtomKey, Poly] = {}
-        acc = self.atoms.get(None, ZERO)
-        for key, p in self.atoms.items():
+        acc = self.terms.get(None, ZERO)
+        for key, p in self.terms.items():
             if key is None:
                 continue
             sign, off = key
@@ -146,7 +105,7 @@ class CoeffFn:
 
     def eval(self, t: int, f: Optional[FunctionalSpec] = None) -> Rational:
         acc = 0
-        for key, p in self.atoms.items():
+        for key, p in self.terms.items():
             if key is None:
                 acc += p(t)
             else:
@@ -156,26 +115,15 @@ class CoeffFn:
                 acc += p(t) * f.beta(sign * t + off)
         return normalize_rational(acc)
 
-    def pure_poly(self) -> Optional[Poly]:
-        if self.has_beta():
-            return None
-        return self.atoms.get(None, ZERO)
-
     def max_degree(self) -> int:
-        return max((p.degree for p in self.atoms.values()), default=-1)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CoeffFn) and self.atoms == other.atoms
-
-    def __hash__(self):
-        return hash(frozenset(self.atoms.items()))
+        return max((p.degree for p in self.terms.values()), default=-1)
 
     def __str__(self) -> str:
-        if not self.atoms:
+        if not self.terms:
             return "0"
         parts = []
-        for key in sorted(self.atoms, key=lambda k: (0,) if k is None else (1, k)):
-            p = self.atoms[key]
+        for key in sorted(self.terms, key=lambda k: (0,) if k is None else (1, k)):
+            p = self.terms[key]
             if key is None:
                 parts.append(str(p))
             else:
@@ -191,101 +139,47 @@ class CoeffFn:
 ChannelKey = Tuple[str, str, int, int]
 
 
-class Operator:
+class Operator(Sparse):
     """Exact linear operator on A given by index-affine channels."""
 
-    __slots__ = ("channels",)
-
-    def __init__(self, channels: Optional[Dict[ChannelKey, CoeffFn]] = None):
-        clean: Dict[ChannelKey, CoeffFn] = {}
-        if channels:
-            for key, cf in channels.items():
-                if cf:
-                    clean[key] = cf
-        self.channels = clean
-
-    @staticmethod
-    def zero() -> "Operator":
-        return Operator()
-
-    def is_zero(self) -> bool:
-        return not self.channels
-
-    def __bool__(self) -> bool:
-        return bool(self.channels)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        out = dict(self.channels)
-        for key, cf in other.channels.items():
-            s = out.get(key)
-            s = cf if s is None else s + cf
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return Operator(out)
-
-    def __neg__(self) -> "Operator":
-        return Operator({k: -cf for k, cf in self.channels.items()})
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        return self + (-other)
-
-    def scale(self, c: Rational) -> "Operator":
-        if not c:
-            return Operator()
-        return Operator({k: cf.scale(c) for k, cf in self.channels.items()})
+    __slots__ = ()
 
     def __mul__(self, c: Rational) -> "Operator":
         return self.scale(c)
 
-    __rmul__ = __mul__
-
     def apply(self, u: Element, functional: Optional[FunctionalSpec] = None) -> Element:
         out: Dict[BasisVector, Rational] = {}
         for (fam, t), c in u.terms.items():
-            for (fin, fout, eps, m), cf in self.channels.items():
+            for (fin, fout, eps, m), cf in self.terms.items():
                 if fin != fam:
                     continue
                 coef = cf.eval(t, functional)
                 if not coef:
                     continue
                 bv = BasisVector(fout, eps * t + m)
-                s = out.get(bv, 0) + c * coef
-                if s:
-                    out[bv] = s
-                else:
-                    out.pop(bv, None)
+                out[bv] = out.get(bv, 0) + c * coef
         return Element(out)
 
     def compose(self, other: "Operator") -> "Operator":
         """self after other."""
-        out: Dict[ChannelKey, CoeffFn] = {}
-        for (fin1, fout1, eps1, m1), cf1 in other.channels.items():
-            for (fin2, fout2, eps2, m2), cf2 in self.channels.items():
-                if fin2 != fout1:
-                    continue
-                key = (fin1, fout2, eps2 * eps1, eps2 * m1 + m2)
-                cf = cf1 * cf2.compose_affine(eps1, m1)
-                s = out.get(key)
-                s = cf if s is None else s + cf
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return Operator(out)
+        return self._new(add_into({}, (
+            ((fin1, fout2, eps2 * eps1, eps2 * m1 + m2), cf1 * cf2.compose_affine(eps1, m1))
+            for (fin1, fout1, eps1, m1), cf1 in other.terms.items()
+            for (fin2, fout2, eps2, m2), cf2 in self.terms.items()
+            if fin2 == fout1
+        )))
 
     def commutator(self, other: "Operator") -> "Operator":
         return self.compose(other) - other.compose(self)
 
     def substitute(self, f: FunctionalSpec) -> "Operator":
-        return Operator({k: cf.substitute(f) for k, cf in self.channels.items()})
+        return Operator({k: cf.substitute(f) for k, cf in self.terms.items()})
 
     def has_beta(self) -> bool:
-        return any(cf.has_beta() for cf in self.channels.values())
+        return any(cf.has_beta() for cf in self.terms.values())
 
     def max_poly_degree(self) -> int:
-        return max((cf.max_degree() for cf in self.channels.values()), default=-1)
+        return max((cf.max_degree() for cf in self.terms.values()), default=-1)
 
     def coordinates(self) -> Dict[tuple, Rational]:
         """Flatten into sparse exact coordinates for rank/decomposition.
@@ -295,22 +189,19 @@ class Operator:
         coincides with independence as linear maps.
         """
         out: Dict[tuple, Rational] = {}
-        for (fin, fout, eps, m), cf in self.channels.items():
-            for akey, p in cf.atoms.items():
+        for (fin, fout, eps, m), cf in self.terms.items():
+            for akey, p in cf.terms.items():
                 kind, bs, bo = ("p", 0, 0) if akey is None else ("b", akey[0], akey[1])
                 for deg, c in enumerate(p.coeffs):
                     if c:
                         out[(fin, fout, eps, m, kind, bs, bo, deg)] = c
         return out
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Operator) and self.channels == other.channels
-
     def __str__(self) -> str:
-        if not self.channels:
+        if not self.terms:
             return "0"
         lines = []
-        for key in sorted(self.channels):
+        for key in sorted(self.terms):
             fin, fout, eps, m = key
             if eps == 1:
                 idx = f"t{m:+d}" if m else "t"
@@ -318,10 +209,8 @@ class Operator:
                 idx = f"{m}-t" if m else "-t"
             else:
                 idx = str(m)
-            lines.append(f"{fin}[t] -> ({self.channels[key]})*{fout}[{idx}]")
+            lines.append(f"{fin}[t] -> ({self.terms[key]})*{fout}[{idx}]")
         return "; ".join(lines)
-
-    __repr__ = __str__
 
 
 def ops_equal(
@@ -355,15 +244,10 @@ def ops_equal(
 
 def op_from_ad(spec: TriBracketSpec, u: Element, v: Element) -> Operator:
     """The operator w -> [u, v, w] in exact channel form."""
-    channels: Dict[ChannelKey, CoeffFn] = {}
+    pairs: List[Tuple[ChannelKey, CoeffFn]] = []
 
     def add(key: ChannelKey, cf: CoeffFn):
-        s = channels.get(key)
-        s = cf if s is None else s + cf
-        if s:
-            channels[key] = s
-        else:
-            channels.pop(key, None)
+        pairs.append((key, cf))
 
     if isinstance(spec, OmegaBracket):
         for (f1, i1), c1 in u.terms.items():
@@ -384,7 +268,7 @@ def op_from_ad(spec: TriBracketSpec, u: Element, v: Element) -> Operator:
                 c = w * sgn
                 add((FAMILY_L, FAMILY_L, 1, r - s), CoeffFn.from_poly(Poly((r, -1)).scale(c)))
                 add((FAMILY_M, FAMILY_M, 1, s - r), CoeffFn.from_poly(Poly((-s, 1)).scale(c)))
-        return Operator(channels)
+        return Operator(add_into({}, pairs))
 
     if isinstance(spec, FKBracket):
         k, f = spec.k, spec.functional
@@ -406,7 +290,7 @@ def op_from_ad(spec: TriBracketSpec, u: Element, v: Element) -> Operator:
                 if beta_s:
                     coeff = Poly((-r, 1)).scale(w * sgn * beta_s)  # beta_s * (t - r)
                     add((FAMILY_L, FAMILY_L, 1, r + k), CoeffFn.from_poly(coeff))
-        return Operator(channels)
+        return Operator(add_into({}, pairs))
 
     raise ValueError(
         "ad operators are built from a closed-form bracket (omega or fk); "
@@ -987,20 +871,14 @@ _SIGMA = {"q": "h", "z": "e", "x": "f"}
 def sl2_loop_bracket(a: Dict[tuple, Rational], b: Dict[tuple, Rational]) -> Dict[tuple, Rational]:
     """Bracket on sl2 tensored with Laurent polynomials: [g u^i, g' u^j]
     = [g, g'] u^{i+j} with the standard sl2 constants on (h, e, f)."""
-    out: Dict[tuple, Rational] = {}
+    pairs = []
     for (g1, d1), c1 in a.items():
         for (g2, d2), c2 in b.items():
             rule = _SL2.get((g1, g2))
-            if rule is None:
-                continue
-            coef, g3 = rule
-            key = (g3, d1 + d2)
-            s = out.get(key, 0) + c1 * c2 * coef
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
+            if rule is not None:
+                coef, g3 = rule
+                pairs.append(((g3, d1 + d2), c1 * c2 * coef))
+    return add_into({}, pairs)
 
 
 def verify_sl2_laurent(bound: int = 5) -> VerdictReport:
@@ -1026,14 +904,10 @@ def verify_sl2_laurent(bound: int = 5) -> VerdictReport:
                             f"[{t1}_{r}, {t2}_{s}] leaves the q/z/x span"
                         )
                         continue
-                    image = {}
-                    for (tag, m), c in combo.items():
-                        key = (_SIGMA[tag], m)
-                        image[key] = image.get(key, 0) + c
+                    image = add_into({}, (((_SIGMA[tag], m), c) for (tag, m), c in combo.items()))
                     abstract = sl2_loop_bracket(
                         {(_SIGMA[t1], r): 1}, {(_SIGMA[t2], s): 1}
                     )
-                    image = {k: v for k, v in image.items() if v}
                     if image != abstract:
                         rep.record_failure(
                             f"sigma([{t1}_{r}, {t2}_{s}]) = {image} but "

@@ -1,4 +1,5 @@
-"""Tiny exact univariate polynomials over the rationals.
+"""Tiny exact univariate polynomials over the rationals, and the sparse
+linear-combination base shared by every carrier of the package.
 
 Coefficient functions of basis-index operators are low-degree polynomials
 in the index variable ``t``; everything here is exact (int / Fraction),
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 Rational = Union[int, Fraction]
 
@@ -20,6 +21,91 @@ def normalize_rational(c: Rational) -> Rational:
     if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
+
+
+def add_into(out: dict, pairs) -> dict:
+    """Accumulate (key, value) pairs into out; a key whose sum is zero is
+    removed, so out never stores a zero value.  Returns out.
+
+    Here and in Sparse.__init__ normalize_rational is inlined: both run on
+    every sum and construction of the carriers."""
+    get = out.get
+    for key, value in pairs:
+        s = get(key)
+        s = value if s is None else s + value
+        if not s:
+            out.pop(key, None)
+        elif type(s) is Fraction and s.denominator == 1:
+            out[key] = s.numerator
+        else:
+            out[key] = s
+    return out
+
+
+class Sparse:
+    """Finitely supported exact linear combination, the shared carrier of
+    Element, SymFunction, CoeffFn and Operator.
+
+    ``terms`` maps keys to nonzero values, rationals or Poly / Sparse
+    objects, so == is structural equality.  Subclasses add their own
+    product, evaluation and rendering.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Optional[dict] = None):
+        clean = {}
+        if terms:
+            for key, value in terms.items():
+                if value:
+                    clean[key] = value.numerator if type(value) is Fraction and value.denominator == 1 else value
+        self.terms = clean
+
+    def _new(self, terms: dict):
+        """An instance of the same class over terms already free of zeros."""
+        res = object.__new__(type(self))
+        res.terms = terms
+        return res
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other):
+        return self._new(add_into(dict(self.terms), other.terms.items()))
+
+    def __neg__(self):
+        return self._new({key: -value for key, value in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c: Rational):
+        if not c:
+            return self._new({})
+        c = normalize_rational(c)
+        return self._new({
+            key: value.scale(c) if isinstance(value, (Sparse, Poly)) else normalize_rational(c * value)
+            for key, value in self.terms.items()
+        })
+
+    def __rmul__(self, c: Rational):
+        return self.scale(c)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __repr__(self) -> str:
+        return str(self)
 
 
 def rat_str(c: Rational) -> str:

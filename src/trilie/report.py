@@ -15,7 +15,6 @@ Status semantics:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 PASS = "pass"
@@ -94,9 +93,6 @@ class VerdictReport:
             "notes": list(self.notes),
             "stats": {k: self.stats[k] for k in sorted(self.stats)},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def to_text(self) -> str:
         lines = [f"[{self.status.upper():7s}] {self.check}"]

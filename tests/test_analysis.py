@@ -27,6 +27,7 @@ from trilie.analysis import (
     weight_decompose,
     witt_module_check,
 )
+from trilie.operators import GENERATORS, gen_p
 from trilie.report import Window
 
 ONE = ConstantFunctional(1)
@@ -202,3 +203,17 @@ def test_witt_module_checks():
         assert any("regular-representation reading" in n for n in rep.notes)
     with pytest.raises(ValueError):
         witt_module_check(4, Window(-2, 2))
+
+
+def test_witt_equivariance_reads_the_operators(monkeypatch):
+    # the q family itself: the oracle's coefficients differ first at (-2, -2)
+    rep = witt_module_check(1, Window(-2, 2))
+    assert any(
+        "at (r=-2, s=-2) the transported bracket coefficient is 0 while the action row gives 2" in n
+        for n in rep.notes
+    )
+    # with the p family in place of q the bijection is the identity, so it
+    # intertwines the action and no equivariance flag may be raised
+    monkeypatch.setitem(GENERATORS, "q", gen_p)
+    rep = witt_module_check(1, Window(-2, 2))
+    assert not any("not equivariant" in n for n in rep.notes)

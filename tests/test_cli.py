@@ -60,8 +60,16 @@ def test_json_format_schema():
     no_floats(doc)
 
 
-def test_config_error_exit_two(capsys):
+def test_config_error_exit_two(capsys, tmp_path):
+    config_args = []
+    for i, body in enumerate(
+        ("[1, 2]", '{"window": 5}', '{"beta": 1}', '{"k": 1.5}', '{"samples": 2.5}', '{"bracket": "xyz"}')
+    ):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(body)
+        config_args.append(["verify", "anticommutativity", "--config", str(path)])
     for args in (
+        *config_args,
         ["verify", "fundamental-identity", "--window", "5..1"],
         ["verify", "fundamental-identity", "--beta", "const:0"],
         ["verify", "fundamental-identity", "--bracket", "fk", "--beta", "support:0=1/0"],

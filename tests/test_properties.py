@@ -18,8 +18,9 @@ from trilie import (
     tri_bracket,
 )
 from trilie.brackets import FUNDAMENTAL_IDENTITY, identity_residual
-from trilie.nambu import nambu_bracket, partial
-from trilie.operators import gen_p, gen_q, gen_x, gen_z
+from trilie.nambu import FKRealization, OmegaRealization, nambu_bracket, partial, realize
+from trilie.operators import CoeffFn, gen_p, gen_q, gen_x, gen_z
+from trilie.polys import Poly, Sparse
 
 ONE = ConstantFunctional(1)
 SPECS = st.sampled_from([OMEGA, FKBracket(1, ONE), FKBracket(0, ONE)])
@@ -122,3 +123,110 @@ def test_omega_generator_commutators_close_with_degree_bound(r, s):
         for b in others:
             comm = a.commutator(b)
             assert comm.max_poly_degree() <= 1
+
+
+# -- the shared sparse base: zero-free results equal to plain-dict sums -------
+
+PROBE_ELEMENTS = st.tuples(elements(max_terms=2, index_bound=3), elements(max_terms=2, index_bound=3))
+REALIZATIONS = st.sampled_from([OmegaRealization(), FKRealization(1, ONE), FKRealization(0, ONE)])
+ATOM_KEYS = st.sampled_from([None, (1, 0), (-1, 2), (0, 1)])
+POLYS = st.lists(RATIONALS, max_size=3).map(lambda cs: Poly(tuple(cs)))
+
+
+@st.composite
+def coeff_fns(draw, keys=ATOM_KEYS):
+    return CoeffFn(draw(st.dictionaries(keys, POLYS, max_size=3)))
+
+
+def assert_zero_free(x):
+    for value in x.terms.values():
+        assert value
+        if isinstance(value, Sparse):
+            assert_zero_free(value)
+
+
+def dict_sum(*weighted):
+    """Plain-dict reference: sum of c * terms over (c, terms) pairs, zeros dropped."""
+    out = {}
+    for c, terms in weighted:
+        for key, value in terms.items():
+            out[key] = out.get(key, 0) + c * value
+    return {key: value for key, value in out.items() if value}
+
+
+def flat(x):
+    """Rational coordinates of a CoeffFn or an Operator, zeros dropped."""
+    if isinstance(x, CoeffFn):
+        return {(k, d): c for k, p in x.terms.items() for d, c in enumerate(p.coeffs) if c}
+    return {(ck, *key): c for ck, cf in x.terms.items() for key, c in flat(cf).items()}
+
+
+def check_linear(a, b, c, terms=lambda x: x.terms):
+    for result, want in (
+        (a + b, dict_sum((1, terms(a)), (1, terms(b)))),
+        (a - b, dict_sum((1, terms(a)), (-1, terms(b)))),
+        (-a, dict_sum((-1, terms(a)))),
+        (a.scale(c), dict_sum((c, terms(a)))),
+        (a + (-a), {}),
+    ):
+        assert_zero_free(result)
+        assert terms(result) == want
+
+
+@given(elements(), elements(), RATIONALS)
+def test_element_base_ops(a, b, c):
+    check_linear(a, b, c)
+    ref = {}
+    for (f1, i1), c1 in a.terms.items():
+        for (f2, i2), c2 in b.terms.items():
+            if f1 == f2:
+                ref[(f1, i1 + i2)] = ref.get((f1, i1 + i2), 0) + c1 * c2
+    assert_zero_free(a * b)
+    assert (a * b).terms == {k: v for k, v in ref.items() if v}
+
+
+@given(REALIZATIONS, elements(max_terms=3), elements(max_terms=3), RATIONALS)
+def test_sym_function_base_ops(rmap, u, v, c):
+    f, g = realize(rmap, u), realize(rmap, v)
+    check_linear(f, g, c)
+    ref = {}
+    for (a1, b1, r1), c1 in f.terms.items():
+        for (a2, b2, r2), c2 in g.terms.items():
+            key = (a1 + a2, b1 + b2, r1 + r2)
+            ref[key] = ref.get(key, 0) + c1 * c2
+    assert_zero_free(f * g)
+    assert (f * g).terms == {k: v for k, v in ref.items() if v}
+
+
+@given(coeff_fns(), coeff_fns(), coeff_fns(keys=st.just(None)), RATIONALS)
+def test_coeff_fn_base_ops(a, b, pure, c):
+    check_linear(a, b, c, flat)
+    # a product needs a polynomial factor: two beta atoms are not representable
+    ref = {}
+    for k1, p1 in a.terms.items():
+        for p2 in pure.terms.values():
+            for i, x in enumerate(p1.coeffs):
+                for j, y in enumerate(p2.coeffs):
+                    ref[(k1, i + j)] = ref.get((k1, i + j), 0) + x * y
+    assert_zero_free(a * pure)
+    assert flat(a * pure) == {k: v for k, v in ref.items() if v}
+
+
+@given(SPECS, PROBE_ELEMENTS, PROBE_ELEMENTS, RATIONALS)
+def test_operator_base_ops(spec, uv, wz, c):
+    a, b = op_from_ad(spec, *uv), op_from_ad(spec, *wz)
+    check_linear(a, b, c, flat)
+    # a after b, channel by channel at sample indices: the coefficients are
+    # polynomials of degree <= 2 in t, so seven indices determine them
+    ab = a.compose(b)
+    assert_zero_free(ab)
+    for t in range(-3, 4):
+        ref = {}
+        for (fin1, fout1, eps1, m1), cf1 in b.terms.items():
+            for (fin2, fout2, eps2, m2), cf2 in a.terms.items():
+                if fin2 == fout1:
+                    key = (fin1, fout2, eps2 * eps1, eps2 * m1 + m2)
+                    ref[key] = ref.get(key, 0) + cf1.eval(t, ONE) * cf2.eval(eps1 * t + m1, ONE)
+        for key in set(ref) | set(ab.terms):
+            got = ab.terms[key].eval(t, ONE) if key in ab.terms else 0
+            assert got == ref.get(key, 0)
