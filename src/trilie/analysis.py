@@ -12,12 +12,15 @@ labelled as window evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from operator import or_
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .brackets import (
     INNER,
     OmegaBracket,
     TriBracketSpec,
+    _tabulate,
     check_nested_identities,
     closed_triple_fn,
     tri_bracket,
@@ -106,6 +109,7 @@ def span_close(
     window: Window,
     mode: str,
     depth: int = DEFAULT_DEPTH,
+    table: Optional["ClosureTable"] = None,
 ) -> Tuple[List[WindowSubspace], VerdictReport]:
     """Iterate a bracket closure until stabilization (or the depth cap).
 
@@ -116,6 +120,10 @@ def span_close(
     slot inside the seed span as well, treating the seed span as the
     ambient algebra.  Results are projected onto the window; every
     out-of-window remainder is flagged in the report.
+
+    Single-term seeds of a closed-form bracket take the bitmask path over
+    ``table``; a caller closing several seed sets of one bracket and window
+    passes one ClosureTable(spec, window) to share its rows.
     """
     rep = VerdictReport(
         "span-close",
@@ -127,9 +135,10 @@ def span_close(
             "seeds": "; ".join(str(s) for s in seeds) or "(empty)",
         },
     )
-    triple = closed_triple_fn(spec)
-    if triple is not None and all(len(s.terms) == 1 for s in seeds):
-        return _span_close_pure(rep, triple, seeds, window, mode, depth)
+    if closed_triple_fn(spec) is not None and all(len(s.terms) == 1 for s in seeds):
+        if table is None:
+            table = ClosureTable(spec, window)
+        return _span_close_pure(rep, table, seeds, mode, depth)
     basis = [Element({bv: 1}) for bv in window_basis(window)]
     escapes = 0
     escape_sample = None
@@ -192,61 +201,125 @@ def span_close(
     return chain, rep
 
 
+ESCAPE = -1
+
+
+class ClosureTable:
+    """Reachability rows of a closed-form bracket on one window.
+
+    Bit p of a mask stands for ``window_basis(window)[p]``.  The rows come
+    from one window³ tabulation of the kernel, made on first use, so the
+    closures of one check call share it and nothing outlives that call:
+
+    * ``entry[(a*n + b)*n + c]``: the output bit of [a, b, c], 0 for a zero
+      bracket, ESCAPE for an output outside the window;
+    * ``pair[a*n + b]``, ``pair_escapes[a*n + b]``: the union of those bits
+      over every c, and the number of escapes among them;
+    * ``single[a]``, ``single_escapes[a]``: the same over every (b, c).
+    """
+
+    def __init__(self, spec: TriBracketSpec, window: Window):
+        self.spec = spec
+        self.window = window
+        self.basis = window_basis(window)
+        self.bit = {bv: 1 << p for p, bv in enumerate(self.basis)}
+
+    @cached_property
+    def rows(self):
+        basis, bit = self.basis, self.bit
+        n = len(basis)
+        entry = [
+            0 if res is None else bit.get(res[1:], ESCAPE)
+            for res in _tabulate(closed_triple_fn(self.spec), basis)
+        ]
+        pair, pair_escapes = [], []
+        for start in range(0, len(entry), n):
+            mask = escapes = 0
+            for out in entry[start : start + n]:
+                if out > 0:
+                    mask |= out
+                elif out:
+                    escapes += 1
+            pair.append(mask)
+            pair_escapes.append(escapes)
+        single, single_escapes = [], []
+        for start in range(0, len(pair), n):
+            single.append(reduce(or_, pair[start : start + n], 0))
+            single_escapes.append(sum(pair_escapes[start : start + n]))
+        return entry, pair, pair_escapes, single, single_escapes
+
+
+def _positions(mask: int) -> List[int]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _span_close_pure(
-    rep: VerdictReport, triple, seeds: Sequence[Element], window: Window, mode: str, depth: int
+    rep: VerdictReport,
+    table: ClosureTable,
+    seeds: Sequence[Element],
+    mode: str,
+    depth: int,
 ) -> Tuple[List[WindowSubspace], VerdictReport]:
-    """Set-based closure: brackets of basis vectors are monomials, so a
-    span seeded by basis lines stays a union of basis lines and the whole
-    iteration is exact reachability (window projection drops whole terms,
-    so it cannot create artifacts here)."""
-    basis = [(bv.family, bv.index) for bv in window_basis(window)]
-    seed_set = frozenset(next(iter(s.terms)) for s in seeds)
+    """Bitmask closure: brackets of basis vectors are monomials, so a span
+    seeded by basis lines stays a union of basis lines and the whole
+    iteration is exact reachability over the table's rows (window
+    projection drops whole terms, so it cannot create artifacts here)."""
+    window, n = table.window, len(table.basis)
+    seed_mask = 0
+    for s in seeds:
+        bv = next(iter(s.terms))
+        if bv not in table.bit:
+            raise ValueError(f"{bv} outside window {window}")
+        seed_mask |= table.bit[bv]
+    seed_pos = _positions(seed_mask)
+    entry, pair, pair_escapes, single, single_escapes = table.rows
     escapes = 0
-
-    def targets(set_a: frozenset, set_b, set_c) -> frozenset:
-        nonlocal escapes
-        out = set()
-        third = [(bv.family, bv.index) if isinstance(bv, BasisVector) else bv for bv in set_c]
-        for va in set_a:
-            ta = (va.family, va.index)
-            for vb in set_b:
-                tb = (vb.family, vb.index)
-                for bc in third:
-                    res = triple(ta, tb, bc)
-                    if res is None:
-                        continue
-                    _, fam, idx = res
-                    if idx in window:
-                        out.add(BasisVector(fam, idx))
-                    else:
-                        escapes += 1
-        return frozenset(out)
-
-    basis_lines = [BasisVector(f, i) for f, i in basis]
-    current = seed_set
-    chain_sets = [current]
+    current = seed_mask
+    chain_masks = [current]
     for _ in range(depth):
+        cur_pos = _positions(current)
+        nxt = 0
         if mode == MODE_IDEAL:
-            nxt = current | targets(current, basis_lines, basis_lines)
-        elif mode == MODE_DERIVED:
-            nxt = targets(current, current, basis_lines)
-        elif mode == MODE_LOWER_CENTRAL:
-            nxt = targets(current, seed_set, basis_lines)
+            nxt = current
+            for a in cur_pos:
+                nxt |= single[a]
+                escapes += single_escapes[a]
+        elif mode in (MODE_DERIVED, MODE_LOWER_CENTRAL):
+            second = cur_pos if mode == MODE_DERIVED else seed_pos
+            for a in cur_pos:
+                for b in second:
+                    nxt |= pair[a * n + b]
+                    escapes += pair_escapes[a * n + b]
         elif mode == MODE_SELF_LOWER:
-            nxt = targets(current, seed_set, seed_set)
+            for a in cur_pos:
+                for b in seed_pos:
+                    base = (a * n + b) * n
+                    for c in seed_pos:
+                        out = entry[base + c]
+                        if out > 0:
+                            nxt |= out
+                        elif out:
+                            escapes += 1
         else:
             raise ValueError(f"unknown closure mode {mode!r}")
-        chain_sets.append(nxt)
+        chain_masks.append(nxt)
         if nxt == current:
             break
         current = nxt
+    basis = table.basis
     chain = [
-        WindowSubspace.from_elements(window, [Element({bv: 1}) for bv in sorted(s)])
-        for s in chain_sets
+        WindowSubspace(window, SpanSolver.from_unit_vectors([basis[p] for p in _positions(m)]))
+        for m in chain_masks
     ]
-    stabilized = len(chain_sets) >= 2 and chain_sets[-1] == chain_sets[-2]
-    rep.stats["chain_dims"] = ",".join(str(len(s)) for s in chain_sets)
-    rep.stats["stabilized_at"] = len(chain_sets) - 1 if stabilized else -1
+    stabilized = len(chain_masks) >= 2 and chain_masks[-1] == chain_masks[-2]
+    rep.stats["chain_dims"] = ",".join(str(m.bit_count()) for m in chain_masks)
+    rep.stats["stabilized_at"] = len(chain_masks) - 1 if stabilized else -1
     rep.stats["escapes"] = escapes
     if not stabilized:
         rep.note(f"chain did not stabilize within depth {depth}")
@@ -278,8 +351,9 @@ def ideal_closure_reaches_all(
         [Element({bv: 1}) for bv in window_basis(window)] if seeds is None else list(seeds)
     )
     reached = []
+    table = ClosureTable(spec, window)
     for seed in seed_list:
-        chain, sub = span_close(spec, [seed], window, MODE_IDEAL)
+        chain, sub = span_close(spec, [seed], window, MODE_IDEAL, table=table)
         reached.append(chain[-1].dim)
         if expect_full and chain[-1].dim != full_dim:
             rep.record_failure(
@@ -399,7 +473,8 @@ def ideal_check(
     rep.stats["boundary_escapes"] = boundary
 
     # the candidate as an algebra of its own: all three slots stay inside
-    own_chain, _ = span_close(spec, list(candidate), window, MODE_SELF_LOWER, depth)
+    table = ClosureTable(spec, window)
+    own_chain, _ = span_close(spec, list(candidate), window, MODE_SELF_LOWER, depth, table)
     own_nilpotent = own_chain[-1].dim == 0
     rep.stats["own_lower_central_dims"] = ",".join(str(s.dim) for s in own_chain)
     rep.stats["nilpotent_as_algebra"] = str(own_nilpotent)
@@ -407,7 +482,7 @@ def ideal_check(
         rep.note("candidate has zero bracket with itself (abelian subalgebra)")
 
     # lower-central chain of the candidate as an ideal of A
-    lc_chain, _ = span_close(spec, list(candidate), window, MODE_LOWER_CENTRAL, depth)
+    lc_chain, _ = span_close(spec, list(candidate), window, MODE_LOWER_CENTRAL, depth, table)
     lc_zero = lc_chain[-1].dim == 0
     rep.stats["ideal_lower_central_dims"] = ",".join(str(s.dim) for s in lc_chain)
     rep.stats["nilpotent_as_ideal"] = str(lc_zero)
@@ -419,7 +494,7 @@ def ideal_check(
     if is_ideal:
         minimal = True
         for row in sub.basis_elements():
-            chain, _ = span_close(spec, [row], window, MODE_IDEAL, depth)
+            chain, _ = span_close(spec, [row], window, MODE_IDEAL, depth, table)
             closure = chain[-1]
             for other in sub.basis_elements():
                 if not closure.contains(other):
@@ -691,10 +766,13 @@ def witt_module_check(i: int, window: Window) -> VerdictReport:
     rep = VerdictReport("witt-module", {"family": fam, "window": str(window)})
 
     # (a) action row: [p_r, fam_s] = -s * fam_{r+s}
+    acts = set()
     for r in window.indices():
         pr = gen_p(r)
         for s in window.indices():
             comm = pr.commutator(gen(s))
+            if comm:
+                acts.add((r, s))
             if comm != gen(r + s).scale(-s):
                 rep.record_failure(f"[p_{r}, {fam}_{s}] != {-s}*{fam}_{r + s}")
     rep.stats["action_pairs"] = (window.hi - window.lo + 1) ** 2
@@ -713,10 +791,10 @@ def witt_module_check(i: int, window: Window) -> VerdictReport:
     if not distinct:
         rep.record_failure("p_0 weights are not pairwise distinct on the window")
 
-    # (c) literal-action invariant subspaces: edge s -> r+s iff -s != 0
+    # (c) literal-action invariant subspaces: edge s -> r+s iff [p_r, fam_s] != 0
     labels = list(window.indices())
     edges = {
-        s: {s + r for r in window.indices() if s != 0 and s + r in window and r != 0}
+        s: {s + r for r in window.indices() if (r, s) in acts and s + r in window and r != 0}
         for s in labels
     }
     literal = invariant_line_structure(labels, eigen, edges)

@@ -456,17 +456,22 @@ def emit(reports: List[VerdictReport], cfg: RunConfig, header: dict) -> str:
     return "\n\n".join(lines[:-1]) + ("\n\n" if len(lines) > 1 else "") + lines[-1]
 
 
+OPTIONS = ("bracket", "k", "beta", "window", "samples", "seed", "depth", "s0", "format")
 INT_OPTIONS = ("k", "samples", "seed", "depth", "s0")
 CHOICES = {"bracket": ("omega", "fk"), "format": ("text", "json")}
 
 
 def read_config(path: str) -> dict:
     """Option values of a JSON config file, as the strings a flag would
-    carry, checked like flags: integers parse and choices are respected."""
+    carry, checked like flags: every key is an option, integers parse and
+    choices are respected."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("config file must hold a JSON object")
+    for key in raw:
+        if key not in OPTIONS:
+            raise ValueError(f"unknown config key {key!r} (options: {', '.join(OPTIONS)})")
     values = {key: str(value) for key, value in raw.items()}
     for key in INT_OPTIONS:
         if key in values:

@@ -5,11 +5,17 @@ SpanSolver keeps a fully reduced echelon basis (pivot normalized to 1,
 pivot column cleared everywhere else, rows ordered by pivot key), so
 subspace equality is structural and every membership answer comes with
 an exact coefficient certificate.
+
+``null_space`` eliminates over the integers instead: each equation is
+scaled to a primitive integer row, duplicate rows are dropped, and every
+row updated by Gauss-Jordan is divided by the gcd of its entries, so
+Fractions appear only in the returned kernel entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .polys import add_into, normalize_rational
@@ -36,6 +42,17 @@ class SpanSolver:
         self.pivots: List[Hashable] = []   # pivot key of each row
         self.combos: List[Vec] = []        # row expressed over inserted generators
         self._n_inserted = 0
+
+    @classmethod
+    def from_unit_vectors(cls, keys: Sequence[Hashable]) -> "SpanSolver":
+        """The span of the unit vectors at ascending distinct keys: the
+        state that adding them in that order reaches."""
+        solver = cls()
+        solver.rows = [{k: 1} for k in keys]
+        solver.pivots = list(keys)
+        solver.combos = [{i: 1} for i in range(len(solver.rows))]
+        solver._n_inserted = len(solver.rows)
+        return solver
 
     @property
     def rank(self) -> int:
@@ -95,53 +112,73 @@ def span_equal(a: SpanSolver, b: SpanSolver) -> bool:
     return a.pivots == b.pivots and a.rows == b.rows
 
 
+def _primitive_row(eq: Vec, order: Dict[Hashable, int]) -> Tuple[Tuple[int, int], ...]:
+    """The equation over column numbers as a primitive integer row, sparse
+    and ascending, with a positive leading entry; () for a zero equation."""
+    den = lcm(*(c.denominator for c in eq.values()))
+    acc: Dict[int, int] = {}
+    for k, c in eq.items():
+        col = order[k]
+        acc[col] = acc.get(col, 0) + c.numerator * (den // c.denominator)
+    items = sorted((col, v) for col, v in acc.items() if v)
+    if not items:
+        return ()
+    g = gcd(*(v for _, v in items))
+    if items[0][1] < 0:
+        g = -g
+    return tuple((col, v // g) for col, v in items)
+
+
 def null_space(equations: Iterable[Vec], unknowns: Sequence[Hashable]) -> List[Vec]:
     """Exact kernel basis of the homogeneous system, canonical RREF form.
 
     Each equation maps unknown keys to coefficients; the returned vectors
-    set one free unknown to 1 (free unknowns in ascending key order).
+    set one free unknown to 1 (free unknowns in ascending key order).  The
+    elimination is fraction-free: equations are scaled to distinct
+    primitive integer rows, every updated row is divided by the gcd of its
+    entries, and Fractions appear only in the kernel entries.
     """
     order = {u: i for i, u in enumerate(unknowns)}
-    rows: List[List] = []
-    for eq in equations:
-        if not eq:
-            continue
-        dense = [Fraction(0)] * len(unknowns)
-        for k, c in eq.items():
-            dense[order[k]] += Fraction(c)
-        if any(dense):
-            rows.append(dense)
-    # forward elimination to RREF
+    n = len(unknowns)
+    distinct = dict.fromkeys(_primitive_row(eq, order) for eq in equations if eq)
+    distinct.pop((), None)
+    rows: List[List[int]] = []
+    for sparse in distinct:
+        dense = [0] * n
+        for col, v in sparse:
+            dense[col] = v
+        rows.append(dense)
+    # integer Gauss-Jordan: each pivot column is cleared from every other row
     pivots: List[int] = []
     r = 0
-    for col in range(len(unknowns)):
-        sel = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                sel = i
-                break
+    for col in range(n):
+        if r == len(rows):
+            break
+        sel = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [c * inv for c in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        p = prow[col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                new = [p * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*new)
+                rows[i] = [a // g for a in new] if g > 1 else new
         pivots.append(col)
         r += 1
-        if r == len(rows):
-            break
-    rows = rows[:r]
-    free = [c for c in range(len(unknowns)) if c not in pivots]
+    pivot_row = dict(zip(pivots, rows))
     basis: List[Vec] = []
-    for fcol in free:
-        vec = [Fraction(0)] * len(unknowns)
-        vec[fcol] = Fraction(1)
-        for i, pcol in enumerate(pivots):
-            vec[pcol] = -rows[i][fcol]
-        basis.append(
-            {unknowns[c]: normalize_rational(vec[c]) for c in range(len(unknowns)) if vec[c]}
-        )
+    for fcol in range(n):
+        if fcol in pivot_row:
+            continue
+        vec: Vec = {}
+        for c in range(n):
+            row = pivot_row.get(c)
+            if c == fcol:
+                vec[unknowns[c]] = 1
+            elif row is not None and row[fcol]:
+                vec[unknowns[c]] = normalize_rational(Fraction(-row[fcol], row[c]))
+        basis.append(vec)
     return basis

@@ -4,6 +4,7 @@ import pytest
 
 from trilie import (
     OMEGA,
+    BasisVector,
     ConstantFunctional,
     Element,
     FKBracket,
@@ -11,9 +12,14 @@ from trilie import (
     M,
     window_basis,
 )
+from trilie import analysis
 from trilie.analysis import (
+    DEFAULT_DEPTH,
     MODE_DERIVED,
     MODE_IDEAL,
+    MODE_LOWER_CENTRAL,
+    MODE_SELF_LOWER,
+    ClosureTable,
     WindowSubspace,
     fk_cartan_pairs,
     ideal_check,
@@ -27,6 +33,8 @@ from trilie.analysis import (
     weight_decompose,
     witt_module_check,
 )
+from trilie.brackets import closed_triple_fn
+from trilie.cli import main
 from trilie.operators import GENERATORS, gen_p
 from trilie.report import Window
 
@@ -217,3 +225,146 @@ def test_witt_equivariance_reads_the_operators(monkeypatch):
     monkeypatch.setitem(GENERATORS, "q", gen_p)
     rep = witt_module_check(1, Window(-2, 2))
     assert not any("not equivariant" in n for n in rep.notes)
+    # [p_r, p_0] = r*p_r is nonzero, so the literal action moves the 0 line
+    assert not any("trivial submodule" in n for n in rep.notes)
+
+
+# -- the bitmask closure against the set-based loop it replaced ---------------
+
+
+def _reference_span_close(triple, seeds, window, mode, depth=DEFAULT_DEPTH):
+    """The set-based closure: every (current x slot x slot) basis triple goes
+    through the kernel again at every step.  Returns the chain of sets, the
+    stats and the notes span_close reports."""
+    basis = list(window_basis(window))
+    seed_set = frozenset(next(iter(s.terms)) for s in seeds)
+    escapes = 0
+
+    def targets(set_a, set_b, set_c):
+        nonlocal escapes
+        out = set()
+        for va in set_a:
+            for vb in set_b:
+                for vc in set_c:
+                    res = triple(va, vb, vc)
+                    if res is None:
+                        continue
+                    _, fam, idx = res
+                    if idx in window:
+                        out.add(BasisVector(fam, idx))
+                    else:
+                        escapes += 1
+        return frozenset(out)
+
+    current = seed_set
+    chain = [current]
+    for _ in range(depth):
+        if mode == MODE_IDEAL:
+            nxt = current | targets(current, basis, basis)
+        elif mode == MODE_DERIVED:
+            nxt = targets(current, current, basis)
+        elif mode == MODE_LOWER_CENTRAL:
+            nxt = targets(current, seed_set, basis)
+        else:
+            nxt = targets(current, seed_set, seed_set)
+        chain.append(nxt)
+        if nxt == current:
+            break
+        current = nxt
+    stabilized = len(chain) >= 2 and chain[-1] == chain[-2]
+    stats = {
+        "chain_dims": ",".join(str(len(s)) for s in chain),
+        "stabilized_at": len(chain) - 1 if stabilized else -1,
+        "escapes": escapes,
+    }
+    notes = [] if stabilized else [f"chain did not stabilize within depth {depth}"]
+    if escapes:
+        notes.append(
+            f"{escapes} single-term bracket results fell outside the window and "
+            "were dropped (projection-exact: all results are basis monomials)"
+        )
+    return chain, stats, notes
+
+
+CLOSURE_SPECS = {
+    "omega": OMEGA,
+    "fk-const-1": FKBracket(1, ONE),
+    "fk-const-1/2": FKBracket(1, ConstantFunctional(Fraction(1, 2))),
+}
+
+
+@pytest.mark.parametrize("mode", [MODE_IDEAL, MODE_DERIVED, MODE_LOWER_CENTRAL, MODE_SELF_LOWER])
+@pytest.mark.parametrize("name", sorted(CLOSURE_SPECS))
+def test_bitmask_closure_matches_set_oracle(name, mode):
+    spec, w = CLOSURE_SPECS[name], Window(-4, 4)
+    basis = window_basis(w)
+    seed_sets = [[Element({bv: 1})] for bv in basis] + [
+        [L(r) for r in w.indices()],
+        [M(r) for r in w.indices()],
+        [Element({bv: 1}) for bv in basis],
+    ]
+    table = ClosureTable(spec, w)
+    for seeds in seed_sets:
+        want_chain, want_stats, want_notes = _reference_span_close(
+            closed_triple_fn(spec), seeds, w, mode
+        )
+        for shared in (table, None):
+            chain, rep = span_close(spec, seeds, w, mode, table=shared)
+            assert {k: rep.stats[k] for k in want_stats} == want_stats
+            assert rep.notes == want_notes
+            assert [ws.basis_lines() for ws in chain] == [sorted(s) for s in want_chain]
+            # the directly built spans equal those the row reduction reaches
+            assert [vars(ws.solver) for ws in chain] == [
+                vars(WindowSubspace.from_elements(w, [Element({bv: 1}) for bv in sorted(s)]).solver)
+                for s in want_chain
+            ]
+
+
+def test_bitmask_closure_rejects_seeds_outside_the_window():
+    with pytest.raises(ValueError, match="outside window"):
+        span_close(OMEGA, [L(5)], Window(-2, 2), MODE_IDEAL)
+
+
+def _without_lmm(closed_triple_fn):
+    """closed_triple_fn with every product of one L and two Ms dropped."""
+
+    def closed(spec):
+        kernel = closed_triple_fn(spec)
+
+        def triple(a, b, c):
+            if sorted((a[0], b[0], c[0])) == ["L", "M", "M"]:
+                return None
+            return kernel(a, b, c)
+
+        return triple
+
+    return closed
+
+
+def test_simplicity_evidence_fails_on_broken_kernel(monkeypatch):
+    w = Window(-3, 3)
+    assert ideal_closure_reaches_all(OMEGA, w).status == "pass"
+    monkeypatch.setattr(analysis, "closed_triple_fn", _without_lmm(analysis.closed_triple_fn))
+    rep = ideal_closure_reaches_all(OMEGA, w)
+    assert rep.status == "fail"
+    # the M seeds still reach the L family, but no L seed reaches an M line
+    assert "closure of L[-3] stops at dimension 7 < 14" in rep.counterexamples
+
+
+def test_each_cli_call_builds_its_own_table(monkeypatch):
+    built = []
+    tabulate = analysis._tabulate
+
+    def counting(triple, basis):
+        built.append(len(basis))
+        return tabulate(triple, basis)
+
+    monkeypatch.setattr(analysis, "_tabulate", counting)
+    closure = ["analyze", "ideal-closure", "--bracket", "omega", "--window", "-3..3"]
+    assert main(closure) == 0
+    assert built == [14]  # one table for all 14 seeds
+    assert main(closure) == 0
+    assert built == [14, 14]
+    # ideal-kinds: one table per ideal_check, shared by its own closures
+    assert main(["analyze", "ideal-kinds", "--bracket", "fk", "--window", "-3..3"]) == 0
+    assert built == [14, 14, 14, 14]

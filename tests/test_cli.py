@@ -63,7 +63,15 @@ def test_json_format_schema():
 def test_config_error_exit_two(capsys, tmp_path):
     config_args = []
     for i, body in enumerate(
-        ("[1, 2]", '{"window": 5}', '{"beta": 1}', '{"k": 1.5}', '{"samples": 2.5}', '{"bracket": "xyz"}')
+        (
+            "[1, 2]",
+            '{"window": 5}',
+            '{"beta": 1}',
+            '{"k": 1.5}',
+            '{"samples": 2.5}',
+            '{"bracket": "xyz"}',
+            '{"windw": "-2..2"}',
+        )
     ):
         path = tmp_path / f"cfg{i}.json"
         path.write_text(body)
