@@ -12,7 +12,7 @@ labelled as window evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from operator import or_
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -27,7 +27,7 @@ from .brackets import (
 )
 from .elements import BasisVector, Element, L, M, window_basis
 from .linalg import SpanSolver, null_space, span_equal
-from .operators import GENERATORS, Operator, decompose, gen_p, gen_q, invariant_line_structure
+from .operators import GeneratorTable, Operator, decompose, gen_p, gen_q, invariant_line_structure
 from .polys import Rational
 from .report import PASS, VerdictReport, Window
 
@@ -586,10 +586,9 @@ def weight_decompose(
             rep.record_failure("weight spaces do not exhaust the window span")
         else:
             rep.note("window span is the direct sum of the weight spaces")
-    # abelianness of the span of all cartan entries
-    gens: List[Element] = []
-    for h1, h2 in cartan_pairs:
-        gens.extend((h1, h2))
+    # abelianness of the span of all cartan entries, each distinct entry
+    # once (under fk every pair repeats L[-k])
+    gens = list(dict.fromkeys(h for pair in cartan_pairs for h in pair))
     for a in gens:
         for b in gens:
             for c in gens:
@@ -762,13 +761,14 @@ def witt_module_check(i: int, window: Window) -> VerdictReport:
     if i not in _FAMILY_OF:
         raise ValueError("module index must be 1, 2, or 3")
     fam = _FAMILY_OF[i]
-    gen = GENERATORS[fam]
+    gens = GeneratorTable()
+    gen = partial(gens, fam)
     rep = VerdictReport("witt-module", {"family": fam, "window": str(window)})
 
     # (a) action row: [p_r, fam_s] = -s * fam_{r+s}
     acts = set()
     for r in window.indices():
-        pr = gen_p(r)
+        pr = gens("p", r)
         for s in window.indices():
             comm = pr.commutator(gen(s))
             if comm:
@@ -778,7 +778,7 @@ def witt_module_check(i: int, window: Window) -> VerdictReport:
     rep.stats["action_pairs"] = (window.hi - window.lo + 1) ** 2
 
     # (b) p_0 weight lines inside the family
-    p0 = gen_p(0)
+    p0 = gens("p", 0)
     eigen: Dict[object, object] = {}
     for s in window.indices():
         comm = p0.commutator(gen(s))
@@ -829,9 +829,10 @@ def witt_module_check(i: int, window: Window) -> VerdictReport:
     # (d) the bijection does not intertwine the literal action: the oracle's
     # coefficient of [p_r, p_s] on p_{r+s} against that of [p_r, fam_s] on fam_{r+s}
     for r in window.indices():
+        pr = gens("p", r)
         for s in window.indices():
-            transported = _line_coefficient(gen_p(r).commutator(gen_p(s)), gen_p(r + s))
-            acted = _line_coefficient(gen_p(r).commutator(gen(s)), gen(r + s))
+            transported = _line_coefficient(pr.commutator(gens("p", s)), gens("p", r + s))
+            acted = _line_coefficient(pr.commutator(gen(s)), gen(r + s))
             if transported != acted:
                 rep.flag(
                     f"the bijection p_r -> {fam}_r is not equivariant for the literal "

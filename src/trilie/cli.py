@@ -178,6 +178,11 @@ def _ideal_closure(cfg: RunConfig) -> List[VerdictReport]:
 
 
 def _derived_series(cfg: RunConfig) -> List[VerdictReport]:
+    if cfg.bracket == "fk" and cfg.depth < 1:
+        raise ValueError(
+            "derived-series under fk needs --depth >= 1: the stabilization test "
+            "compares the last two chain terms"
+        )
     spec = cfg.tri_spec()
     seeds = [Element({bv: 1}) for bv in window_basis(cfg.window)]
     chain, rep = span_close(spec, seeds, cfg.window, MODE_DERIVED, cfg.depth)

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .brackets import FKBracket, OmegaBracket, TriBracketSpec
 from .elements import (
@@ -382,27 +383,83 @@ def make_generator(gid: GeneratorId) -> Operator:
 # -- decomposition in a labelled operator set ------------------------------
 
 
+class OperatorFamily:
+    """A labelled operator family prebuilt for decomposition.
+
+    Each operator is substituted once (when a functional is given) and
+    its structural channel coordinates are added once to one SpanSolver,
+    so every ``decompose`` is a single exact ``express``.  A check builds
+    the families it needs per call and drops them when it returns.
+    """
+
+    __slots__ = ("functional", "_solver")
+
+    def __init__(
+        self,
+        labelled: Sequence[Tuple[object, Operator]],
+        functional: Optional[FunctionalSpec] = None,
+    ):
+        self.functional = functional
+        self._solver = SpanSolver()
+        for lab, op in labelled:
+            if functional is not None:
+                op = op.substitute(functional)
+            self._solver.add(op.coordinates(), tag=lab)
+
+    def decompose(self, target: Operator) -> Optional[Dict[object, Rational]]:
+        """Express target as an exact combination of the family.
+
+        Returns {label: coefficient} without zero entries, or None if the
+        target lies outside the span.  Decomposition happens in structural
+        channel coordinates (faithful for polynomial coefficients).
+        """
+        if self.functional is not None:
+            target = target.substitute(self.functional)
+        combo = self._solver.express(target.coordinates())
+        if combo is None:
+            return None
+        return {lab: c for lab, c in combo.items() if c}
+
+
 def decompose(
     target: Operator,
     labelled: Sequence[Tuple[object, Operator]],
     functional: Optional[FunctionalSpec] = None,
 ) -> Optional[Dict[object, Rational]]:
-    """Express target as an exact combination of the given operators.
+    """One-shot ``OperatorFamily(labelled, functional).decompose(target)``."""
+    return OperatorFamily(labelled, functional).decompose(target)
 
-    Returns {label: coefficient} without zero entries, or None if the
-    target lies outside the span.  Decomposition happens in structural
-    channel coordinates (faithful for polynomial coefficients).
+
+class GeneratorTable:
+    """The named generators of one check call.
+
+    ``table(tag, m)`` is ``builders[tag](m)`` (``GENERATORS`` by default),
+    read through the dict on first use, so a patched generator takes
+    effect, and reused for the rest of the call; ``table.family(tags, m)``
+    is the OperatorFamily labelled ``(tag, m)`` over the generators
+    ``tags`` at index m.
     """
-    if functional is not None:
-        target = target.substitute(functional)
-        labelled = [(lab, op.substitute(functional)) for lab, op in labelled]
-    solver = SpanSolver()
-    for lab, op in labelled:
-        solver.add(op.coordinates(), tag=lab)
-    combo = solver.express(target.coordinates())
-    if combo is None:
-        return None
-    return {lab: c for lab, c in combo.items() if c}
+
+    __slots__ = ("_builders", "_ops", "_families")
+
+    def __init__(self, builders: Optional[Dict[str, Callable[[int], Operator]]] = None):
+        self._builders = GENERATORS if builders is None else builders
+        self._ops: Dict[Tuple[str, int], Operator] = {}
+        self._families: Dict[Tuple[str, int], OperatorFamily] = {}
+
+    def __call__(self, tag: str, m: int) -> Operator:
+        op = self._ops.get((tag, m))
+        if op is None:
+            op = self._ops[(tag, m)] = self._builders[tag](m)
+        return op
+
+    def family(self, tags: str, m: int) -> OperatorFamily:
+        fam = self._families.get((tags, m))
+        if fam is None:
+            fam = self._families[(tags, m)] = OperatorFamily(
+                [((tag, m), self(tag, m)) for tag in tags]
+            )
+        return fam
 
 
 def operator_rank(
@@ -507,6 +564,7 @@ def verify_table_5_1(bound: int = 5) -> VerdictReport:
     graded p/q/x/z set is reported as the corrected right-hand side.
     """
     rep = VerdictReport("table-5-1", {"bound": bound})
+    gens = GeneratorTable()
     pairs = 0
     corrections = 0
     for left, right, expected in TABLE_ROWS:
@@ -514,7 +572,7 @@ def verify_table_5_1(bound: int = 5) -> VerdictReport:
         for r in range(-bound, bound + 1):
             for s in range(-bound, bound + 1):
                 pairs += 1
-                comm = GENERATORS[left](r).commutator(GENERATORS[right](s))
+                comm = gens(left, r).commutator(gens(right, s))
                 if comm.max_poly_degree() > 1:
                     rep.record_failure(
                         f"[{left}_{r}, {right}_{s}] has coefficient degree > 1 after cancellation"
@@ -523,12 +581,11 @@ def verify_table_5_1(bound: int = 5) -> VerdictReport:
                     want = Operator.zero()
                 else:
                     coef_fn, tag = expected
-                    want = GENERATORS[tag](r + s).scale(coef_fn(r, s))
+                    want = gens(tag, r + s).scale(coef_fn(r, s))
                 if comm != want:
                     row_ok = False
                     corrections += 1
-                    basis = [((tag, r + s), GENERATORS[tag](r + s)) for tag in "pqxz"]
-                    combo = decompose(comm, basis)
+                    combo = gens.family("pqxz", r + s).decompose(comm)
                     if combo is None:
                         detail = f"channels: {comm}"
                     else:
@@ -716,13 +773,24 @@ def verify_section3_structure(
         eq, _ = ops_equal(a, b, functional, window)
         return eq
 
+    # W(s, s0) and the X basis, each operator built once per call; the X
+    # basis is labelled by m: X(m,0), with m = 0 standing for X(1,-1)
+    ops = GeneratorTable({
+        "W": lambda s: ad_w(spec, s, s0),
+        "X": lambda m: ad_x(spec, 1, -1) if m == 0 else ad_x(spec, m, 0),
+    })
+    w_op, x_op = partial(ops, "W"), partial(ops, "X")
+
+    def x_name(m: int) -> str:
+        return "X(1,-1)" if m == 0 else f"X({m},0)"
+
     # (a) Witt relation on W generators
     witt = 0
     for r in window.indices():
         for s in window.indices():
             witt += 1
-            comm = ad_w(spec, r, s0).commutator(ad_w(spec, s, s0))
-            want = ad_w(spec, r + s + k, s0).scale(beta_s0 * (s - r))
+            comm = w_op(r).commutator(w_op(s))
+            want = w_op(r + s + k).scale(beta_s0 * (s - r))
             if not weq(comm, want):
                 rep.record_failure(
                     f"[W({r},{s0}), W({s},{s0})] != beta({s0})*({s}-{r})*W({r + s + k},{s0})"
@@ -730,42 +798,36 @@ def verify_section3_structure(
     rep.stats["witt_pairs"] = witt
 
     # (b) the X family commutes
-    x_params = [(r, 0) for r in window.indices() if r != 0] + [(1, -1)]
-    for (r1, t1) in x_params:
-        for (r2, t2) in x_params:
-            if ad_x(spec, r1, t1).commutator(ad_x(spec, r2, t2)):
-                rep.record_failure(f"[X({r1},{t1}), X({r2},{t2})] != 0")
+    x_params = [r for r in window.indices() if r != 0] + [0]
+    for m1 in x_params:
+        for m2 in x_params:
+            if x_op(m1).commutator(x_op(m2)):
+                rep.record_failure(f"[{x_name(m1)}, {x_name(m2)}] != 0")
     rep.stats["xx_pairs"] = len(x_params) ** 2
 
     # labelled X basis over an index range wide enough for one action hop
     reach_lo = min(2 * window.lo + k, window.lo)
     reach_hi = max(2 * window.hi + k, window.hi)
-
-    # X basis labelled by m: X(m,0), with m = 0 standing for X(1,-1)
-    def x_name(m: int) -> str:
-        return "X(1,-1)" if m == 0 else f"X({m},0)"
-
-    def x_op(m: int) -> Operator:
-        return ad_x(spec, 1, -1) if m == 0 else ad_x(spec, m, 0)
-
-    extended = [(m, x_op(m)) for m in range(reach_lo, reach_hi + 1)]
+    extended = OperatorFamily(
+        [(m, x_op(m)) for m in range(reach_lo, reach_hi + 1)], functional
+    )
 
     # (c) three-branch action of W on X(r,0), two-branch action on X(1,-1)
     branch_hits = {1: 0, 2: 0, 3: 0}
     flagged: List[str] = []
     for s in window.indices():
-        ws = ad_w(spec, s, s0)
+        ws = w_op(s)
         for r in window.indices():
             if r == 0:
                 continue
-            comm = ws.commutator(ad_x(spec, r, 0))
-            combo = decompose(comm, extended, functional)
+            comm = ws.commutator(x_op(r))
+            combo = extended.decompose(comm)
             if combo is None:
                 rep.record_failure(f"[W({s},{s0}), X({r},0)] leaves the X span")
                 continue
             if r + s != -k:
                 branch_hits[1] += 1
-                want = ad_x(spec, r + s + k, 0).scale(
+                want = x_op(r + s + k).scale(
                     Fraction(r * (r - s + k), r + s + k) * beta_s0
                 )
                 if not weq(comm, want):
@@ -774,10 +836,10 @@ def verify_section3_structure(
                     )
             elif s != 0:
                 branch_hits[2] += 1
-                oracle = ad_x(spec, 1, -1).scale(-r * s * beta_s0)
+                oracle = x_op(0).scale(-r * s * beta_s0)
                 if not weq(comm, oracle):
                     rep.record_failure(f"branch 2 oracle form fails at (r={r}, s={s})")
-                printed = ad_x(spec, 1, -1).scale(Fraction(-r, s) * beta_s0)
+                printed = x_op(0).scale(Fraction(-r, s) * beta_s0)
                 if not weq(comm, printed) and not flagged:
                     flagged.append(
                         "printed branch coefficient r*beta/s on the swapped generator "
@@ -791,13 +853,13 @@ def verify_section3_structure(
                         f"branch 3 expects the zero operator at (r={r}, s={s})"
                     )
     for s in window.indices():
-        comm = ad_w(spec, s, s0).commutator(ad_x(spec, 1, -1))
+        comm = w_op(s).commutator(x_op(0))
         if s != -k:
-            want = ad_x(spec, s + k, 0).scale(Fraction(2 * (k - s), s + k) * beta_s0)
+            want = x_op(s + k).scale(Fraction(2 * (k - s), s + k) * beta_s0)
             if not weq(comm, want):
                 rep.record_failure(f"[W({s},{s0}), X(1,-1)] mismatch at s={s}")
         else:
-            oracle = ad_x(spec, 1, -1).scale(2 * k * beta_s0)
+            oracle = x_op(0).scale(2 * k * beta_s0)
             if not weq(comm, oracle):
                 rep.record_failure(f"[W({-k},{s0}), X(1,-1)] oracle form fails")
             if k * k != 1:
@@ -814,7 +876,7 @@ def verify_section3_structure(
     # (d) invariant-subspace search: diagonal pivot W(-k, s0), then closures
     labels = list(window.indices())
     eigen: Dict[object, Rational] = {}
-    pivot = ad_w(spec, -k, s0)
+    pivot = w_op(-k)
     diag_ok = True
     for m in labels:
         op = x_op(m)
@@ -827,10 +889,10 @@ def verify_section3_structure(
     edges: Dict[object, set] = {m: set() for m in labels}
     escapes = 0
     for s in window.indices():
-        ws = ad_w(spec, s, s0)
+        ws = w_op(s)
         for m in labels:
             comm = ws.commutator(x_op(m))
-            combo = decompose(comm, extended, functional)
+            combo = extended.decompose(comm)
             for target in combo or {}:
                 if target in edges:
                     if target != m:
@@ -890,15 +952,15 @@ def verify_sl2_laurent(bound: int = 5) -> VerdictReport:
     resolved by the oracle, never copied from the printed proof lines.
     """
     rep = VerdictReport("sl2-laurent", {"bound": bound})
+    gens = GeneratorTable()
     pairs = 0
     for t1 in ("q", "z", "x"):
         for t2 in ("q", "z", "x"):
             for r in range(-bound, bound + 1):
                 for s in range(-bound, bound + 1):
                     pairs += 1
-                    comm = GENERATORS[t1](r).commutator(GENERATORS[t2](s))
-                    basis = [((tag, r + s), GENERATORS[tag](r + s)) for tag in "qzx"]
-                    combo = decompose(comm, basis)
+                    comm = gens(t1, r).commutator(gens(t2, s))
+                    combo = gens.family("qzx", r + s).decompose(comm)
                     if combo is None:
                         rep.record_failure(
                             f"[{t1}_{r}, {t2}_{s}] leaves the q/z/x span"

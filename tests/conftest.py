@@ -7,8 +7,9 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from trilie import BasisVector, Element
+from trilie import OMEGA, BasisVector, Element, L, M
 from trilie.nambu import SymFunction
+from trilie.operators import gen_q, op_from_ad
 
 settings.register_profile(
     "ci",
@@ -58,3 +59,11 @@ def element_strategy():
 @pytest.fixture
 def sym_strategy():
     return sym_functions()
+
+
+def sign_flipped_q(r):
+    """A broken gen_q for mutation tests: the sign between its two ad terms
+    is flipped, so q_r becomes (2/r) p_r for r != 0."""
+    if r == 0:
+        return gen_q(0)
+    return (op_from_ad(OMEGA, L(0), M(-r)) + op_from_ad(OMEGA, L(r), M(0))).scale(Fraction(1, r))

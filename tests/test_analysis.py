@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import sign_flipped_q
 from trilie import (
     OMEGA,
     BasisVector,
@@ -33,7 +34,7 @@ from trilie.analysis import (
     weight_decompose,
     witt_module_check,
 )
-from trilie.brackets import closed_triple_fn
+from trilie.brackets import closed_triple_fn, tri_bracket
 from trilie.cli import main
 from trilie.operators import GENERATORS, gen_p
 from trilie.report import Window
@@ -168,6 +169,38 @@ def test_fk_weight_decomposition_growth():
     assert zero_dims == [6, 8, 10]  # all M plus L_0: grows with the window
 
 
+def test_weight_decompose_brackets_each_cartan_entry_once(monkeypatch):
+    calls = []
+
+    def counting(spec, a, b, c):
+        calls.append((a, b, c))
+        return tri_bracket(spec, a, b, c)
+
+    monkeypatch.setattr(analysis, "tri_bracket", counting)
+    w = Window(-3, 3)
+    pairs = fk_cartan_pairs(w, 0)  # (L[0], M[t]) for 7 values of t
+    assert weight_decompose(FKBracket(0, ONE), pairs, w)[1].status == "pass"
+    # the diagonal action on 14 basis vectors per pair, then the 8 distinct
+    # entries L[0], M[-3..3] cubed (not the 14 listed entries cubed)
+    assert len(calls) == 7 * 14 + 8**3
+
+
+def test_weight_decompose_keeps_the_first_counterexamples():
+    w = Window(-2, 2)
+    pairs = [(L(0), M(0)), (L(1), M(1)), (L(0), M(0))]  # diagonal, not commuting
+    _, rep = weight_decompose(OMEGA, pairs, w)
+    entries = [h for pair in pairs for h in pair]
+    naive = [
+        f"cartan span is not abelian: [{a}, {b}, {c}] != 0"
+        for a in entries
+        for b in entries
+        for c in entries
+        if tri_bracket(OMEGA, a, b, c)
+    ]
+    found = [c for c in rep.counterexamples if c.startswith("cartan span")]
+    assert found and found == list(dict.fromkeys(naive))[: len(found)]
+
+
 def test_natural_module():
     deco, rep = natural_module_decompose(Window(-4, 4))
     assert rep.status == "pass"
@@ -227,6 +260,15 @@ def test_witt_equivariance_reads_the_operators(monkeypatch):
     assert not any("not equivariant" in n for n in rep.notes)
     # [p_r, p_0] = r*p_r is nonzero, so the literal action moves the 0 line
     assert not any("trivial submodule" in n for n in rep.notes)
+
+
+def test_witt_module_fails_under_a_sign_flipped_q(monkeypatch):
+    monkeypatch.setitem(GENERATORS, "q", sign_flipped_q)
+    rep = witt_module_check(1, Window(-2, 2))
+    assert rep.status == "fail"
+    assert "[p_-2, q_-2] != 2*q_-4" in rep.counterexamples
+    # the other families do not use q
+    assert witt_module_check(2, Window(-2, 2)).ok
 
 
 # -- the bitmask closure against the set-based loop it replaced ---------------

@@ -84,6 +84,7 @@ def test_config_error_exit_two(capsys, tmp_path):
         ["verify", "fundamental-identity", "--bracket", "fk", "--beta", "const:1/0"],
         ["verify", "fundamental-identity", "--samples", "-3"],
         ["analyze", "derived-series", "--depth", "-1"],
+        ["analyze", "derived-series", "--bracket", "fk", "--depth", "0", "--window=-3..3"],
         ["analyze", "vandermonde", "--seed-element", "0"],
     ):
         code, _ = run_cli(args)

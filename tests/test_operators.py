@@ -1,7 +1,10 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from conftest import sign_flipped_q
 from trilie import (
     OMEGA,
     ConstantFunctional,
@@ -17,8 +20,12 @@ from trilie import (
     tri_bracket,
     window_basis,
 )
+from trilie import operators
+from trilie.linalg import SpanSolver
 from trilie.operators import (
+    GENERATORS,
     CoeffFn,
+    GeneratorTable,
     Operator,
     ad_w,
     ad_x,
@@ -252,3 +259,59 @@ def test_section3_structure():
     assert rep.ok, rep.counterexamples
     with pytest.raises(ValueError):
         verify_section3_structure(0, FiniteSupportFunctional({2: 3}), 0, Window(-3, 3))
+
+
+def test_generator_table_reads_through_the_dict(monkeypatch):
+    gens = GeneratorTable()
+    assert gens("q", 2) is gens("q", 2) == gen_q(2)
+    assert gens.family("pq", 2) is gens.family("pq", 2)
+    assert gens.family("pq", 2).decompose(gen_q(2)) == {("q", 2): 1}
+    monkeypatch.setitem(GENERATORS, "q", gen_p)
+    assert GeneratorTable()("q", 2) == gen_p(2)
+
+
+def test_table_and_sl2_fail_under_a_sign_flipped_q(monkeypatch):
+    monkeypatch.setitem(GENERATORS, "q", sign_flipped_q)
+    rep = verify_table_5_1(2)
+    assert rep.status == "fail"
+    assert "row_qq" not in rep.stats and rep.stats["corrections"] > 0
+    assert verify_sl2_laurent(2).status == "fail"
+
+
+def _doubled_x_channel(ad_x):
+    """ad_x with the channel landing on index 1 scaled by 2."""
+
+    def broken(spec, r, s):
+        op = ad_x(spec, r, s)
+        return Operator({key: cf.scale(2) if key[3] == 1 else cf for key, cf in op.terms.items()})
+
+    return broken
+
+
+def test_section3_fails_under_a_broken_ad_x(monkeypatch):
+    monkeypatch.setattr(operators, "ad_x", _doubled_x_channel(operators.ad_x))
+    rep = verify_section3_structure(0, ONE, 0, Window(-3, 3))
+    assert rep.status == "fail"
+
+
+def test_section3_builds_one_x_family_per_call(monkeypatch):
+    solvers, refs = [], []
+    add = SpanSolver.add
+
+    def counting(self, vec, tag=None):
+        if not hasattr(self, "serial"):
+            self.serial = len(refs)
+            refs.append(weakref.ref(self))
+        solvers.append(self.serial)
+        return add(self, vec, tag)
+
+    monkeypatch.setattr(SpanSolver, "add", counting)
+    window, k = Window(-3, 3), 0
+    n_extended = max(2 * window.hi + k, window.hi) - min(2 * window.lo + k, window.lo) + 1
+    for call in (1, 2):
+        assert verify_section3_structure(k, ONE, 0, window).ok
+        gc.collect()
+        # one add per X-family member, all into one solver of this call,
+        # and no solver outlives its call
+        assert solvers == [0] * n_extended + [1] * n_extended * (call - 1)
+        assert all(ref() is None for ref in refs)

@@ -3,6 +3,8 @@
 from hypothesis import given, strategies as st
 
 from conftest import RATIONALS, elements, sym_functions
+from fractions import Fraction
+
 from trilie import (
     OMEGA,
     ConstantFunctional,
@@ -10,6 +12,7 @@ from trilie import (
     FKBracket,
     L,
     M,
+    PolynomialFunctional,
     d_k,
     delta,
     omega,
@@ -19,7 +22,8 @@ from trilie import (
 )
 from trilie.brackets import FUNDAMENTAL_IDENTITY, identity_residual
 from trilie.nambu import FKRealization, OmegaRealization, nambu_bracket, partial, realize
-from trilie.operators import CoeffFn, gen_p, gen_q, gen_x, gen_z
+from trilie.linalg import SpanSolver
+from trilie.operators import CoeffFn, Operator, OperatorFamily, gen_p, gen_q, gen_x, gen_z
 from trilie.polys import Poly, Sparse
 
 ONE = ConstantFunctional(1)
@@ -230,3 +234,54 @@ def test_operator_base_ops(spec, uv, wz, c):
         for key in set(ref) | set(ab.terms):
             got = ab.terms[key].eval(t, ONE) if key in ab.terms else 0
             assert got == ref.get(key, 0)
+
+
+# -- a prebuilt OperatorFamily against a one-shot solver ----------------------
+
+CHANNELS = st.sampled_from([("L", "L", 1, 0), ("L", "L", 1, 2), ("M", "L", 0, 1), ("L", "M", -1, 0)])
+FUNCTIONALS = st.sampled_from(
+    [None, ONE, ConstantFunctional(Fraction(-2, 3)), PolynomialFunctional(Poly((1, 1)))]
+)
+
+
+@st.composite
+def channel_operators(draw):
+    return Operator(draw(st.dictionaries(CHANNELS, coeff_fns(), max_size=3)))
+
+
+def one_shot_decompose(target, labelled, functional):
+    """A fresh solver per target: the decomposition before families were prebuilt."""
+    if functional is not None:
+        target = target.substitute(functional)
+        labelled = [(lab, op.substitute(functional)) for lab, op in labelled]
+    solver = SpanSolver()
+    for lab, op in labelled:
+        solver.add(op.coordinates(), tag=lab)
+    combo = solver.express(target.coordinates())
+    return None if combo is None else {lab: c for lab, c in combo.items() if c}
+
+
+@given(
+    st.lists(channel_operators(), min_size=1, max_size=4),
+    st.lists(
+        st.tuples(
+            st.lists(RATIONALS, min_size=4, max_size=4),
+            st.one_of(st.none(), channel_operators()),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    FUNCTIONALS,
+)
+def test_operator_family_matches_one_shot_solver(ops, targets, functional):
+    labelled = [(("op", i), op) for i, op in enumerate(ops)]
+    family = OperatorFamily(labelled, functional)
+    for coeffs, extra in targets:
+        target = Operator.zero() if extra is None else extra
+        for c, op in zip(coeffs, ops):
+            target = target + op.scale(c)
+        got, want = family.decompose(target), one_shot_decompose(target, labelled, functional)
+        assert got == want
+        if want is not None:
+            assert list(got.items()) == list(want.items())
+            assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
