@@ -39,7 +39,7 @@ from .elements import (
     window_basis,
 )
 from .nambu import FKRealization, OmegaRealization, SymFunction, nambu_bracket, partial, realize
-from .operators import GeneratorId, Operator, make_generator, op_from_ad
+from .operators import Operator, op_from_ad
 from .parsing import parse_beta, parse_element
 from .report import Window, VerdictReport
 
@@ -59,7 +59,6 @@ __all__ = [
     "FixedThirdL",
     "FixedThirdM",
     "FromFunctionalBracket",
-    "GeneratorId",
     "L",
     "M",
     "OMEGA",
@@ -75,7 +74,6 @@ __all__ = [
     "delta",
     "functional_eval",
     "lie_bracket",
-    "make_generator",
     "nambu_bracket",
     "omega",
     "op_from_ad",

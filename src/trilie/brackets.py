@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import compress, product
 from math import lcm
 from operator import add, itemgetter, mul, sub
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .elements import (
     FAMILY_L,
@@ -147,82 +147,118 @@ def lie_bracket(spec: LieBracketSpec, u: Element, v: Element) -> Element:
     raise TypeError(f"unknown Lie bracket spec {spec!r}")
 
 
-# -- fast closed forms on basis triples ---------------------------------
+# -- the product rows and their basis kernels ------------------------------
 #
-# Triples are (family, index) pairs; the return value is
-# (integer-or-rational coefficient, family, index) or None for zero.
-# These are the hot path of the exhaustive sweeps.
+# Each closed-form bracket is written once, as its nonzero products on
+# canonical family patterns.  Every other basis product follows from total
+# antisymmetry; a triple whose families permute no row is zero.  A row's
+# output index and coefficient are integer forms over the slot indices
+# (r, s, t).  Under fk the index gains k and the coefficient is multiplied
+# by beta_t, the weight of the row's M slot.
+#
+# Triples are (family, index) pairs; a kernel returns (integer-or-rational
+# coefficient, family, index) or None for zero.  Kernels are the hot path
+# of the exhaustive sweeps.
 
 Triple = Tuple[str, int]
 
 
-def omega_triple(a: Triple, b: Triple, c: Triple):
-    fa, ia = a
-    fb, ib = b
-    fc, ic = c
-    if fa == FAMILY_L:
-        if fb == FAMILY_L:
-            if fc == FAMILY_L:
-                return None
-            r, s, t = ia, ib, ic                      # (L, L, M)
-            coef = s - r
-            return (coef, FAMILY_L, r + s - t) if coef else None
-        if fc == FAMILY_L:                            # (L, M, L) ~ -(L, L, M)
-            r, s, t = ia, ic, ib
-            coef = r - s
-            return (coef, FAMILY_L, r + s - t) if coef else None
-        r, s, t = ia, ib, ic                          # (L, M, M)
-        coef = t - s
-        return (coef, FAMILY_M, s + t - r) if coef else None
-    # fa == M
-    if fb == FAMILY_L:
-        if fc == FAMILY_L:                            # (M, L, L) ~ +(L, L, M) cyclic
-            r, s, t = ib, ic, ia
-            coef = s - r
-            return (coef, FAMILY_L, r + s - t) if coef else None
-        r, s, t = ib, ia, ic                          # (M, L, M) ~ -(L, M, M)
-        coef = s - t
-        return (coef, FAMILY_M, s + t - r) if coef else None
-    if fc == FAMILY_L:                                # (M, M, L) ~ +(L, M, M) cyclic
-        r, s, t = ic, ia, ib
-        coef = t - s
-        return (coef, FAMILY_M, s + t - r) if coef else None
-    return None                                       # (M, M, M)
+class ProductRow(NamedTuple):
+    pattern: Tuple[str, str, str]  # families of the slots (r, s, t)
+    family: str  # family of the output
+    index: Tuple[int, int, int]  # output index = index . (r, s, t)
+    coef: Tuple[int, int, int]  # coefficient = coef . (r, s, t)
+
+
+PRODUCT_ROWS = {
+    "omega": (
+        # [L_r, L_s, M_t] = (s - r) L_{r+s-t}
+        ProductRow((FAMILY_L, FAMILY_L, FAMILY_M), FAMILY_L, (1, 1, -1), (-1, 1, 0)),
+        # [L_r, M_s, M_t] = (t - s) M_{s+t-r}
+        ProductRow((FAMILY_L, FAMILY_M, FAMILY_M), FAMILY_M, (-1, 1, 1), (0, -1, 1)),
+    ),
+    # [L_r, L_s, M_t] = beta_t (r - s) L_{r+s+k}
+    "fk": (ProductRow((FAMILY_L, FAMILY_L, FAMILY_M), FAMILY_L, (1, 1, 0), (1, -1, 0)),),
+}
+
+# the signed permutations of three slots, identity first; position i of a
+# permuted triple holds slot perm[i]
+PERMUTATIONS = (
+    ((0, 1, 2), 1),
+    ((0, 2, 1), -1),
+    ((1, 0, 2), -1),
+    ((1, 2, 0), 1),
+    ((2, 0, 1), 1),
+    ((2, 1, 0), -1),
+)
+
+
+def expand_rows(rows) -> dict:
+    """The rules of a bracket: family pattern -> (output family, index form,
+    signed coefficient form, position of slot t), with the forms written
+    over argument positions.  The first signed permutation of a row to
+    reach a pattern gives its rule, so the rules are totally antisymmetric
+    when each row is antisymmetric in its slots of one family."""
+    rules = {}
+    for row in rows:
+        for perm, sign in PERMUTATIONS:
+            pattern = tuple(row.pattern[j] for j in perm)
+            if pattern not in rules:
+                rules[pattern] = (
+                    row.family,
+                    tuple(row.index[j] for j in perm),
+                    tuple(sign * row.coef[j] for j in perm),
+                    perm.index(2),
+                )
+    return rules
+
+
+RULES = {name: expand_rows(rows) for name, rows in PRODUCT_ROWS.items()}
+
+
+def bracket_rules(spec: TriBracketSpec):
+    """(rules, index shift, weight) of a closed-form bracket, None otherwise."""
+    if isinstance(spec, OmegaBracket):
+        return RULES["omega"], 0, None
+    if isinstance(spec, FKBracket):
+        return RULES["fk"], spec.k, spec.functional
+    return None
+
+
+def rule_kernel(rules: dict, shift: int = 0, weight: Optional[FunctionalSpec] = None) -> Callable:
+    """The basis kernel of expanded rules: each index gains ``shift``, and
+    under a weight each coefficient is multiplied by beta at slot t."""
+    get = rules.get
+    beta = weight.beta if weight is not None else None
+
+    def triple(a: Triple, b: Triple, c: Triple):
+        rule = get((a[0], b[0], c[0]))
+        if rule is None:
+            return None
+        family, (x0, x1, x2), (y0, y1, y2), t_pos = rule
+        i0, i1, i2 = a[1], b[1], c[1]
+        coef = y0 * i0 + y1 * i1 + y2 * i2
+        if beta is not None:
+            coef = beta((i0, i1, i2)[t_pos]) * coef
+        return (coef, family, x0 * i0 + x1 * i1 + x2 * i2 + shift) if coef else None
+
+    return triple
+
+
+omega_triple = rule_kernel(RULES["omega"])
 
 
 def fk_triple_fn(k: int, f: FunctionalSpec):
     """Closed-form basis bracket for fk(k, f), as a reusable callable."""
-
-    beta = f.beta
-
-    def triple(a: Triple, b: Triple, c: Triple):
-        fa, ia = a
-        fb, ib = b
-        fc, ic = c
-        nL = (fa == FAMILY_L) + (fb == FAMILY_L) + (fc == FAMILY_L)
-        if nL != 2:
-            return None
-        if fa == FAMILY_M:
-            r, s, t = ib, ic, ia                      # cyclic (M,L,L) -> (L,L,M)
-        elif fb == FAMILY_M:
-            r, s, t = ic, ia, ib                      # swap last two, then the L's
-        else:
-            r, s, t = ia, ib, ic
-        coef = beta(t) * (r - s)
-        return (coef, FAMILY_L, r + s + k) if coef else None
-
-    return triple
+    return rule_kernel(RULES["fk"], k, f)
 
 
 @lru_cache(maxsize=128)
 def closed_triple_fn(spec: TriBracketSpec) -> Optional[Callable]:
     """The basis kernel of a closed-form bracket, built once per spec;
     None for brackets without a closed form."""
-    if isinstance(spec, OmegaBracket):
-        return omega_triple
-    if isinstance(spec, FKBracket):
-        return fk_triple_fn(spec.k, spec.functional)
-    return None
+    rules = bracket_rules(spec)
+    return None if rules is None else rule_kernel(*rules)
 
 
 # -- ternary brackets on general elements --------------------------------
@@ -311,15 +347,6 @@ def random_element(rng: random.Random, window: Window, max_terms: int = 4) -> El
 
 # -- identity checkers ----------------------------------------------------
 
-_PERMS = (
-    ((0, 2, 1), -1),
-    ((1, 0, 2), -1),
-    ((1, 2, 0), 1),
-    ((2, 0, 1), 1),
-    ((2, 1, 0), -1),
-)
-
-
 def _closed_kernel(spec: TriBracketSpec) -> Callable:
     triple = closed_triple_fn(spec)
     if triple is None:
@@ -348,7 +375,7 @@ def check_anticommutativity(spec: TriBracketSpec, window: Window) -> VerdictRepo
     basis = window_basis(window)
     n = len(basis)
     table = _tabulate(_closed_kernel(spec), basis)
-    perms = [(perm, sign, itemgetter(*perm)) for perm, sign in _PERMS]
+    perms = [(perm, sign, itemgetter(*perm)) for perm, sign in PERMUTATIONS[1:]]
     for pos, base in zip(product(range(n), repeat=3), table):
         for perm, sign, permute in perms:
             i, j, k = permute(pos)

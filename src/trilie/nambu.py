@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple, Union
 
-from .brackets import FKBracket, OmegaBracket, tri_bracket
+from .brackets import PERMUTATIONS, FKBracket, OmegaBracket, tri_bracket
 from .elements import FAMILY_L, BasisVector, Element, FunctionalSpec, window_basis
 from .linalg import SpanSolver
 from .polys import Rational, Sparse, rat_str
@@ -97,22 +97,11 @@ def partial(var: str, g: SymFunction) -> SymFunction:
     return SymFunction(out)
 
 
-_JACOBIAN_PERMS = (
-    (("x", "y", "z"), 1),
-    (("x", "z", "y"), -1),
-    (("y", "x", "z"), -1),
-    (("y", "z", "x"), 1),
-    (("z", "x", "y"), 1),
-    (("z", "y", "x"), -1),
-)
-
-
 def nambu_bracket(g1: SymFunction, g2: SymFunction, g3: SymFunction) -> SymFunction:
     """Jacobian determinant of (g1, g2, g3) with respect to (x, y, z)."""
-    funcs = (g1, g2, g3)
     acc = SymFunction.zero()
-    for vars_, sign in _JACOBIAN_PERMS:
-        prod = partial(vars_[0], funcs[0]) * partial(vars_[1], funcs[1]) * partial(vars_[2], funcs[2])
+    for (i, j, k), sign in PERMUTATIONS:
+        prod = partial("xyz"[i], g1) * partial("xyz"[j], g2) * partial("xyz"[k], g3)
         acc = acc + (prod if sign > 0 else -prod)
     return acc
 

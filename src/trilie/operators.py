@@ -19,15 +19,13 @@ evaluation and reports say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .brackets import FKBracket, OmegaBracket, TriBracketSpec
+from .brackets import FKBracket, OmegaBracket, TriBracketSpec, bracket_rules
 from .elements import (
-    FAMILY_L,
-    FAMILY_M,
+    FAMILIES,
     BasisVector,
     Element,
     FunctionalSpec,
@@ -244,59 +242,33 @@ def ops_equal(
 
 
 def op_from_ad(spec: TriBracketSpec, u: Element, v: Element) -> Operator:
-    """The operator w -> [u, v, w] in exact channel form."""
+    """The operator w -> [u, v, w] in exact channel form: the bracket's
+    product rules read with the index t of the third slot symbolic."""
+    found = bracket_rules(spec)
+    if found is None:
+        raise ValueError(
+            "ad operators are built from a closed-form bracket (omega or fk); "
+            f"got {spec.describe()}"
+        )
+    rules, shift, weight = found
     pairs: List[Tuple[ChannelKey, CoeffFn]] = []
-
-    def add(key: ChannelKey, cf: CoeffFn):
-        pairs.append((key, cf))
-
-    if isinstance(spec, OmegaBracket):
-        for (f1, i1), c1 in u.terms.items():
-            for (f2, i2), c2 in v.terms.items():
-                w = c1 * c2
-                if f1 == FAMILY_L and f2 == FAMILY_M:
-                    r, s, sgn = i1, i2, 1
-                elif f1 == FAMILY_M and f2 == FAMILY_L:
-                    r, s, sgn = i2, i1, -1
-                elif f1 == FAMILY_L:  # (L, L)
-                    r, s = i1, i2
-                    add((FAMILY_M, FAMILY_L, -1, r + s), CoeffFn.const(w * (s - r)))
+    for (f1, i1), c1 in u.terms.items():
+        for (f2, i2), c2 in v.terms.items():
+            w = c1 * c2
+            for f3 in FAMILIES:
+                rule = rules.get((f1, f2, f3))
+                if rule is None:
                     continue
-                else:  # (M, M)
-                    r, s = i1, i2
-                    add((FAMILY_L, FAMILY_M, -1, r + s), CoeffFn.const(w * (s - r)))
-                    continue
-                c = w * sgn
-                add((FAMILY_L, FAMILY_L, 1, r - s), CoeffFn.from_poly(Poly((r, -1)).scale(c)))
-                add((FAMILY_M, FAMILY_M, 1, s - r), CoeffFn.from_poly(Poly((-s, 1)).scale(c)))
-        return Operator(add_into({}, pairs))
-
-    if isinstance(spec, FKBracket):
-        k, f = spec.k, spec.functional
-        for (f1, i1), c1 in u.terms.items():
-            for (f2, i2), c2 in v.terms.items():
-                w = c1 * c2
-                if f1 == FAMILY_L and f2 == FAMILY_M:
-                    r, s, sgn = i1, i2, 1
-                elif f1 == FAMILY_M and f2 == FAMILY_L:
-                    r, s, sgn = i2, i1, -1
-                elif f1 == FAMILY_L:  # (L, L): collapse onto L[r+s+k]
-                    r, s = i1, i2
-                    cf = CoeffFn.from_beta(Poly.const(w * (r - s))).substitute(f)
-                    add((FAMILY_M, FAMILY_L, 0, r + s + k), cf)
-                    continue
+                family, (x1, x2, eps), (y1, y2, y3), t_pos = rule
+                poly = Poly((y1 * i1 + y2 * i2, y3))
+                if weight is None:
+                    cf = CoeffFn.from_poly(poly.scale(w))
+                elif t_pos == 2:  # the weight of the symbolic slot: beta(t)
+                    cf = CoeffFn.from_beta(poly.scale(w)).substitute(weight)
                 else:
-                    continue  # (M, M) acts as zero
-                beta_s = f.beta(s)
-                if beta_s:
-                    coeff = Poly((-r, 1)).scale(w * sgn * beta_s)  # beta_s * (t - r)
-                    add((FAMILY_L, FAMILY_L, 1, r + k), CoeffFn.from_poly(coeff))
-        return Operator(add_into({}, pairs))
-
-    raise ValueError(
-        "ad operators are built from a closed-form bracket (omega or fk); "
-        f"got {spec.describe()}"
-    )
+                    cf = CoeffFn.from_poly(poly.scale(w * weight.beta((i1, i2)[t_pos])))
+                pairs.append(((f3, family, eps, x1 * i1 + x2 * i2 + shift), cf))
+    return Operator(add_into({}, pairs))
 
 
 # -- named generators ------------------------------------------------------
@@ -342,42 +314,6 @@ def gen_z(r: int) -> Operator:
 
 
 GENERATORS = {"p": gen_p, "q": gen_q, "x": gen_x, "z": gen_z}
-
-
-@dataclass(frozen=True)
-class GeneratorId:
-    """Name of a distinguished inner derivation.
-
-    Tags 'W', 'X', 'Y' take two integer parameters and exist for both
-    algebras; tags 'p', 'q', 'x', 'z' take one parameter and belong to
-    the omega algebra.  X and Y are antisymmetric in their parameters;
-    the canonical orientation stores r >= s.
-    """
-
-    tag: str
-    params: Tuple[int, ...]
-    algebra: TriBracketSpec
-
-    def normalized(self) -> Tuple["GeneratorId", int]:
-        if self.tag in ("X", "Y") and self.params[0] < self.params[1]:
-            r, s = self.params
-            return GeneratorId(self.tag, (s, r), self.algebra), -1
-        return self, 1
-
-
-def make_generator(gid: GeneratorId) -> Operator:
-    tag = gid.tag
-    if tag == "W":
-        return ad_w(gid.algebra, *gid.params)
-    if tag == "X":
-        return ad_x(gid.algebra, *gid.params)
-    if tag == "Y":
-        return ad_y(gid.algebra, *gid.params)
-    if tag in GENERATORS:
-        if not isinstance(gid.algebra, OmegaBracket):
-            raise ValueError(f"generator {tag} belongs to the omega algebra")
-        return GENERATORS[tag](gid.params[0])
-    raise ValueError(f"unknown generator tag {tag!r}")
 
 
 # -- decomposition in a labelled operator set ------------------------------
@@ -433,24 +369,24 @@ def decompose(
 class GeneratorTable:
     """The named generators of one check call.
 
-    ``table(tag, m)`` is ``builders[tag](m)`` (``GENERATORS`` by default),
-    read through the dict on first use, so a patched generator takes
-    effect, and reused for the rest of the call; ``table.family(tags, m)``
-    is the OperatorFamily labelled ``(tag, m)`` over the generators
-    ``tags`` at index m.
+    ``table(tag, *params)`` is ``builders[tag](*params)`` (``GENERATORS``
+    by default), read through the dict on first use, so a patched
+    generator takes effect, and reused for the rest of the call;
+    ``table.family(tags, m)`` is the OperatorFamily labelled ``(tag, m)``
+    over the one-parameter generators ``tags`` at index m.
     """
 
     __slots__ = ("_builders", "_ops", "_families")
 
-    def __init__(self, builders: Optional[Dict[str, Callable[[int], Operator]]] = None):
+    def __init__(self, builders: Optional[Dict[str, Callable[..., Operator]]] = None):
         self._builders = GENERATORS if builders is None else builders
-        self._ops: Dict[Tuple[str, int], Operator] = {}
+        self._ops: Dict[Tuple[str, tuple], Operator] = {}
         self._families: Dict[Tuple[str, int], OperatorFamily] = {}
 
-    def __call__(self, tag: str, m: int) -> Operator:
-        op = self._ops.get((tag, m))
+    def __call__(self, tag: str, *params: int) -> Operator:
+        op = self._ops.get((tag, params))
         if op is None:
-            op = self._ops[(tag, m)] = self._builders[tag](m)
+            op = self._ops[(tag, params)] = self._builders[tag](*params)
         return op
 
     def family(self, tags: str, m: int) -> OperatorFamily:
@@ -605,23 +541,6 @@ def verify_table_5_1(bound: int = 5) -> VerdictReport:
 # -- linear independence of the published operator families ----------------
 
 
-def _omega_fb_family(window: Window) -> List[Tuple[str, Operator]]:
-    ops: List[Tuple[str, Operator]] = [
-        ("W(0,0)", ad_w(_OMEGA, 0, 0)),
-        ("W(1,1)", ad_w(_OMEGA, 1, 1)),
-        ("X(1,-1)", ad_x(_OMEGA, 1, -1)),
-        ("Y(1,-1)", ad_y(_OMEGA, 1, -1)),
-    ]
-    for r in window.indices():
-        if r == 0:
-            continue
-        ops.append((f"W({r},0)", ad_w(_OMEGA, r, 0)))
-        ops.append((f"W(0,{r})", ad_w(_OMEGA, 0, r)))
-        ops.append((f"X({r},0)", ad_x(_OMEGA, r, 0)))
-        ops.append((f"Y({r},0)", ad_y(_OMEGA, r, 0)))
-    return ops
-
-
 def verify_basis_independence(
     algebra: str,
     window: Window,
@@ -629,55 +548,73 @@ def verify_basis_independence(
     k: int = 0,
     s0: int = 0,
 ) -> VerdictReport:
-    """Exact rank of the published spanning family, plus the reduction
+    """Exact rank of the published spanning ops, plus the reduction
     identities used to cut the W/X/Y families down to it."""
     rep = VerdictReport(
         "basis-independence",
         {"algebra": algebra, "window": str(window), "k": k, "s0": s0},
     )
-    lo, hi = window.lo, window.hi
     if algebra == "omega":
         spec: TriBracketSpec = _OMEGA
-        ops = _omega_fb_family(window)
+    elif algebra != "fk":
+        raise ValueError("algebra must be 'omega' or 'fk'")
+    elif functional is None:
+        raise ValueError("fk basis independence needs a functional")
+    elif functional.beta(s0) == 0:
+        raise ValueError(f"beta({s0}) vanishes; pick s0 with a nonzero weight")
+    else:
+        spec = FKBracket(k, functional)
+    # the ops members and the reductions' right-hand sides recur across
+    # (r, s), so each is built once per call; a left-hand side is used once
+    reused = GeneratorTable({"W": partial(ad_w, spec), "X": partial(ad_x, spec), "Y": partial(ad_y, spec)})
+    w_op, x_op, y_op = (partial(reused, tag) for tag in "WXY")
+
+    if algebra == "omega":
+        ops = [
+            ("W(0,0)", w_op(0, 0)),
+            ("W(1,1)", w_op(1, 1)),
+            ("X(1,-1)", x_op(1, -1)),
+            ("Y(1,-1)", y_op(1, -1)),
+        ]
+        for r in window.indices():
+            if r == 0:
+                continue
+            ops.append((f"W({r},0)", w_op(r, 0)))
+            ops.append((f"W(0,{r})", w_op(0, r)))
+            ops.append((f"X({r},0)", x_op(r, 0)))
+            ops.append((f"Y({r},0)", y_op(r, 0)))
         rank, mode = operator_rank([op for _, op in ops])
         rep.stats["family_size"] = len(ops)
         rep.stats["rank"] = rank
         rep.stats["decision"] = mode
         if rank != len(ops):
-            rep.record_failure(f"rank {rank} < family size {len(ops)}")
+            rep.record_failure(f"rank {rank} < ops size {len(ops)}")
         for r in window.indices():
             for s in window.indices():
                 if r != s:
                     lhs = ad_w(spec, r, s).scale(r - s)
-                    rhs = ad_w(spec, r - s, 0).scale(r) - ad_w(spec, 0, s - r).scale(s)
+                    rhs = w_op(r - s, 0).scale(r) - w_op(0, s - r).scale(s)
                     if lhs != rhs:
                         rep.record_failure(f"W({r},{s}) reduction identity fails")
                 else:
-                    if ad_w(spec, r, r) != ad_w(spec, 0, 0).scale(1 - r) + ad_w(spec, 1, 1).scale(r):
+                    if ad_w(spec, r, r) != w_op(0, 0).scale(1 - r) + w_op(1, 1).scale(r):
                         rep.record_failure(f"W({r},{r}) diagonal reduction fails")
                 if s != -r:
-                    if ad_x(spec, r, s).scale(r + s) != ad_x(spec, r + s, 0).scale(r - s):
+                    if ad_x(spec, r, s).scale(r + s) != x_op(r + s, 0).scale(r - s):
                         rep.record_failure(f"X({r},{s}) reduction identity fails")
-                    if ad_y(spec, r, s).scale(r + s) != ad_y(spec, r + s, 0).scale(r - s):
+                    if ad_y(spec, r, s).scale(r + s) != y_op(r + s, 0).scale(r - s):
                         rep.record_failure(f"Y({r},{s}) reduction identity fails")
                 elif r != 0:
-                    if ad_x(spec, r, -r) != ad_x(spec, 1, -1).scale(r):
+                    if ad_x(spec, r, -r) != x_op(1, -1).scale(r):
                         rep.record_failure(f"X({r},{-r}) != {r}*X(1,-1)")
-                    if ad_y(spec, r, -r) != ad_y(spec, 1, -1).scale(r):
+                    if ad_y(spec, r, -r) != y_op(1, -1).scale(r):
                         rep.record_failure(f"Y({r},{-r}) != {r}*Y(1,-1)")
         rep.stats["reduction_identities"] = "checked"
         return rep
 
-    if algebra != "fk":
-        raise ValueError("algebra must be 'omega' or 'fk'")
-    if functional is None:
-        raise ValueError("fk basis independence needs a functional")
-    if functional.beta(s0) == 0:
-        raise ValueError(f"beta({s0}) vanishes; pick s0 with a nonzero weight")
-    spec = FKBracket(k, functional)
-    ops = [(f"W({s},{s0})", ad_w(spec, s, s0)) for s in window.indices()]
-    ops += [(f"X({r},0)", ad_x(spec, r, 0)) for r in window.indices() if r != 0]
-    ops.append(("X(1,-1)", ad_x(spec, 1, -1)))
+    ops = [(f"W({s},{s0})", w_op(s, s0)) for s in window.indices()]
+    ops += [(f"X({r},0)", x_op(r, 0)) for r in window.indices() if r != 0]
+    ops.append(("X(1,-1)", x_op(1, -1)))
     rank, mode = operator_rank([op for _, op in ops], functional, window)
     rep.stats["family_size"] = len(ops)
     rep.stats["rank"] = rank
@@ -688,29 +625,28 @@ def verify_basis_independence(
             "exhaustive window evaluation"
         )
     if rank != len(ops):
-        rep.record_failure(f"rank {rank} < family size {len(ops)}")
+        rep.record_failure(f"rank {rank} < ops size {len(ops)}")
     flagged_scaling = False
     for r in window.indices():
         for s in window.indices():
             if s != -r and r + s != 0:
                 eq, _ = ops_equal(
                     ad_x(spec, r, s).scale(r + s),
-                    ad_x(spec, r + s, 0).scale(r - s),
+                    x_op(r + s, 0).scale(r - s),
                     functional,
                     window,
                 )
                 if not eq:
                     rep.record_failure(f"X({r},{s}) reduction identity fails")
             elif r != 0:
-                eq, _ = ops_equal(
-                    ad_x(spec, r, -r), ad_x(spec, 1, -1).scale(r), functional, window
-                )
+                x_rr = ad_x(spec, r, -r)
+                eq, _ = ops_equal(x_rr, x_op(1, -1).scale(r), functional, window)
                 if not eq:
                     rep.record_failure(f"X({r},{-r}) != {r}*X(1,-1)")
                 if r * r != 1:
                     printed_eq, _ = ops_equal(
-                        ad_x(spec, r, -r),
-                        ad_x(spec, 1, -1).scale(Fraction(1, r)),
+                        x_rr,
+                        x_op(1, -1).scale(Fraction(1, r)),
                         functional,
                         window,
                     )
@@ -721,13 +657,13 @@ def verify_basis_independence(
             "printed scaling X(r,-r) = (1/r)*X(1,-1) is off: the oracle gives "
             "X(r,-r) = r*X(1,-1) (they agree only for r = +/-1)"
         )
-    # proportionality of the W family in its second slot
+    # proportionality of the W ops in its second slot
     beta_s0 = functional.beta(s0)
     for r in window.indices():
         for s in window.indices():
             ratio = Fraction(functional.beta(s)) / Fraction(beta_s0)
             eq, _ = ops_equal(
-                ad_w(spec, r, s), ad_w(spec, r, s0).scale(ratio), functional, window
+                ad_w(spec, r, s), w_op(r, s0).scale(ratio), functional, window
             )
             if not eq:
                 rep.record_failure(f"W({r},{s}) is not {rat_str(ratio)} * W({r},{s0})")

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,9 @@ from trilie import (
     Element,
     FiniteSupportFunctional,
     FKBracket,
-    GeneratorId,
     L,
     M,
     PolynomialFunctional,
-    make_generator,
     op_from_ad,
     tri_bracket,
     window_basis,
@@ -108,17 +107,6 @@ def test_generator_closed_forms():
             assert x.apply(M(t)) == L(r - t, -1)
             assert z.apply(L(t)) == M(-r - t, -1)
             assert z.apply(M(t)).is_zero()
-
-
-def test_make_generator_and_ids():
-    gid = GeneratorId("p", (3,), OMEGA)
-    assert make_generator(gid) == gen_p(3)
-    gid = GeneratorId("W", (1, 2), OMEGA)
-    assert make_generator(gid) == ad_w(OMEGA, 1, 2)
-    norm, sign = GeneratorId("X", (1, 3), OMEGA).normalized()
-    assert norm.params == (3, 1) and sign == -1
-    with pytest.raises(ValueError):
-        make_generator(GeneratorId("p", (1,), FKBracket(0, ONE)))
 
 
 def test_commutator_oracle_examples():
@@ -315,3 +303,26 @@ def test_section3_builds_one_x_family_per_call(monkeypatch):
         # and no solver outlives its call
         assert solvers == [0] * n_extended + [1] * n_extended * (call - 1)
         assert all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize(
+    "args, built",
+    [
+        (("omega", Window(-3, 3)), 197),
+        (("fk", Window(-3, 3), FiniteSupportFunctional({0: 1, 2: Fraction(-1, 3)}), 1), 117),
+    ],
+    ids=["omega", "fk"],
+)
+def test_basis_independence_builds_shared_operators_once(monkeypatch, args, built):
+    calls = []
+    build = operators.op_from_ad
+
+    def counting(spec, u, v):
+        calls.append((spec, u, v))
+        return build(spec, u, v)
+
+    monkeypatch.setattr(operators, "op_from_ad", counting)
+    assert verify_basis_independence(*args).ok
+    # a shared operator may also turn up once as a left-hand side
+    assert len(calls) == built
+    assert max(Counter(calls).values()) == 2
