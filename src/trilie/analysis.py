@@ -27,7 +27,7 @@ from .brackets import (
 )
 from .elements import BasisVector, Element, L, M, window_basis
 from .linalg import SpanSolver, null_space, span_equal
-from .operators import GeneratorTable, Operator, decompose, gen_p, gen_q, invariant_line_structure
+from .operators import GeneratorTable, Operator, decompose, invariant_line_structure
 from .polys import Rational
 from .report import PASS, VerdictReport, Window
 
@@ -650,7 +650,8 @@ def natural_module_decompose(window: Window) -> Tuple[WeightDecomposition, Verdi
     p_0 and q_0; every joint eigenspace must be one-dimensional."""
     rep = VerdictReport("natural-module", {"window": str(window)})
     basis = window_basis(window)
-    p0, q0 = gen_p(0), gen_q(0)
+    gens = GeneratorTable()
+    p0, q0 = gens("p", 0), gens("q", 0)
     weights: Dict[BasisVector, tuple] = {}
     diagonal = True
     for bv in basis:

@@ -683,19 +683,12 @@ def center_window(spec: LieBracketSpec, window: Window):
     """
     rep = VerdictReport("center", {"lie": spec.describe(), "window": str(window)})
     unknowns = list(window_basis(window))
-    equations = {}
+    eq_rows = {}  # one equation per (bprime, output coordinate)
     for b in unknowns:
-        img = {}
         for bprime in unknowns:
             res = lie_bracket(spec, Element({b: 1}), Element({bprime: 1}))
             for out_bv, c in res.terms.items():
-                img[(bprime, out_bv)] = c
-        equations[b] = img
-    # transpose: one equation per (bprime, output coordinate)
-    eq_rows = {}
-    for b, img in equations.items():
-        for key, c in img.items():
-            eq_rows.setdefault(key, {})[b] = c
+                eq_rows.setdefault((bprime, out_bv), {})[b] = c
     kernel = null_space(list(eq_rows.values()), unknowns)
     center = [Element(vec) for vec in kernel]
     rep.stats["dimension"] = len(center)

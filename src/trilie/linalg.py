@@ -6,10 +6,8 @@ pivot column cleared everywhere else, rows ordered by pivot key), so
 subspace equality is structural and every membership answer comes with
 an exact coefficient certificate.
 
-``null_space`` eliminates over the integers instead: each equation is
-scaled to a primitive integer row, duplicate rows are dropped, and every
-row updated by Gauss-Jordan is divided by the gcd of its entries, so
-Fractions appear only in the returned kernel entries.
+``null_space`` reads a kernel basis off the same solver: each equation
+is scaled to a primitive integer row and only distinct rows are added.
 """
 
 from __future__ import annotations
@@ -133,52 +131,25 @@ def null_space(equations: Iterable[Vec], unknowns: Sequence[Hashable]) -> List[V
     """Exact kernel basis of the homogeneous system, canonical RREF form.
 
     Each equation maps unknown keys to coefficients; the returned vectors
-    set one free unknown to 1 (free unknowns in ascending key order).  The
-    elimination is fraction-free: equations are scaled to distinct
-    primitive integer rows, every updated row is divided by the gcd of its
-    entries, and Fractions appear only in the kernel entries.
+    set one free unknown to 1 (free unknowns in ascending key order).
+    Equations are scaled to primitive integer rows over column numbers,
+    duplicate rows are dropped, and the distinct rows go to one
+    SpanSolver, whose reduced rows give the kernel.
     """
     order = {u: i for i, u in enumerate(unknowns)}
-    n = len(unknowns)
-    distinct = dict.fromkeys(_primitive_row(eq, order) for eq in equations if eq)
-    distinct.pop((), None)
-    rows: List[List[int]] = []
-    for sparse in distinct:
-        dense = [0] * n
-        for col, v in sparse:
-            dense[col] = v
-        rows.append(dense)
-    # integer Gauss-Jordan: each pivot column is cleared from every other row
-    pivots: List[int] = []
-    r = 0
-    for col in range(n):
-        if r == len(rows):
-            break
-        sel = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        prow = rows[r]
-        p = prow[col]
-        for i, row in enumerate(rows):
-            f = row[col]
-            if f and i != r:
-                new = [p * a - f * b for a, b in zip(row, prow)]
-                g = gcd(*new)
-                rows[i] = [a // g for a in new] if g > 1 else new
-        pivots.append(col)
-        r += 1
-    pivot_row = dict(zip(pivots, rows))
+    solver = SpanSolver()
+    for row in dict.fromkeys(_primitive_row(eq, order) for eq in equations if eq):
+        if row:
+            solver.add(dict(row))
+    # a pivot row has entries only right of its pivot, so each kernel
+    # vector lists its pivot entries (ascending) before its free unknown
+    pivot_rows = list(zip(solver.pivots, solver.rows))
+    pivots = set(solver.pivots)
     basis: List[Vec] = []
-    for fcol in range(n):
-        if fcol in pivot_row:
+    for fcol, u in enumerate(unknowns):
+        if fcol in pivots:
             continue
-        vec: Vec = {}
-        for c in range(n):
-            row = pivot_row.get(c)
-            if c == fcol:
-                vec[unknowns[c]] = 1
-            elif row is not None and row[fcol]:
-                vec[unknowns[c]] = normalize_rational(Fraction(-row[fcol], row[c]))
+        vec: Vec = {unknowns[pcol]: -row[fcol] for pcol, row in pivot_rows if fcol in row}
+        vec[u] = 1
         basis.append(vec)
     return basis

@@ -191,9 +191,8 @@ class Operator(Sparse):
         for (fin, fout, eps, m), cf in self.terms.items():
             for akey, p in cf.terms.items():
                 kind, bs, bo = ("p", 0, 0) if akey is None else ("b", akey[0], akey[1])
-                for deg, c in enumerate(p.coeffs):
-                    if c:
-                        out[(fin, fout, eps, m, kind, bs, bo, deg)] = c
+                for deg, c in sorted(p.terms.items()):
+                    out[(fin, fout, eps, m, kind, bs, bo, deg)] = c
         return out
 
     def __str__(self) -> str:

@@ -91,10 +91,8 @@ def parse_element(text: str) -> Element:
         raise ElementSyntaxError("empty input", 1)
     if ch in "+-":
         sign = -1 if sc.take() == "-" else 1
-    first = True
     while True:
         total = total + _parse_term(sc, sign)
-        first = False
         ch = sc.peek()
         if ch is None:
             break

@@ -3,14 +3,14 @@ linear-combination base shared by every carrier of the package.
 
 Coefficient functions of basis-index operators are low-degree polynomials
 in the index variable ``t``; everything here is exact (int / Fraction),
-with a canonical representation (ascending coefficients, no trailing
-zeros) so that structural equality of operators is decidable.
+with a canonical representation (a Sparse map from degree to nonzero
+coefficient) so that structural equality of operators is decidable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Optional, Union
 
 Rational = Union[int, Fraction]
@@ -44,10 +44,10 @@ def add_into(out: dict, pairs) -> dict:
 
 class Sparse:
     """Finitely supported exact linear combination, the shared carrier of
-    Element, SymFunction, CoeffFn and Operator.
+    Poly, Element, SymFunction, CoeffFn and Operator.
 
-    ``terms`` maps keys to nonzero values, rationals or Poly / Sparse
-    objects, so == is structural equality.  Subclasses add their own
+    ``terms`` maps keys to nonzero values, rationals or Sparse objects,
+    so == is structural equality.  Subclasses add their own
     product, evaluation and rendering.
     """
 
@@ -91,7 +91,7 @@ class Sparse:
             return self._new({})
         c = normalize_rational(c)
         return self._new({
-            key: value.scale(c) if isinstance(value, (Sparse, Poly)) else normalize_rational(c * value)
+            key: value.scale(c) if isinstance(value, Sparse) else normalize_rational(c * value)
             for key, value in self.terms.items()
         })
 
@@ -116,92 +116,57 @@ def rat_str(c: Rational) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-@dataclass(frozen=True)
-class Poly:
-    """Polynomial in one variable t, coefficients ascending by degree."""
+class Poly(Sparse):
+    """Polynomial in one variable t: ``terms`` maps each degree to its
+    nonzero coefficient.  ``Poly(coeffs)`` takes the coefficients in
+    ascending degree."""
 
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        cs = [normalize_rational(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __init__(self, coeffs=()):
+        super().__init__(dict(enumerate(coeffs)))
 
     @staticmethod
     def const(c: Rational) -> "Poly":
         return Poly((c,))
 
-    @staticmethod
-    def t() -> "Poly":
-        return Poly((0, 1))
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return max(self.terms, default=-1)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(tuple(out))
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+    @property
+    def coeffs(self) -> tuple:
+        """Coefficients ascending by degree, without trailing zeros."""
+        get = self.terms.get
+        return tuple(get(d, 0) for d in range(self.degree + 1))
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return ZERO
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(tuple(out))
+            return self._new(add_into({}, (
+                (i + j, a * b) for i, a in self.terms.items() for j, b in other.terms.items()
+            )))
         return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, c: Rational) -> "Poly":
-        if c == 0:
-            return ZERO
-        return Poly(tuple(c * a for a in self.coeffs))
 
     def __call__(self, t: Rational) -> Rational:
         acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
+        for d, c in self.terms.items():
+            acc += c * t ** d
         return normalize_rational(acc)
 
     def compose_affine(self, a: int, b: int) -> "Poly":
-        """Substitute t -> a*t + b (Horner over the affine argument)."""
-        arg = Poly((b, a))
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * arg + Poly.const(c)
-        return acc
+        """Substitute t -> a*t + b (binomial expansion of each power)."""
+        out: dict = {}
+        for d, c in self.terms.items():
+            add_into(out, ((j, c * comb(d, j) * a ** j * b ** (d - j)) for j in range(d + 1)))
+        return self._new(out)
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for d in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[d]
-            if c == 0:
-                continue
+        for d in sorted(self.terms, reverse=True):
+            c = self.terms[d]
             mag = -c if c < 0 else c
             if d == 0:
                 body = rat_str(mag)
@@ -216,5 +181,4 @@ class Poly:
 
 
 ZERO = Poly(())
-ONE = Poly((1,))
 T = Poly((0, 1))

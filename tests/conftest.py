@@ -8,6 +8,8 @@ from hypothesis import HealthCheck, settings, strategies as st
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from trilie import OMEGA, BasisVector, Element, L, M
+from trilie import brackets
+from trilie.brackets import closed_triple_fn, expand_rows
 from trilie.nambu import SymFunction
 from trilie.operators import gen_q, op_from_ad
 
@@ -67,3 +69,20 @@ def sign_flipped_q(r):
     if r == 0:
         return gen_q(0)
     return (op_from_ad(OMEGA, L(0), M(-r)) + op_from_ad(OMEGA, L(r), M(0))).scale(Fraction(1, r))
+
+
+@pytest.fixture
+def patch_row(monkeypatch):
+    """patch_row(bracket, i, **fields) replaces fields of row i of a bracket
+    and installs the expanded rules for the rest of the test."""
+    closed_triple_fn.cache_clear()
+
+    def patch(bracket, i, **fields):
+        rows = list(brackets.PRODUCT_ROWS[bracket])
+        rows[i] = rows[i]._replace(**fields)
+        monkeypatch.setitem(brackets.PRODUCT_ROWS, bracket, tuple(rows))
+        monkeypatch.setitem(brackets.RULES, bracket, expand_rows(rows))
+        closed_triple_fn.cache_clear()
+
+    yield patch
+    closed_triple_fn.cache_clear()

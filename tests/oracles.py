@@ -1,14 +1,19 @@
-"""Hand-written closed forms of the two brackets, kept as test oracles.
+"""Hand-written closed forms of the two brackets and the dense-tuple
+polynomial, kept as test oracles.
 
 The package derives its basis kernels and ad operators from the product
 rows in ``trilie.brackets``; these are the family-case analyses it used
 before, written out independently so the derived forms can be compared
-against them value for value and type for type.
+against them value for value and type for type.  ``DensePoly`` is the
+polynomial as an ascending coefficient tuple, the reference for the
+sparse ``trilie.polys.Poly``.
 """
+
+from dataclasses import dataclass
 
 from trilie.elements import FAMILY_L, FAMILY_M
 from trilie.operators import CoeffFn, Operator
-from trilie.polys import Poly, add_into
+from trilie.polys import Poly, add_into, normalize_rational, rat_str
 
 
 def omega_triple(a, b, c):
@@ -113,3 +118,83 @@ def op_from_ad_fk(k, f, u, v):
                 coeff = Poly((-r, 1)).scale(w * sgn * beta_s)  # beta_s * (t - r)
                 pairs.append(((FAMILY_L, FAMILY_L, 1, r + k), CoeffFn.from_poly(coeff)))
     return Operator(add_into({}, pairs))
+
+
+@dataclass(frozen=True)
+class DensePoly:
+    """Polynomial in one variable t, coefficients ascending by degree."""
+
+    coeffs: tuple
+
+    def __post_init__(self):
+        cs = [normalize_rational(c) for c in self.coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return DensePoly(tuple(out))
+
+    def __neg__(self):
+        return DensePoly(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, DensePoly):
+            if not self.coeffs or not other.coeffs:
+                return DensePoly(())
+            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+            return DensePoly(tuple(out))
+        return self.scale(other)
+
+    __rmul__ = __mul__
+
+    def scale(self, c):
+        if c == 0:
+            return DensePoly(())
+        return DensePoly(tuple(c * a for a in self.coeffs))
+
+    def __call__(self, t):
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * t + c
+        return normalize_rational(acc)
+
+    def compose_affine(self, a, b):
+        """Substitute t -> a*t + b (Horner over the affine argument)."""
+        arg = DensePoly((b, a))
+        acc = DensePoly(())
+        for c in reversed(self.coeffs):
+            acc = acc * arg + DensePoly((c,))
+        return acc
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for d in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[d]
+            if c == 0:
+                continue
+            mag = -c if c < 0 else c
+            if d == 0:
+                body = rat_str(mag)
+            else:
+                var = "t" if d == 1 else f"t^{d}"
+                body = var if mag == 1 else f"{rat_str(mag)}*{var}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts)

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from trilie import OMEGA, Element, FKBracket, L, M, parse_beta, window_basis
 from trilie import brackets
-from trilie.brackets import closed_triple_fn, expand_rows, fk_triple_fn, omega_triple
+from trilie.brackets import closed_triple_fn, fk_triple_fn, omega_triple
 from trilie.cli import main
 from trilie.operators import op_from_ad
 from trilie.report import Window
@@ -85,23 +85,6 @@ def test_ad_operators_need_a_closed_form():
 
 
 # -- the checkers under a broken row -------------------------------------------
-
-
-@pytest.fixture
-def patch_row(monkeypatch):
-    """patch_row(bracket, i, **fields) replaces fields of row i of a bracket
-    and installs the expanded rules for the rest of the test."""
-    closed_triple_fn.cache_clear()
-
-    def patch(bracket, i, **fields):
-        rows = list(brackets.PRODUCT_ROWS[bracket])
-        rows[i] = rows[i]._replace(**fields)
-        monkeypatch.setitem(brackets.PRODUCT_ROWS, bracket, tuple(rows))
-        monkeypatch.setitem(brackets.RULES, bracket, expand_rows(rows))
-        closed_triple_fn.cache_clear()
-
-    yield patch
-    closed_triple_fn.cache_clear()
 
 
 def _exit(argv, capsys):

@@ -2,6 +2,7 @@
 
 from hypothesis import given, strategies as st
 
+import oracles
 from conftest import RATIONALS, elements, sym_functions
 from fractions import Fraction
 
@@ -135,6 +136,35 @@ PROBE_ELEMENTS = st.tuples(elements(max_terms=2, index_bound=3), elements(max_te
 REALIZATIONS = st.sampled_from([OmegaRealization(), FKRealization(1, ONE), FKRealization(0, ONE)])
 ATOM_KEYS = st.sampled_from([None, (1, 0), (-1, 2), (0, 1)])
 POLYS = st.lists(RATIONALS, max_size=3).map(lambda cs: Poly(tuple(cs)))
+
+
+SAMPLE_TS = (0, 1, -2, Fraction(1, 2), Fraction(-5, 3))
+AFFINE_MAPS = ((1, 0), (-1, 0), (1, 2), (-1, -3), (0, 2), (2, -1), (-3, 1))
+
+
+def typed(x):
+    """A rational, or a coefficient tuple, with the type of each part."""
+    return tuple((c, type(c)) for c in x) if isinstance(x, tuple) else (x, type(x))
+
+
+@given(POLYS, POLYS, RATIONALS)
+def test_sparse_poly_matches_the_dense_oracle(p, q, c):
+    dp, dq = oracles.DensePoly(p.coeffs), oracles.DensePoly(q.coeffs)
+    pairs = [(p + q, dp + dq), (p - q, dp - dq), (-p, -dp), (p.scale(c), dp.scale(c)),
+             (p * q, dp * dq), (p * c, dp * c), (c * p, c * dp)]
+    pairs += [(p.compose_affine(a, b), dp.compose_affine(a, b)) for a, b in AFFINE_MAPS]
+    for got, want in pairs:
+        assert type(got) is Poly
+        assert typed(got.coeffs) == typed(want.coeffs)
+        assert got.degree == len(want.coeffs) - 1
+        assert str(got) == str(want)
+        assert all(got.terms.values())
+        assert Poly(got.coeffs) == got
+    for t in SAMPLE_TS:
+        assert typed(p(t)) == typed(dp(t))
+    # equal polynomials built two ways, trailing zeros included, hash equal
+    for same in ((p + q) - q, Poly(p.coeffs + (0, Fraction(0)))):
+        assert same == p and hash(same) == hash(p)
 
 
 @st.composite
