@@ -29,7 +29,7 @@ from .elements import BasisVector, Element, L, M, window_basis
 from .linalg import SpanSolver, null_space, span_equal
 from .operators import GeneratorTable, Operator, decompose, invariant_line_structure
 from .polys import Rational
-from .report import PASS, VerdictReport, Window
+from .report import PASS, ConfigError, VerdictReport, Window
 
 DEFAULT_DEPTH = 8
 
@@ -51,7 +51,7 @@ class WindowSubspace:
     def add(self, e: Element) -> bool:
         for bv in e.terms:
             if bv.index not in self.window:
-                raise ValueError(f"{bv} outside window {self.window}")
+                raise ConfigError(f"{bv} outside window {self.window}")
         return self.solver.add(dict(e.terms))
 
     @property
@@ -275,7 +275,7 @@ def _span_close_pure(
     for s in seeds:
         bv = next(iter(s.terms))
         if bv not in table.bit:
-            raise ValueError(f"{bv} outside window {window}")
+            raise ConfigError(f"{bv} outside window {window}")
         seed_mask |= table.bit[bv]
     seed_pos = _positions(seed_mask)
     entry, pair, pair_escapes, single, single_escapes = table.rows

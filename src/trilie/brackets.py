@@ -42,7 +42,8 @@ from .elements import (
     window_basis,
 )
 from .linalg import null_space
-from .report import PASS, VerdictReport, Window
+from .polys import add_into
+from .report import PASS, ConfigError, VerdictReport, Window
 
 # -- bracket specifications --------------------------------------------
 
@@ -191,6 +192,18 @@ PERMUTATIONS = (
     ((2, 0, 1), 1),
     ((2, 1, 0), -1),
 )
+
+
+def permutation_cofactors(row1, row2, zero=0) -> list:
+    """The determinant of the rows (row1, row2, row3), expanded over
+    PERMUTATIONS and grouped by the entry of row3: it equals
+    sum(c * x for c, x in zip(cofactors, row3)).  Entries are rationals, or
+    Elements under the algebra product with ``zero`` the zero Element."""
+    out = [zero, zero, zero]
+    for (i, j, k), sign in PERMUTATIONS:
+        term = row1[i] * row2[j]
+        out[k] = out[k] + term if sign > 0 else out[k] - term
+    return out
 
 
 def expand_rows(rows) -> dict:
@@ -350,7 +363,7 @@ def random_element(rng: random.Random, window: Window, max_terms: int = 4) -> El
 def _closed_kernel(spec: TriBracketSpec) -> Callable:
     triple = closed_triple_fn(spec)
     if triple is None:
-        raise ValueError(
+        raise ConfigError(
             f"basis sweeps need a closed-form bracket (omega or fk), not {spec.describe()}"
         )
     return triple
@@ -466,7 +479,7 @@ def _sweep_tables(spec: TriBracketSpec, basis: Sequence[Triple]):
     def entry(*args):
         res = triple(*args)
         if res is not None and res[1:] != graded(args):
-            raise ValueError(
+            raise ConfigError(
                 f"{spec.describe()} breaks its grading: [{', '.join(map(str, args))}] "
                 f"lands on {res[1:]}, the grading puts it on {graded(args)}"
             )
@@ -629,6 +642,20 @@ def check_fundamental_identity(
     return rep
 
 
+def _kernel_terms(res) -> dict:
+    return {} if res is None else {res[1:]: res[0]}
+
+
+def _product_terms(u: Element, v: Element):
+    """The terms of the algebra product u * v, before like terms are summed."""
+    return (
+        (BasisVector(f1, i1 + i2), c1 * c2)
+        for (f1, i1), c1 in u.terms.items()
+        for (f2, i2), c2 in v.terms.items()
+        if f1 == f2
+    )
+
+
 def check_constructor_agreement(
     window: Window, k: int, f: FunctionalSpec
 ) -> VerdictReport:
@@ -636,6 +663,12 @@ def check_constructor_agreement(
 
     (a) the functional construction over [ , ]_k reproduces fk(k, f);
     (b) the determinant construction reproduces the omega bracket.
+
+    Each route is combined per triple from tables built once per call: the
+    Lie bracket on basis pairs and f on basis vectors for (a), and for (b)
+    the cofactors on basis pairs of the determinant with rows (omega,
+    identity, delta).  A triple whose combined route differs from the
+    kernel is decided, and written out, by ``tri_bracket``.
     """
     rep = VerdictReport(
         "constructor-agreement",
@@ -648,25 +681,40 @@ def check_constructor_agreement(
         rep.counterexamples.extend(cert.counterexamples)
         return rep
     fk_spec = FKBracket(k, f)
-    basis = [Element({bv: 1}) for bv in window_basis(window)]
-    triples = 0
-    for u in basis:
-        for v in basis:
-            for w in basis:
-                triples += 1
-                a = tri_bracket(ff_spec, u, v, w)
-                b = tri_bracket(fk_spec, u, v, w)
-                if a != b:
-                    rep.record_failure(
-                        f"functional route {a} != closed form {b} on [{u},{v},{w}]"
-                    )
-                da = tri_bracket(DETERMINANT, u, v, w)
-                db = tri_bracket(OMEGA, u, v, w)
-                if da != db:
-                    rep.record_failure(
-                        f"determinant route {da} != closed form {db} on [{u},{v},{w}]"
-                    )
-    rep.stats["triples"] = triples
+    fk_kernel, omega_kernel = _closed_kernel(fk_spec), _closed_kernel(OMEGA)
+    basis = window_basis(window)
+    units = [Element({bv: 1}) for bv in basis]
+    lie = [[lie_bracket(ff_spec.lie, u, v).terms for v in units] for u in units]
+    weights = [functional_eval(f, u) for u in units]
+    rows = [(omega(u), u, delta(u)) for u in units]
+    slots = list(enumerate(zip(basis, units, weights, rows)))
+    for i, (b1, u, f1, row1) in slots:
+        for j, (b2, v, f2, row2) in slots:
+            cofactors = permutation_cofactors(row1, row2, Element())
+            for l, (b3, w, f3, row3) in slots:
+                route = {}
+                for weight, terms in ((f1, lie[j][l]), (f2, lie[l][i]), (f3, lie[i][j])):
+                    if weight:
+                        add_into(route, ((bv, weight * c) for bv, c in terms.items()))
+                if route != _kernel_terms(fk_kernel(b1, b2, b3)):
+                    a = tri_bracket(ff_spec, u, v, w)
+                    b = tri_bracket(fk_spec, u, v, w)
+                    if a != b:
+                        rep.record_failure(
+                            f"functional route {a} != closed form {b} on [{u},{v},{w}]"
+                        )
+                det = {}
+                for c, x in zip(cofactors, row3):
+                    if c and x:
+                        add_into(det, _product_terms(c, x))
+                if det != _kernel_terms(omega_kernel(b1, b2, b3)):
+                    da = tri_bracket(DETERMINANT, u, v, w)
+                    db = tri_bracket(OMEGA, u, v, w)
+                    if da != db:
+                        rep.record_failure(
+                            f"determinant route {da} != closed form {db} on [{u},{v},{w}]"
+                        )
+    rep.stats["triples"] = len(basis) ** 3
     rep.note("functional route uses the Lie bracket induced by d_k, as in the source proof")
     return rep
 

@@ -12,7 +12,8 @@ a JSON config file (--config; flags override the file), and --format
 {text,json}.  Identical configuration and seed produce byte-identical
 output: reports carry counts, never wall-clock times.  Exit status: 0 when
 nothing failed (flagged paper discrepancies do not fail a run), 1 on any
-exact counterexample, 2 on configuration errors.
+exact counterexample, 2 on configuration errors (``ConfigError``), 3 on an
+internal error, reported in one line without a traceback.
 """
 
 from __future__ import annotations
@@ -71,10 +72,11 @@ from .operators import (
     verify_table_5_1,
 )
 from .parsing import parse_beta, parse_element
-from .report import FAIL, VerdictReport, Window, overall_status
+from .report import FAIL, ConfigError, VerdictReport, Window, overall_status
 
-CONFIG_ERROR = 2
 CHECK_FAILED = 1
+CONFIG_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 @dataclass
@@ -179,7 +181,7 @@ def _ideal_closure(cfg: RunConfig) -> List[VerdictReport]:
 
 def _derived_series(cfg: RunConfig) -> List[VerdictReport]:
     if cfg.bracket == "fk" and cfg.depth < 1:
-        raise ValueError(
+        raise ConfigError(
             "derived-series under fk needs --depth >= 1: the stabilization test "
             "compares the last two chain terms"
         )
@@ -441,7 +443,7 @@ def run_table(name: str, cfg: RunConfig) -> List[VerdictReport]:
         return _table_5_1(cfg)
     if name == "wxy":
         return [_table_wxy_check(cfg)]
-    raise ValueError(f"unknown table {name!r} (available: 5.1, wxy)")
+    raise ConfigError(f"unknown table {name!r} (available: 5.1, wxy)")
 
 
 # -- output -------------------------------------------------------------------
@@ -470,23 +472,26 @@ def read_config(path: str) -> dict:
     """Option values of a JSON config file, as the strings a flag would
     carry, checked like flags: every key is an option, integers parse and
     choices are respected."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise ConfigError(f"cannot read config file: {exc}") from None
     if not isinstance(raw, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise ConfigError("config file must hold a JSON object")
     for key in raw:
         if key not in OPTIONS:
-            raise ValueError(f"unknown config key {key!r} (options: {', '.join(OPTIONS)})")
+            raise ConfigError(f"unknown config key {key!r} (options: {', '.join(OPTIONS)})")
     values = {key: str(value) for key, value in raw.items()}
     for key in INT_OPTIONS:
         if key in values:
             try:
                 int(values[key])
             except ValueError:
-                raise ValueError(f"config value {key}={raw[key]!r} is not an integer") from None
+                raise ConfigError(f"config value {key}={raw[key]!r} is not an integer") from None
     for key, choices in CHOICES.items():
         if key in values and values[key] not in choices:
-            raise ValueError(f"config value {key}={raw[key]!r} is not one of {', '.join(choices)}")
+            raise ConfigError(f"config value {key}={raw[key]!r} is not one of {', '.join(choices)}")
     return values
 
 
@@ -524,12 +529,12 @@ def build_parser(file_defaults: Optional[dict] = None) -> argparse.ArgumentParse
 def make_config(args: argparse.Namespace) -> RunConfig:
     for flag in ("samples", "depth"):
         if getattr(args, flag) < 0:
-            raise ValueError(f"--{flag} must be nonnegative, got {getattr(args, flag)}")
+            raise ConfigError(f"--{flag} must be nonnegative, got {getattr(args, flag)}")
     seed_element = getattr(args, "seed_element", None)
     if seed_element is not None:
         seed_element = parse_element(seed_element)
         if not seed_element:
-            raise ValueError("seed element must be nonzero")
+            raise ConfigError("seed element must be nonzero")
     return RunConfig(
         bracket=args.bracket,
         k=args.k,
@@ -560,44 +565,44 @@ def _glue_dash_values(argv: List[str]) -> List[str]:
     return out
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = _glue_dash_values(list(sys.argv[1:] if argv is None else argv))
+def run_command(argv: List[str]) -> int:
+    """Parse, run and print one command; returns its exit status."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
-    file_defaults = None
-    if known.config:
-        try:
-            file_defaults = read_config(known.config)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"trilie: cannot read config file: {exc}", file=sys.stderr)
-            return CONFIG_ERROR
-        except ValueError as exc:
-            print(f"trilie: {exc}", file=sys.stderr)
-            return CONFIG_ERROR
-    parser = build_parser(file_defaults)
-    args = parser.parse_args(argv)
-    try:
-        cfg = make_config(args)
-        if args.command == "verify":
-            reports = CHECKS[args.check](cfg)
-        elif args.command == "analyze":
-            reports = CHECKS[args.procedure](cfg)
-        elif args.command == "table":
-            reports = run_table(args.name, cfg)
-            if cfg.fmt == "text":
-                rows = TABLE_TEXT[args.name]
-                width = max(len(lhs) for lhs, _ in rows)
-                for lhs, rhs in rows:
-                    print(f"  {lhs:<{width}} = {rhs}")
-                print()
-        else:
-            reports = default_battery(cfg)
-    except (ValueError, KeyError) as exc:
-        print(f"trilie: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
+    file_defaults = read_config(known.config) if known.config else None
+    args = build_parser(file_defaults).parse_args(argv)
+    cfg = make_config(args)
+    if args.command == "verify":
+        reports = CHECKS[args.check](cfg)
+    elif args.command == "analyze":
+        reports = CHECKS[args.procedure](cfg)
+    elif args.command == "table":
+        reports = run_table(args.name, cfg)
+        if cfg.fmt == "text":
+            rows = TABLE_TEXT[args.name]
+            width = max(len(lhs) for lhs, _ in rows)
+            for lhs, rhs in rows:
+                print(f"  {lhs:<{width}} = {rhs}")
+            print()
+    else:
+        reports = default_battery(cfg)
     print(emit(reports, cfg, cfg.describe()))
     return CHECK_FAILED if overall_status(reports) == FAIL else 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Run the command; a configuration fault exits 2 and any other
+    exception exits 3, each with one ``trilie:`` line on stderr."""
+    try:
+        return run_command(_glue_dash_values(list(sys.argv[1:] if argv is None else argv)))
+    except ConfigError as exc:
+        print(f"trilie: {exc}", file=sys.stderr)
+        return CONFIG_ERROR
+    except Exception as exc:
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"trilie: internal error: {detail}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .polys import Poly, Rational, Sparse, normalize_rational, rat_str
-from .report import PASS, VerdictReport, Window
+from .report import PASS, ConfigError, VerdictReport, Window
 
 FAMILY_L = "L"
 FAMILY_M = "M"
@@ -128,7 +128,7 @@ class ConstantFunctional:
     def __post_init__(self):
         object.__setattr__(self, "value", normalize_rational(self.value))
         if self.value == 0:
-            raise ValueError("constant functional must be nonzero")
+            raise ConfigError("constant functional must be nonzero")
 
     def beta(self, t: int) -> Rational:
         return self.value
@@ -148,7 +148,7 @@ class PolynomialFunctional:
 
     def __post_init__(self):
         if self.poly.is_zero():
-            raise ValueError("polynomial functional must be nonzero")
+            raise ConfigError("polynomial functional must be nonzero")
         object.__setattr__(self, "_values", {})
 
     def beta(self, t: int) -> Rational:
@@ -173,7 +173,7 @@ class FiniteSupportFunctional:
     def __init__(self, values):
         items = tuple(sorted((int(t), normalize_rational(c)) for t, c in dict(values).items() if c))
         if not items:
-            raise ValueError("finite-support functional must have a nonzero value")
+            raise ConfigError("finite-support functional must have a nonzero value")
         object.__setattr__(self, "values", items)
         object.__setattr__(self, "_by_index", dict(items))
 

@@ -35,7 +35,7 @@ from .elements import (
 )
 from .linalg import SpanSolver
 from .polys import ZERO, Poly, Rational, Sparse, add_into, normalize_rational, rat_str
-from .report import PASS, VerdictReport, Window
+from .report import PASS, ConfigError, VerdictReport, Window
 
 # atom key: None for a plain polynomial, or (sign, off) for
 # p(t) * beta(sign*t + off) with sign in {-1, 0, +1}
@@ -556,11 +556,11 @@ def verify_basis_independence(
     if algebra == "omega":
         spec: TriBracketSpec = _OMEGA
     elif algebra != "fk":
-        raise ValueError("algebra must be 'omega' or 'fk'")
+        raise ConfigError("algebra must be 'omega' or 'fk'")
     elif functional is None:
-        raise ValueError("fk basis independence needs a functional")
+        raise ConfigError("fk basis independence needs a functional")
     elif functional.beta(s0) == 0:
-        raise ValueError(f"beta({s0}) vanishes; pick s0 with a nonzero weight")
+        raise ConfigError(f"beta({s0}) vanishes; pick s0 with a nonzero weight")
     else:
         spec = FKBracket(k, functional)
     # the ops members and the reductions' right-hand sides recur across
@@ -692,7 +692,7 @@ def verify_section3_structure(
     """
     beta_s0 = functional.beta(s0)
     if not beta_s0:
-        raise ValueError(f"beta({s0}) = 0; the construction needs a nonzero weight at s0")
+        raise ConfigError(f"beta({s0}) = 0; the construction needs a nonzero weight at s0")
     spec = FKBracket(k, functional)
     rep = VerdictReport(
         "section3-structure",

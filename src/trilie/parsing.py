@@ -18,9 +18,10 @@ from typing import Optional
 
 from .elements import BasisVector, Element, ConstantFunctional, FiniteSupportFunctional, FunctionalSpec, PolynomialFunctional
 from .polys import Poly
+from .report import ConfigError
 
 
-class ElementSyntaxError(ValueError):
+class ElementSyntaxError(ConfigError):
     """Parse failure with a 1-based column position."""
 
     def __init__(self, message: str, position: int):
@@ -171,14 +172,16 @@ def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in weight value {text!r}") from None
+        raise ConfigError(f"zero denominator in weight value {text!r}") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def parse_beta(text: str) -> FunctionalSpec:
     """Weight specifications: 'const:1', 'poly:t^2+1', 'support:0=1,2=-1/3'."""
     kind, sep, body = text.partition(":")
     if not sep:
-        raise ValueError(f"weight spec needs 'kind:value', got {text!r}")
+        raise ConfigError(f"weight spec needs 'kind:value', got {text!r}")
     if kind == "const":
         return ConstantFunctional(_fraction(body))
     if kind == "poly":
@@ -187,8 +190,12 @@ def parse_beta(text: str) -> FunctionalSpec:
         values = {}
         for pair in body.split(","):
             idx, eq, val = pair.partition("=")
+            try:
+                index = int(idx)
+            except ValueError:
+                eq = ""
             if not eq:
-                raise ValueError(f"support entry needs 'index=value', got {pair!r}")
-            values[int(idx)] = _fraction(val)
+                raise ConfigError(f"support entry needs 'index=value', got {pair!r}")
+            values[index] = _fraction(val)
         return FiniteSupportFunctional(values)
-    raise ValueError(f"unknown weight kind {kind!r} (use const, poly, or support)")
+    raise ConfigError(f"unknown weight kind {kind!r} (use const, poly, or support)")

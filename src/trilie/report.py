@@ -1,4 +1,4 @@
-"""Windows and verdict reports.
+"""Windows, verdict reports and the configuration error.
 
 A Window is the finite symmetric index truncation all exhaustive sweeps
 run over.  A VerdictReport is the uniform result record every checker
@@ -11,6 +11,10 @@ Status semantics:
                formula disagrees with the oracle; the corrected form is
                reported in the notes rather than silently substituted
     fail    -- an exact counterexample was found
+
+A ConfigError is a fault in the configuration a check was given (a
+malformed or empty window, a zero weight, an unusable option value); the
+CLI reports it with exit status 2.
 """
 
 from __future__ import annotations
@@ -24,6 +28,10 @@ FLAGGED = "flagged"
 _ORDER = {PASS: 0, FLAGGED: 1, FAIL: 2}
 
 
+class ConfigError(ValueError):
+    """A configuration fault: input that no check can run on."""
+
+
 @dataclass(frozen=True)
 class Window:
     """Inclusive index bounds applied to both basis families."""
@@ -33,7 +41,7 @@ class Window:
 
     def __post_init__(self):
         if self.lo > self.hi:
-            raise ValueError(f"empty window: {self.lo}..{self.hi}")
+            raise ConfigError(f"empty window: {self.lo}..{self.hi}")
 
     def indices(self) -> range:
         return range(self.lo, self.hi + 1)
@@ -47,9 +55,13 @@ class Window:
     @staticmethod
     def parse(text: str) -> "Window":
         lo, sep, hi = text.partition("..")
+        try:
+            bounds = int(lo), int(hi)
+        except ValueError:
+            sep = ""
         if not sep:
-            raise ValueError(f"window must look like 'lo..hi', got {text!r}")
-        return Window(int(lo), int(hi))
+            raise ConfigError(f"window must look like 'lo..hi', got {text!r}")
+        return Window(*bounds)
 
 
 @dataclass

@@ -1,19 +1,32 @@
-"""Hand-written closed forms of the two brackets and the dense-tuple
-polynomial, kept as test oracles.
+"""Hand-written closed forms of the two brackets, the dense-tuple
+polynomial and the per-triple realization and constructor checks, kept as
+test oracles.
 
 The package derives its basis kernels and ad operators from the product
 rows in ``trilie.brackets``; these are the family-case analyses it used
 before, written out independently so the derived forms can be compared
 against them value for value and type for type.  ``DensePoly`` is the
 polynomial as an ascending coefficient tuple, the reference for the
-sparse ``trilie.polys.Poly``.
+sparse ``trilie.polys.Poly``.  ``check_realization`` and
+``check_constructor_agreement`` build both sides of every basis triple as
+SymFunctions or Elements, the reference for the tabulated checks.
 """
 
 from dataclasses import dataclass
 
-from trilie.elements import FAMILY_L, FAMILY_M
+from trilie.brackets import (
+    DETERMINANT,
+    OMEGA,
+    DkInduced,
+    FKBracket,
+    certify_from_functional,
+    tri_bracket,
+)
+from trilie.elements import FAMILY_L, FAMILY_M, Element, window_basis
+from trilie.nambu import FKRealization, _pairing_ok, nambu_bracket, realize
 from trilie.operators import CoeffFn, Operator
 from trilie.polys import Poly, add_into, normalize_rational, rat_str
+from trilie.report import PASS, VerdictReport
 
 
 def omega_triple(a, b, c):
@@ -198,3 +211,78 @@ class DensePoly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
+
+
+def check_realization(rmap, spec, window):
+    """The Jacobian of the images against the image of the bracket, each
+    side built as a SymFunction on every window basis triple."""
+    if not _pairing_ok(rmap, spec):
+        raise ValueError(
+            f"realization {rmap.describe()} does not correspond to bracket {spec.describe()}"
+        )
+    rep = VerdictReport(
+        "nambu-realization",
+        {"map": rmap.describe(), "bracket": spec.describe(), "window": str(window)},
+    )
+    basis = window_basis(window)
+    triples = 0
+    for b1 in basis:
+        g1 = rmap.image(b1)
+        for b2 in basis:
+            g2 = rmap.image(b2)
+            for b3 in basis:
+                triples += 1
+                lhs = nambu_bracket(g1, g2, rmap.image(b3))
+                rhs = realize(
+                    rmap, tri_bracket(spec, Element({b1: 1}), Element({b2: 1}), Element({b3: 1}))
+                )
+                if lhs != rhs:
+                    rep.record_failure(
+                        f"[{b1},{b2},{b3}]: jacobian gives {lhs}, bracket image is {rhs}"
+                    )
+    rep.stats["triples"] = triples
+    if isinstance(rmap, FKRealization) and rep.status == PASS:
+        rep.flag(
+            "the printed M-image (+beta_r y exp(kx)) makes the map an "
+            "anti-homomorphism: the Jacobian produces the (s-r) orientation "
+            "while this bracket carries (r-s); the oracle negates the M images "
+            "and the homomorphism is then exact"
+        )
+    return rep
+
+
+def check_constructor_agreement(window, k, f):
+    """Both constructions against the closed forms, four tri_bracket calls
+    on every window basis triple."""
+    rep = VerdictReport(
+        "constructor-agreement",
+        {"window": str(window), "k": k, "beta": f.describe()},
+    )
+    ff_spec, cert = certify_from_functional(DkInduced(k), f, window)
+    rep.merge_status(cert)
+    rep.notes.extend(cert.notes)
+    if cert.status != PASS:
+        rep.counterexamples.extend(cert.counterexamples)
+        return rep
+    fk_spec = FKBracket(k, f)
+    basis = [Element({bv: 1}) for bv in window_basis(window)]
+    triples = 0
+    for u in basis:
+        for v in basis:
+            for w in basis:
+                triples += 1
+                a = tri_bracket(ff_spec, u, v, w)
+                b = tri_bracket(fk_spec, u, v, w)
+                if a != b:
+                    rep.record_failure(
+                        f"functional route {a} != closed form {b} on [{u},{v},{w}]"
+                    )
+                da = tri_bracket(DETERMINANT, u, v, w)
+                db = tri_bracket(OMEGA, u, v, w)
+                if da != db:
+                    rep.record_failure(
+                        f"determinant route {da} != closed form {db} on [{u},{v},{w}]"
+                    )
+    rep.stats["triples"] = triples
+    rep.note("functional route uses the Lie bracket induced by d_k, as in the source proof")
+    return rep

@@ -93,6 +93,40 @@ def test_config_error_exit_two(capsys, tmp_path):
         assert err.startswith("trilie: ") and "Traceback" not in err, err
 
 
+def test_more_config_faults_exit_two(capsys, tmp_path):
+    unreadable = tmp_path / "latin1.json"
+    unreadable.write_bytes(b'{"window": "\xff"}')
+    for args in (
+        ["verify", "anticommutativity", "--window", "a..b"],
+        ["verify", "anticommutativity", "--window", "3"],
+        ["verify", "anticommutativity", "--bracket", "fk", "--beta", "const:abc"],
+        ["verify", "anticommutativity", "--bracket", "fk", "--beta", "support:x=1"],
+        ["verify", "anticommutativity", "--bracket", "fk", "--beta", "poly:0"],
+        ["verify", "anticommutativity", "--config", str(unreadable)],
+        ["verify", "anticommutativity", "--config", str(tmp_path / "missing.json")],
+        ["analyze", "ideal-closure", "--seed-element", "M[99]", "--window=-2..2"],
+        ["verify", "basis-independence", "--bracket", "fk", "--beta", "support:1=1", "--s0", "0"],
+        ["verify", "section3-structure", "--bracket", "fk", "--beta", "support:1=1", "--s0", "0"],
+    ):
+        code, _ = run_cli(args)
+        err = capsys.readouterr().err
+        assert code == 2, args
+        assert err.startswith("trilie: ") and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("error", [RuntimeError("kernel\nexploded"), ValueError("not a config fault")])
+def test_internal_error_exits_three_in_one_line(monkeypatch, capsys, error):
+    def broken(cfg):
+        raise error
+
+    monkeypatch.setitem(CHECKS, "anticommutativity", broken)
+    code, out = run_cli(["verify", "anticommutativity", "--window", "-1..1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert out == ""
+    assert err == f"trilie: internal error: {type(error).__name__}: {' '.join(str(error).split())}\n"
+
+
 def test_unknown_check_rejected():
     with pytest.raises(SystemExit) as exc:
         run_cli(["verify", "does-not-exist"])

@@ -1,14 +1,22 @@
-"""The checkers that read the product rows, the generators or the
-structure maps, each under a deliberately broken one: every such check
-must fail.  ``center`` and ``weight-decomposition`` are the callers of
-``linalg.null_space``, so their failures also guard the kernel solver."""
+"""The checkers that read the product rows, the generators, the structure
+maps or the Jacobian's partials, each under a deliberately broken one:
+every such check must fail.  ``center`` and ``weight-decomposition`` are
+the callers of ``linalg.null_space``, so their failures also guard the
+kernel solver.  The tabulated realization and constructor-agreement checks
+read their inputs once per call, so they must also see the broken input
+and give the per-triple oracle's report."""
 
-from trilie import elements
+import oracles
+from trilie import OMEGA, FKBracket, brackets, elements, nambu, parse_beta
 from trilie.analysis import natural_module_decompose
+from trilie.brackets import check_constructor_agreement
 from trilie.cli import main
 from trilie.elements import BasisVector, Element, check_structure_maps
+from trilie.nambu import FKRealization, OmegaRealization, SymFunction, check_realization
 from trilie.operators import GENERATORS, gen_p
-from trilie.report import Window
+from trilie.report import VerdictReport, Window
+
+HALF = parse_beta("const:1/2")
 
 
 def _exit(argv, capsys):
@@ -58,14 +66,94 @@ def test_natural_module_reads_the_patched_generators(monkeypatch, capsys):
     assert _exit(["verify", "natural-module"], capsys) == 1
 
 
-def test_structure_maps_fail_under_an_unreflected_omega(monkeypatch, capsys):
+def swap_only(u):
+    """omega without the index reflection: L[r] <-> M[r]."""
     swap = {"L": "M", "M": "L"}
+    return Element({BasisVector(swap[bv.family], bv.index): c for bv, c in u.terms.items()})
 
-    def swap_only(u):
-        return Element({BasisVector(swap[bv.family], bv.index): c for bv, c in u.terms.items()})
 
+def test_structure_maps_fail_under_an_unreflected_omega(monkeypatch, capsys):
     monkeypatch.setattr(elements, "omega", swap_only)
     rep = check_structure_maps(Window(-2, 2))
     assert rep.status == "fail"
     assert "(delta*omega + omega*delta)(L[-2]) = -4*M[-2]" in rep.counterexamples
     assert _exit(["verify", "structure-maps"], capsys) == 1
+
+
+def _realizations_fail_as_the_oracle(monkeypatch, capsys):
+    monkeypatch.setattr(VerdictReport, "MAX_COUNTEREXAMPLES", 10**6)
+    window = Window(-2, 2)
+    for rmap, spec in ((OmegaRealization(), OMEGA), (FKRealization(1, HALF), FKBracket(1, HALF))):
+        rep = check_realization(rmap, spec, window)
+        assert rep.status == "fail", rmap
+        assert rep.to_dict() == oracles.check_realization(rmap, spec, window).to_dict()
+    for bracket in ("omega", "fk"):
+        assert _exit(["verify", "nambu-realization", "--bracket", bracket], capsys) == 1, bracket
+
+
+def test_nambu_realization_reads_the_patched_partial(monkeypatch, capsys):
+    # d/dx drops its factor r.  (Dropping the factor a of d/dy would change
+    # nothing: every image has degree at most 1 in y.)
+    partial = nambu.partial
+
+    def partial_without_r(var, g):
+        if var != "x":
+            return partial(var, g)
+        return SymFunction({key: c for key, c in g.terms.items() if key[2]})
+
+    monkeypatch.setattr(nambu, "partial", partial_without_r)
+    _realizations_fail_as_the_oracle(monkeypatch, capsys)
+
+
+def test_nambu_realization_decides_a_stray_partial_term_per_triple(monkeypatch, capsys):
+    # d/dz gains a y-term, so no Jacobian row is one monomial at its offset
+    # and every triple takes the SymFunction route
+    partial = nambu.partial
+
+    def partial_with_stray_term(var, g):
+        out = partial(var, g)
+        return out + SymFunction.term(1, 1, 0, 0) if var == "z" and g else out
+
+    monkeypatch.setattr(nambu, "partial", partial_with_stray_term)
+    _realizations_fail_as_the_oracle(monkeypatch, capsys)
+
+
+def test_nambu_realization_fails_under_the_printed_m_image(monkeypatch, capsys):
+    def printed_image(self, bv):
+        if bv.family == "L":
+            return SymFunction.term(1, 0, 1, bv.index)
+        beta = self.functional.beta(bv.index)
+        return SymFunction.term(beta, 1, 0, self.k) if beta else SymFunction.zero()
+
+    monkeypatch.setattr(FKRealization, "image", printed_image)
+    monkeypatch.setattr(VerdictReport, "MAX_COUNTEREXAMPLES", 10**6)
+    rmap, spec, window = FKRealization(1, HALF), FKBracket(1, HALF), Window(-2, 2)
+    rep = check_realization(rmap, spec, window)
+    assert rep.status == "fail"
+    assert rep.to_dict() == oracles.check_realization(rmap, spec, window).to_dict()
+    assert _exit(["verify", "nambu-realization", "--bracket", "fk"], capsys) == 1
+
+
+def _constructor_agreement_fails_as_the_oracle(monkeypatch, capsys):
+    monkeypatch.setattr(VerdictReport, "MAX_COUNTEREXAMPLES", 10**6)
+    window = Window(-2, 2)
+    rep = check_constructor_agreement(window, 1, HALF)
+    assert rep.status == "fail"
+    assert rep.to_dict() == oracles.check_constructor_agreement(window, 1, HALF).to_dict()
+    assert _exit(["verify", "constructor-agreement"], capsys) == 1
+
+
+def test_constructor_agreement_fails_under_an_unreflected_omega(monkeypatch, capsys):
+    monkeypatch.setattr(brackets, "omega", swap_only)
+    _constructor_agreement_fails_as_the_oracle(monkeypatch, capsys)
+
+
+def test_constructor_agreement_fails_under_a_doubled_d_k(monkeypatch, capsys):
+    # d_k(L_r) = 2r L_{k+r}; a shift such as (r + 1) would cancel in the bracket
+    def doubled_d_k(k, u):
+        return Element({
+            BasisVector("L", k + r): 2 * r * c for (fam, r), c in u.terms.items() if fam == "L"
+        })
+
+    monkeypatch.setattr(brackets, "d_k", doubled_d_k)
+    _constructor_agreement_fails_as_the_oracle(monkeypatch, capsys)
