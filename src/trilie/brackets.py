@@ -642,20 +642,6 @@ def check_fundamental_identity(
     return rep
 
 
-def _kernel_terms(res) -> dict:
-    return {} if res is None else {res[1:]: res[0]}
-
-
-def _product_terms(u: Element, v: Element):
-    """The terms of the algebra product u * v, before like terms are summed."""
-    return (
-        (BasisVector(f1, i1 + i2), c1 * c2)
-        for (f1, i1), c1 in u.terms.items()
-        for (f2, i2), c2 in v.terms.items()
-        if f1 == f2
-    )
-
-
 def check_constructor_agreement(
     window: Window, k: int, f: FunctionalSpec
 ) -> VerdictReport:
@@ -667,8 +653,9 @@ def check_constructor_agreement(
     Each route is combined per triple from tables built once per call: the
     Lie bracket on basis pairs and f on basis vectors for (a), and for (b)
     the cofactors on basis pairs of the determinant with rows (omega,
-    identity, delta).  A triple whose combined route differs from the
-    kernel is decided, and written out, by ``tri_bracket``.
+    identity, delta), multiplied out with the algebra product.  The
+    combined routes are compared with the closed-form kernel entries, and
+    a counterexample prints the two values compared.
     """
     rep = VerdictReport(
         "constructor-agreement",
@@ -680,8 +667,7 @@ def check_constructor_agreement(
     if cert.status != PASS:
         rep.counterexamples.extend(cert.counterexamples)
         return rep
-    fk_spec = FKBracket(k, f)
-    fk_kernel, omega_kernel = _closed_kernel(fk_spec), _closed_kernel(OMEGA)
+    fk_kernel, omega_kernel = _closed_kernel(FKBracket(k, f)), _closed_kernel(OMEGA)
     basis = window_basis(window)
     units = [Element({bv: 1}) for bv in basis]
     lie = [[lie_bracket(ff_spec.lie, u, v).terms for v in units] for u in units]
@@ -696,24 +682,17 @@ def check_constructor_agreement(
                 for weight, terms in ((f1, lie[j][l]), (f2, lie[l][i]), (f3, lie[i][j])):
                     if weight:
                         add_into(route, ((bv, weight * c) for bv, c in terms.items()))
-                if route != _kernel_terms(fk_kernel(b1, b2, b3)):
-                    a = tri_bracket(ff_spec, u, v, w)
-                    b = tri_bracket(fk_spec, u, v, w)
-                    if a != b:
-                        rep.record_failure(
-                            f"functional route {a} != closed form {b} on [{u},{v},{w}]"
-                        )
-                det = {}
-                for c, x in zip(cofactors, row3):
-                    if c and x:
-                        add_into(det, _product_terms(c, x))
-                if det != _kernel_terms(omega_kernel(b1, b2, b3)):
-                    da = tri_bracket(DETERMINANT, u, v, w)
-                    db = tri_bracket(OMEGA, u, v, w)
-                    if da != db:
-                        rep.record_failure(
-                            f"determinant route {da} != closed form {db} on [{u},{v},{w}]"
-                        )
+                closed = _kernel_element(fk_kernel(b1, b2, b3))
+                if route != closed.terms:
+                    rep.record_failure(
+                        f"functional route {Element(route)} != closed form {closed} on [{u},{v},{w}]"
+                    )
+                det = sum((c * x for c, x in zip(cofactors, row3) if c and x), Element())
+                closed = _kernel_element(omega_kernel(b1, b2, b3))
+                if det != closed:
+                    rep.record_failure(
+                        f"determinant route {det} != closed form {closed} on [{u},{v},{w}]"
+                    )
     rep.stats["triples"] = len(basis) ** 3
     rep.note("functional route uses the Lie bracket induced by d_k, as in the source proof")
     return rep

@@ -24,7 +24,6 @@ from .brackets import (
     OmegaBracket,
     _closed_kernel,
     _kernel_element,
-    _tabulate,
     permutation_cofactors,
 )
 from .elements import FAMILY_L, BasisVector, Element, FunctionalSpec, window_basis
@@ -186,19 +185,19 @@ PARTIAL_OFFSETS = ((0, 0, 0), (-1, 0, 0), (0, -1, 0))
 
 def _jacobian_row(g: SymFunction):
     """(key, (d/dx, d/dy, d/dz) coefficients) of a zero or one-monomial g,
-    read through ``partial``; None unless each partial is zero or one
-    monomial at its offset from g's key.  The Jacobian of three such rows
-    is one monomial: their determinant at the sum of their keys plus
-    (-1, -1, 0)."""
+    read through ``partial``.  The Jacobian of three such rows is one
+    monomial: their determinant at the sum of their keys plus (-1, -1, 0).
+    Raises ValueError unless g is zero or one monomial and each partial is
+    zero or one monomial at its offset from g's key."""
     if len(g.terms) > 1:
-        return None
+        raise ValueError(f"the tabulated Jacobian needs one-monomial images, not {g}")
     key = next(iter(g.terms), (0, 0, 0))
     row = []
-    for var, (da, db, dr) in zip("xyz", PARTIAL_OFFSETS):
+    for var, offset in zip("xyz", PARTIAL_OFFSETS):
         terms = partial(var, g).terms
-        at = (key[0] + da, key[1] + db, key[2] + dr)
+        at = tuple(map(add, key, offset))
         if len(terms) > (at in terms):
-            return None
+            raise ValueError(f"d/d{var} of {g} is not one monomial at {at}")
         row.append(terms.get(at, 0))
     return key, row
 
@@ -209,10 +208,9 @@ def check_realization(rmap: RealizationMap, spec, window: Window) -> VerdictRepo
 
     Each basis image is read once, as its Jacobian row; the Jacobian of a
     triple is its rows' determinant, expanded over the first two rows once
-    per pair, and the bracket side is the tabulated kernel entry times the
-    image of its output vector.  A triple this comparison does not clear
-    (or whose images are not single monomials) is decided, and written
-    out, by ``nambu_bracket`` and ``realize``."""
+    per pair, and the bracket side is the closed-form kernel entry times
+    the image of its output vector.  A counterexample is written out with
+    ``nambu_bracket`` and ``realize``."""
     if not _pairing_ok(rmap, spec):
         raise ConfigError(
             f"realization {rmap.describe()} does not correspond to bracket {spec.describe()}"
@@ -222,12 +220,12 @@ def check_realization(rmap: RealizationMap, spec, window: Window) -> VerdictRepo
         {"map": rmap.describe(), "bracket": spec.describe(), "window": str(window)},
     )
     basis = window_basis(window)
-    entries = iter(_tabulate(_closed_kernel(spec), basis))
+    kernel = _closed_kernel(spec)
     images = [rmap.image(bv) for bv in basis]
     rows = [_jacobian_row(g) for g in images]
     # integer rows: every determinant is then scale**3 times the Jacobian's
-    scale = lcm(*(x.denominator for row in rows if row for x in row[1]))
-    rows = [row and (row[0], [int(x * scale) for x in row[1]]) for row in rows]
+    scale = lcm(*(x.denominator for _, row in rows for x in row))
+    rows = [(key, [int(x * scale) for x in row]) for key, row in rows]
     scale3 = scale**3
     slots = list(zip(basis, images, rows))
     outputs = {}  # output vector of a kernel entry -> the terms of its image
@@ -238,34 +236,26 @@ def check_realization(rmap: RealizationMap, spec, window: Window) -> VerdictRepo
             outputs[vec] = rmap.image(BasisVector(*vec)).terms
         return outputs[vec]
 
-    for b1, g1, row1 in slots:
-        for b2, g2, row2 in slots:
-            cofactors = None
-            if row1 is not None and row2 is not None:
-                cofactors = permutation_cofactors(row1[1], row2[1])
-                key12 = [x + y + d for x, y, d in zip(row1[0], row2[0], (-1, -1, 0))]
-            for b3, g3, row3 in slots:
-                res = next(entries)
-                cleared = False
-                if cofactors is not None and row3 is not None:
-                    c1, c2, c3 = cofactors
-                    x, y, z = row3[1]
-                    det = c1 * x + c2 * y + c3 * z
-                    if res is None:
-                        cleared = not det
-                    elif not det:
-                        cleared = not image_terms(res)
-                    else:
-                        key = tuple(map(add, key12, row3[0]))
-                        image = image_terms(res)
-                        cleared = len(image) == 1 and image.get(key, 0) * res[0] * scale3 == det
-                if not cleared:
-                    lhs = nambu_bracket(g1, g2, g3)
-                    rhs = realize(rmap, _kernel_element(res))
-                    if lhs != rhs:
-                        rep.record_failure(
-                            f"[{b1},{b2},{b3}]: jacobian gives {lhs}, bracket image is {rhs}"
-                        )
+    for b1, g1, (key1, row1) in slots:
+        for b2, g2, (key2, row2) in slots:
+            c1, c2, c3 = permutation_cofactors(row1, row2)
+            key12 = [x + y + d for x, y, d in zip(key1, key2, (-1, -1, 0))]
+            for b3, g3, (key3, (x, y, z)) in slots:
+                det = c1 * x + c2 * y + c3 * z
+                res = kernel(b1, b2, b3)
+                if res is None:
+                    same = not det
+                elif not det:
+                    same = not image_terms(res)
+                else:
+                    image = image_terms(res)
+                    key = tuple(map(add, key12, key3))
+                    same = len(image) == 1 and image.get(key, 0) * res[0] * scale3 == det
+                if not same:
+                    rep.record_failure(
+                        f"[{b1},{b2},{b3}]: jacobian gives {nambu_bracket(g1, g2, g3)}, "
+                        f"bracket image is {realize(rmap, _kernel_element(res))}"
+                    )
     rep.stats["triples"] = len(basis) ** 3
     if isinstance(rmap, FKRealization) and rep.status == PASS:
         rep.flag(

@@ -6,6 +6,8 @@ kernel solver.  The tabulated realization and constructor-agreement checks
 read their inputs once per call, so they must also see the broken input
 and give the per-triple oracle's report."""
 
+import pytest
+
 import oracles
 from trilie import OMEGA, FKBracket, brackets, elements, nambu, parse_beta
 from trilie.analysis import natural_module_decompose
@@ -105,9 +107,9 @@ def test_nambu_realization_reads_the_patched_partial(monkeypatch, capsys):
     _realizations_fail_as_the_oracle(monkeypatch, capsys)
 
 
-def test_nambu_realization_decides_a_stray_partial_term_per_triple(monkeypatch, capsys):
-    # d/dz gains a y-term, so no Jacobian row is one monomial at its offset
-    # and every triple takes the SymFunction route
+def test_nambu_realization_refuses_a_stray_partial_term(monkeypatch, capsys):
+    # d/dz gains a y-term, so no Jacobian row is one monomial at its offset:
+    # the tabulated determinant does not apply, and that is an internal error
     partial = nambu.partial
 
     def partial_with_stray_term(var, g):
@@ -115,7 +117,12 @@ def test_nambu_realization_decides_a_stray_partial_term_per_triple(monkeypatch, 
         return out + SymFunction.term(1, 1, 0, 0) if var == "z" and g else out
 
     monkeypatch.setattr(nambu, "partial", partial_with_stray_term)
-    _realizations_fail_as_the_oracle(monkeypatch, capsys)
+    with pytest.raises(ValueError, match="is not one monomial"):
+        check_realization(OmegaRealization(), OMEGA, Window(-2, 2))
+    assert main(["verify", "nambu-realization", "--window", "-2..2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("trilie: internal error: ValueError: d/dz of ")
+    assert "Traceback" not in err
 
 
 def test_nambu_realization_fails_under_the_printed_m_image(monkeypatch, capsys):

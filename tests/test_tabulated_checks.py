@@ -80,8 +80,8 @@ def test_broken_rows_fail_with_counterexamples(rows):
 
 
 def test_passing_checks_build_no_per_triple_objects(monkeypatch):
-    """Only a triple the tables do not clear reaches nambu_bracket or
-    tri_bracket, so a passing check calls neither."""
+    """The tables decide every triple; nambu_bracket and tri_bracket only
+    write counterexample text, so a passing check calls neither."""
     def refuse(*args):
         raise AssertionError("a passing check built a per-triple value")
 
