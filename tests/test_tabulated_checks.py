@@ -79,11 +79,11 @@ def test_broken_rows_fail_with_counterexamples(rows):
         assert all(rep.counterexamples for rep in reports if rep.status == "fail")
 
 
-def test_passing_checks_build_no_per_triple_objects(monkeypatch):
+def test_passing_checks_call_no_per_triple_route(monkeypatch):
     """The tables decide every triple; nambu_bracket and tri_bracket only
     write counterexample text, so a passing check calls neither."""
     def refuse(*args):
-        raise AssertionError("a passing check built a per-triple value")
+        raise AssertionError("a passing check took the per-triple route")
 
     monkeypatch.setattr(nambu, "nambu_bracket", refuse)
     monkeypatch.setattr(brackets, "tri_bracket", refuse)
