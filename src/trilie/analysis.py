@@ -101,6 +101,7 @@ MODE_IDEAL = "IdealClosure"
 MODE_DERIVED = "DerivedSeries"
 MODE_LOWER_CENTRAL = "LowerCentral"
 MODE_SELF_LOWER = "SelfLowerCentral"
+CLOSURE_MODES = (MODE_IDEAL, MODE_DERIVED, MODE_LOWER_CENTRAL, MODE_SELF_LOWER)
 
 
 def span_close(
@@ -125,6 +126,8 @@ def span_close(
     ``table``; a caller closing several seed sets of one bracket and window
     passes one ClosureTable(spec, window) to share its rows.
     """
+    if mode not in CLOSURE_MODES:
+        raise ValueError(f"unknown closure mode {mode!r}")
     rep = VerdictReport(
         "span-close",
         {
@@ -175,11 +178,9 @@ def span_close(
         elif mode == MODE_LOWER_CENTRAL:
             nxt = WindowSubspace(window)
             new_rows = list(bracket_rows(rows, seed_rows, basis))
-        elif mode == MODE_SELF_LOWER:
+        else:  # MODE_SELF_LOWER
             nxt = WindowSubspace(window)
             new_rows = list(bracket_rows(rows, seed_rows, seed_rows))
-        else:
-            raise ValueError(f"unknown closure mode {mode!r}")
         for e in new_rows:
             nxt.add(e)
         chain.append(nxt)
@@ -296,7 +297,7 @@ def _span_close_pure(
                 for b in second:
                     nxt |= pair[a * n + b]
                     escapes += pair_escapes[a * n + b]
-        elif mode == MODE_SELF_LOWER:
+        else:  # MODE_SELF_LOWER
             for a in cur_pos:
                 for b in seed_pos:
                     base = (a * n + b) * n
@@ -306,8 +307,6 @@ def _span_close_pure(
                             nxt |= out
                         elif out:
                             escapes += 1
-        else:
-            raise ValueError(f"unknown closure mode {mode!r}")
         chain_masks.append(nxt)
         if nxt == current:
             break
@@ -656,9 +655,9 @@ def natural_module_decompose(window: Window) -> Tuple[WeightDecomposition, Verdi
     diagonal = True
     for bv in basis:
         u = Element({bv: 1})
-        lp = p0.apply(u).coefficient(bv)
-        lq = q0.apply(u).coefficient(bv)
-        if p0.apply(u) != u.scale(lp) or q0.apply(u) != u.scale(lq):
+        pu, qu = p0.apply(u), q0.apply(u)
+        lp, lq = pu.coefficient(bv), qu.coefficient(bv)
+        if pu != u.scale(lp) or qu != u.scale(lq):
             diagonal = False
             rep.record_failure(f"p_0/q_0 not diagonal on {bv}")
         weights[bv] = (lp, lq)

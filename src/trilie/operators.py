@@ -4,9 +4,12 @@ An inner derivation ad(u, v): w -> [u, v, w] acts on basis vectors
 through finitely many *channels*.  A channel maps family_in at index t
 to family_out at index eps*t + m (eps in {+1, 0, -1}: shift, collapse
 onto a fixed index, or reflection) with an exact coefficient function
-of t.  Coefficient functions are sums of polynomial atoms p(t) and
-weighted atoms p(t)*beta(sign*t + off) referring to the active linear
-functional.
+of t: a sum of monomials c*t^deg and weighted monomials
+c*t^deg*beta(bs*t + bo) referring to the active linear functional.
+An Operator stores exactly these structural coordinates: ``terms``
+maps (fin, fout, eps, m, kind, bs, bo, deg) to the nonzero rational c,
+with kind "p" (and bs = bo = 0) for a plain monomial and "b" for a
+weighted one.  Rank and decomposition reduce ``terms`` directly.
 
 This representation is closed under addition, scaling, composition and
 commutators, so multiplication tables can be re-derived by a generic
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from math import comb
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .brackets import FKBracket, OmegaBracket, TriBracketSpec, bracket_rules
@@ -34,108 +38,8 @@ from .elements import (
     window_basis,
 )
 from .linalg import SpanSolver
-from .polys import ZERO, Poly, Rational, Sparse, add_into, normalize_rational, rat_str
+from .polys import Poly, Rational, Sparse, add_into, rat_str
 from .report import PASS, ConfigError, VerdictReport, Window
-
-# atom key: None for a plain polynomial, or (sign, off) for
-# p(t) * beta(sign*t + off) with sign in {-1, 0, +1}
-AtomKey = Optional[Tuple[int, int]]
-
-
-class CoeffFn(Sparse):
-    """Exact coefficient function of the basis index."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def from_poly(p: Poly) -> "CoeffFn":
-        return CoeffFn({None: p})
-
-    @staticmethod
-    def const(c: Rational) -> "CoeffFn":
-        return CoeffFn({None: Poly.const(c)})
-
-    @staticmethod
-    def from_beta(p: Poly, sign: int = 1, off: int = 0) -> "CoeffFn":
-        return CoeffFn({(sign, off): p})
-
-    def compose_affine(self, a: int, b: int) -> "CoeffFn":
-        """Precompose the index argument with t -> a*t + b."""
-        out: Dict[AtomKey, Poly] = {}
-        for key, p in self.terms.items():
-            q = p.compose_affine(a, b)
-            if key is None:
-                nk: AtomKey = None
-            else:
-                sign, off = key
-                nk = (sign * a, sign * b + off)
-            out[nk] = out.get(nk, ZERO) + q
-        return CoeffFn(out)
-
-    def __mul__(self, other: "CoeffFn") -> "CoeffFn":
-        out: Dict[AtomKey, Poly] = {}
-        for k1, p1 in self.terms.items():
-            for k2, p2 in other.terms.items():
-                if k1 is not None and k2 is not None:
-                    # never produced by the ad-calculus of these algebras
-                    raise ArithmeticError("product of two beta-weighted atoms is not representable")
-                nk = k1 if k1 is not None else k2
-                out[nk] = out.get(nk, ZERO) + p1 * p2
-        return CoeffFn(out)
-
-    def has_beta(self) -> bool:
-        return any(k is not None for k in self.terms)
-
-    def substitute(self, f: FunctionalSpec) -> "CoeffFn":
-        """Reduce beta atoms when the functional has a closed polynomial form."""
-        bp = f.as_poly()
-        if bp is None or not self.has_beta():
-            return self
-        out: Dict[AtomKey, Poly] = {}
-        acc = self.terms.get(None, ZERO)
-        for key, p in self.terms.items():
-            if key is None:
-                continue
-            sign, off = key
-            acc = acc + p * bp.compose_affine(sign, off)
-        if acc:
-            out[None] = acc
-        return CoeffFn(out)
-
-    def eval(self, t: int, f: Optional[FunctionalSpec] = None) -> Rational:
-        acc = 0
-        for key, p in self.terms.items():
-            if key is None:
-                acc += p(t)
-            else:
-                if f is None:
-                    raise ValueError("coefficient depends on beta but no functional is active")
-                sign, off = key
-                acc += p(t) * f.beta(sign * t + off)
-        return normalize_rational(acc)
-
-    def max_degree(self) -> int:
-        return max((p.degree for p in self.terms.values()), default=-1)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms, key=lambda k: (0,) if k is None else (1, k)):
-            p = self.terms[key]
-            if key is None:
-                parts.append(str(p))
-            else:
-                sign, off = key
-                arg = {1: "t", -1: "-t", 0: ""}[sign]
-                if off:
-                    arg = f"{arg}{off:+d}" if arg else str(off)
-                parts.append(f"({p})*beta({arg})")
-        return " + ".join(parts)
-
-
-# channel key: (family_in, family_out, eps, m)
-ChannelKey = Tuple[str, str, int, int]
 
 
 class Operator(Sparse):
@@ -149,65 +53,89 @@ class Operator(Sparse):
     def apply(self, u: Element, functional: Optional[FunctionalSpec] = None) -> Element:
         out: Dict[BasisVector, Rational] = {}
         for (fam, t), c in u.terms.items():
-            for (fin, fout, eps, m), cf in self.terms.items():
+            for (fin, fout, eps, m, kind, bs, bo, deg), a in self.terms.items():
                 if fin != fam:
                     continue
-                coef = cf.eval(t, functional)
-                if not coef:
-                    continue
-                bv = BasisVector(fout, eps * t + m)
-                out[bv] = out.get(bv, 0) + c * coef
+                coef = c * a * t ** deg
+                if kind == "b":
+                    if functional is None:
+                        raise ValueError("coefficient depends on beta but no functional is active")
+                    coef *= functional.beta(bs * t + bo)
+                if coef:
+                    bv = BasisVector(fout, eps * t + m)
+                    out[bv] = out.get(bv, 0) + coef
         return Element(out)
 
     def compose(self, other: "Operator") -> "Operator":
-        """self after other."""
-        return self._new(add_into({}, (
-            ((fin1, fout2, eps2 * eps1, eps2 * m1 + m2), cf1 * cf2.compose_affine(eps1, m1))
-            for (fin1, fout1, eps1, m1), cf1 in other.terms.items()
-            for (fin2, fout2, eps2, m2), cf2 in self.terms.items()
-            if fin2 == fout1
-        )))
+        """self after other: the coefficient of self is read at the index
+        eps1*t + m1 that other lands on, expanded binomially."""
+        pairs = []
+        for (fin1, fout1, eps1, m1, kind1, bs1, bo1, d1), c1 in other.terms.items():
+            for (fin2, fout2, eps2, m2, kind2, bs2, bo2, d2), c2 in self.terms.items():
+                if fin2 != fout1:
+                    continue
+                if kind2 == "p":
+                    atom = (kind1, bs1, bo1)
+                elif kind1 == "p":
+                    atom = ("b", bs2 * eps1, bs2 * m1 + bo2)
+                else:
+                    # never produced by the ad-calculus of these algebras
+                    raise ArithmeticError("product of two beta-weighted atoms is not representable")
+                head = (fin1, fout2, eps2 * eps1, eps2 * m1 + m2) + atom
+                c = c1 * c2
+                for j in range(d2 + 1):
+                    pairs.append((head + (d1 + j,), c * comb(d2, j) * eps1 ** j * m1 ** (d2 - j)))
+        return self._new(add_into({}, pairs))
 
     def commutator(self, other: "Operator") -> "Operator":
         return self.compose(other) - other.compose(self)
 
     def substitute(self, f: FunctionalSpec) -> "Operator":
-        return Operator({k: cf.substitute(f) for k, cf in self.terms.items()})
+        """Reduce beta atoms when the functional has a closed polynomial form."""
+        bp = f.as_poly()
+        if bp is None or not self.has_beta():
+            return self
+        pairs = []
+        for (fin, fout, eps, m, kind, bs, bo, deg), c in self.terms.items():
+            head = (fin, fout, eps, m, "p", 0, 0)
+            if kind == "p":
+                pairs.append((head + (deg,), c))
+            else:
+                pairs.extend((head + (deg + j,), c * b) for j, b in bp.compose_affine(bs, bo).terms.items())
+        return self._new(add_into({}, pairs))
 
     def has_beta(self) -> bool:
-        return any(cf.has_beta() for cf in self.terms.values())
+        return any(key[4] == "b" for key in self.terms)
 
     def max_poly_degree(self) -> int:
-        return max((cf.max_degree() for cf in self.terms.values()), default=-1)
-
-    def coordinates(self) -> Dict[tuple, Rational]:
-        """Flatten into sparse exact coordinates for rank/decomposition.
-
-        Faithful for polynomial coefficients: channels with different
-        index maps agree at most at one index, so structural independence
-        coincides with independence as linear maps.
-        """
-        out: Dict[tuple, Rational] = {}
-        for (fin, fout, eps, m), cf in self.terms.items():
-            for akey, p in cf.terms.items():
-                kind, bs, bo = ("p", 0, 0) if akey is None else ("b", akey[0], akey[1])
-                for deg, c in sorted(p.terms.items()):
-                    out[(fin, fout, eps, m, kind, bs, bo, deg)] = c
-        return out
+        return max((key[7] for key in self.terms), default=-1)
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        channels: Dict[tuple, Dict[tuple, Dict[int, Rational]]] = {}
+        for key, c in self.terms.items():
+            channels.setdefault(key[:4], {}).setdefault(key[4:7], {})[key[7]] = c
         lines = []
-        for key in sorted(self.terms):
-            fin, fout, eps, m = key
+        for (fin, fout, eps, m), atoms in sorted(channels.items()):
+            parts = []
+            # the plain atom first, then the beta atoms by (bs, bo)
+            for (kind, bs, bo), degs in sorted(atoms.items(), key=lambda a: (a[0][0] == "b", a[0][1:])):
+                p = Poly(tuple(degs.get(d, 0) for d in range(max(degs) + 1)))
+                if kind == "p":
+                    parts.append(str(p))
+                else:
+                    arg = {1: "t", -1: "-t", 0: ""}[bs]
+                    if bo:
+                        arg = f"{arg}{bo:+d}" if arg else str(bo)
+                    parts.append(f"({p})*beta({arg})")
             if eps == 1:
                 idx = f"t{m:+d}" if m else "t"
             elif eps == -1:
                 idx = f"{m}-t" if m else "-t"
             else:
                 idx = str(m)
-            lines.append(f"{fin}[t] -> ({self.terms[key]})*{fout}[{idx}]")
+            lines.append(f"{fin}[t] -> ({' + '.join(parts)})*{fout}[{idx}]")
         return "; ".join(lines)
 
 
@@ -250,7 +178,7 @@ def op_from_ad(spec: TriBracketSpec, u: Element, v: Element) -> Operator:
             f"got {spec.describe()}"
         )
     rules, shift, weight = found
-    pairs: List[Tuple[ChannelKey, CoeffFn]] = []
+    pairs = []
     for (f1, i1), c1 in u.terms.items():
         for (f2, i2), c2 in v.terms.items():
             w = c1 * c2
@@ -259,15 +187,17 @@ def op_from_ad(spec: TriBracketSpec, u: Element, v: Element) -> Operator:
                 if rule is None:
                     continue
                 family, (x1, x2, eps), (y1, y2, y3), t_pos = rule
-                poly = Poly((y1 * i1 + y2 * i2, y3))
-                if weight is None:
-                    cf = CoeffFn.from_poly(poly.scale(w))
-                elif t_pos == 2:  # the weight of the symbolic slot: beta(t)
-                    cf = CoeffFn.from_beta(poly.scale(w)).substitute(weight)
-                else:
-                    cf = CoeffFn.from_poly(poly.scale(w * weight.beta((i1, i2)[t_pos])))
-                pairs.append(((f3, family, eps, x1 * i1 + x2 * i2 + shift), cf))
-    return Operator(add_into({}, pairs))
+                c, atom = w, ("p", 0, 0)
+                if weight is not None:
+                    if t_pos == 2:  # the weight of the symbolic slot: beta(t)
+                        atom = ("b", 1, 0)
+                    else:
+                        c = w * weight.beta((i1, i2)[t_pos])
+                head = (f3, family, eps, x1 * i1 + x2 * i2 + shift) + atom
+                pairs.append((head + (0,), c * (y1 * i1 + y2 * i2)))
+                pairs.append((head + (1,), c * y3))
+    op = Operator(add_into({}, pairs))
+    return op if weight is None else op.substitute(weight)
 
 
 # -- named generators ------------------------------------------------------
@@ -339,7 +269,7 @@ class OperatorFamily:
         for lab, op in labelled:
             if functional is not None:
                 op = op.substitute(functional)
-            self._solver.add(op.coordinates(), tag=lab)
+            self._solver.add(op.terms, tag=lab)
 
     def decompose(self, target: Operator) -> Optional[Dict[object, Rational]]:
         """Express target as an exact combination of the family.
@@ -350,7 +280,7 @@ class OperatorFamily:
         """
         if self.functional is not None:
             target = target.substitute(self.functional)
-        combo = self._solver.express(target.coordinates())
+        combo = self._solver.express(target.terms)
         if combo is None:
             return None
         return {lab: c for lab, c in combo.items() if c}
@@ -423,9 +353,12 @@ def operator_rank(
                     vec[(bv, obv)] = c
             solver.add(vec)
         return solver.rank, "window-decided"
+    # structural coordinates are faithful for polynomial coefficients:
+    # channels with different index maps agree at most at one index, so
+    # structural independence coincides with independence as linear maps
     solver = SpanSolver()
     for op in ops:
-        solver.add(op.coordinates())
+        solver.add(op.terms)
     return solver.rank, "structural"
 
 
@@ -628,7 +561,7 @@ def verify_basis_independence(
     flagged_scaling = False
     for r in window.indices():
         for s in window.indices():
-            if s != -r and r + s != 0:
+            if r + s != 0:
                 eq, _ = ops_equal(
                     ad_x(spec, r, s).scale(r + s),
                     x_op(r + s, 0).scale(r - s),

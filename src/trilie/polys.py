@@ -2,9 +2,10 @@
 linear-combination base shared by every carrier of the package.
 
 Coefficient functions of basis-index operators are low-degree polynomials
-in the index variable ``t``; everything here is exact (int / Fraction),
-with a canonical representation (a Sparse map from degree to nonzero
-coefficient) so that structural equality of operators is decidable.
+in the index variable ``t``; Poly substitutes a polynomial weight into
+them and renders them.  Everything here is exact (int / Fraction), and
+every carrier has a canonical form (a Sparse map from keys to nonzero
+rationals), so structural equality is decidable.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ def add_into(out: dict, pairs) -> dict:
 
 class Sparse:
     """Finitely supported exact linear combination, the shared carrier of
-    Poly, Element, SymFunction, CoeffFn and Operator.
+    Poly, Element, SymFunction and Operator.
 
-    ``terms`` maps keys to nonzero values, rationals or Sparse objects,
-    so == is structural equality.  Subclasses add their own
-    product, evaluation and rendering.
+    ``terms`` maps keys to nonzero rationals, so == is structural
+    equality.  Subclasses add their own product, evaluation and
+    rendering.
     """
 
     __slots__ = ("terms",)
@@ -90,10 +91,7 @@ class Sparse:
         if not c:
             return self._new({})
         c = normalize_rational(c)
-        return self._new({
-            key: value.scale(c) if isinstance(value, Sparse) else normalize_rational(c * value)
-            for key, value in self.terms.items()
-        })
+        return self._new({key: normalize_rational(c * value) for key, value in self.terms.items()})
 
     def __rmul__(self, c: Rational):
         return self.scale(c)
@@ -180,5 +178,4 @@ class Poly(Sparse):
         return " ".join(parts)
 
 
-ZERO = Poly(())
 T = Poly((0, 1))

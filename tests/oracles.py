@@ -24,7 +24,7 @@ from trilie.brackets import (
 )
 from trilie.elements import FAMILY_L, FAMILY_M, Element, window_basis
 from trilie.nambu import FKRealization, _pairing_ok, nambu_bracket, realize
-from trilie.operators import CoeffFn, Operator
+from trilie.operators import Operator
 from trilie.polys import Poly, add_into, normalize_rational, rat_str
 from trilie.report import PASS, VerdictReport
 
@@ -85,6 +85,11 @@ def fk_triple_fn(k, f):
     return triple
 
 
+def _plain_terms(channel, p):
+    """The terms of the polynomial coefficient p on one channel."""
+    return [(channel + ("p", 0, 0, d), c) for d, c in p.terms.items()]
+
+
 def op_from_ad_omega(u, v):
     """w -> [u, v, w] under omega, channel by channel."""
     pairs = []
@@ -97,20 +102,21 @@ def op_from_ad_omega(u, v):
                 r, s, sgn = i2, i1, -1
             elif f1 == FAMILY_L:  # (L, L)
                 r, s = i1, i2
-                pairs.append(((FAMILY_M, FAMILY_L, -1, r + s), CoeffFn.const(w * (s - r))))
+                pairs.append(((FAMILY_M, FAMILY_L, -1, r + s, "p", 0, 0, 0), w * (s - r)))
                 continue
             else:  # (M, M)
                 r, s = i1, i2
-                pairs.append(((FAMILY_L, FAMILY_M, -1, r + s), CoeffFn.const(w * (s - r))))
+                pairs.append(((FAMILY_L, FAMILY_M, -1, r + s, "p", 0, 0, 0), w * (s - r)))
                 continue
             c = w * sgn
-            pairs.append(((FAMILY_L, FAMILY_L, 1, r - s), CoeffFn.from_poly(Poly((r, -1)).scale(c))))
-            pairs.append(((FAMILY_M, FAMILY_M, 1, s - r), CoeffFn.from_poly(Poly((-s, 1)).scale(c))))
+            pairs += _plain_terms((FAMILY_L, FAMILY_L, 1, r - s), Poly((r, -1)).scale(c))
+            pairs += _plain_terms((FAMILY_M, FAMILY_M, 1, s - r), Poly((-s, 1)).scale(c))
     return Operator(add_into({}, pairs))
 
 
 def op_from_ad_fk(k, f, u, v):
-    """w -> [u, v, w] under fk(k, f), channel by channel."""
+    """w -> [u, v, w] under fk(k, f), channel by channel; the beta(t)
+    atoms are substituted when f has a polynomial form."""
     pairs = []
     for (f1, i1), c1 in u.terms.items():
         for (f2, i2), c2 in v.terms.items():
@@ -121,16 +127,15 @@ def op_from_ad_fk(k, f, u, v):
                 r, s, sgn = i2, i1, -1
             elif f1 == FAMILY_L:  # (L, L): collapse onto L[r+s+k]
                 r, s = i1, i2
-                cf = CoeffFn.from_beta(Poly.const(w * (r - s))).substitute(f)
-                pairs.append(((FAMILY_M, FAMILY_L, 0, r + s + k), cf))
+                pairs.append(((FAMILY_M, FAMILY_L, 0, r + s + k, "b", 1, 0, 0), w * (r - s)))
                 continue
             else:
                 continue  # (M, M) acts as zero
             beta_s = f.beta(s)
             if beta_s:
                 coeff = Poly((-r, 1)).scale(w * sgn * beta_s)  # beta_s * (t - r)
-                pairs.append(((FAMILY_L, FAMILY_L, 1, r + k), CoeffFn.from_poly(coeff)))
-    return Operator(add_into({}, pairs))
+                pairs += _plain_terms((FAMILY_L, FAMILY_L, 1, r + k), coeff)
+    return Operator(add_into({}, pairs)).substitute(f)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from trilie.analysis import (
     weight_decompose,
     witt_module_check,
 )
-from trilie.brackets import closed_triple_fn, tri_bracket
+from trilie.brackets import DETERMINANT, closed_triple_fn, tri_bracket
 from trilie.cli import main
 from trilie.operators import GENERATORS, gen_p
 from trilie.report import Window
@@ -57,8 +57,15 @@ def test_ideal_closure_fast_path_matches_general():
     w = Window(-2, 2)
     chain_fast, _ = span_close(OMEGA, [M(1)], w, MODE_IDEAL)
     # multi-term seed forces the general solver path; same final span
-    chain_gen, _ = span_close(OMEGA, [M(1, 2) + Element.zero()], w, MODE_IDEAL)
+    chain_gen, _ = span_close(OMEGA, [M(1, 2) + L(-1)], w, MODE_IDEAL)
     assert chain_fast[-1].dim == chain_gen[-1].dim == 10
+
+
+@pytest.mark.parametrize("depth", [0, DEFAULT_DEPTH])
+@pytest.mark.parametrize("seeds", [[L(0)], [L(0) + M(1)]], ids=["single-term", "multi-term"])
+def test_span_close_rejects_an_unknown_mode(seeds, depth):
+    with pytest.raises(ValueError, match="unknown closure mode 'bogus'"):
+        span_close(OMEGA, seeds, Window(-3, 3), "bogus", depth=depth)
 
 
 def test_empty_seed_closure():
@@ -328,6 +335,16 @@ def _reference_span_close(triple, seeds, window, mode, depth=DEFAULT_DEPTH):
     return chain, stats, notes
 
 
+def _closure_seed_sets(w):
+    """Each basis line alone, all Ls, all Ms and the whole window basis."""
+    basis = window_basis(w)
+    return [[Element({bv: 1})] for bv in basis] + [
+        [L(r) for r in w.indices()],
+        [M(r) for r in w.indices()],
+        [Element({bv: 1}) for bv in basis],
+    ]
+
+
 CLOSURE_SPECS = {
     "omega": OMEGA,
     "fk-const-1": FKBracket(1, ONE),
@@ -339,14 +356,8 @@ CLOSURE_SPECS = {
 @pytest.mark.parametrize("name", sorted(CLOSURE_SPECS))
 def test_bitmask_closure_matches_set_oracle(name, mode):
     spec, w = CLOSURE_SPECS[name], Window(-4, 4)
-    basis = window_basis(w)
-    seed_sets = [[Element({bv: 1})] for bv in basis] + [
-        [L(r) for r in w.indices()],
-        [M(r) for r in w.indices()],
-        [Element({bv: 1}) for bv in basis],
-    ]
     table = ClosureTable(spec, w)
-    for seeds in seed_sets:
+    for seeds in _closure_seed_sets(w):
         want_chain, want_stats, want_notes = _reference_span_close(
             closed_triple_fn(spec), seeds, w, mode
         )
@@ -360,6 +371,20 @@ def test_bitmask_closure_matches_set_oracle(name, mode):
                 vars(WindowSubspace.from_elements(w, [Element({bv: 1}) for bv in sorted(s)]).solver)
                 for s in want_chain
             ]
+
+
+@pytest.mark.parametrize("mode", [MODE_IDEAL, MODE_DERIVED, MODE_LOWER_CENTRAL, MODE_SELF_LOWER])
+def test_general_closure_matches_the_bitmask_path(mode):
+    # DETERMINANT equals omega on every triple but has no closed form, so
+    # it takes the tri_bracket/SpanSolver path; the notes differ by design
+    w = Window(-3, 3)
+    table = ClosureTable(OMEGA, w)
+    for seeds in _closure_seed_sets(w):
+        want_chain, want = span_close(OMEGA, seeds, w, mode, table=table)
+        chain, rep = span_close(DETERMINANT, seeds, w, mode)
+        for stat in ("chain_dims", "stabilized_at", "escapes"):
+            assert rep.stats[stat] == want.stats[stat], (seeds, stat)
+        assert chain == want_chain, seeds
 
 
 def test_bitmask_closure_rejects_seeds_outside_the_window():

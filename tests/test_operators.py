@@ -23,7 +23,6 @@ from trilie import operators
 from trilie.linalg import SpanSolver
 from trilie.operators import (
     GENERATORS,
-    CoeffFn,
     GeneratorTable,
     Operator,
     ad_w,
@@ -42,7 +41,7 @@ from trilie.operators import (
     verify_sl2_laurent,
     verify_table_5_1,
 )
-from trilie.polys import Poly, T
+from trilie.polys import T
 from trilie.report import Window
 
 ONE = ConstantFunctional(1)
@@ -160,23 +159,30 @@ def test_degree_bound_for_omega_operators():
             assert comm.max_poly_degree() <= 1
 
 
-def test_coefffn_substitution_and_eval():
-    cf = CoeffFn.from_beta(Poly.const(2), 1, 3)  # 2 * beta(t+3)
+def test_beta_atom_substitution_and_apply():
+    op = Operator({("L", "L", 1, 0, "b", 1, 3, 0): 2})  # L[t] -> 2*beta(t+3)*L[t]
     poly_beta = PolynomialFunctional(T)
-    pure = cf.substitute(poly_beta)
+    pure = op.substitute(poly_beta)
     assert not pure.has_beta()
-    assert pure.eval(4) == 14  # 2 * (4+3)
-    assert cf.eval(4, poly_beta) == 14
+    assert pure.apply(L(4)) == L(4, 14)  # 2 * (4+3)
+    assert op.apply(L(4), poly_beta) == L(4, 14)
     fs = FiniteSupportFunctional({7: 5})
-    assert cf.eval(4, fs) == 10
-    assert cf.eval(5, fs) == 0
+    assert op.apply(L(4), fs) == L(4, 10)
+    assert op.apply(L(5), fs).is_zero()
+
+
+def test_two_beta_atoms_do_not_compose():
+    collapse = Operator({("M", "L", 0, 1, "b", 1, 0, 0): 1})  # M[t] -> beta(t)*L[1]
+    reflect = Operator({("L", "M", -1, 0, "b", -1, 2, 1): 1})  # L[t] -> t*beta(2-t)*M[-t]
+    with pytest.raises(ArithmeticError, match="two beta-weighted atoms"):
+        collapse.compose(reflect)
 
 
 def test_operator_equality_window_decided():
     beta = FiniteSupportFunctional({0: 1})
     # structurally different weights that agree wherever beta is nonzero
-    a = Operator({("M", "L", 0, 1): CoeffFn.from_beta(Poly.const(1))})
-    b = Operator({("M", "L", 0, 1): CoeffFn.from_beta(Poly((1, 1)))})
+    a = Operator({("M", "L", 0, 1, "b", 1, 0, 0): 1})  # beta(t)
+    b = Operator({("M", "L", 0, 1, "b", 1, 0, 0): 1, ("M", "L", 0, 1, "b", 1, 0, 1): 1})  # (1 + t)*beta(t)
     assert a != b
     eq, mode = ops_equal(a, b, beta, Window(-3, 3))
     assert mode == "window-decided"
@@ -184,6 +190,27 @@ def test_operator_equality_window_decided():
     spec = FKBracket(0, beta)
     neq, mode = ops_equal(ad_x(spec, 2, 0), ad_x(spec, 1, 0).scale(2), beta, Window(-3, 3))
     assert mode == "window-decided" and not neq  # different collapse targets
+
+
+def test_operator_rendering():
+    f = FiniteSupportFunctional({0: 1, 2: Fraction(-1, 3)})
+    mixed = Operator({
+        ("M", "L", 0, 1, "p", 0, 0, 0): 1,
+        ("M", "L", 0, 1, "p", 0, 0, 1): 2,
+        ("M", "L", 0, 1, "b", 0, -3, 1): -1,
+        ("M", "L", 0, 1, "b", -1, 2, 0): Fraction(1, 2),
+    })
+    rendered = [
+        (gen_q(2), "L[t] -> (-1)*L[t+2]; M[t] -> (1)*M[t-2]"),
+        (gen_x(-3), "M[t] -> (-1)*L[-3-t]"),
+        (gen_z(0), "L[t] -> (-1)*M[-t]"),
+        (op_from_ad(FKBracket(1, f), L(2), L(-1)), "M[t] -> ((3)*beta(t))*L[2]"),
+        (op_from_ad(FKBracket(1, f), L(2), M(0)), "L[t] -> (t - 2)*L[t+3]"),
+        (mixed, "M[t] -> (2*t + 1 + (1/2)*beta(-t+2) + (-t)*beta(-3))*L[1]"),
+        (Operator.zero(), "0"),
+    ]
+    for op, text in rendered:
+        assert str(op) == text
 
 
 def test_decompose():
@@ -271,7 +298,7 @@ def _doubled_x_channel(ad_x):
 
     def broken(spec, r, s):
         op = ad_x(spec, r, s)
-        return Operator({key: cf.scale(2) if key[3] == 1 else cf for key, cf in op.terms.items()})
+        return Operator({key: 2 * c if key[3] == 1 else c for key, c in op.terms.items()})
 
     return broken
 

@@ -20,12 +20,14 @@ from trilie import (
     op_from_ad,
     parse_element,
     tri_bracket,
+    window_basis,
 )
 from trilie.brackets import FUNDAMENTAL_IDENTITY, identity_residual
 from trilie.nambu import FKRealization, OmegaRealization, nambu_bracket, partial, realize
 from trilie.linalg import SpanSolver
-from trilie.operators import CoeffFn, Operator, OperatorFamily, gen_p, gen_q, gen_x, gen_z
-from trilie.polys import Poly, Sparse
+from trilie.operators import Operator, OperatorFamily, gen_p, gen_q, gen_x, gen_z
+from trilie.polys import Poly
+from trilie.report import Window
 
 ONE = ConstantFunctional(1)
 SPECS = st.sampled_from([OMEGA, FKBracket(1, ONE), FKBracket(0, ONE)])
@@ -134,7 +136,11 @@ def test_omega_generator_commutators_close_with_degree_bound(r, s):
 
 PROBE_ELEMENTS = st.tuples(elements(max_terms=2, index_bound=3), elements(max_terms=2, index_bound=3))
 REALIZATIONS = st.sampled_from([OmegaRealization(), FKRealization(1, ONE), FKRealization(0, ONE)])
-ATOM_KEYS = st.sampled_from([None, (1, 0), (-1, 2), (0, 1)])
+CHANNELS = st.sampled_from([("L", "L", 1, 0), ("L", "L", 1, 2), ("M", "L", 0, 1), ("L", "M", -1, 0)])
+ATOMS = st.sampled_from([("p", 0, 0), ("b", 1, 0), ("b", -1, 2), ("b", 0, 1)])
+FUNCTIONALS = st.sampled_from(
+    [None, ONE, ConstantFunctional(Fraction(-2, 3)), PolynomialFunctional(Poly((1, 1)))]
+)
 POLYS = st.lists(RATIONALS, max_size=3).map(lambda cs: Poly(tuple(cs)))
 
 
@@ -168,15 +174,15 @@ def test_sparse_poly_matches_the_dense_oracle(p, q, c):
 
 
 @st.composite
-def coeff_fns(draw, keys=ATOM_KEYS):
-    return CoeffFn(draw(st.dictionaries(keys, POLYS, max_size=3)))
+def channel_operators(draw, atoms=ATOMS):
+    """Random flat terms: a channel, an atom and a degree up to 2."""
+    keys = st.tuples(CHANNELS, atoms, st.integers(min_value=0, max_value=2))
+    terms = draw(st.dictionaries(keys.map(lambda k: k[0] + k[1] + (k[2],)), RATIONALS, max_size=8))
+    return Operator(terms)
 
 
 def assert_zero_free(x):
-    for value in x.terms.values():
-        assert value
-        if isinstance(value, Sparse):
-            assert_zero_free(value)
+    assert all(x.terms.values())
 
 
 def dict_sum(*weighted):
@@ -188,11 +194,13 @@ def dict_sum(*weighted):
     return {key: value for key, value in out.items() if value}
 
 
-def flat(x):
-    """Rational coordinates of a CoeffFn or an Operator, zeros dropped."""
-    if isinstance(x, CoeffFn):
-        return {(k, d): c for k, p in x.terms.items() for d, c in enumerate(p.coeffs) if c}
-    return {(ck, *key): c for ck, cf in x.terms.items() for key, c in flat(cf).items()}
+def channel_values(op, t):
+    """Each channel's coefficient at index t under beta = 1, zeros dropped."""
+    out = {}
+    for key, c in op.terms.items():
+        beta = ONE.beta(key[5] * t + key[6]) if key[4] == "b" else 1
+        out[key[:4]] = out.get(key[:4], 0) + c * t ** key[7] * beta
+    return {channel: value for channel, value in out.items() if value}
 
 
 def check_linear(a, b, c, terms=lambda x: x.terms):
@@ -232,52 +240,53 @@ def test_sym_function_base_ops(rmap, u, v, c):
     assert (f * g).terms == {k: v for k, v in ref.items() if v}
 
 
-@given(coeff_fns(), coeff_fns(), coeff_fns(keys=st.just(None)), RATIONALS)
-def test_coeff_fn_base_ops(a, b, pure, c):
-    check_linear(a, b, c, flat)
-    # a product needs a polynomial factor: two beta atoms are not representable
+@given(channel_operators(), channel_operators(), channel_operators(atoms=st.just(("p", 0, 0))), RATIONALS)
+def test_channel_operator_base_ops(a, b, pure, c):
+    check_linear(a, b, c)
+    # a after a plain operator (two beta atoms are not representable): each
+    # term of a is read at the index eps1*t + m1 that a term of pure lands on
     ref = {}
-    for k1, p1 in a.terms.items():
-        for p2 in pure.terms.values():
-            for i, x in enumerate(p1.coeffs):
-                for j, y in enumerate(p2.coeffs):
-                    ref[(k1, i + j)] = ref.get((k1, i + j), 0) + x * y
-    assert_zero_free(a * pure)
-    assert flat(a * pure) == {k: v for k, v in ref.items() if v}
+    for (fin1, fout1, eps1, m1, _, _, _, d1), c1 in pure.terms.items():
+        for (fin2, fout2, eps2, m2, kind, bs, bo, d2), c2 in a.terms.items():
+            if fin2 != fout1:
+                continue
+            atom = (kind, bs * eps1, bs * m1 + bo)
+            p = Poly((0,) * d1 + (c1,)) * Poly((0,) * d2 + (c2,)).compose_affine(eps1, m1)
+            for d, x in enumerate(p.coeffs):
+                key = (fin1, fout2, eps2 * eps1, eps2 * m1 + m2, *atom, d)
+                ref[key] = ref.get(key, 0) + x
+    assert_zero_free(a.compose(pure))
+    assert a.compose(pure).terms == {k: v for k, v in ref.items() if v}
 
 
 @given(SPECS, PROBE_ELEMENTS, PROBE_ELEMENTS, RATIONALS)
 def test_operator_base_ops(spec, uv, wz, c):
     a, b = op_from_ad(spec, *uv), op_from_ad(spec, *wz)
-    check_linear(a, b, c, flat)
+    check_linear(a, b, c)
     # a after b, channel by channel at sample indices: the coefficients are
     # polynomials of degree <= 2 in t, so seven indices determine them
     ab = a.compose(b)
     assert_zero_free(ab)
     for t in range(-3, 4):
         ref = {}
-        for (fin1, fout1, eps1, m1), cf1 in b.terms.items():
-            for (fin2, fout2, eps2, m2), cf2 in a.terms.items():
+        for (fin1, fout1, eps1, m1), v1 in channel_values(b, t).items():
+            for (fin2, fout2, eps2, m2), v2 in channel_values(a, eps1 * t + m1).items():
                 if fin2 == fout1:
                     key = (fin1, fout2, eps2 * eps1, eps2 * m1 + m2)
-                    ref[key] = ref.get(key, 0) + cf1.eval(t, ONE) * cf2.eval(eps1 * t + m1, ONE)
-        for key in set(ref) | set(ab.terms):
-            got = ab.terms[key].eval(t, ONE) if key in ab.terms else 0
-            assert got == ref.get(key, 0)
+                    ref[key] = ref.get(key, 0) + v1 * v2
+        assert channel_values(ab, t) == {k: v for k, v in ref.items() if v}
+
+
+@given(channel_operators(), FUNCTIONALS.filter(lambda f: f is not None))
+def test_substitution_keeps_the_linear_map(op, f):
+    pure = op.substitute(f)
+    assert not pure.has_beta()
+    for bv in window_basis(Window(-3, 3)):
+        u = Element({bv: 1})
+        assert pure.apply(u) == op.apply(u, f)
 
 
 # -- a prebuilt OperatorFamily against a one-shot solver ----------------------
-
-CHANNELS = st.sampled_from([("L", "L", 1, 0), ("L", "L", 1, 2), ("M", "L", 0, 1), ("L", "M", -1, 0)])
-FUNCTIONALS = st.sampled_from(
-    [None, ONE, ConstantFunctional(Fraction(-2, 3)), PolynomialFunctional(Poly((1, 1)))]
-)
-
-
-@st.composite
-def channel_operators(draw):
-    return Operator(draw(st.dictionaries(CHANNELS, coeff_fns(), max_size=3)))
-
 
 def one_shot_decompose(target, labelled, functional):
     """A fresh solver per target: the decomposition before families were prebuilt."""
@@ -286,8 +295,8 @@ def one_shot_decompose(target, labelled, functional):
         labelled = [(lab, op.substitute(functional)) for lab, op in labelled]
     solver = SpanSolver()
     for lab, op in labelled:
-        solver.add(op.coordinates(), tag=lab)
-    combo = solver.express(target.coordinates())
+        solver.add(op.terms, tag=lab)
+    combo = solver.express(target.terms)
     return None if combo is None else {lab: c for lab, c in combo.items() if c}
 
 
