@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from operator import or_
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .brackets import (
     INNER,
@@ -28,7 +28,7 @@ from .brackets import (
 from .elements import BasisVector, Element, L, M, window_basis
 from .linalg import SpanSolver, null_space, span_equal
 from .operators import GeneratorTable, Operator, decompose, invariant_line_structure
-from .polys import Rational
+from .polys import Rational, normalize_rational
 from .report import PASS, ConfigError, VerdictReport, Window
 
 DEFAULT_DEPTH = 8
@@ -124,7 +124,9 @@ def span_close(
 
     Single-term seeds of a closed-form bracket take the bitmask path over
     ``table``; a caller closing several seed sets of one bracket and window
-    passes one ClosureTable(spec, window) to share its rows.
+    passes one ClosureTable(spec, window) to share its rows.  Other seed
+    sets of a closed-form bracket read the same rows for every basis-line
+    row of a span, and bracket only the rows of several terms.
     """
     if mode not in CLOSURE_MODES:
         raise ValueError(f"unknown closure mode {mode!r}")
@@ -138,31 +140,78 @@ def span_close(
             "seeds": "; ".join(str(s) for s in seeds) or "(empty)",
         },
     )
-    if closed_triple_fn(spec) is not None and all(len(s.terms) == 1 for s in seeds):
+    if closed_triple_fn(spec) is not None:
         if table is None:
             table = ClosureTable(spec, window)
-        return _span_close_pure(rep, table, seeds, mode, depth)
-    basis = [Element({bv: 1}) for bv in window_basis(window)]
+        if all(len(s.terms) == 1 for s in seeds):
+            return _span_close_pure(rep, table, seeds, mode, depth)
+        entry, pair, pair_escapes, single, single_escapes = table.rows
+    else:
+        table = None
+    units = [Element({bv: 1}) for bv in window_basis(window)]
+    n = len(units)
     escapes = 0
     escape_sample = None
 
+    def line(row: Element) -> Optional[int]:
+        """The table position of a basis-line row, None for any other row."""
+        if table is None or len(row.terms) != 1:
+            return None
+        return table.bit[next(iter(row.terms))].bit_length() - 1
+
+    def escaped(start: int, size: int, count: int) -> None:
+        """Count the escapes among table entries start..start+size; the
+        first escape's text is that of its bracket."""
+        nonlocal escapes, escape_sample
+        escapes += count
+        if count and escape_sample is None:
+            a, bc = divmod(entry.index(ESCAPE, start, start + size), n * n)
+            args = (units[a], *(units[i] for i in divmod(bc, n)))
+            escape_sample = "[{}, {}, {}] -> {}".format(*args, tri_bracket(spec, *args))
+
     def bracket_rows(
         rows_a: List[Element], rows_b: List[Element], rows_c: List[Element]
-    ) -> Iterable[Element]:
+    ) -> Tuple[int, List[Element]]:
+        """The in-window images of [rows_a, rows_b, rows_c]: the mask of the
+        table-decided ones and the others.  A basis line reads the table
+        against two window basis slots (``single``), beside another line
+        against one (``pair``), or beside two lines (``entry``); any other
+        row goes through tri_bracket.  Escapes are counted in order."""
         nonlocal escapes, escape_sample
+        mask, images = 0, []
+        lines_b = [line(vb) for vb in rows_b]
+        lines_c = [line(vc) for vc in rows_c]
         for va in rows_a:
-            for vb in rows_b:
-                for b in rows_c:
-                    res = tri_bracket(spec, va, vb, b)
+            a = line(va)
+            if a is not None and rows_b is units:
+                mask |= single[a]
+                escaped(a * n * n, n * n, single_escapes[a])
+                continue
+            for vb, b in zip(rows_b, lines_b):
+                ab = None if a is None or b is None else a * n + b
+                if ab is not None and rows_c is units:
+                    mask |= pair[ab]
+                    escaped(ab * n, n, pair_escapes[ab])
+                    continue
+                for vc, c in zip(rows_c, lines_c):
+                    if ab is not None and c is not None:
+                        out = entry[ab * n + c]
+                        if out > 0:
+                            mask |= out
+                        elif out:
+                            escaped(ab * n + c, 1, 1)
+                        continue
+                    res = tri_bracket(spec, va, vb, vc)
                     if not res:
                         continue
                     inside, outside = _project(res, window)
                     if outside:
                         escapes += 1
                         if escape_sample is None:
-                            escape_sample = f"[{va}, {vb}, {b}] -> {res}"
+                            escape_sample = f"[{va}, {vb}, {vc}] -> {res}"
                     if inside:
-                        yield inside
+                        images.append(inside)
+        return mask, images
 
     current = WindowSubspace.from_elements(window, seeds)
     chain = [current]
@@ -171,17 +220,17 @@ def span_close(
         seed_rows = chain[0].basis_elements()
         if mode == MODE_IDEAL:
             nxt = WindowSubspace.from_elements(window, rows)
-            new_rows = list(bracket_rows(rows, basis, basis))
+            mask, images = bracket_rows(rows, units, units)
         elif mode == MODE_DERIVED:
             nxt = WindowSubspace(window)
-            new_rows = list(bracket_rows(rows, rows, basis))
+            mask, images = bracket_rows(rows, rows, units)
         elif mode == MODE_LOWER_CENTRAL:
             nxt = WindowSubspace(window)
-            new_rows = list(bracket_rows(rows, seed_rows, basis))
+            mask, images = bracket_rows(rows, seed_rows, units)
         else:  # MODE_SELF_LOWER
             nxt = WindowSubspace(window)
-            new_rows = list(bracket_rows(rows, seed_rows, seed_rows))
-        for e in new_rows:
+            mask, images = bracket_rows(rows, seed_rows, seed_rows)
+        for e in [units[p] for p in _positions(mask)] + images:
             nxt.add(e)
         chain.append(nxt)
         if nxt == current:
@@ -431,7 +480,8 @@ def ideal_check(
     candidate as an ideal, and minimality evidence (each single generator
     regenerates the candidate by ideal closure).  Escaping brackets are
     classified structurally when the candidate is spanned by whole basis
-    families.  The verdicts live in the stats; a non-ideal candidate is a
+    families.  A candidate of basis lines under a closed-form bracket is
+    decided from the entries of the closure table its closures share.  The verdicts live in the stats; a non-ideal candidate is a
     finding with witnesses, not a failure of the check itself.
     """
     rep = VerdictReport(
@@ -445,34 +495,59 @@ def ideal_check(
         expected = [bv for bv in window_basis(window) if bv.family in fams]
         if sorted(lines) == sorted(expected):
             families = fams
-    basis = [Element({bv: 1}) for bv in window_basis(window)]
+    table = ClosureTable(spec, window)
+    units = [Element({bv: 1}) for bv in table.basis]
+    n = len(units)
     is_ideal = True
     boundary = 0
     witnesses = 0
-    for row in sub.basis_elements():
-        for b1 in basis:
-            for b2 in basis:
-                res = tri_bracket(spec, row, b1, b2)
-                if not res:
+
+    def witness(*args: Element) -> None:
+        nonlocal is_ideal, witnesses
+        is_ideal = False
+        witnesses += 1
+        if witnesses <= 3:
+            res = tri_bracket(spec, *args)
+            rep.note(f"not an ideal: [{args[0]}, {args[1]}, {args[2]}] = {res} leaves the candidate")
+
+    triple = closed_triple_fn(spec)
+    if lines is not None and triple is not None:
+        # basis lines: every bracket is one table entry; only an escape's
+        # family is read off the kernel
+        entry, inside = table.rows[0], sum(table.bit[bv] for bv in lines)
+        for bv in lines:
+            a = table.bit[bv].bit_length() - 1
+            for bc, out in enumerate(entry[a * n * n : (a + 1) * n * n]):
+                if not out or out > 0 and out & inside:
                     continue
-                inside, outside = _project(res, window)
-                escaped_families = outside and (
-                    families is None
-                    or any(bv.family not in families for bv in outside.terms)
-                )
-                if outside and not escaped_families:
+                b, c = divmod(bc, n)
+                if out < 0 and families is not None and (
+                    triple(bv, table.basis[b], table.basis[c])[1] in families
+                ):
                     boundary += 1
-                if escaped_families or (inside and not sub.contains(inside)):
-                    is_ideal = False
-                    witnesses += 1
-                    if witnesses <= 3:
-                        rep.note(f"not an ideal: [{row}, {b1}, {b2}] = {res} leaves the candidate")
+                else:
+                    witness(units[a], units[b], units[c])
+    else:
+        for row in sub.basis_elements():
+            for b1 in units:
+                for b2 in units:
+                    res = tri_bracket(spec, row, b1, b2)
+                    if not res:
+                        continue
+                    inside, outside = _project(res, window)
+                    escaped_families = outside and (
+                        families is None
+                        or any(bv.family not in families for bv in outside.terms)
+                    )
+                    if outside and not escaped_families:
+                        boundary += 1
+                    if escaped_families or (inside and not sub.contains(inside)):
+                        witness(row, b1, b2)
     rep.stats["is_ideal"] = str(is_ideal)
     rep.stats["escape_witnesses"] = witnesses
     rep.stats["boundary_escapes"] = boundary
 
     # the candidate as an algebra of its own: all three slots stay inside
-    table = ClosureTable(spec, window)
     own_chain, _ = span_close(spec, list(candidate), window, MODE_SELF_LOWER, depth, table)
     own_nilpotent = own_chain[-1].dim == 0
     rep.stats["own_lower_central_dims"] = ",".join(str(s.dim) for s in own_chain)
@@ -510,6 +585,29 @@ def ideal_check(
 
 
 # -- weight decompositions ---------------------------------------------------
+
+
+def _ad(spec: TriBracketSpec, u: Element, v: Element) -> Callable[[dict], dict]:
+    """w -> [u, v, w] for w given by its terms, as a map from output
+    (family, index) to nonzero coefficient.  The products of the terms of
+    u and v are formed once, and each costs one closed-form kernel call
+    per term of w; a spec without a closed form goes through tri_bracket."""
+    triple = closed_triple_fn(spec)
+    if triple is None:
+        return lambda w: tri_bracket(spec, u, v, Element(w)).terms
+    prods = [(b1, b2, c1 * c2) for b1, c1 in u.terms.items() for b2, c2 in v.terms.items()]
+
+    def ad(w: dict) -> dict:
+        out = {}
+        for b3, c3 in w.items():
+            for b1, b2, c12 in prods:
+                res = triple(b1, b2, b3)
+                if res is not None:
+                    key = res[1:]
+                    out[key] = out.get(key, 0) + c12 * c3 * res[0]
+        return {key: normalize_rational(c) for key, c in out.items() if c}
+
+    return ad
 
 
 @dataclass
@@ -557,14 +655,14 @@ def weight_decompose(
     weights: Dict[BasisVector, list] = {bv: [] for bv in basis}
     diagonal = True
     for h1, h2 in cartan_pairs:
+        ad = _ad(spec, h1, h2)
         for bv in basis:
-            img = tri_bracket(spec, h1, h2, Element({bv: 1}))
-            lam = img.coefficient(bv)
-            if img != Element({bv: lam} if lam else {}):
+            img = ad({bv: 1})
+            lam = img.get(bv, 0)
+            if any(key != bv for key in img):
                 diagonal = False
-                rep.record_failure(
-                    f"action of ({h1}, {h2}) is not diagonal: {bv} -> {img}"
-                )
+                img = Element({BasisVector(*key): c for key, c in img.items()})
+                rep.record_failure(f"action of ({h1}, {h2}) is not diagonal: {bv} -> {img}")
             weights[bv].append(lam)
     spaces: Dict[tuple, list] = {}
     if diagonal:
@@ -590,8 +688,9 @@ def weight_decompose(
     gens = list(dict.fromkeys(h for pair in cartan_pairs for h in pair))
     for a in gens:
         for b in gens:
+            ad = _ad(spec, a, b)
             for c in gens:
-                if tri_bracket(spec, a, b, c):
+                if ad(c.terms):
                     rep.record_failure(f"cartan span is not abelian: [{a}, {b}, {c}] != 0")
     return deco, rep
 
@@ -623,13 +722,17 @@ def cartan_normalizer_check(
     )
     unknowns = list(window_basis(window))
     equations: Dict[tuple, dict] = {}
+    outside: Dict[tuple, bool] = {}  # output (family, index) -> not in_cartan
     for b in unknowns:
         for j, h in enumerate(cartan_generators):
-            for jb, bb in enumerate(window_basis(window)):
-                res = tri_bracket(spec, Element({b: 1}), h, Element({bb: 1}))
-                for obv, c in res.terms.items():
-                    if not in_cartan(obv):
-                        equations.setdefault((j, jb, obv), {})[b] = c
+            ad = _ad(spec, Element({b: 1}), h)
+            for jb, bb in enumerate(unknowns):
+                for key, c in ad({bb: 1}).items():
+                    off = outside.get(key)
+                    if off is None:
+                        off = outside[key] = not in_cartan(BasisVector(*key))
+                    if off:
+                        equations.setdefault((j, jb, key), {})[b] = c
     kernel = null_space(list(equations.values()), unknowns)
     offenders = []
     for vec in kernel:

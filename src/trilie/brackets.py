@@ -326,19 +326,28 @@ def certify_from_functional(
 ) -> Tuple[FromFunctionalBracket, VerdictReport]:
     """Certify f([b1, b2]) = 0 on all window basis pairs, then hand back a
     bracket spec that is allowed to evaluate on that window."""
+    spec, rep, _ = _certify_with_pairs(lie, f, window)
+    return spec, rep
+
+
+def _certify_with_pairs(lie: LieBracketSpec, f: FunctionalSpec, window: Window):
+    """``certify_from_functional``, plus the Lie-pair table it certified:
+    entry [i][j] is [basis[i], basis[j]], the window basis in order."""
     rep = VerdictReport(
         "functional-vanishing-certificate",
         {"lie": lie.describe(), "beta": f.describe(), "window": str(window)},
     )
     basis = window_basis(window)
-    for b1 in basis:
-        for b2 in basis:
-            val = functional_eval(f, lie_bracket(lie, Element({b1: 1}), Element({b2: 1})))
+    units = [Element({bv: 1}) for bv in basis]
+    pairs = [[lie_bracket(lie, u, v) for v in units] for u in units]
+    for b1, row in zip(basis, pairs):
+        for b2, value in zip(basis, row):
+            val = functional_eval(f, value)
             if val:
                 rep.record_failure(f"f([{b1}, {b2}]) = {val} != 0")
     rep.stats["pairs"] = len(basis) ** 2
     certified = window if rep.status == PASS else None
-    return FromFunctionalBracket(lie, f, certified), rep
+    return FromFunctionalBracket(lie, f, certified), rep, pairs
 
 
 # -- deterministic random elements ---------------------------------------
@@ -651,7 +660,8 @@ def check_constructor_agreement(
     (b) the determinant construction reproduces the omega bracket.
 
     Each route is combined per triple from tables built once per call: the
-    Lie bracket on basis pairs and f on basis vectors for (a), and for (b)
+    Lie bracket on basis pairs (the table the certificate of f brackets)
+    and f on basis vectors for (a), and for (b)
     the cofactors on basis pairs of the determinant with rows (omega,
     identity, delta), multiplied out with the algebra product.  The
     combined routes are compared with the closed-form kernel entries, and
@@ -661,7 +671,7 @@ def check_constructor_agreement(
         "constructor-agreement",
         {"window": str(window), "k": k, "beta": f.describe()},
     )
-    ff_spec, cert = certify_from_functional(DkInduced(k), f, window)
+    _, cert, pairs = _certify_with_pairs(DkInduced(k), f, window)
     rep.merge_status(cert)
     rep.notes.extend(cert.notes)
     if cert.status != PASS:
@@ -670,7 +680,7 @@ def check_constructor_agreement(
     fk_kernel, omega_kernel = _closed_kernel(FKBracket(k, f)), _closed_kernel(OMEGA)
     basis = window_basis(window)
     units = [Element({bv: 1}) for bv in basis]
-    lie = [[lie_bracket(ff_spec.lie, u, v).terms for v in units] for u in units]
+    lie = [[value.terms for value in row] for row in pairs]
     weights = [functional_eval(f, u) for u in units]
     rows = [(omega(u), u, delta(u)) for u in units]
     slots = list(enumerate(zip(basis, units, weights, rows)))

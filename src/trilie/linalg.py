@@ -3,8 +3,11 @@
 Vectors are dicts mapping orderable keys to nonzero rationals.  The
 SpanSolver keeps a fully reduced echelon basis (pivot normalized to 1,
 pivot column cleared everywhere else, rows ordered by pivot key), so
-subspace equality is structural and every membership answer comes with
-an exact coefficient certificate.
+subspace equality is structural.  A vector is reduced by looking up the
+pivots it holds: no row has an entry at another row's pivot.  Membership
+certificates (coefficients over the inserted generators) are built on
+the first ``express`` and kept until the rank grows again, so callers
+that only add and compare spans never pay for them.
 
 ``null_space`` reads a kernel basis off the same solver: each equation
 is scaled to a primitive integer row and only distinct rows are added.
@@ -12,6 +15,7 @@ is scaled to a primitive integer row and only distinct rows are added.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
@@ -33,12 +37,20 @@ def vec_scale(v: Vec, c) -> Vec:
 
 
 class SpanSolver:
-    """Incremental reduced row echelon span with membership certificates."""
+    """Incremental reduced row echelon span with membership certificates.
+
+    ``express`` answers over the tags of the generators that grew the rank.
+    Its certificates are built on first use, by replaying those generators
+    with their coefficient rows, and an ``add`` that grows the rank drops
+    them again.
+    """
 
     def __init__(self):
         self.rows: List[Vec] = []          # reduced rows, pivot coefficient 1
-        self.pivots: List[Hashable] = []   # pivot key of each row
-        self.combos: List[Vec] = []        # row expressed over inserted generators
+        self.pivots: List[Hashable] = []   # pivot key of each row, ascending
+        self._row_at: Dict[Hashable, Vec] = {}  # pivot -> its row
+        self._grown: List[Tuple[Hashable, Vec]] = []  # (tag, vec) of each rank-growing add
+        self._combos: Optional[Dict[Hashable, Vec]] = None  # pivot -> row over tags
         self._n_inserted = 0
 
     @classmethod
@@ -48,7 +60,8 @@ class SpanSolver:
         solver = cls()
         solver.rows = [{k: 1} for k in keys]
         solver.pivots = list(keys)
-        solver.combos = [{i: 1} for i in range(len(solver.rows))]
+        solver._row_at = dict(zip(solver.pivots, solver.rows))
+        solver._grown = [(i, {k: 1}) for i, k in enumerate(keys)]
         solver._n_inserted = len(solver.rows)
         return solver
 
@@ -56,51 +69,73 @@ class SpanSolver:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: Vec) -> Tuple[Vec, Vec]:
-        """Reduce vec against the span; return (residual, combination)."""
+    def _reduce(self, vec: Vec, combos: Optional[Dict[Hashable, Vec]] = None) -> Tuple[Vec, Vec]:
+        """(residual, combination over tags when combos are given).  Only the
+        pivots held by vec are visited, ascending: a row adds no entry at
+        any other pivot, so this is the full pivot scan's residual."""
         residual = dict(vec)
         combo: Vec = {}
-        for i, pk in enumerate(self.pivots):
-            c = residual.get(pk)
-            if c:
-                vec_add_scaled(residual, self.rows[i], -c)
-                vec_add_scaled(combo, self.combos[i], c)
+        row_at = self._row_at
+        hits = [k for k in vec if k in row_at]
+        if len(hits) > 1:
+            hits.sort()
+        for pk in hits:
+            c = residual[pk]
+            vec_add_scaled(residual, row_at[pk], -c)
+            if combos is not None:
+                vec_add_scaled(combo, combos[pk], c)
         return residual, combo
+
+    def _insert(self, residual: Vec, combo: Vec, tag: Hashable, combos) -> None:
+        """Make the nonzero residual a row; with combos, keep them too."""
+        pivot = min(residual)
+        inv = Fraction(1, 1) / Fraction(residual[pivot])
+        row = vec_scale(residual, inv)
+        if combos is not None:
+            rcombo = vec_scale(combo, -inv)
+            rcombo[tag] = normalize_rational(rcombo.get(tag, 0) + inv)
+        # clear the new pivot from existing rows to stay fully reduced
+        for pk, existing in zip(self.pivots, self.rows):
+            c = existing.get(pivot)
+            if c:
+                vec_add_scaled(existing, row, -c)
+                if combos is not None:
+                    vec_add_scaled(combos[pk], rcombo, -c)
+        pos = bisect_left(self.pivots, pivot)
+        self.rows.insert(pos, row)
+        self.pivots.insert(pos, pivot)
+        self._row_at[pivot] = row
+        if combos is not None:
+            combos[pivot] = rcombo
 
     def add(self, vec: Vec, tag: Optional[Hashable] = None) -> bool:
         """Insert a generator; True if the rank grew."""
         if tag is None:
             tag = self._n_inserted
         self._n_inserted += 1
-        residual, combo = self.reduce(vec)
+        residual, _ = self._reduce(vec)
         if not residual:
             return False
-        pivot = min(residual)
-        inv = Fraction(1, 1) / Fraction(residual[pivot])
-        row = vec_scale(residual, inv)
-        rcombo = vec_scale(combo, -inv)
-        rcombo[tag] = normalize_rational(rcombo.get(tag, 0) + inv)
-        # clear the new pivot from existing rows to stay fully reduced
-        for i, existing in enumerate(self.rows):
-            c = existing.get(pivot)
-            if c:
-                vec_add_scaled(existing, row, -c)
-                vec_add_scaled(self.combos[i], rcombo, -c)
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < pivot:
-            pos += 1
-        self.rows.insert(pos, row)
-        self.pivots.insert(pos, pivot)
-        self.combos.insert(pos, rcombo)
+        self._insert(residual, {}, tag, None)
+        self._grown.append((tag, dict(vec)))
+        self._combos = None
         return True
 
+    def _certificates(self) -> Dict[Hashable, Vec]:
+        if self._combos is None:
+            replay, combos = SpanSolver(), {}
+            for tag, vec in self._grown:
+                replay._insert(*replay._reduce(vec, combos), tag, combos)
+            self._combos = combos
+        return self._combos
+
     def contains(self, vec: Vec) -> bool:
-        residual, _ = self.reduce(vec)
+        residual, _ = self._reduce(vec)
         return not residual
 
     def express(self, vec: Vec) -> Optional[Vec]:
         """Coefficients over inserted generator tags, or None if outside."""
-        residual, combo = self.reduce(vec)
+        residual, combo = self._reduce(vec, self._certificates())
         if residual:
             return None
         return combo

@@ -1,6 +1,7 @@
 """Hand-written closed forms of the two brackets, the dense-tuple
-polynomial and the per-triple realization and constructor checks, kept as
-test oracles.
+polynomial, the per-triple realization and constructor checks, and the
+eager solver with the per-bracket closure and ideal loops, kept as test
+oracles.
 
 The package derives its basis kernels and ad operators from the product
 rows in ``trilie.brackets``; these are the family-case analyses it used
@@ -10,9 +11,15 @@ polynomial as an ascending coefficient tuple, the reference for the
 sparse ``trilie.polys.Poly``.  ``check_realization`` and
 ``check_constructor_agreement`` build both sides of every basis triple as
 SymFunctions or Elements, the reference for the tabulated checks.
+``EagerSpanSolver`` keeps a certificate row beside every echelon row and
+scans every pivot on each reduction; ``span_close`` and ``ideal_check``
+bracket every row that is not a seed of the bitmask path with
+``tri_bracket``, on spans over that solver: the references for the
+pivot-lookup solver and for the table-read basis lines.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from trilie.brackets import (
     DETERMINANT,
@@ -22,7 +29,20 @@ from trilie.brackets import (
     certify_from_functional,
     tri_bracket,
 )
+from trilie.analysis import (
+    DEFAULT_DEPTH,
+    MODE_DERIVED,
+    MODE_IDEAL,
+    MODE_LOWER_CENTRAL,
+    MODE_SELF_LOWER,
+    ClosureTable,
+    WindowSubspace,
+    _project,
+    _span_close_pure,
+)
+from trilie.brackets import closed_triple_fn
 from trilie.elements import FAMILY_L, FAMILY_M, Element, window_basis
+from trilie.linalg import vec_add_scaled, vec_scale
 from trilie.nambu import FKRealization, _pairing_ok, nambu_bracket, realize
 from trilie.operators import Operator
 from trilie.polys import Poly, add_into, normalize_rational, rat_str
@@ -290,4 +310,210 @@ def check_constructor_agreement(window, k, f):
                     )
     rep.stats["triples"] = triples
     rep.note("functional route uses the Lie bracket induced by d_k, as in the source proof")
+    return rep
+
+
+class EagerSpanSolver:
+    """Incremental reduced row echelon span that keeps every row's
+    certificate up to date and reduces against every pivot in turn."""
+
+    def __init__(self):
+        self.rows = []
+        self.pivots = []
+        self.combos = []
+        self._n_inserted = 0
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def reduce(self, vec):
+        residual = dict(vec)
+        combo = {}
+        for i, pk in enumerate(self.pivots):
+            c = residual.get(pk)
+            if c:
+                vec_add_scaled(residual, self.rows[i], -c)
+                vec_add_scaled(combo, self.combos[i], c)
+        return residual, combo
+
+    def add(self, vec, tag=None):
+        if tag is None:
+            tag = self._n_inserted
+        self._n_inserted += 1
+        residual, combo = self.reduce(vec)
+        if not residual:
+            return False
+        pivot = min(residual)
+        inv = Fraction(1, 1) / Fraction(residual[pivot])
+        row = vec_scale(residual, inv)
+        rcombo = vec_scale(combo, -inv)
+        rcombo[tag] = normalize_rational(rcombo.get(tag, 0) + inv)
+        for i, existing in enumerate(self.rows):
+            c = existing.get(pivot)
+            if c:
+                vec_add_scaled(existing, row, -c)
+                vec_add_scaled(self.combos[i], rcombo, -c)
+        pos = 0
+        while pos < len(self.pivots) and self.pivots[pos] < pivot:
+            pos += 1
+        self.rows.insert(pos, row)
+        self.pivots.insert(pos, pivot)
+        self.combos.insert(pos, rcombo)
+        return True
+
+    def contains(self, vec):
+        residual, _ = self.reduce(vec)
+        return not residual
+
+    def express(self, vec):
+        residual, combo = self.reduce(vec)
+        if residual:
+            return None
+        return combo
+
+
+def _eager_subspace(window, elements=()):
+    ws = WindowSubspace(window, EagerSpanSolver())
+    for e in elements:
+        ws.add(e)
+    return ws
+
+
+def span_close(spec, seeds, window, mode, depth=DEFAULT_DEPTH):
+    """The closure chain and report, with every bracket of a span that is
+    not all basis-line seeds taken by tri_bracket."""
+    rep = VerdictReport(
+        "span-close",
+        {
+            "bracket": spec.describe(),
+            "mode": mode,
+            "window": str(window),
+            "depth": depth,
+            "seeds": "; ".join(str(s) for s in seeds) or "(empty)",
+        },
+    )
+    if closed_triple_fn(spec) is not None and all(len(s.terms) == 1 for s in seeds):
+        return _span_close_pure(rep, ClosureTable(spec, window), seeds, mode, depth)
+    basis = [Element({bv: 1}) for bv in window_basis(window)]
+    escapes = 0
+    escape_sample = None
+
+    def bracket_rows(rows_a, rows_b, rows_c):
+        nonlocal escapes, escape_sample
+        for va in rows_a:
+            for vb in rows_b:
+                for b in rows_c:
+                    res = tri_bracket(spec, va, vb, b)
+                    if not res:
+                        continue
+                    inside, outside = _project(res, window)
+                    if outside:
+                        escapes += 1
+                        if escape_sample is None:
+                            escape_sample = f"[{va}, {vb}, {b}] -> {res}"
+                    if inside:
+                        yield inside
+
+    current = _eager_subspace(window, seeds)
+    chain = [current]
+    for _ in range(depth):
+        rows = current.basis_elements()
+        seed_rows = chain[0].basis_elements()
+        if mode == MODE_IDEAL:
+            nxt = _eager_subspace(window, rows)
+            new_rows = list(bracket_rows(rows, basis, basis))
+        elif mode == MODE_DERIVED:
+            nxt = _eager_subspace(window)
+            new_rows = list(bracket_rows(rows, rows, basis))
+        elif mode == MODE_LOWER_CENTRAL:
+            nxt = _eager_subspace(window)
+            new_rows = list(bracket_rows(rows, seed_rows, basis))
+        else:
+            nxt = _eager_subspace(window)
+            new_rows = list(bracket_rows(rows, seed_rows, seed_rows))
+        for e in new_rows:
+            nxt.add(e)
+        chain.append(nxt)
+        if nxt == current:
+            break
+        current = nxt
+    stabilized = len(chain) >= 2 and chain[-1] == chain[-2]
+    rep.stats["chain_dims"] = ",".join(str(s.dim) for s in chain)
+    rep.stats["stabilized_at"] = len(chain) - 1 if stabilized else -1
+    rep.stats["escapes"] = escapes
+    if not stabilized:
+        rep.note(f"chain did not stabilize within depth {depth}")
+    if escapes:
+        rep.note(
+            f"{escapes} bracket results had support outside the window and were "
+            f"projected (first: {escape_sample}); in-window spans are evidence, "
+            "not truncations of exact members"
+        )
+    return chain, rep
+
+
+def ideal_check(spec, candidate, window, depth=DEFAULT_DEPTH):
+    """The ideal report, every candidate row bracketed against every basis
+    pair with tri_bracket and every closure taken by ``span_close`` above."""
+    rep = VerdictReport("ideal-check", {"bracket": spec.describe(), "window": str(window)})
+    sub = _eager_subspace(window, candidate)
+    lines = sub.basis_lines()
+    families = None
+    if lines is not None:
+        fams = {bv.family for bv in lines}
+        expected = [bv for bv in window_basis(window) if bv.family in fams]
+        if sorted(lines) == sorted(expected):
+            families = fams
+    basis = [Element({bv: 1}) for bv in window_basis(window)]
+    is_ideal = True
+    boundary = 0
+    witnesses = 0
+    for row in sub.basis_elements():
+        for b1 in basis:
+            for b2 in basis:
+                res = tri_bracket(spec, row, b1, b2)
+                if not res:
+                    continue
+                inside, outside = _project(res, window)
+                escaped_families = outside and (
+                    families is None
+                    or any(bv.family not in families for bv in outside.terms)
+                )
+                if outside and not escaped_families:
+                    boundary += 1
+                if escaped_families or (inside and not sub.contains(inside)):
+                    is_ideal = False
+                    witnesses += 1
+                    if witnesses <= 3:
+                        rep.note(f"not an ideal: [{row}, {b1}, {b2}] = {res} leaves the candidate")
+    rep.stats["is_ideal"] = str(is_ideal)
+    rep.stats["escape_witnesses"] = witnesses
+    rep.stats["boundary_escapes"] = boundary
+    own_chain, _ = span_close(spec, list(candidate), window, MODE_SELF_LOWER, depth)
+    own_nilpotent = own_chain[-1].dim == 0
+    rep.stats["own_lower_central_dims"] = ",".join(str(s.dim) for s in own_chain)
+    rep.stats["nilpotent_as_algebra"] = str(own_nilpotent)
+    if len(own_chain) > 1 and own_chain[1].dim == 0:
+        rep.note("candidate has zero bracket with itself (abelian subalgebra)")
+    lc_chain, _ = span_close(spec, list(candidate), window, MODE_LOWER_CENTRAL, depth)
+    lc_zero = lc_chain[-1].dim == 0
+    rep.stats["ideal_lower_central_dims"] = ",".join(str(s.dim) for s in lc_chain)
+    rep.stats["nilpotent_as_ideal"] = str(lc_zero)
+    rep.stats["hypo_nilpotent"] = str(is_ideal and own_nilpotent and not lc_zero)
+    if is_ideal:
+        minimal = True
+        for row in sub.basis_elements():
+            closure = span_close(spec, [row], window, MODE_IDEAL, depth)[0][-1]
+            for other in sub.basis_elements():
+                if not closure.contains(other):
+                    minimal = False
+                    rep.note(
+                        f"ideal closure of {row} does not recover {other} "
+                        "(no window minimality evidence)"
+                    )
+                    break
+            if not minimal:
+                break
+        rep.stats["minimality_evidence"] = str(minimal)
     return rep

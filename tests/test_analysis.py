@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from conftest import sign_flipped_q
 from trilie import (
     OMEGA,
@@ -11,6 +12,7 @@ from trilie import (
     FKBracket,
     L,
     M,
+    parse_beta,
     window_basis,
 )
 from trilie import analysis
@@ -178,18 +180,26 @@ def test_fk_weight_decomposition_growth():
 
 def test_weight_decompose_brackets_each_cartan_entry_once(monkeypatch):
     calls = []
+    closed = analysis.closed_triple_fn
 
-    def counting(spec, a, b, c):
-        calls.append((a, b, c))
-        return tri_bracket(spec, a, b, c)
+    def counting(spec):
+        triple = closed(spec)
 
-    monkeypatch.setattr(analysis, "tri_bracket", counting)
+        def counted(a, b, c):
+            calls.append((a, b, c))
+            return triple(a, b, c)
+
+        return counted
+
+    monkeypatch.setattr(analysis, "closed_triple_fn", counting)
     w = Window(-3, 3)
     pairs = fk_cartan_pairs(w, 0)  # (L[0], M[t]) for 7 values of t
     assert weight_decompose(FKBracket(0, ONE), pairs, w)[1].status == "pass"
-    # the diagonal action on 14 basis vectors per pair, then the 8 distinct
-    # entries L[0], M[-3..3] cubed (not the 14 listed entries cubed)
+    # one kernel evaluation per basis triple: the diagonal action on 14 basis
+    # vectors per pair, then the 8 distinct entries L[0], M[-3..3] cubed (not
+    # the 14 listed entries cubed), each triple once
     assert len(calls) == 7 * 14 + 8**3
+    assert len(set(calls[7 * 14 :])) == 8**3
 
 
 def test_weight_decompose_keeps_the_first_counterexamples():
@@ -385,6 +395,66 @@ def test_general_closure_matches_the_bitmask_path(mode):
         for stat in ("chain_dims", "stabilized_at", "escapes"):
             assert rep.stats[stat] == want.stats[stat], (seeds, stat)
         assert chain == want_chain, seeds
+
+
+# -- the table-read general paths against the tri_bracket loops they replaced --
+
+PARITY_SPECS = {
+    "omega": OMEGA,
+    "fk-k-2": FKBracket(-2, ONE),
+    "fk-k0-support": FKBracket(0, parse_beta("support:-1=1,2=-1/3")),
+    "fk-k1-poly": FKBracket(1, parse_beta("poly:t^2+1")),
+}
+
+
+def _parity_seed_sets():
+    """Single-term, multi-term and mixed seed sets (rows with one term and
+    rows with several)."""
+    return [
+        [L(1)],
+        [M(-2), L(0, 3)],
+        [L(1) + M(-1, 2) - M(2, Fraction(1, 2))],
+        [M(0) + M(1), L(2) - L(-1)],
+        [L(0), M(1), M(2) - L(-1)],
+        [M(-1), L(1) + M(1)],
+        [L(3) + M(0), L(1) + M(1), M(2) + M(-1)],
+    ]
+
+
+@pytest.mark.parametrize("mode", [MODE_IDEAL, MODE_DERIVED, MODE_LOWER_CENTRAL, MODE_SELF_LOWER])
+@pytest.mark.parametrize("name", sorted(PARITY_SPECS))
+def test_span_close_matches_the_tri_bracket_oracle(name, mode):
+    spec = PARITY_SPECS[name]
+    escaped_general = False
+    for w in (Window(-3, 3), Window(-4, 4)):
+        table = ClosureTable(spec, w)
+        for seeds in _parity_seed_sets():
+            want_chain, want = oracles.span_close(spec, seeds, w, mode)
+            chain, rep = span_close(spec, seeds, w, mode, table=table)
+            assert rep.to_dict() == want.to_dict(), seeds
+            assert chain == want_chain, seeds
+            multi = any(len(s.terms) > 1 for s in seeds)
+            escaped_general |= multi and rep.stats["escapes"] > 0
+    assert escaped_general  # the escape note of the general path is compared
+
+
+IDEAL_CANDIDATES = {
+    "span{L}": lambda w: [L(r) for r in w.indices()],
+    "span{M}": lambda w: [M(r) for r in w.indices()],
+    "L[0]": lambda w: [L(0)],
+    "M[1]": lambda w: [M(1)],
+    "partial L": lambda w: [L(r) for r in range(-1, 3)],
+    "not lines": lambda w: [L(0) + M(0), M(1)],
+}
+
+
+@pytest.mark.parametrize("candidate", sorted(IDEAL_CANDIDATES))
+@pytest.mark.parametrize("name", ["omega", "fk-k-2", "fk-k1-poly"])
+def test_ideal_check_matches_the_tri_bracket_oracle(name, candidate):
+    spec, w = PARITY_SPECS[name], Window(-3, 3)
+    elements = IDEAL_CANDIDATES[candidate](w)
+    want = oracles.ideal_check(spec, elements, w)
+    assert ideal_check(spec, elements, w).to_dict() == want.to_dict()
 
 
 def test_bitmask_closure_rejects_seeds_outside_the_window():

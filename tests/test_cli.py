@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -205,3 +207,15 @@ def test_vandermonde_params_match_stats(monkeypatch):
     (rep,) = json.loads(out)["reports"]
     assert rep["status"] == "fail"
     assert rep["counterexamples"] == [f"failure {i}" for i in (0, 1, 2, 3, 4, 0, 1, 2)]
+
+
+def test_the_cli_imports_neither_numpy_nor_sympy():
+    # both are installed for tests only; the runtime is the standard library
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, trilie.cli; print(sorted({'numpy', 'sympy'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

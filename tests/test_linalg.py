@@ -3,6 +3,7 @@ from fractions import Fraction
 import sympy
 from hypothesis import given, strategies as st
 
+import oracles
 from conftest import RATIONALS
 from trilie.linalg import SpanSolver, _primitive_row, null_space, span_equal
 from trilie.polys import normalize_rational
@@ -63,6 +64,65 @@ def test_null_space_full_rank():
 def test_null_space_no_equations():
     basis = null_space([], ["x", "y"])
     assert basis == [{"x": 1}, {"y": 1}]
+
+
+def test_certificates_follow_the_rank():
+    s = SpanSolver()
+    s.add({"x": 1, "y": 1}, tag="u")
+    assert s.express({"x": 2, "y": 2}) == {"u": 2}
+    assert s.add({"y": 1}, tag="v")  # grows the rank: the next express rebuilds
+    assert s.express({"x": 1, "y": 3}) == {"u": 1, "v": 2}
+    assert not s.add({"x": 1, "y": 5}, tag="w")  # dependent: never a certificate tag
+    assert s.express({"y": 1}) == {"v": 1}
+
+
+def test_adding_and_comparing_spans_builds_no_certificates(monkeypatch):
+    def refuse(self):
+        raise AssertionError("certificates built without an express")
+
+    monkeypatch.setattr(SpanSolver, "_certificates", refuse)
+    assert null_space([{"x": 1, "y": 1}, {"y": 1, "z": 1}], ["x", "y", "z"]) == [
+        {"x": 1, "y": -1, "z": 1}
+    ]
+    a, b = SpanSolver(), SpanSolver()
+    a.add({"x": 2, "y": 4})
+    b.add({"x": 1, "y": 2})
+    assert span_equal(a, b) and a.contains({"x": 3, "y": 6})
+
+
+VECTORS = st.dictionaries(st.sampled_from("abcdef"), RATIONALS.filter(bool), max_size=4)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), VECTORS),
+            st.tuples(st.just("contains"), VECTORS),
+            st.tuples(st.just("express"), VECTORS),
+            # a combination of the generators added so far, so in the span
+            st.tuples(st.just("member"), st.lists(RATIONALS, max_size=8)),
+        ),
+        max_size=14,
+    )
+)
+def test_span_solver_matches_the_eager_oracle(ops):
+    new, old = SpanSolver(), oracles.EagerSpanSolver()
+    added = []
+    for i, (op, arg) in enumerate(ops):
+        if op == "add":
+            tag = f"g{i}" if i % 2 else None  # explicit and default tags
+            assert new.add(arg, tag) == old.add(arg, tag)
+            added.append(arg)
+        elif op == "contains":
+            assert new.contains(arg) == old.contains(arg)
+        else:
+            vec = arg
+            if op == "member":
+                vec = {}
+                for c, gen in zip(arg, added):
+                    oracles.vec_add_scaled(vec, gen, c)
+            assert new.express(vec) == old.express(vec)
+        assert (new.rows, new.pivots, new.rank) == (old.rows, old.pivots, old.rank)
 
 
 def test_exactness_with_fractions():

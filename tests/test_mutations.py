@@ -53,6 +53,20 @@ def test_fk_checkers_fail_under_a_moved_llm_index(patch_row, capsys):
         assert _exit(argv, capsys) == 1, argv
 
 
+def test_fk_ideal_kinds_fail_under_an_llm_row_landing_on_m(patch_row, capsys):
+    # [L_r, L_s, M_t] = beta_t (r - s) M_{r+s+k}: span{L} is no ideal, span{M} is one
+    patch_row("fk", 0, family="M")
+    assert _exit(["analyze", "ideal-kinds", "--bracket", "fk"], capsys) == 1
+
+
+def test_multi_term_ideal_closure_fails_under_an_lmm_row_landing_on_l(patch_row, capsys):
+    # [L_r, M_s, M_t] = (t - s) L_{s+t-r}: no bracket reaches an M line
+    patch_row("omega", 1, family="L")
+    seed = "L[1] + 2*M[-3] - 1/2*M[3]"
+    argv = ["analyze", "ideal-closure", "--bracket", "omega", "--seed-element", seed]
+    assert _exit(argv, capsys) == 1
+
+
 def test_vandermonde_fails_under_a_negated_omega_lmm_row(patch_row, capsys):
     # [L_r, M_s, M_t] = (s - t) M_{s+t-r}
     patch_row("omega", 1, coef=(0, 1, -1))
