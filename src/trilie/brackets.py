@@ -24,9 +24,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, product
+from itertools import chain, product
 from math import lcm
-from operator import add, itemgetter, mul, sub
+from operator import itemgetter, mul
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .elements import (
@@ -450,8 +450,11 @@ def identity_residual(spec: TriBracketSpec, identity, args: Sequence[Element]) -
 # grading is checked on every table entry, never assumed.
 #
 # The sweep runs over the slots (a0, a1, a2) and evaluates each identity on
-# all n*n "lanes" (a3, a4) at once, lane a3*n + a4, as a row of plain ints
-# gathered from tables built once per sweep.
+# all n*n "lanes" (a3, a4) at once, lane a3*n + a4, as one exact int that
+# holds lane l in the w-bit field sum(v[l] << w*l) (Kronecker substitution).
+# The field width bounds every lane of a residual below 2**(w-1) in
+# magnitude, so a packed residual is 0 exactly when every lane is 0, and
+# only a failing (a0, a1, a2) is unpacked.
 
 LANES = (3, 4)
 
@@ -511,65 +514,76 @@ def _sweep_tables(spec: TriBracketSpec, basis: Sequence[Triple]):
     return list(map(scaled, inner)), base, [list(map(scaled, t)) for t in outer]
 
 
-def _index_rows(n: int, weights: dict):
-    """The linear index sum(weights[s] * a[s]) on every lane, as the fixed
-    slots and an iterator of (their values, row)."""
-    fixed = [s for s in weights if s not in LANES]
-    lane = [weights.get(3, 0) * a3 + weights.get(4, 0) * a4 for a3, a4 in product(range(n), repeat=2)]
-    rows = (
-        (key, list(map(sum(weights[s] * v for s, v in zip(fixed, key)).__add__, lane)))
-        for key in product(range(n), repeat=len(fixed))
-    )
-    return fixed, rows
+def _field_width(tables, terms: int) -> int:
+    """The w with terms * max|inner coef| * max|outer coef| < 2**(w-1)."""
+    coef, _, outer = tables
+    return (terms * max(map(abs, coef)) * max(map(abs, chain(*outer)), default=0)).bit_length() + 1
 
 
-def _compile_term(sign, inner, outer, n: int, tables, cache: dict) -> Callable:
-    """A function of (a0, a1, a2) giving the term's unsigned row over the
-    lanes, or None when the inner bracket is zero on every lane.  Rows
-    depend on which slots are lanes, so terms share them through ``cache``."""
+def _unpack(row: int, w: int, count: int) -> list:
+    """The first ``count`` fields of a packed row, each below 2**(w-1) in magnitude, as signed ints."""
+    half, mask = 1 << w - 1, (1 << w) - 1
+    row += sum(half << w * i for i in range(count))
+    return [(row >> w * i & mask) - half for i in range(count)]
+
+
+def _lane_splits(slots, n: int, w: int) -> list:
+    """Entry r, for r < n**len(slots) with base-n digits holding ``slots``:
+    (the part of r in the digits of lane slots, the shift of their field)."""
+    splits = [(0, 0)]
+    for k, s in enumerate(slots):
+        weight, field = n ** (len(slots) - 1 - k), w * (n if s == 3 else 1)
+        steps = [(d * weight, d * field) if s in LANES else (0, 0) for d in range(n)]
+        splits = [(drop + dd, shift + ds) for drop, shift in splits for dd, ds in steps]
+    return splits
+
+
+def _compile_term(sign, inner, outer, n: int, tables, w: int, cache: dict) -> Callable:
+    """A function of (a0, a1, a2) giving the term's signed packed row over
+    the lanes.  The row sums part[b] * packed[b + offset] over the inner
+    outputs b: part packs the inner coefficients over the lanes the inner
+    bracket holds, packed the outer table over the lanes the outer bracket
+    holds, and the fixed slots pick the part and the offset.  Both depend
+    only on where the lanes sit, so terms share them through ``cache``."""
     coef, base, outer_tables = tables
     x, y = (s for s in outer if s != INNER)
     if sign not in (1, -1) or sorted((*inner, x, y)) != [0, 1, 2, 3, 4]:
         raise ValueError(f"nested term {sign}, {inner}, {outer} needs a unit sign and each slot once")
-    table = outer_tables[outer.index(INNER)]
-    fixed_out, offset_rows = _index_rows(n, {x: n, y: 1})
-    out_pattern = tuple(s if s in LANES else None for s in (x, y))
-    if out_pattern not in cache:
-        cache[out_pattern] = dict(offset_rows)
-    offsets = cache[out_pattern]
-    i0, i1, i2 = inner
+    table, n2 = outer_tables[outer.index(INNER)], n * n
+    if ("out", outer) not in cache and {x, y} & set(LANES):
+        splits = _lane_splits((x, y), n, w)
+        cache["out", outer] = packed = [0] * len(table)
+        for j, v in enumerate(table):
+            if v:
+                drop, shift = splits[j % n2]
+                packed[j - drop] += v << shift
+    packed = cache.get(("out", outer), table)
+    u0, u1, u2 = (n ** (2 - inner.index(s)) if s in inner else 0 for s in range(3))
+    v0, v1, v2 = ((n if s == x else 1) if s in (x, y) else 0 for s in range(3))
+    if not set(inner) & set(LANES):  # one inner coefficient times one packed outer row
 
-    if not fixed_out:  # inner slots all fixed: a scalar times a gathered outer row
-        n2, lane_offsets = n * n, offsets[()]
-        contiguous = lane_offsets == list(range(n2))
-
-        def term(a):
-            i = (a[i0] * n + a[i1]) * n + a[i2]
-            c, b = coef[i], base[i]
-            if not c:
-                return None
-            if contiguous:
-                return map(c.__mul__, table[b : b + n2])
-            return map(c.__mul__, map(table.__getitem__, map(b.__add__, lane_offsets)))
+        def term(a0, a1, a2):
+            i = a0 * u0 + a1 * u1 + a2 * u2
+            return sign * coef[i] * packed[base[i]] if coef[i] else 0
 
         return term
+    if ("in", inner) not in cache:
+        splits, groups = _lane_splits(inner, n, w), {}
+        for i, c in enumerate(coef):
+            if c:
+                drop, shift = splits[i]
+                group = groups.setdefault(i - drop, {})
+                group[base[i]] = group.get(base[i], 0) + (c << shift)
+        cache["in", inner] = {  # codes are n*n apart in base: a slice of packed
+            key: (min(g), max(g) + n2, [g.get(b, 0) for b in range(min(g), max(g) + 1, n2)])
+            for key, g in groups.items()
+        }
+    parts = cache["in", inner]
 
-    fixed_in, index_rows = _index_rows(n, {i0: n * n, i1: n, i2: 1})
-    pattern = tuple(s if s in LANES else None for s in inner)
-    if pattern not in cache:
-        cache[pattern] = rows = {}
-        for key, index in index_rows:
-            c_row = list(map(coef.__getitem__, index))
-            rows[key] = (c_row, list(map(base.__getitem__, index))) if any(c_row) else None
-    rows = cache[pattern]
-
-    def term(a):
-        inner_row = rows[tuple(map(a.__getitem__, fixed_in))]
-        if inner_row is None:
-            return None
-        c_row, b_row = inner_row
-        lane_offsets = offsets[tuple(map(a.__getitem__, fixed_out))]
-        return map(mul, c_row, map(table.__getitem__, map(add, b_row, lane_offsets)))
+    def term(a0, a1, a2):
+        lo, hi, factors = parts.get(a0 * u0 + a1 * u1 + a2 * u2, (0, 0, ()))  # () when zero on every lane
+        row = sum(map(mul, factors, packed[lo + a0 * v0 + a1 * v1 + a2 * v2 : hi : n2]))
+        return row if sign > 0 else -row
 
     return term
 
@@ -589,23 +603,15 @@ def check_nested_identities(
     basis = [(bv.family, bv.index) for bv in window_basis(window)]
     n = len(basis)
     tables = _sweep_tables(spec, basis)
+    w = _field_width(tables, max(len(identity) for identity, _, _ in checks))
     cache = {}
-    identities = [
-        [(add if sign > 0 else sub, _compile_term(sign, inner, outer, n, tables, cache))
-         for sign, inner, outer in identity]
-        for identity, _, _ in checks
-    ]
-    lanes = range(n * n)
-    zeros = [0] * (n * n)
+    identities = [[_compile_term(*term, n, tables, w, cache) for term in identity] for identity, _, _ in checks]
     for a in product(range(n), repeat=3):
         failing = []
         for pos, terms in enumerate(identities):
-            row = zeros
-            for op, term in terms:
-                values = term(a)
-                if values is not None:
-                    row = map(op, row, values)
-            failing += ((lane, pos) for lane in compress(lanes, row))
+            row = sum([term(*a) for term in terms])
+            if row:
+                failing += ((lane, pos) for lane, v in enumerate(_unpack(row, w, n * n)) if v)
         for lane, pos in sorted(failing):
             slots = (*a, *divmod(lane, n))
             rep.record_failure(checks[pos][1].format(*(basis[i] for i in slots)))
@@ -634,19 +640,10 @@ def check_fundamental_identity(
             "seed": seed,
         },
     )
+    message = "residual nonzero at basis tuple {},{},{};{},{}"
     check_nested_identities(
-        rep,
-        spec,
-        window,
-        sample_elements,
-        seed,
-        [
-            (
-                FUNDAMENTAL_IDENTITY,
-                "residual nonzero at basis tuple {},{},{};{},{}",
-                "residual {residual} at sampled tuple {args}",
-            )
-        ],
+        rep, spec, window, sample_elements, seed,
+        [(FUNDAMENTAL_IDENTITY, message, "residual {residual} at sampled tuple {args}")],
     )
     return rep
 

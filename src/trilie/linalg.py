@@ -167,13 +167,14 @@ def null_space(equations: Iterable[Vec], unknowns: Sequence[Hashable]) -> List[V
 
     Each equation maps unknown keys to coefficients; the returned vectors
     set one free unknown to 1 (free unknowns in ascending key order).
-    Equations are scaled to primitive integer rows over column numbers,
-    duplicate rows are dropped, and the distinct rows go to one
-    SpanSolver, whose reduced rows give the kernel.
+    Repeated equations are dropped, the rest are scaled to primitive
+    integer rows over column numbers, duplicate rows are dropped, and the
+    distinct rows go to one SpanSolver, whose reduced rows give the kernel.
     """
     order = {u: i for i, u in enumerate(unknowns)}
     solver = SpanSolver()
-    for row in dict.fromkeys(_primitive_row(eq, order) for eq in equations if eq):
+    distinct = {tuple(eq.items()): eq for eq in equations if eq}
+    for row in dict.fromkeys(_primitive_row(eq, order) for eq in distinct.values()):
         if row:
             solver.add(dict(row))
     # a pivot row has entries only right of its pivot, so each kernel

@@ -16,16 +16,24 @@ scans every pivot on each reduction; ``span_close`` and ``ideal_check``
 bracket every row that is not a seed of the bitmask path with
 ``tri_bracket``, on spans over that solver: the references for the
 pivot-lookup solver and for the table-read basis lines.
+``lane_failures`` is the basis sweep of the nested identities as it was
+before the lanes were packed into one int: each term's row is a list of
+plain ints, one per lane, summed lane by lane.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, product
+from operator import add, mul, sub
 
 from trilie.brackets import (
     DETERMINANT,
+    INNER,
+    LANES,
     OMEGA,
     DkInduced,
     FKBracket,
+    _sweep_tables,
     certify_from_functional,
     tri_bracket,
 )
@@ -517,3 +525,109 @@ def ideal_check(spec, candidate, window, depth=DEFAULT_DEPTH):
                 break
         rep.stats["minimality_evidence"] = str(minimal)
     return rep
+
+
+# -- the lane-by-lane basis sweep of the nested identities ---------------------
+
+
+def _index_rows(n, weights):
+    """The linear index sum(weights[s] * a[s]) on every lane, as the fixed
+    slots and an iterator of (their values, row)."""
+    fixed = [s for s in weights if s not in LANES]
+    lane = [weights.get(3, 0) * a3 + weights.get(4, 0) * a4 for a3, a4 in product(range(n), repeat=2)]
+    rows = (
+        (key, list(map(sum(weights[s] * v for s, v in zip(fixed, key)).__add__, lane)))
+        for key in product(range(n), repeat=len(fixed))
+    )
+    return fixed, rows
+
+
+def _compile_term(sign, inner, outer, n, tables, cache):
+    """A function of (a0, a1, a2) giving the term's unsigned row over the
+    lanes, or None when the inner bracket is zero on every lane.  Rows
+    depend on which slots are lanes, so terms share them through ``cache``."""
+    coef, base, outer_tables = tables
+    x, y = (s for s in outer if s != INNER)
+    if sign not in (1, -1) or sorted((*inner, x, y)) != [0, 1, 2, 3, 4]:
+        raise ValueError(f"nested term {sign}, {inner}, {outer} needs a unit sign and each slot once")
+    table = outer_tables[outer.index(INNER)]
+    fixed_out, offset_rows = _index_rows(n, {x: n, y: 1})
+    out_pattern = tuple(s if s in LANES else None for s in (x, y))
+    if out_pattern not in cache:
+        cache[out_pattern] = dict(offset_rows)
+    offsets = cache[out_pattern]
+    i0, i1, i2 = inner
+
+    if not fixed_out:  # inner slots all fixed: a scalar times a gathered outer row
+        n2, lane_offsets = n * n, offsets[()]
+        contiguous = lane_offsets == list(range(n2))
+
+        def term(a):
+            i = (a[i0] * n + a[i1]) * n + a[i2]
+            c, b = coef[i], base[i]
+            if not c:
+                return None
+            if contiguous:
+                return map(c.__mul__, table[b : b + n2])
+            return map(c.__mul__, map(table.__getitem__, map(b.__add__, lane_offsets)))
+
+        return term
+
+    fixed_in, index_rows = _index_rows(n, {i0: n * n, i1: n, i2: 1})
+    pattern = tuple(s if s in LANES else None for s in inner)
+    if pattern not in cache:
+        cache[pattern] = rows = {}
+        for key, index in index_rows:
+            c_row = list(map(coef.__getitem__, index))
+            rows[key] = (c_row, list(map(base.__getitem__, index))) if any(c_row) else None
+    rows = cache[pattern]
+
+    def term(a):
+        inner_row = rows[tuple(map(a.__getitem__, fixed_in))]
+        if inner_row is None:
+            return None
+        c_row, b_row = inner_row
+        lane_offsets = offsets[tuple(map(a.__getitem__, fixed_out))]
+        return map(mul, c_row, map(table.__getitem__, map(add, b_row, lane_offsets)))
+
+    return term
+
+
+def lane_residuals(spec, window, identities):
+    """(a, position of the identity, its residual row over the lanes) for
+    every (a0, a1, a2) of the basis sweep, in the sweep's order."""
+    n = len(window_basis(window))
+    tables = _sweep_tables(spec, [(bv.family, bv.index) for bv in window_basis(window)])
+    cache = {}
+    compiled = [
+        [(add if sign > 0 else sub, _compile_term(sign, inner, outer, n, tables, cache))
+         for sign, inner, outer in identity]
+        for identity in identities
+    ]
+    zeros = [0] * (n * n)
+    for a in product(range(n), repeat=3):
+        for pos, terms in enumerate(compiled):
+            row = zeros
+            for op, term in terms:
+                values = term(a)
+                if values is not None:
+                    row = map(op, row, values)
+            yield a, pos, list(row)
+
+
+def lane_failures(spec, window, checks):
+    """Every failing (basis 5-tuple, identity) of the basis sweep, as the
+    formatted basis messages in the sweep's order: tuples in lexicographic
+    order, then identities in order.  Each check is (identity, message)."""
+    basis = window_basis(window)
+    n = len(basis)
+    out, failing = [], []
+    residuals = lane_residuals(spec, window, [identity for identity, _ in checks])
+    for a, pos, row in residuals:
+        failing += ((lane, pos) for lane in compress(range(n * n), row))
+        if pos == len(checks) - 1:
+            for lane, i in sorted(failing):
+                slots = (*a, *divmod(lane, n))
+                out.append(checks[i][1].format(*(tuple(basis[s]) for s in slots)))
+            failing = []
+    return out

@@ -1,8 +1,11 @@
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice, product
 
+import oracles
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trilie import (
     DETERMINANT,
@@ -21,18 +24,26 @@ from trilie import (
     PolynomialFunctional,
     certify_from_functional,
     lie_bracket,
+    parse_beta,
     tri_bracket,
 )
 from trilie import brackets, window_basis
 from trilie.analysis import MODULE_IDENTITY_1, MODULE_IDENTITY_2, module_axiom_check
 from trilie.brackets import (
     FUNDAMENTAL_IDENTITY,
+    INNER,
     PERMUTATIONS,
+    _compile_term,
+    _field_width,
+    _sweep_tables,
+    _unpack,
+    check_nested_identities,
     center_window,
     check_anticommutativity,
     check_constructor_agreement,
     check_fundamental_identity,
     closed_triple_fn,
+    expand_rows,
     identity_residual,
     random_element,
 )
@@ -319,3 +330,134 @@ def test_closed_kernel_built_once_per_spec():
         FKBracket(1, ConstantFunctional(2))
     )
     assert closed_triple_fn(DETERMINANT) is None
+
+
+# -- the packed-lane kernel against the lane-by-lane oracle --------------------
+
+PARITY_SPECS = (
+    OMEGA,
+    FKBracket(1, ONE),
+    FKBracket(0, ConstantFunctional(Fraction(1, 2))),
+    FKBracket(-1, parse_beta("support:-1=1,2=-1/3")),
+    FKBracket(2, parse_beta("poly:1/2*t^2-1")),
+    FKBracket(1, parse_beta("const:1000/7")),
+)
+PARITY_WINDOWS = (Window(0, 0), Window(-1, 1), Window(-2, 1))  # the last asymmetric
+SHIPPED = (
+    ((FUNDAMENTAL_IDENTITY, "fundamental {},{},{};{},{}"),),
+    ((MODULE_IDENTITY_1, "first {},{},{},{},{}"), (MODULE_IDENTITY_2, "second {},{},{},{},{}")),
+)
+
+
+@st.composite
+def nested_terms(draw):
+    """A term (sign, inner, outer) bracketing each of the five slots once."""
+    slots = draw(st.permutations(range(5)))
+    outer = [slots[3], slots[4]]
+    outer.insert(draw(st.integers(0, 2)), INNER)
+    return draw(st.sampled_from((1, -1))), tuple(slots[:3]), tuple(outer)
+
+
+DRAWN = st.lists(
+    st.lists(nested_terms(), min_size=1, max_size=5).map(tuple), min_size=1, max_size=2
+).map(lambda ids: tuple((identity, f"drawn {i} at {{}},{{}},{{}},{{}},{{}}") for i, identity in enumerate(ids)))
+
+# a row change that keeps the grading: a new coefficient form for one row
+PATCHES = st.one_of(
+    st.none(),
+    st.tuples(
+        st.sampled_from((("omega", 0), ("omega", 1), ("fk", 0))),
+        st.tuples(*[st.integers(-3, 3)] * 3),
+    ),
+)
+WINDOWS = st.builds(Window, st.integers(-2, 0), st.integers(0, 1))
+PATCHED_SPECS = [(OMEGA, None), (OMEGA, (("omega", 0), (-2, 1, 0))), (OMEGA, (("omega", 1), (0, 1, -1)))] + [
+    (spec, (("fk", 0), (2, -1, 0))) for spec in PARITY_SPECS[1:]
+]
+
+
+@contextmanager
+def _patched_coef(patch):
+    with pytest.MonkeyPatch.context() as mp:
+        if patch is not None:
+            (bracket, i), coef = patch
+            rows = list(brackets.PRODUCT_ROWS[bracket])
+            rows[i] = rows[i]._replace(coef=coef)
+            mp.setitem(brackets.PRODUCT_ROWS, bracket, tuple(rows))
+            mp.setitem(brackets.RULES, bracket, expand_rows(rows))
+        mp.setattr(VerdictReport, "MAX_COUNTEREXAMPLES", 10**9)
+        closed_triple_fn.cache_clear()
+        try:
+            yield
+        finally:
+            closed_triple_fn.cache_clear()
+
+
+def _packed_failures(spec, window, checks):
+    rep = VerdictReport("parity", {})
+    check_nested_identities(rep, spec, window, 0, 0, [(identity, message, "") for identity, message in checks])
+    return rep.counterexamples
+
+
+@pytest.mark.parametrize("checks", SHIPPED, ids=("fundamental", "module"))
+@pytest.mark.parametrize("spec, patch", PATCHED_SPECS, ids=lambda v: v.describe() if hasattr(v, "describe") else str(v))
+def test_packed_kernel_matches_lane_oracle_on_shipped_identities(spec, patch, checks):
+    with _patched_coef(patch):
+        for window in PARITY_WINDOWS:
+            failures = oracles.lane_failures(spec, window, checks)
+            assert _packed_failures(spec, window, checks) == failures
+    assert failures or patch is None
+
+
+@settings(max_examples=40)
+@given(spec=st.sampled_from(PARITY_SPECS), window=WINDOWS, patch=PATCHES, checks=DRAWN)
+def test_packed_kernel_matches_lane_oracle_on_drawn_identities(spec, window, patch, checks):
+    with _patched_coef(patch):
+        assert _packed_failures(spec, window, checks) == oracles.lane_failures(spec, window, checks)
+
+
+@pytest.mark.parametrize("patch", [None, (("omega", 0), (-2, 1, 0)), (("fk", 0), (2, -1, 0))])
+@pytest.mark.parametrize("spec", PARITY_SPECS, ids=lambda spec: spec.describe())
+def test_packed_rows_unpack_to_the_lane_oracle_rows(spec, patch):
+    """Every residual lane, not only the failing ones: a field width too
+    small for the coefficients (const:1000/7) would change some value."""
+    window = Window(-2, 1)
+    identities = [FUNDAMENTAL_IDENTITY, MODULE_IDENTITY_1, MODULE_IDENTITY_2]
+    with _patched_coef(patch):
+        basis = [(bv.family, bv.index) for bv in window_basis(window)]
+        n, tables = len(basis), _sweep_tables(spec, basis)
+        w, cache = _field_width(tables, 4), {}
+        compiled = [[_compile_term(*term, n, tables, w, cache) for term in identity] for identity in identities]
+        nonzero = 0
+        for a, pos, row in oracles.lane_residuals(spec, window, identities):
+            assert _unpack(sum(term(*a) for term in compiled[pos]), w, n * n) == row
+            nonzero += any(row)
+    patched = patch is not None and patch[0][0] == ("omega" if spec == OMEGA else "fk")
+    assert (nonzero > 0) == patched
+
+
+@given(w=st.integers(1, 40), data=st.data())
+def test_unpack_inverts_packing_up_to_the_field_bound(w, data):
+    top = (1 << (w - 1)) - 1
+    values = data.draw(st.lists(st.sampled_from((top, -top, 0)) | st.integers(-top, top), min_size=1, max_size=30))
+    packed = sum(v << w * i for i, v in enumerate(values))
+    assert _unpack(packed, w, len(values)) == values
+    assert (packed == 0) == (not any(values))
+
+
+def test_field_width_holds_a_residual_at_the_bound():
+    # tables of a two-vector window whose every entry is c (inner) or d (outer):
+    # four equal terms put terms * |c| * |d| on every lane, the bound itself
+    c, d = 7, -5
+    tables = ([c] * 8, [0] * 8, [[d] * 4] * 3)
+    w = _field_width(tables, 4)
+    for sign in (1, -1):
+        terms = [_compile_term(sign, (0, 1, 2), (INNER, 3, 4), 2, tables, w, {}) for _ in range(4)]
+        assert _unpack(sum(term(0, 0, 0) for term in terms), w, 4) == [sign * 4 * c * d] * 4
+
+
+def test_nested_terms_need_a_unit_sign_and_each_slot_once():
+    tables = _sweep_tables(OMEGA, [("L", 0), ("M", 0)])
+    for term in ((2, (0, 1, 2), (INNER, 3, 4)), (1, (0, 1, 1), (INNER, 3, 4)), (-1, (0, 1, 2), (INNER, 3, 3))):
+        with pytest.raises(ValueError, match="unit sign and each slot once"):
+            _compile_term(*term, 2, tables, 1, {})

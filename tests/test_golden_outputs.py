@@ -4,7 +4,10 @@ The battery runs the operator checks under ``const:1`` only; the first
 invocations cover the finite-support (window-decided) and polynomial
 (substituted) paths.  The structure analyses pin the ideal kinds of both
 brackets, both weight decompositions with their normalizer reports and
-the omega centers.  Each is compared byte for byte with a saved file.
+the omega centers.  The identity sweeps pin the benchmark's four
+``identity-sweep`` invocations and one failing fundamental-identity sweep
+under a changed omega row, so the counterexample texts and their order are
+pinned too.  Each is compared byte for byte with a saved file.
 """
 
 import contextlib
@@ -34,11 +37,19 @@ STRUCTURE_INVOCATIONS = {
 }
 
 
-def _assert_golden(name, invocation):
+SWEEP_INVOCATIONS = {
+    "sweep-fi-fk-k1-half": "verify fundamental-identity --bracket fk --k 1 --beta const:1/2 --window=-3..3 --samples 100 --seed 0",
+    "sweep-fi-fk-k0-support": "verify fundamental-identity --bracket fk --k 0 --beta support:-1=1,2=-1/3 --window=-3..3 --samples 100 --seed 0",
+    "sweep-module-fk-k2-poly": "verify module-axioms --bracket fk --k 2 --beta poly:1/2*t^2-1 --window=-2..2 --samples 25 --seed 0",
+    "sweep-anti-fk-k1-half": "verify anticommutativity --bracket fk --k 1 --beta const:1/2 --window=-5..5 --seed 0",
+}
+
+
+def _assert_golden(name, invocation, status=0):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(shlex.split(invocation) + ["--format", "json"])
-    assert code == 0
+    assert code == status
     assert buf.getvalue() == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
@@ -50,3 +61,13 @@ def test_weighted_operator_checks_match_golden_stdout(name):
 @pytest.mark.parametrize("name", sorted(STRUCTURE_INVOCATIONS))
 def test_structure_analyses_match_golden_stdout(name):
     _assert_golden(name, STRUCTURE_INVOCATIONS[name])
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_INVOCATIONS))
+def test_identity_sweeps_match_golden_stdout(name):
+    _assert_golden(name, SWEEP_INVOCATIONS[name])
+
+
+def test_failing_fundamental_identity_sweep_matches_golden_stdout(patch_row):
+    patch_row("omega", 0, coef=(-2, 1, 0))
+    _assert_golden("fi-omega-patched-llm", "verify fundamental-identity --bracket omega --window=-2..2", status=1)

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from conftest import RATIONALS
+from trilie import linalg
 from trilie.linalg import SpanSolver, _primitive_row, null_space, span_equal
 from trilie.polys import normalize_rational
 
@@ -261,3 +262,19 @@ def test_equations_become_primitive_integer_rows():
         assert _primitive_row(eq, order) == ((0, 1), (1, -2))
     assert _primitive_row({"z": Fraction(-3, 4), "y": Fraction(1, 6)}, order) == ((1, 2), (2, -9))
     assert _primitive_row({"x": 0}, order) == ()
+
+
+def test_null_space_scales_each_distinct_equation_once(monkeypatch):
+    calls = []
+
+    def counting(eq, order):
+        calls.append(eq)
+        return _primitive_row(eq, order)
+
+    unknowns = ["x", "y", "z"]
+    # repeats (one with Fraction values), a scaled copy and a zero equation
+    eqs = [{"x": 1, "y": -1}, {"y": 2, "z": 1}, {"x": 1, "y": -1}, {"x": Fraction(1), "y": Fraction(-1)}, {"x": 2, "y": -2}, {}]
+    expected = null_space(eqs[:2], unknowns)
+    monkeypatch.setattr(linalg, "_primitive_row", counting)
+    assert null_space(eqs, unknowns) == expected
+    assert calls == [{"x": 1, "y": -1}, {"y": 2, "z": 1}, {"x": 2, "y": -2}]
