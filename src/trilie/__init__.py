@@ -10,17 +10,13 @@ realization and representation-theoretic claim made about them.
 """
 
 from .brackets import (
-    DETERMINANT,
     OMEGA,
-    BracketPreconditionError,
     DkInduced,
     FixedThird,
     FixedThirdL,
     FixedThirdM,
     FKBracket,
-    FromFunctionalBracket,
     OmegaBracket,
-    certify_from_functional,
     lie_bracket,
     tri_bracket,
 )
@@ -47,9 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisVector",
-    "BracketPreconditionError",
     "ConstantFunctional",
-    "DETERMINANT",
     "DkInduced",
     "Element",
     "FKBracket",
@@ -58,7 +52,6 @@ __all__ = [
     "FixedThird",
     "FixedThirdL",
     "FixedThirdM",
-    "FromFunctionalBracket",
     "L",
     "M",
     "OMEGA",
@@ -69,7 +62,6 @@ __all__ = [
     "SymFunction",
     "VerdictReport",
     "Window",
-    "certify_from_functional",
     "d_k",
     "delta",
     "functional_eval",

@@ -122,11 +122,11 @@ def span_close(
     ambient algebra.  Results are projected onto the window; every
     out-of-window remainder is flagged in the report.
 
-    Single-term seeds of a closed-form bracket take the bitmask path over
-    ``table``; a caller closing several seed sets of one bracket and window
-    passes one ClosureTable(spec, window) to share its rows.  Other seed
-    sets of a closed-form bracket read the same rows for every basis-line
-    row of a span, and bracket only the rows of several terms.
+    Single-term seeds take the bitmask path over ``table``; a caller
+    closing several seed sets of one bracket and window passes one
+    ClosureTable(spec, window) to share its rows.  Other seed sets read the
+    same rows for every basis-line row of a span, and bracket only the rows
+    of several terms.
     """
     if mode not in CLOSURE_MODES:
         raise ValueError(f"unknown closure mode {mode!r}")
@@ -140,14 +140,11 @@ def span_close(
             "seeds": "; ".join(str(s) for s in seeds) or "(empty)",
         },
     )
-    if closed_triple_fn(spec) is not None:
-        if table is None:
-            table = ClosureTable(spec, window)
-        if all(len(s.terms) == 1 for s in seeds):
-            return _span_close_pure(rep, table, seeds, mode, depth)
-        entry, pair, pair_escapes, single, single_escapes = table.rows
-    else:
-        table = None
+    if table is None:
+        table = ClosureTable(spec, window)
+    if all(len(s.terms) == 1 for s in seeds):
+        return _span_close_pure(rep, table, seeds, mode, depth)
+    entry, pair, pair_escapes, single, single_escapes = table.rows
     units = [Element({bv: 1}) for bv in window_basis(window)]
     n = len(units)
     escapes = 0
@@ -155,7 +152,7 @@ def span_close(
 
     def line(row: Element) -> Optional[int]:
         """The table position of a basis-line row, None for any other row."""
-        if table is None or len(row.terms) != 1:
+        if len(row.terms) != 1:
             return None
         return table.bit[next(iter(row.terms))].bit_length() - 1
 
@@ -480,9 +477,11 @@ def ideal_check(
     candidate as an ideal, and minimality evidence (each single generator
     regenerates the candidate by ideal closure).  Escaping brackets are
     classified structurally when the candidate is spanned by whole basis
-    families.  A candidate of basis lines under a closed-form bracket is
-    decided from the entries of the closure table its closures share.  The verdicts live in the stats; a non-ideal candidate is a
-    finding with witnesses, not a failure of the check itself.
+    families.  A candidate of basis lines is decided from the entries of
+    the closure table its closures share; any other candidate brackets
+    each of its rows with tri_bracket.  The verdicts live in the stats; a
+    non-ideal candidate is a finding with witnesses, not a failure of the
+    check itself.
     """
     rep = VerdictReport(
         "ideal-check", {"bracket": spec.describe(), "window": str(window)}
@@ -511,7 +510,7 @@ def ideal_check(
             rep.note(f"not an ideal: [{args[0]}, {args[1]}, {args[2]}] = {res} leaves the candidate")
 
     triple = closed_triple_fn(spec)
-    if lines is not None and triple is not None:
+    if lines is not None:
         # basis lines: every bracket is one table entry; only an escape's
         # family is read off the kernel
         entry, inside = table.rows[0], sum(table.bit[bv] for bv in lines)
@@ -590,11 +589,9 @@ def ideal_check(
 def _ad(spec: TriBracketSpec, u: Element, v: Element) -> Callable[[dict], dict]:
     """w -> [u, v, w] for w given by its terms, as a map from output
     (family, index) to nonzero coefficient.  The products of the terms of
-    u and v are formed once, and each costs one closed-form kernel call
-    per term of w; a spec without a closed form goes through tri_bracket."""
+    u and v are formed once, and each costs one kernel call per term of
+    w."""
     triple = closed_triple_fn(spec)
-    if triple is None:
-        return lambda w: tri_bracket(spec, u, v, Element(w)).terms
     prods = [(b1, b2, c1 * c2) for b1, c1 in u.terms.items() for b2, c2 in v.terms.items()]
 
     def ad(w: dict) -> dict:

@@ -7,12 +7,16 @@ Two ternary brackets are primitive:
 * the involution bracket ``omega``: [L_r, L_s, M_t] = (s - r) * L_{r+s-t}
   and [L_r, M_s, M_t] = (t - s) * M_{s+t-r}.
 
-Each also arises from a general constructor, and the checkers confirm
-the two routes agree coefficient-exactly:
+Each also arises from a general constructor, and
+``check_constructor_agreement`` confirms on a window, from per-call
+tables, that the two routes agree coefficient-exactly:
 
 * from a Lie bracket [ , ]_k = d_k(u) v - u d_k(v) and a functional f
   vanishing on brackets: [u,v,w] = f(u)[v,w] + f(v)[w,u] + f(w)[u,v];
 * from the determinant with rows (omega-row, identity row, delta-row).
+
+Only the two closed forms are bracket specs; the constructors evaluated
+on general elements are test oracles.
 
 Brackets of window elements may land outside the window; results are
 always compared as full exact elements, never truncations.
@@ -103,38 +107,9 @@ class FKBracket:
         return f"fk(k={self.k}, beta={self.functional.describe()})"
 
 
-@dataclass(frozen=True)
-class FromFunctionalBracket:
-    """Ternary bracket built from a Lie bracket and a functional.
-
-    Evaluation requires that f vanishes on Lie brackets; this is never
-    assumed, it is certified on a window first (``certify``), and the
-    bracket refuses to evaluate arguments outside the certified window.
-    """
-
-    lie: LieBracketSpec
-    functional: FunctionalSpec
-    certified: Optional[Window] = None
-
-    def describe(self) -> str:
-        cert = str(self.certified) if self.certified else "uncertified"
-        return f"from-functional(lie={self.lie.describe()}, beta={self.functional.describe()}, certified={cert})"
-
-
-@dataclass(frozen=True)
-class DeterminantBracket:
-    def describe(self) -> str:
-        return "determinant"
-
-
-TriBracketSpec = Union[OmegaBracket, FKBracket, FromFunctionalBracket, DeterminantBracket]
+TriBracketSpec = Union[OmegaBracket, FKBracket]
 
 OMEGA = OmegaBracket()
-DETERMINANT = DeterminantBracket()
-
-
-class BracketPreconditionError(ValueError):
-    """Raised when a bracket is evaluated without its certified hypothesis."""
 
 
 # -- Lie brackets -------------------------------------------------------
@@ -230,12 +205,12 @@ RULES = {name: expand_rows(rows) for name, rows in PRODUCT_ROWS.items()}
 
 
 def bracket_rules(spec: TriBracketSpec):
-    """(rules, index shift, weight) of a closed-form bracket, None otherwise."""
+    """(rules, index shift, weight) of a bracket."""
     if isinstance(spec, OmegaBracket):
         return RULES["omega"], 0, None
     if isinstance(spec, FKBracket):
         return RULES["fk"], spec.k, spec.functional
-    return None
+    raise TypeError(f"unknown ternary bracket spec {spec!r}")
 
 
 def rule_kernel(rules: dict, shift: int = 0, weight: Optional[FunctionalSpec] = None) -> Callable:
@@ -267,11 +242,9 @@ def fk_triple_fn(k: int, f: FunctionalSpec):
 
 
 @lru_cache(maxsize=128)
-def closed_triple_fn(spec: TriBracketSpec) -> Optional[Callable]:
-    """The basis kernel of a closed-form bracket, built once per spec;
-    None for brackets without a closed form."""
-    rules = bracket_rules(spec)
-    return None if rules is None else rule_kernel(*rules)
+def closed_triple_fn(spec: TriBracketSpec) -> Callable:
+    """The basis kernel of a bracket, built once per spec."""
+    return rule_kernel(*bracket_rules(spec))
 
 
 # -- ternary brackets on general elements --------------------------------
@@ -279,60 +252,24 @@ def closed_triple_fn(spec: TriBracketSpec) -> Optional[Callable]:
 
 def tri_bracket(spec: TriBracketSpec, u: Element, v: Element, w: Element) -> Element:
     triple = closed_triple_fn(spec)
-    if triple is not None:
-        out = {}
-        for b1, c1 in u.terms.items():
-            for b2, c2 in v.terms.items():
-                c12 = c1 * c2
-                for b3, c3 in w.terms.items():
-                    res = triple(b1, b2, b3)
-                    if res is None:
-                        continue
-                    coef, fam, idx = res
-                    bv = BasisVector(fam, idx)
-                    out[bv] = out.get(bv, 0) + c12 * c3 * coef
-        return Element(out)
-    if isinstance(spec, FromFunctionalBracket):
-        if spec.certified is None:
-            raise BracketPreconditionError(
-                "from-functional bracket used without certifying that the "
-                "functional vanishes on Lie brackets; call certify_from_functional first"
-            )
-        for elem in (u, v, w):
-            for bv in elem.terms:
-                if bv.index not in spec.certified:
-                    raise BracketPreconditionError(
-                        f"argument index {bv.index} outside certified window {spec.certified}"
-                    )
-        f, lie = spec.functional, spec.lie
-        out = Element.zero()
-        out = out + lie_bracket(lie, v, w).scale(functional_eval(f, u))
-        out = out + lie_bracket(lie, w, u).scale(functional_eval(f, v))
-        out = out + lie_bracket(lie, u, v).scale(functional_eval(f, w))
-        return out
-    if isinstance(spec, DeterminantBracket):
-        ou, ov, ow = omega(u), omega(v), omega(w)
-        du, dv, dw = delta(u), delta(v), delta(w)
-        return (
-            ou * (v * dw - w * dv)
-            - ov * (u * dw - w * du)
-            + ow * (u * dv - v * du)
-        )
-    raise TypeError(f"unknown ternary bracket spec {spec!r}")
-
-
-def certify_from_functional(
-    lie: LieBracketSpec, f: FunctionalSpec, window: Window
-) -> Tuple[FromFunctionalBracket, VerdictReport]:
-    """Certify f([b1, b2]) = 0 on all window basis pairs, then hand back a
-    bracket spec that is allowed to evaluate on that window."""
-    spec, rep, _ = _certify_with_pairs(lie, f, window)
-    return spec, rep
+    out = {}
+    for b1, c1 in u.terms.items():
+        for b2, c2 in v.terms.items():
+            c12 = c1 * c2
+            for b3, c3 in w.terms.items():
+                res = triple(b1, b2, b3)
+                if res is None:
+                    continue
+                coef, fam, idx = res
+                bv = BasisVector(fam, idx)
+                out[bv] = out.get(bv, 0) + c12 * c3 * coef
+    return Element(out)
 
 
 def _certify_with_pairs(lie: LieBracketSpec, f: FunctionalSpec, window: Window):
-    """``certify_from_functional``, plus the Lie-pair table it certified:
-    entry [i][j] is [basis[i], basis[j]], the window basis in order."""
+    """The certificate that f([b1, b2]) = 0 on all window basis pairs, and
+    the Lie-pair table it certified: entry [i][j] is [basis[i], basis[j]],
+    the window basis in order."""
     rep = VerdictReport(
         "functional-vanishing-certificate",
         {"lie": lie.describe(), "beta": f.describe(), "window": str(window)},
@@ -346,8 +283,7 @@ def _certify_with_pairs(lie: LieBracketSpec, f: FunctionalSpec, window: Window):
             if val:
                 rep.record_failure(f"f([{b1}, {b2}]) = {val} != 0")
     rep.stats["pairs"] = len(basis) ** 2
-    certified = window if rep.status == PASS else None
-    return FromFunctionalBracket(lie, f, certified), rep, pairs
+    return rep, pairs
 
 
 # -- deterministic random elements ---------------------------------------
@@ -369,15 +305,6 @@ def random_element(rng: random.Random, window: Window, max_terms: int = 4) -> El
 
 # -- identity checkers ----------------------------------------------------
 
-def _closed_kernel(spec: TriBracketSpec) -> Callable:
-    triple = closed_triple_fn(spec)
-    if triple is None:
-        raise ConfigError(
-            f"basis sweeps need a closed-form bracket (omega or fk), not {spec.describe()}"
-        )
-    return triple
-
-
 def _tabulate(triple: Callable, basis: Sequence[Triple]) -> list:
     """The kernel on every basis triple: entry i*n*n + j*n + k holds
     triple(basis[i], basis[j], basis[k])."""
@@ -396,7 +323,7 @@ def check_anticommutativity(spec: TriBracketSpec, window: Window) -> VerdictRepo
     )
     basis = window_basis(window)
     n = len(basis)
-    table = _tabulate(_closed_kernel(spec), basis)
+    table = _tabulate(closed_triple_fn(spec), basis)
     perms = [(perm, sign, itemgetter(*perm)) for perm, sign in PERMUTATIONS[1:]]
     for pos, base in zip(product(range(n), repeat=3), table):
         for perm, sign, permute in perms:
@@ -462,12 +389,18 @@ LANES = (3, 4)
 def _graded_output(spec: TriBracketSpec) -> Callable:
     """The basis vector the grading assigns to a basis triple's bracket, or
     None where it allows no nonzero value.  Every M_t has degree k under fk,
-    so fk may not output an M."""
+    so fk may not output an M.  Each vector's (is L, degree) is found once
+    per call and then looked up."""
     is_omega = isinstance(spec, OmegaBracket)
 
+    @lru_cache(maxsize=None)
+    def grade(vec):
+        fam, idx = vec
+        return fam == FAMILY_L, idx if fam == FAMILY_L else -idx if is_omega else spec.k
+
     def graded(args):
-        n_l = sum(fam == FAMILY_L for fam, _ in args)
-        degree = sum(idx if fam == FAMILY_L else -idx if is_omega else spec.k for fam, idx in args)
+        (la, da), (lb, db), (lc, dc) = map(grade, args)
+        n_l, degree = la + lb + lc, da + db + dc
         if n_l == 2:
             return (FAMILY_L, degree)
         return (FAMILY_M, -degree) if n_l == 1 and is_omega else None
@@ -486,7 +419,7 @@ def _sweep_tables(spec: TriBracketSpec, basis: Sequence[Triple]):
 
     Codes number the inner outputs that occur, so every one has a code.
     """
-    triple, graded = _closed_kernel(spec), _graded_output(spec)
+    triple, graded = closed_triple_fn(spec), _graded_output(spec)
 
     def entry(*args):
         res = triple(*args)
@@ -668,13 +601,13 @@ def check_constructor_agreement(
         "constructor-agreement",
         {"window": str(window), "k": k, "beta": f.describe()},
     )
-    _, cert, pairs = _certify_with_pairs(DkInduced(k), f, window)
+    cert, pairs = _certify_with_pairs(DkInduced(k), f, window)
     rep.merge_status(cert)
     rep.notes.extend(cert.notes)
     if cert.status != PASS:
         rep.counterexamples.extend(cert.counterexamples)
         return rep
-    fk_kernel, omega_kernel = _closed_kernel(FKBracket(k, f)), _closed_kernel(OMEGA)
+    fk_kernel, omega_kernel = closed_triple_fn(FKBracket(k, f)), closed_triple_fn(OMEGA)
     basis = window_basis(window)
     units = [Element({bv: 1}) for bv in basis]
     lie = [[value.terms for value in row] for row in pairs]

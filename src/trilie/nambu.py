@@ -22,8 +22,8 @@ from .brackets import (
     PERMUTATIONS,
     FKBracket,
     OmegaBracket,
-    _closed_kernel,
     _kernel_element,
+    closed_triple_fn,
     permutation_cofactors,
 )
 from .elements import FAMILY_L, BasisVector, Element, FunctionalSpec, window_basis
@@ -220,7 +220,7 @@ def check_realization(rmap: RealizationMap, spec, window: Window) -> VerdictRepo
         {"map": rmap.describe(), "bracket": spec.describe(), "window": str(window)},
     )
     basis = window_basis(window)
-    kernel = _closed_kernel(spec)
+    kernel = closed_triple_fn(spec)
     images = [rmap.image(bv) for bv in basis]
     rows = [_jacobian_row(g) for g in images]
     # integer rows: every determinant is then scale**3 times the Jacobian's

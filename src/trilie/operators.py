@@ -173,13 +173,7 @@ def ops_equal(
 def op_from_ad(spec: TriBracketSpec, u: Element, v: Element) -> Operator:
     """The operator w -> [u, v, w] in exact channel form: the bracket's
     product rules read with the index t of the third slot symbolic."""
-    found = bracket_rules(spec)
-    if found is None:
-        raise ValueError(
-            "ad operators are built from a closed-form bracket (omega or fk); "
-            f"got {spec.describe()}"
-        )
-    rules, shift, weight = found
+    rules, shift, weight = bracket_rules(spec)
     pairs = []
     for (f1, i1), c1 in u.terms.items():
         for (f2, i2), c2 in v.terms.items():

@@ -1,7 +1,7 @@
-"""Hand-written closed forms of the two brackets, the dense-tuple
-polynomial, the per-triple realization and constructor checks, and the
-eager solver with the per-bracket closure and ideal loops, kept as test
-oracles.
+"""Hand-written closed forms of the two brackets, the two constructor
+brackets, the dense-tuple polynomial, the per-triple realization and
+constructor checks, and the eager solver with the per-bracket closure and
+ideal loops, kept as test oracles.
 
 The package derives its basis kernels and ad operators from the product
 rows in ``trilie.brackets``; these are the family-case analyses it used
@@ -11,6 +11,11 @@ polynomial as an ascending coefficient tuple, the reference for the
 sparse ``trilie.polys.Poly``.  ``check_realization`` and
 ``check_constructor_agreement`` build both sides of every basis triple as
 SymFunctions or Elements, the reference for the tabulated checks.
+``FromFunctionalBracket`` and ``DETERMINANT`` are the paper's two general
+constructions as bracket specs, evaluated on elements by ``tri_bracket``
+here, which hands ``omega`` and ``fk`` to the package's; they read
+``d_k``, ``omega`` and ``delta`` through ``trilie.brackets``, so a patch
+of those reaches the oracle and the tabulated check alike.
 ``EagerSpanSolver`` keeps a certificate row beside every echelon row and
 scans every pivot on each reduction; ``span_close`` and ``ideal_check``
 bracket every row that is not a seed of the bitmask path with
@@ -25,17 +30,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product
 from operator import add, mul, sub
+from typing import Optional
 
+from trilie import brackets
 from trilie.brackets import (
-    DETERMINANT,
     INNER,
     LANES,
     OMEGA,
     DkInduced,
     FKBracket,
+    LieBracketSpec,
+    OmegaBracket,
+    _certify_with_pairs,
     _sweep_tables,
-    certify_from_functional,
-    tri_bracket,
 )
 from trilie.analysis import (
     DEFAULT_DEPTH,
@@ -48,13 +55,12 @@ from trilie.analysis import (
     _project,
     _span_close_pure,
 )
-from trilie.brackets import closed_triple_fn
-from trilie.elements import FAMILY_L, FAMILY_M, Element, window_basis
+from trilie.elements import FAMILY_L, FAMILY_M, Element, FunctionalSpec, functional_eval, window_basis
 from trilie.linalg import vec_add_scaled, vec_scale
 from trilie.nambu import FKRealization, _pairing_ok, nambu_bracket, realize
 from trilie.operators import Operator
 from trilie.polys import Poly, add_into, normalize_rational, rat_str
-from trilie.report import PASS, VerdictReport
+from trilie.report import PASS, VerdictReport, Window
 
 
 def omega_triple(a, b, c):
@@ -284,6 +290,81 @@ def check_realization(rmap, spec, window):
     return rep
 
 
+# -- the constructor brackets -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FromFunctionalBracket:
+    """Ternary bracket built from a Lie bracket and a functional.
+
+    Evaluation requires that f vanishes on Lie brackets; this is never
+    assumed, it is certified on a window first (``certify_from_functional``),
+    and the bracket refuses to evaluate arguments outside the certified
+    window.
+    """
+
+    lie: LieBracketSpec
+    functional: FunctionalSpec
+    certified: Optional[Window] = None
+
+    def describe(self) -> str:
+        cert = str(self.certified) if self.certified else "uncertified"
+        return f"from-functional(lie={self.lie.describe()}, beta={self.functional.describe()}, certified={cert})"
+
+
+@dataclass(frozen=True)
+class DeterminantBracket:
+    def describe(self) -> str:
+        return "determinant"
+
+
+DETERMINANT = DeterminantBracket()
+
+
+class BracketPreconditionError(ValueError):
+    """Raised when a bracket is evaluated without its certified hypothesis."""
+
+
+def certify_from_functional(lie, f, window):
+    """Certify f([b1, b2]) = 0 on all window basis pairs, then hand back a
+    bracket spec that is allowed to evaluate on that window."""
+    rep, _ = _certify_with_pairs(lie, f, window)
+    return FromFunctionalBracket(lie, f, window if rep.status == PASS else None), rep
+
+
+def tri_bracket(spec, u, v, w):
+    """[u, v, w] under a constructor bracket; omega and fk specs go to the
+    package's ``tri_bracket``."""
+    if isinstance(spec, FromFunctionalBracket):
+        if spec.certified is None:
+            raise BracketPreconditionError(
+                "from-functional bracket used without certifying that the "
+                "functional vanishes on Lie brackets; call certify_from_functional first"
+            )
+        for elem in (u, v, w):
+            for bv in elem.terms:
+                if bv.index not in spec.certified:
+                    raise BracketPreconditionError(
+                        f"argument index {bv.index} outside certified window {spec.certified}"
+                    )
+        f, lie = spec.functional, spec.lie
+        out = Element.zero()
+        out = out + brackets.lie_bracket(lie, v, w).scale(functional_eval(f, u))
+        out = out + brackets.lie_bracket(lie, w, u).scale(functional_eval(f, v))
+        out = out + brackets.lie_bracket(lie, u, v).scale(functional_eval(f, w))
+        return out
+    if isinstance(spec, DeterminantBracket):
+        omega, delta = brackets.omega, brackets.delta
+        ou, ov, ow = omega(u), omega(v), omega(w)
+        du, dv, dw = delta(u), delta(v), delta(w)
+        return (
+            ou * (v * dw - w * dv)
+            - ov * (u * dw - w * du)
+            + ow * (u * dv - v * du)
+        )
+    return brackets.tri_bracket(spec, u, v, w)
+
+
 def check_constructor_agreement(window, k, f):
     """Both constructions against the closed forms, four tri_bracket calls
     on every window basis triple."""
@@ -401,7 +482,7 @@ def span_close(spec, seeds, window, mode, depth=DEFAULT_DEPTH):
             "seeds": "; ".join(str(s) for s in seeds) or "(empty)",
         },
     )
-    if closed_triple_fn(spec) is not None and all(len(s.terms) == 1 for s in seeds):
+    if isinstance(spec, (OmegaBracket, FKBracket)) and all(len(s.terms) == 1 for s in seeds):
         return _span_close_pure(rep, ClosureTable(spec, window), seeds, mode, depth)
     basis = [Element({bv: 1}) for bv in window_basis(window)]
     escapes = 0

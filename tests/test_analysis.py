@@ -36,7 +36,7 @@ from trilie.analysis import (
     weight_decompose,
     witt_module_check,
 )
-from trilie.brackets import DETERMINANT, closed_triple_fn, tri_bracket
+from trilie.brackets import closed_triple_fn, tri_bracket
 from trilie.cli import main
 from trilie.operators import GENERATORS, gen_p
 from trilie.report import Window
@@ -386,12 +386,12 @@ def test_bitmask_closure_matches_set_oracle(name, mode):
 @pytest.mark.parametrize("mode", [MODE_IDEAL, MODE_DERIVED, MODE_LOWER_CENTRAL, MODE_SELF_LOWER])
 def test_general_closure_matches_the_bitmask_path(mode):
     # DETERMINANT equals omega on every triple but has no closed form, so
-    # it takes the tri_bracket/SpanSolver path; the notes differ by design
+    # the oracle closes it by bracketing every row; the notes differ by design
     w = Window(-3, 3)
     table = ClosureTable(OMEGA, w)
     for seeds in _closure_seed_sets(w):
         want_chain, want = span_close(OMEGA, seeds, w, mode, table=table)
-        chain, rep = span_close(DETERMINANT, seeds, w, mode)
+        chain, rep = oracles.span_close(oracles.DETERMINANT, seeds, w, mode)
         for stat in ("chain_dims", "stabilized_at", "escapes"):
             assert rep.stats[stat] == want.stats[stat], (seeds, stat)
         assert chain == want_chain, seeds

@@ -7,10 +7,9 @@ import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import DETERMINANT, BracketPreconditionError, FromFunctionalBracket, certify_from_functional
 from trilie import (
-    DETERMINANT,
     OMEGA,
-    BracketPreconditionError,
     ConstantFunctional,
     DkInduced,
     Element,
@@ -18,11 +17,9 @@ from trilie import (
     FiniteSupportFunctional,
     FixedThirdL,
     FixedThirdM,
-    FromFunctionalBracket,
     L,
     M,
     PolynomialFunctional,
-    certify_from_functional,
     lie_bracket,
     parse_beta,
     tri_bracket,
@@ -94,7 +91,7 @@ def test_fk_bracket_values():
 
 def test_determinant_bracket_matches_omega():
     for args in ((L(1), L(2), M(0)), (L(0), M(1), M(2)), (L(1), M(2), L(3))):
-        assert tri_bracket(DETERMINANT, *args) == tri_bracket(OMEGA, *args)
+        assert oracles.tri_bracket(DETERMINANT, *args) == tri_bracket(OMEGA, *args)
 
 
 def test_trilinearity_on_combinations():
@@ -115,12 +112,12 @@ def test_trilinearity_on_combinations():
 def test_from_functional_requires_certificate():
     spec = FromFunctionalBracket(DkInduced(1), ONE)
     with pytest.raises(BracketPreconditionError):
-        tri_bracket(spec, L(1), L(2), M(0))
+        oracles.tri_bracket(spec, L(1), L(2), M(0))
     certified, rep = certify_from_functional(DkInduced(1), ONE, Window(-3, 3))
     assert rep.ok
-    assert tri_bracket(certified, L(1), L(2), M(0)) == tri_bracket(FKBracket(1, ONE), L(1), L(2), M(0))
+    assert oracles.tri_bracket(certified, L(1), L(2), M(0)) == tri_bracket(FKBracket(1, ONE), L(1), L(2), M(0))
     with pytest.raises(BracketPreconditionError):
-        tri_bracket(certified, L(9), L(2), M(0))
+        oracles.tri_bracket(certified, L(9), L(2), M(0))
 
 
 def test_anticommutativity_window():
@@ -329,7 +326,15 @@ def test_closed_kernel_built_once_per_spec():
     assert closed_triple_fn(FKBracket(1, ConstantFunctional(Fraction(2)))) is closed_triple_fn(
         FKBracket(1, ConstantFunctional(2))
     )
-    assert closed_triple_fn(DETERMINANT) is None
+
+
+@pytest.mark.parametrize("spec", [DETERMINANT, DkInduced(1)], ids=lambda spec: spec.describe())
+def test_unknown_spec_has_no_kernel(spec):
+    for lookup in (brackets.bracket_rules, closed_triple_fn):
+        with pytest.raises(TypeError, match="unknown ternary bracket spec"):
+            lookup(spec)
+    with pytest.raises(TypeError, match="unknown ternary bracket spec"):
+        tri_bracket(spec, L(1), L(2), M(0))
 
 
 # -- the packed-lane kernel against the lane-by-lane oracle --------------------

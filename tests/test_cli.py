@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from trilie import cli
+from trilie.brackets import closed_triple_fn
 from trilie.cli import CHECKS, main
 from trilie.report import VerdictReport
 
@@ -219,3 +220,16 @@ def test_the_cli_imports_neither_numpy_nor_sympy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("bracket", cli.CHOICES["bracket"])
+def test_every_bracket_choice_has_a_kernel(bracket):
+    args = cli.build_parser().parse_args(["verify", "anticommutativity", "--bracket", bracket])
+    spec = cli.make_config(args).tri_spec()
+    assert closed_triple_fn(spec)(("L", 1), ("L", 2), ("M", 0)) is not None
+
+
+def test_every_public_name_resolves():
+    import trilie
+
+    assert [name for name in trilie.__all__ if not hasattr(trilie, name)] == []

@@ -3,11 +3,13 @@
 The battery runs the operator checks under ``const:1`` only; the first
 invocations cover the finite-support (window-decided) and polynomial
 (substituted) paths.  The structure analyses pin the ideal kinds of both
-brackets, both weight decompositions with their normalizer reports and
-the omega centers.  The identity sweeps pin the benchmark's four
-``identity-sweep`` invocations and one failing fundamental-identity sweep
-under a changed omega row, so the counterexample texts and their order are
-pinned too.  Each is compared byte for byte with a saved file.
+brackets, both weight decompositions with their normalizer reports, the
+omega centers, the ideal closures of one multi-term seed under each
+bracket and the constructor agreement under a polynomial weight.  The
+identity sweeps pin the benchmark's four ``identity-sweep`` invocations
+and one failing fundamental-identity sweep under a changed omega row, so
+the counterexample texts and their order are pinned too.  Each is
+compared byte for byte with a saved file.
 """
 
 import contextlib
@@ -34,6 +36,9 @@ STRUCTURE_INVOCATIONS = {
     "weights-fk-k0": "analyze weight-decomposition --bracket fk --k 0",
     "weights-omega": "analyze weight-decomposition --bracket omega",
     "center-omega-k1": "analyze center --bracket omega --k 1",
+    "ideal-closure-omega-multi": "analyze ideal-closure --bracket omega '--seed-element=L[1] + 2*M[-3] - 1/2*M[3]'",
+    "ideal-closure-fk-multi": "analyze ideal-closure --bracket fk '--seed-element=L[2] - M[1]'",
+    "constructor-agreement-k1-poly": "verify constructor-agreement --k 1 --beta poly:t^2+1",
 }
 
 

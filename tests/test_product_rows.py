@@ -7,7 +7,6 @@ import pytest
 
 import oracles
 from trilie import OMEGA, Element, FKBracket, L, M, parse_beta, window_basis
-from trilie import brackets
 from trilie.brackets import closed_triple_fn, fk_triple_fn, omega_triple
 from trilie.cli import main
 from trilie.operators import op_from_ad
@@ -77,11 +76,6 @@ def test_fk_ad_operators_match_the_oracle(weight):
         spec = FKBracket(k, f)
         for u, v in pairs:
             assert _same_operator(op_from_ad(spec, u, v), oracles.op_from_ad_fk(k, f, u, v)), (k, u, v)
-
-
-def test_ad_operators_need_a_closed_form():
-    with pytest.raises(ValueError, match="closed-form bracket"):
-        op_from_ad(brackets.DETERMINANT, L(1), M(2))
 
 
 # -- the checkers under a broken row -------------------------------------------
