@@ -326,11 +326,12 @@ def check_anticommutativity(spec: TriBracketSpec, window: Window) -> VerdictRepo
     table = _tabulate(closed_triple_fn(spec), basis)
     perms = [(perm, sign, itemgetter(*perm)) for perm, sign in PERMUTATIONS[1:]]
     for pos, base in zip(product(range(n), repeat=3), table):
+        # an odd permutation must give the entry negated: one negation per entry
+        flipped = None if base is None else (-base[0], base[1], base[2])
         for perm, sign, permute in perms:
             i, j, k = permute(pos)
             permuted = table[(i * n + j) * n + k]
-            want = None if base is None else (sign * base[0], base[1], base[2])
-            if permuted != want:
+            if permuted != (base if sign > 0 else flipped):
                 rep.record_failure(
                     f"[{basis[pos[0]]}, {basis[pos[1]]}, {basis[pos[2]]}] vs permutation {perm}: "
                     f"{_kernel_element(base)} / {_kernel_element(permuted)}"

@@ -14,17 +14,24 @@ weighted one.  Rank and decomposition reduce ``terms`` directly.
 This representation is closed under addition, scaling, composition and
 commutators, so multiplication tables can be re-derived by a generic
 commutator oracle and compared against their printed forms as exact
-operator identities.  When the functional is constant or polynomial the
-beta atoms reduce to polynomials and equality is structural; for
-finite-support functionals equality falls back to exhaustive window
-evaluation and reports say so.
+operator identities.  Products run on an integer form of each operand,
+built on first use and kept in a slot: the common denominator D of its
+coefficients and its terms grouped by input family with numerators c*D.
+One kernel, ``_compose_into``, adds sign*(outer after inner) into an
+integer accumulator; ``compose`` is one pass, ``commutator`` two passes
+into the same accumulator, and one exact division by the denominators'
+product per key gives the canonical rationals back.
+
+When the functional is constant or polynomial the beta atoms reduce to
+polynomials and equality is structural; for finite-support functionals
+equality falls back to exhaustive window evaluation and reports say so.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import comb
+from math import comb, lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .brackets import FKBracket, OmegaBracket, TriBracketSpec, bracket_rules
@@ -45,7 +52,7 @@ from .report import PASS, ConfigError, VerdictReport, Window
 class Operator(Sparse):
     """Exact linear operator on A given by index-affine channels."""
 
-    __slots__ = ()
+    __slots__ = ("_form",)
 
     def __mul__(self, c: Rational) -> "Operator":
         return self.scale(c)
@@ -66,29 +73,48 @@ class Operator(Sparse):
                     out[bv] = out.get(bv, 0) + coef
         return Element(out)
 
+    def _int_form(self) -> Tuple[int, Dict[str, tuple]]:
+        """(D, {fin: ((key, c*D), ...)}): the common denominator D of the
+        coefficients and the terms grouped by input family with integer
+        numerators.  Built on first use as an operand and kept in a slot
+        for the operator's lifetime."""
+        try:
+            return self._form
+        except AttributeError:
+            pass
+        den = lcm(*[c.denominator for c in self.terms.values()])
+        by_fin: Dict[str, list] = {}
+        for key, c in self.terms.items():
+            n = c * den if type(c) is int else c.numerator * (den // c.denominator)
+            by_fin.setdefault(key[0], []).append((key, n))
+        self._form = form = (den, {fin: tuple(terms) for fin, terms in by_fin.items()})
+        return form
+
+    def _from_scaled(self, acc: Dict[tuple, int], den: int) -> "Operator":
+        """The operator with terms acc / den, zero keys dropped."""
+        terms = {}
+        for key, n in acc.items():
+            if n:
+                q, r = divmod(n, den)
+                terms[key] = Fraction(n, den) if r else q
+        return self._new(terms)
+
     def compose(self, other: "Operator") -> "Operator":
         """self after other: the coefficient of self is read at the index
         eps1*t + m1 that other lands on, expanded binomially."""
-        pairs = []
-        for (fin1, fout1, eps1, m1, kind1, bs1, bo1, d1), c1 in other.terms.items():
-            for (fin2, fout2, eps2, m2, kind2, bs2, bo2, d2), c2 in self.terms.items():
-                if fin2 != fout1:
-                    continue
-                if kind2 == "p":
-                    atom = (kind1, bs1, bo1)
-                elif kind1 == "p":
-                    atom = ("b", bs2 * eps1, bs2 * m1 + bo2)
-                else:
-                    # never produced by the ad-calculus of these algebras
-                    raise ArithmeticError("product of two beta-weighted atoms is not representable")
-                head = (fin1, fout2, eps2 * eps1, eps2 * m1 + m2) + atom
-                c = c1 * c2
-                for j in range(d2 + 1):
-                    pairs.append((head + (d1 + j,), c * comb(d2, j) * eps1 ** j * m1 ** (d2 - j)))
-        return self._new(add_into({}, pairs))
+        (da, a), (db, b) = self._int_form(), other._int_form()
+        acc: Dict[tuple, int] = {}
+        _compose_into(acc, a, b, 1)
+        return self._from_scaled(acc, da * db)
 
     def commutator(self, other: "Operator") -> "Operator":
-        return self.compose(other) - other.compose(self)
+        """self after other minus other after self, both passes into one
+        integer accumulator."""
+        (da, a), (db, b) = self._int_form(), other._int_form()
+        acc: Dict[tuple, int] = {}
+        _compose_into(acc, a, b, 1)
+        _compose_into(acc, b, a, -1)
+        return self._from_scaled(acc, da * db)
 
     def substitute(self, f: FunctionalSpec) -> "Operator":
         """Reduce beta atoms when the functional has a closed polynomial form."""
@@ -137,6 +163,45 @@ class Operator(Sparse):
                 idx = str(m)
             lines.append(f"{fin}[t] -> ({' + '.join(parts)})*{fout}[{idx}]")
         return "; ".join(lines)
+
+
+def _compose_into(acc: Dict[tuple, int], outer: Dict[str, tuple], inner: Dict[str, tuple], sign: int) -> None:
+    """Add sign * Do * Di * (outer after inner) into the int accumulator acc.
+
+    outer and inner are the grouped terms of two integer forms, Do and Di
+    their common denominators.  Only the outer terms whose fin is the
+    inner term's fout are visited; outer degrees 0 and 1 skip the
+    binomial loop."""
+    get = acc.get
+    for inner_terms in inner.values():
+        for (fin1, fout1, eps1, m1, kind1, bs1, bo1, d1), n1 in inner_terms:
+            outer_terms = outer.get(fout1)
+            if outer_terms is None:
+                continue
+            n1 *= sign
+            for (_, fout2, eps2, m2, kind2, bs2, bo2, d2), n2 in outer_terms:
+                if kind2 == "p":
+                    key = (fin1, fout2, eps2 * eps1, eps2 * m1 + m2, kind1, bs1, bo1, d1)
+                elif kind1 == "p":
+                    key = (fin1, fout2, eps2 * eps1, eps2 * m1 + m2, "b", bs2 * eps1, bs2 * m1 + bo2, d1)
+                else:
+                    # never produced by the ad-calculus of these algebras
+                    raise ArithmeticError("product of two beta-weighted atoms is not representable")
+                c = n1 * n2
+                if d2 == 0:
+                    acc[key] = get(key, 0) + c
+                elif d2 == 1:
+                    # c * (eps1*t + m1) * t^d1
+                    if m1:
+                        acc[key] = get(key, 0) + c * m1
+                    if eps1:
+                        key = key[:7] + (d1 + 1,)
+                        acc[key] = get(key, 0) + c * eps1
+                else:
+                    head = key[:7]
+                    for j in range(d2 + 1):
+                        key = head + (d1 + j,)
+                        acc[key] = get(key, 0) + c * comb(d2, j) * eps1 ** j * m1 ** (d2 - j)
 
 
 def ops_equal(

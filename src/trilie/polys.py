@@ -85,7 +85,7 @@ class Sparse:
         return self._new({key: -value for key, value in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._new(add_into(dict(self.terms), ((key, -value) for key, value in other.terms.items())))
 
     def scale(self, c: Rational):
         if not c:

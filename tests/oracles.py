@@ -1,14 +1,16 @@
 """Hand-written closed forms of the two brackets, the two constructor
-brackets, the dense-tuple polynomial, the per-triple realization and
-constructor checks, and the eager solver with the per-bracket closure and
-ideal loops, kept as test oracles.
+brackets, the rational operator product, the dense-tuple polynomial, the
+per-triple realization and constructor checks, and the eager solver with
+the per-bracket closure and ideal loops, kept as test oracles.
 
 The package derives its basis kernels and ad operators from the product
 rows in ``trilie.brackets``; these are the family-case analyses it used
 before, written out independently so the derived forms can be compared
-against them value for value and type for type.  ``DensePoly`` is the
-polynomial as an ascending coefficient tuple, the reference for the
-sparse ``trilie.polys.Poly``.  ``check_realization`` and
+against them value for value and type for type.  ``compose`` and
+``commutator`` multiply channel operators term by term over rationals,
+the reference for the integer kernel of ``trilie.operators``.
+``DensePoly`` is the polynomial as an ascending coefficient tuple, the
+reference for the sparse ``trilie.polys.Poly``.  ``check_realization`` and
 ``check_constructor_agreement`` build both sides of every basis triple as
 SymFunctions or Elements, the reference for the tabulated checks.
 ``FromFunctionalBracket`` and ``DETERMINANT`` are the paper's two general
@@ -29,6 +31,7 @@ plain ints, one per lane, summed lane by lane.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product
+from math import comb
 from operator import add, mul, sub
 from typing import Optional
 
@@ -170,6 +173,33 @@ def op_from_ad_fk(k, f, u, v):
                 coeff = Poly((-r, 1)).scale(w * sgn * beta_s)  # beta_s * (t - r)
                 pairs += _plain_terms((FAMILY_L, FAMILY_L, 1, r + k), coeff)
     return Operator(add_into({}, pairs)).substitute(f)
+
+
+def compose(outer, inner):
+    """outer after inner over rational products: each term of outer is
+    read at the index eps1*t + m1 a term of inner lands on, expanded
+    binomially."""
+    pairs = []
+    for (fin1, fout1, eps1, m1, kind1, bs1, bo1, d1), c1 in inner.terms.items():
+        for (fin2, fout2, eps2, m2, kind2, bs2, bo2, d2), c2 in outer.terms.items():
+            if fin2 != fout1:
+                continue
+            if kind2 == "p":
+                atom = (kind1, bs1, bo1)
+            elif kind1 == "p":
+                atom = ("b", bs2 * eps1, bs2 * m1 + bo2)
+            else:
+                raise ArithmeticError("product of two beta-weighted atoms is not representable")
+            head = (fin1, fout2, eps2 * eps1, eps2 * m1 + m2) + atom
+            c = c1 * c2
+            for j in range(d2 + 1):
+                pairs.append((head + (d1 + j,), c * comb(d2, j) * eps1 ** j * m1 ** (d2 - j)))
+    return Operator(add_into({}, pairs))
+
+
+def commutator(a, b):
+    """a after b minus b after a, as two separate compositions."""
+    return compose(a, b) - compose(b, a)
 
 
 @dataclass(frozen=True)

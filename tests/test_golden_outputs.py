@@ -8,8 +8,12 @@ omega centers, the ideal closures of one multi-term seed under each
 bracket and the constructor agreement under a polynomial weight.  The
 identity sweeps pin the benchmark's four ``identity-sweep`` invocations
 and one failing fundamental-identity sweep under a changed omega row, so
-the counterexample texts and their order are pinned too.  Each is
-compared byte for byte with a saved file.
+the counterexample texts and their order are pinned too.  The operator
+checks pin the benchmark's seven ``operator-calculus`` invocations, and
+the failing table and sl2 checks under a sign-flipped q pin the
+decomposition and commutator counterexample texts (the table's in full,
+with the report's cap lifted).  Each is compared
+byte for byte with a saved file.
 """
 
 import contextlib
@@ -19,7 +23,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import sign_flipped_q
 from trilie.cli import main
+from trilie.operators import GENERATORS
+from trilie.report import VerdictReport
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -49,6 +56,21 @@ SWEEP_INVOCATIONS = {
     "sweep-anti-fk-k1-half": "verify anticommutativity --bracket fk --k 1 --beta const:1/2 --window=-5..5 --seed 0",
 }
 
+OPERATOR_INVOCATIONS = {
+    "opcalc-table-5-1": "verify table-5-1 --window=-12..12 --seed 0",
+    "opcalc-sl2-laurent": "verify sl2-laurent --window=-10..10 --seed 0",
+    "opcalc-section3-fk-k0-one": "verify section3-structure --bracket fk --k 0 --beta const:1 --window=-10..10 --seed 0",
+    "opcalc-section3-fk-k1-support": "verify section3-structure --bracket fk --k 1 --beta support:0=1,2=-1/3 --window=-10..10 --seed 0",
+    "opcalc-basis-omega": "verify basis-independence --bracket omega --window=-12..12 --seed 0",
+    "opcalc-basis-fk-k1-support": "verify basis-independence --bracket fk --k 1 --beta support:0=1,2=-1/3 --window=-10..10 --seed 0",
+    "opcalc-witt-module": "verify witt-module --window=-12..12 --seed 0",
+}
+
+SIGN_FLIPPED_Q_INVOCATIONS = {
+    "table-5-1-flipped-q": "verify table-5-1 --window=-3..3",
+    "sl2-laurent-flipped-q": "verify sl2-laurent --window=-3..3",
+}
+
 
 def _assert_golden(name, invocation, status=0):
     buf = io.StringIO()
@@ -76,3 +98,22 @@ def test_identity_sweeps_match_golden_stdout(name):
 def test_failing_fundamental_identity_sweep_matches_golden_stdout(patch_row):
     patch_row("omega", 0, coef=(-2, 1, 0))
     _assert_golden("fi-omega-patched-llm", "verify fundamental-identity --bracket omega --window=-2..2", status=1)
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_INVOCATIONS))
+def test_operator_calculus_matches_golden_stdout(name):
+    _assert_golden(name, OPERATOR_INVOCATIONS[name])
+
+
+@pytest.mark.parametrize("name", sorted(SIGN_FLIPPED_Q_INVOCATIONS))
+def test_failing_operator_checks_match_golden_stdout(name, monkeypatch):
+    monkeypatch.setitem(GENERATORS, "q", sign_flipped_q)
+    _assert_golden(name, SIGN_FLIPPED_Q_INVOCATIONS[name], status=1)
+
+
+def test_every_table_counterexample_matches_golden_stdout(monkeypatch):
+    # the first eight are decompositions; 42 of the 180 are commutators
+    # off the p/q/x/z span, printed channel by channel
+    monkeypatch.setitem(GENERATORS, "q", sign_flipped_q)
+    monkeypatch.setattr(VerdictReport, "MAX_COUNTEREXAMPLES", 10**6)
+    _assert_golden("table-5-1-flipped-q-uncapped", SIGN_FLIPPED_Q_INVOCATIONS["table-5-1-flipped-q"], status=1)

@@ -1,5 +1,6 @@
 """Property-based checks of the algebraic laws on random elements."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 import oracles
@@ -257,6 +258,78 @@ def test_channel_operator_base_ops(a, b, pure, c):
                 ref[key] = ref.get(key, 0) + x
     assert_zero_free(a.compose(pure))
     assert a.compose(pure).terms == {k: v for k, v in ref.items() if v}
+
+
+# -- the integer compose kernel against the rational oracle ------------------
+
+def degree_one(op):
+    return Operator({key: c for key, c in op.terms.items() if key[7] <= 1})
+
+
+PURE_ATOM = st.just(("p", 0, 0))
+
+
+def products(fn, a, b):
+    """fn(a, b), or ArithmeticError when it raises one."""
+    try:
+        return fn(a, b)
+    except ArithmeticError:
+        return ArithmeticError
+
+
+def assert_products_match_oracle(a, b):
+    """compose and commutator both ways: the oracle's terms, value types
+    included, with no zero values and no integral Fractions, or the
+    oracle's ArithmeticError."""
+    for got_fn, want_fn in ((Operator.compose, oracles.compose), (Operator.commutator, oracles.commutator)):
+        for x, y in ((a, b), (b, a)):
+            got, want = products(got_fn, x, y), products(want_fn, x, y)
+            if want is ArithmeticError:
+                assert got is ArithmeticError
+                continue
+            assert type(got) is Operator
+            assert {k: typed(c) for k, c in got.terms.items()} == {k: typed(c) for k, c in want.terms.items()}
+            assert all(got.terms.values())
+            assert not any(type(c) is Fraction and c.denominator == 1 for c in got.terms.values())
+
+
+@given(channel_operators(), channel_operators())
+def test_operator_products_match_the_oracle(a, b):
+    # beta atoms on both sides, and coefficients over mixed denominators
+    assert_products_match_oracle(a, b)
+
+
+@given(channel_operators(atoms=PURE_ATOM), channel_operators(atoms=PURE_ATOM), channel_operators(), channel_operators())
+def test_operator_products_of_composed_operands_match_the_oracle(a1, a2, a3, b):
+    # operands of degree up to 3, built by composing degree-1 operators
+    deep = oracles.compose(oracles.compose(degree_one(a1), degree_one(a2)), degree_one(a3))
+    assert_products_match_oracle(deep, b)
+    assert_products_match_oracle(deep, deep)
+
+
+@given(channel_operators(), channel_operators(), channel_operators(atoms=PURE_ATOM), RATIONALS)
+def test_operator_products_of_derived_operands_match_the_oracle(a, b, pure, c):
+    # the operands serve as operands first, then operators derived from
+    # them serve many products each, so a form carried over from another
+    # operator would show
+    operands = [a, b, pure]
+    for x in operands:
+        for y in operands:
+            assert_products_match_oracle(x, y)
+    operands += [a.scale(c), a + b, a - b, b - a, -b, a.commutator(pure), pure.commutator(pure)]
+    for x in operands:
+        for y in operands:
+            assert_products_match_oracle(x, y)
+
+
+def test_two_beta_atoms_are_not_composable():
+    a = Operator({("L", "L", 1, 0, "b", 1, 0, 0): 1})
+    b = Operator({("L", "L", -1, 2, "b", -1, 1, 1): Fraction(1, 2)})
+    for fn in (Operator.compose, Operator.commutator, oracles.compose, oracles.commutator):
+        with pytest.raises(ArithmeticError, match="two beta-weighted atoms"):
+            fn(a, b)
+    # a beta atom on one side only composes
+    assert a.compose(Operator({("L", "L", 1, 3, "p", 0, 0, 1): 2})).terms == {("L", "L", 1, 3, "b", 1, 3, 1): 2}
 
 
 @given(SPECS, PROBE_ELEMENTS, PROBE_ELEMENTS, RATIONALS)
