@@ -2,11 +2,14 @@
 
 Everything here reduces claims about the infinite algebras to exact
 computations on a finite symmetric index window.  Brackets of window
-elements may leave the window; such results are never silently dropped:
-they are projected onto the window and counted in an escape ledger that
-each report carries.  Identity checks are window-uniform; structural
-verdicts (simplicity evidence, weight-space growth) are explicitly
-labelled as window evidence.
+elements may leave the window; such results are projected onto the
+window and counted.  ``span_close``'s report carries that escape ledger
+(count and note), and so does the derived-series report built on it;
+``ideal_check`` counts escapes as boundary escapes or witnesses;
+``ideal_closure_reaches_all`` reports only the reached dimensions.
+Identity checks are window-uniform; structural verdicts (simplicity
+evidence, weight-space growth) are explicitly labelled as window
+evidence.
 """
 
 from __future__ import annotations
@@ -120,13 +123,14 @@ def span_close(
     the seed span plus one window slot.  SelfLowerCentral keeps the third
     slot inside the seed span as well, treating the seed span as the
     ambient algebra.  Results are projected onto the window; every
-    out-of-window remainder is flagged in the report.
+    out-of-window remainder is counted in the report's escape ledger.
 
-    Single-term seeds take the bitmask path over ``table``; a caller
-    closing several seed sets of one bracket and window passes one
-    ClosureTable(spec, window) to share its rows.  Other seed sets read the
-    same rows for every basis-line row of a span, and bracket only the rows
-    of several terms.
+    Each step reads ``table`` for the basis-line rows of a span and
+    brackets only its other rows with tri_bracket; a caller closing several
+    seed sets of one bracket and window passes one ClosureTable(spec,
+    window) to share its rows.  Single-term seeds span basis lines, and
+    brackets of basis lines are monomials, so their escapes are dropped
+    whole and the note says so.
     """
     if mode not in CLOSURE_MODES:
         raise ValueError(f"unknown closure mode {mode!r}")
@@ -142,33 +146,37 @@ def span_close(
     )
     if table is None:
         table = ClosureTable(spec, window)
-    if all(len(s.terms) == 1 for s in seeds):
-        return _span_close_pure(rep, table, seeds, mode, depth)
     entry, pair, pair_escapes, single, single_escapes = table.rows
-    units = [Element({bv: 1}) for bv in window_basis(window)]
-    n = len(units)
+    basis, units = table.basis, table.units
+    n = len(basis)
+    window_rows = list(enumerate(units))
+    single_term = all(len(s.terms) == 1 for s in seeds)
     escapes = 0
     escape_sample = None
 
-    def line(row: Element) -> Optional[int]:
-        """The table position of a basis-line row, None for any other row."""
-        if len(row.terms) != 1:
-            return None
-        return table.bit[next(iter(row.terms))].bit_length() - 1
+    def split(ws: WindowSubspace) -> List[Tuple[Optional[int], Element]]:
+        """The span's rows in order: (table position, unit) for a basis
+        line, (None, row) for any other row."""
+        out = []
+        for row in ws.solver.rows:
+            if len(row) == 1:
+                p = table.bit[next(iter(row))].bit_length() - 1
+                out.append((p, units[p]))
+            else:
+                out.append((None, Element(dict(row))))
+        return out
 
     def escaped(start: int, size: int, count: int) -> None:
         """Count the escapes among table entries start..start+size; the
         first escape's text is that of its bracket."""
         nonlocal escapes, escape_sample
         escapes += count
-        if count and escape_sample is None:
+        if count and escape_sample is None and not single_term:
             a, bc = divmod(entry.index(ESCAPE, start, start + size), n * n)
             args = (units[a], *(units[i] for i in divmod(bc, n)))
             escape_sample = "[{}, {}, {}] -> {}".format(*args, tri_bracket(spec, *args))
 
-    def bracket_rows(
-        rows_a: List[Element], rows_b: List[Element], rows_c: List[Element]
-    ) -> Tuple[int, List[Element]]:
+    def bracket_rows(rows_a, rows_b, rows_c) -> Tuple[int, List[Element]]:
         """The in-window images of [rows_a, rows_b, rows_c]: the mask of the
         table-decided ones and the others.  A basis line reads the table
         against two window basis slots (``single``), beside another line
@@ -176,21 +184,18 @@ def span_close(
         row goes through tri_bracket.  Escapes are counted in order."""
         nonlocal escapes, escape_sample
         mask, images = 0, []
-        lines_b = [line(vb) for vb in rows_b]
-        lines_c = [line(vc) for vc in rows_c]
-        for va in rows_a:
-            a = line(va)
-            if a is not None and rows_b is units:
+        for a, va in rows_a:
+            if a is not None and rows_b is window_rows:
                 mask |= single[a]
                 escaped(a * n * n, n * n, single_escapes[a])
                 continue
-            for vb, b in zip(rows_b, lines_b):
+            for b, vb in rows_b:
                 ab = None if a is None or b is None else a * n + b
-                if ab is not None and rows_c is units:
+                if ab is not None and rows_c is window_rows:
                     mask |= pair[ab]
                     escaped(ab * n, n, pair_escapes[ab])
                     continue
-                for vc, c in zip(rows_c, lines_c):
+                for c, vc in rows_c:
                     if ab is not None and c is not None:
                         out = entry[ab * n + c]
                         if out > 0:
@@ -212,34 +217,43 @@ def span_close(
 
     current = WindowSubspace.from_elements(window, seeds)
     chain = [current]
+    rows = seed_rows = split(current)
     for _ in range(depth):
-        rows = current.basis_elements()
-        seed_rows = chain[0].basis_elements()
         if mode == MODE_IDEAL:
-            nxt = WindowSubspace.from_elements(window, rows)
-            mask, images = bracket_rows(rows, units, units)
+            mask, images = bracket_rows(rows, window_rows, window_rows)
+            # the span itself stays in its ideal closure
+            for p, v in rows:
+                if p is None:
+                    images.append(v)
+                else:
+                    mask |= 1 << p
         elif mode == MODE_DERIVED:
-            nxt = WindowSubspace(window)
-            mask, images = bracket_rows(rows, rows, units)
+            mask, images = bracket_rows(rows, rows, window_rows)
         elif mode == MODE_LOWER_CENTRAL:
-            nxt = WindowSubspace(window)
-            mask, images = bracket_rows(rows, seed_rows, units)
+            mask, images = bracket_rows(rows, seed_rows, window_rows)
         else:  # MODE_SELF_LOWER
-            nxt = WindowSubspace(window)
             mask, images = bracket_rows(rows, seed_rows, seed_rows)
-        for e in [units[p] for p in _positions(mask)] + images:
+        nxt = WindowSubspace(
+            window, SpanSolver.from_unit_vectors([basis[p] for p in _positions(mask)])
+        )
+        for e in images:
             nxt.add(e)
         chain.append(nxt)
         if nxt == current:
             break
-        current = nxt
+        current, rows = nxt, split(nxt)
     stabilized = len(chain) >= 2 and chain[-1] == chain[-2]
     rep.stats["chain_dims"] = ",".join(str(s.dim) for s in chain)
     rep.stats["stabilized_at"] = len(chain) - 1 if stabilized else -1
     rep.stats["escapes"] = escapes
     if not stabilized:
         rep.note(f"chain did not stabilize within depth {depth}")
-    if escapes:
+    if escapes and single_term:
+        rep.note(
+            f"{escapes} single-term bracket results fell outside the window and "
+            "were dropped (projection-exact: all results are basis monomials)"
+        )
+    elif escapes:
         rep.note(
             f"{escapes} bracket results had support outside the window and were "
             f"projected (first: {escape_sample}); in-window spans are evidence, "
@@ -254,9 +268,10 @@ ESCAPE = -1
 class ClosureTable:
     """Reachability rows of a closed-form bracket on one window.
 
-    Bit p of a mask stands for ``window_basis(window)[p]``.  The rows come
-    from one window³ tabulation of the kernel, made on first use, so the
-    closures of one check call share it and nothing outlives that call:
+    Bit p of a mask stands for ``window_basis(window)[p]``, whose unit
+    Element is ``units[p]``.  The rows come from one window³ tabulation of
+    the kernel, made on first use, so the closures of one check call share
+    it and nothing outlives that call:
 
     * ``entry[(a*n + b)*n + c]``: the output bit of [a, b, c], 0 for a zero
       bracket, ESCAPE for an output outside the window;
@@ -270,6 +285,7 @@ class ClosureTable:
         self.window = window
         self.basis = window_basis(window)
         self.bit = {bv: 1 << p for p, bv in enumerate(self.basis)}
+        self.units = [Element({bv: 1}) for bv in self.basis]
 
     @cached_property
     def rows(self):
@@ -306,76 +322,6 @@ def _positions(mask: int) -> List[int]:
     return out
 
 
-def _span_close_pure(
-    rep: VerdictReport,
-    table: ClosureTable,
-    seeds: Sequence[Element],
-    mode: str,
-    depth: int,
-) -> Tuple[List[WindowSubspace], VerdictReport]:
-    """Bitmask closure: brackets of basis vectors are monomials, so a span
-    seeded by basis lines stays a union of basis lines and the whole
-    iteration is exact reachability over the table's rows (window
-    projection drops whole terms, so it cannot create artifacts here)."""
-    window, n = table.window, len(table.basis)
-    seed_mask = 0
-    for s in seeds:
-        bv = next(iter(s.terms))
-        if bv not in table.bit:
-            raise ConfigError(f"{bv} outside window {window}")
-        seed_mask |= table.bit[bv]
-    seed_pos = _positions(seed_mask)
-    entry, pair, pair_escapes, single, single_escapes = table.rows
-    escapes = 0
-    current = seed_mask
-    chain_masks = [current]
-    for _ in range(depth):
-        cur_pos = _positions(current)
-        nxt = 0
-        if mode == MODE_IDEAL:
-            nxt = current
-            for a in cur_pos:
-                nxt |= single[a]
-                escapes += single_escapes[a]
-        elif mode in (MODE_DERIVED, MODE_LOWER_CENTRAL):
-            second = cur_pos if mode == MODE_DERIVED else seed_pos
-            for a in cur_pos:
-                for b in second:
-                    nxt |= pair[a * n + b]
-                    escapes += pair_escapes[a * n + b]
-        else:  # MODE_SELF_LOWER
-            for a in cur_pos:
-                for b in seed_pos:
-                    base = (a * n + b) * n
-                    for c in seed_pos:
-                        out = entry[base + c]
-                        if out > 0:
-                            nxt |= out
-                        elif out:
-                            escapes += 1
-        chain_masks.append(nxt)
-        if nxt == current:
-            break
-        current = nxt
-    basis = table.basis
-    chain = [
-        WindowSubspace(window, SpanSolver.from_unit_vectors([basis[p] for p in _positions(m)]))
-        for m in chain_masks
-    ]
-    stabilized = len(chain_masks) >= 2 and chain_masks[-1] == chain_masks[-2]
-    rep.stats["chain_dims"] = ",".join(str(m.bit_count()) for m in chain_masks)
-    rep.stats["stabilized_at"] = len(chain_masks) - 1 if stabilized else -1
-    rep.stats["escapes"] = escapes
-    if not stabilized:
-        rep.note(f"chain did not stabilize within depth {depth}")
-    if escapes:
-        rep.note(
-            f"{escapes} single-term bracket results fell outside the window and "
-            "were dropped (projection-exact: all results are basis monomials)"
-        )
-    return chain, rep
-
-
 def ideal_closure_reaches_all(
     spec: TriBracketSpec,
     window: Window,
@@ -392,11 +338,9 @@ def ideal_closure_reaches_all(
         "ideal-closure", {"bracket": spec.describe(), "window": str(window)}
     )
     full_dim = 2 * (window.hi - window.lo + 1)
-    seed_list = (
-        [Element({bv: 1}) for bv in window_basis(window)] if seeds is None else list(seeds)
-    )
-    reached = []
     table = ClosureTable(spec, window)
+    seed_list = table.units if seeds is None else list(seeds)
+    reached = []
     for seed in seed_list:
         chain, sub = span_close(spec, [seed], window, MODE_IDEAL, table=table)
         reached.append(chain[-1].dim)
@@ -477,71 +421,48 @@ def ideal_check(
     candidate as an ideal, and minimality evidence (each single generator
     regenerates the candidate by ideal closure).  Escaping brackets are
     classified structurally when the candidate is spanned by whole basis
-    families.  A candidate of basis lines is decided from the entries of
-    the closure table its closures share; any other candidate brackets
-    each of its rows with tri_bracket.  The verdicts live in the stats; a
-    non-ideal candidate is a finding with witnesses, not a failure of the
-    check itself.
+    families.  The candidate must be spanned by basis lines, and every
+    bracket is then one entry of the closure table its closures share.
+    The verdicts live in the stats; a non-ideal candidate is a finding
+    with witnesses, not a failure of the check itself.
     """
     rep = VerdictReport(
         "ideal-check", {"bracket": spec.describe(), "window": str(window)}
     )
     sub = WindowSubspace.from_elements(window, candidate)
     lines = sub.basis_lines()
-    families = None
-    if lines is not None:
-        fams = {bv.family for bv in lines}
-        expected = [bv for bv in window_basis(window) if bv.family in fams]
-        if sorted(lines) == sorted(expected):
-            families = fams
+    if lines is None:
+        raise ValueError(f"ideal_check needs a candidate spanned by basis lines, not {sub}")
+    fams = {bv.family for bv in lines}
+    families = fams if lines == [bv for bv in window_basis(window) if bv.family in fams] else None
     table = ClosureTable(spec, window)
-    units = [Element({bv: 1}) for bv in table.basis]
-    n = len(units)
-    is_ideal = True
+    units, n = table.units, len(table.basis)
     boundary = 0
     witnesses = 0
-
-    def witness(*args: Element) -> None:
-        nonlocal is_ideal, witnesses
-        is_ideal = False
-        witnesses += 1
-        if witnesses <= 3:
-            res = tri_bracket(spec, *args)
-            rep.note(f"not an ideal: [{args[0]}, {args[1]}, {args[2]}] = {res} leaves the candidate")
-
+    # every bracket is one table entry; only an escape's family is read
+    # off the kernel
     triple = closed_triple_fn(spec)
-    if lines is not None:
-        # basis lines: every bracket is one table entry; only an escape's
-        # family is read off the kernel
-        entry, inside = table.rows[0], sum(table.bit[bv] for bv in lines)
-        for bv in lines:
-            a = table.bit[bv].bit_length() - 1
-            for bc, out in enumerate(entry[a * n * n : (a + 1) * n * n]):
-                if not out or out > 0 and out & inside:
-                    continue
-                b, c = divmod(bc, n)
-                if out < 0 and families is not None and (
-                    triple(bv, table.basis[b], table.basis[c])[1] in families
-                ):
-                    boundary += 1
-                else:
-                    witness(units[a], units[b], units[c])
-    else:
-        for row in sub.basis_elements():
-            for b1 in units:
-                for b2 in units:
-                    res = tri_bracket(spec, row, b1, b2)
-                    if not res:
-                        continue
-                    inside, outside = _project(res, window)
-                    escaped_families = outside and (
-                        families is None
-                        or any(bv.family not in families for bv in outside.terms)
+    entry, inside = table.rows[0], sum(table.bit[bv] for bv in lines)
+    for bv in lines:
+        a = table.bit[bv].bit_length() - 1
+        for bc, out in enumerate(entry[a * n * n : (a + 1) * n * n]):
+            if not out or out > 0 and out & inside:
+                continue
+            b, c = divmod(bc, n)
+            if out < 0 and families is not None and (
+                triple(bv, table.basis[b], table.basis[c])[1] in families
+            ):
+                boundary += 1
+                continue
+            witnesses += 1
+            if witnesses <= 3:
+                args = (units[a], units[b], units[c])
+                rep.note(
+                    "not an ideal: [{}, {}, {}] = {} leaves the candidate".format(
+                        *args, tri_bracket(spec, *args)
                     )
-                    if outside and not escaped_families:
-                        boundary += 1
-                    if escaped_families or (inside and not sub.contains(inside)):
-                        witness(row, b1, b2)
+                )
+    is_ideal = not witnesses
     rep.stats["is_ideal"] = str(is_ideal)
     rep.stats["escape_witnesses"] = witnesses
     rep.stats["boundary_escapes"] = boundary

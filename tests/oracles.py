@@ -20,9 +20,9 @@ here, which hands ``omega`` and ``fk`` to the package's; they read
 of those reaches the oracle and the tabulated check alike.
 ``EagerSpanSolver`` keeps a certificate row beside every echelon row and
 scans every pivot on each reduction; ``span_close`` and ``ideal_check``
-bracket every row that is not a seed of the bitmask path with
-``tri_bracket``, on spans over that solver: the references for the
-pivot-lookup solver and for the table-read basis lines.
+bracket every row with ``tri_bracket``, on spans over that solver: the
+references for the pivot-lookup solver and for the table-read basis
+lines.
 ``lane_failures`` is the basis sweep of the nested identities as it was
 before the lanes were packed into one int: each term's row is a list of
 plain ints, one per lane, summed lane by lane.
@@ -43,7 +43,6 @@ from trilie.brackets import (
     DkInduced,
     FKBracket,
     LieBracketSpec,
-    OmegaBracket,
     _certify_with_pairs,
     _sweep_tables,
 )
@@ -53,10 +52,8 @@ from trilie.analysis import (
     MODE_IDEAL,
     MODE_LOWER_CENTRAL,
     MODE_SELF_LOWER,
-    ClosureTable,
     WindowSubspace,
     _project,
-    _span_close_pure,
 )
 from trilie.elements import FAMILY_L, FAMILY_M, Element, FunctionalSpec, functional_eval, window_basis
 from trilie.linalg import vec_add_scaled, vec_scale
@@ -500,8 +497,9 @@ def _eager_subspace(window, elements=()):
 
 
 def span_close(spec, seeds, window, mode, depth=DEFAULT_DEPTH):
-    """The closure chain and report, with every bracket of a span that is
-    not all basis-line seeds taken by tri_bracket."""
+    """The closure chain and report, with every bracket taken by
+    tri_bracket; single-term seeds get the note of projection-exact
+    escapes, as in the package."""
     rep = VerdictReport(
         "span-close",
         {
@@ -512,8 +510,6 @@ def span_close(spec, seeds, window, mode, depth=DEFAULT_DEPTH):
             "seeds": "; ".join(str(s) for s in seeds) or "(empty)",
         },
     )
-    if isinstance(spec, (OmegaBracket, FKBracket)) and all(len(s.terms) == 1 for s in seeds):
-        return _span_close_pure(rep, ClosureTable(spec, window), seeds, mode, depth)
     basis = [Element({bv: 1}) for bv in window_basis(window)]
     escapes = 0
     escape_sample = None
@@ -563,7 +559,12 @@ def span_close(spec, seeds, window, mode, depth=DEFAULT_DEPTH):
     rep.stats["escapes"] = escapes
     if not stabilized:
         rep.note(f"chain did not stabilize within depth {depth}")
-    if escapes:
+    if escapes and all(len(s.terms) == 1 for s in seeds):
+        rep.note(
+            f"{escapes} single-term bracket results fell outside the window and "
+            "were dropped (projection-exact: all results are basis monomials)"
+        )
+    elif escapes:
         rep.note(
             f"{escapes} bracket results had support outside the window and were "
             f"projected (first: {escape_sample}); in-window spans are evidence, "

@@ -58,7 +58,7 @@ def test_window_subspace_basics():
 def test_ideal_closure_fast_path_matches_general():
     w = Window(-2, 2)
     chain_fast, _ = span_close(OMEGA, [M(1)], w, MODE_IDEAL)
-    # multi-term seed forces the general solver path; same final span
+    # a multi-term seed row goes through tri_bracket; same final span
     chain_gen, _ = span_close(OMEGA, [M(1, 2) + L(-1)], w, MODE_IDEAL)
     assert chain_fast[-1].dim == chain_gen[-1].dim == 10
 
@@ -288,7 +288,7 @@ def test_witt_module_fails_under_a_sign_flipped_q(monkeypatch):
     assert witt_module_check(2, Window(-2, 2)).ok
 
 
-# -- the bitmask closure against the set-based loop it replaced ---------------
+# -- closures of basis-line seeds against the set-based loop -----------------
 
 
 def _reference_span_close(triple, seeds, window, mode, depth=DEFAULT_DEPTH):
@@ -386,7 +386,8 @@ def test_bitmask_closure_matches_set_oracle(name, mode):
 @pytest.mark.parametrize("mode", [MODE_IDEAL, MODE_DERIVED, MODE_LOWER_CENTRAL, MODE_SELF_LOWER])
 def test_general_closure_matches_the_bitmask_path(mode):
     # DETERMINANT equals omega on every triple but has no closed form, so
-    # the oracle closes it by bracketing every row; the notes differ by design
+    # the oracle closes it by bracketing every row; it picks the escape
+    # note by the same rule as span_close
     w = Window(-3, 3)
     table = ClosureTable(OMEGA, w)
     for seeds in _closure_seed_sets(w):
@@ -394,6 +395,7 @@ def test_general_closure_matches_the_bitmask_path(mode):
         chain, rep = oracles.span_close(oracles.DETERMINANT, seeds, w, mode)
         for stat in ("chain_dims", "stabilized_at", "escapes"):
             assert rep.stats[stat] == want.stats[stat], (seeds, stat)
+        assert rep.notes == want.notes, seeds
         assert chain == want_chain, seeds
 
 
@@ -409,10 +411,12 @@ PARITY_SPECS = {
 
 def _parity_seed_sets():
     """Single-term, multi-term and mixed seed sets (rows with one term and
-    rows with several)."""
+    rows with several); single-term sets unsorted and with repeats too."""
     return [
         [L(1)],
         [M(-2), L(0, 3)],
+        [M(1), L(0), M(1)],
+        [L(2), L(-3)],
         [L(1) + M(-1, 2) - M(2, Fraction(1, 2))],
         [M(0) + M(1), L(2) - L(-1)],
         [L(0), M(1), M(2) - L(-1)],
@@ -444,7 +448,6 @@ IDEAL_CANDIDATES = {
     "L[0]": lambda w: [L(0)],
     "M[1]": lambda w: [M(1)],
     "partial L": lambda w: [L(r) for r in range(-1, 3)],
-    "not lines": lambda w: [L(0) + M(0), M(1)],
 }
 
 
@@ -455,6 +458,11 @@ def test_ideal_check_matches_the_tri_bracket_oracle(name, candidate):
     elements = IDEAL_CANDIDATES[candidate](w)
     want = oracles.ideal_check(spec, elements, w)
     assert ideal_check(spec, elements, w).to_dict() == want.to_dict()
+
+
+def test_ideal_check_rejects_a_candidate_not_spanned_by_basis_lines():
+    with pytest.raises(ValueError, match="spanned by basis lines"):
+        ideal_check(OMEGA, [L(0) + M(0), M(1)], Window(-3, 3))
 
 
 def test_bitmask_closure_rejects_seeds_outside_the_window():
