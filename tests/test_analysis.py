@@ -448,6 +448,8 @@ IDEAL_CANDIDATES = {
     "L[0]": lambda w: [L(0)],
     "M[1]": lambda w: [M(1)],
     "partial L": lambda w: [L(r) for r in range(-1, 3)],
+    # multi-term elements whose span reduces to the lines L[0], M[0]
+    "lines after reduction": lambda w: [L(0) + M(0), M(0) - L(0)],
 }
 
 
@@ -460,9 +462,10 @@ def test_ideal_check_matches_the_tri_bracket_oracle(name, candidate):
     assert ideal_check(spec, elements, w).to_dict() == want.to_dict()
 
 
-def test_ideal_check_rejects_a_candidate_not_spanned_by_basis_lines():
+@pytest.mark.parametrize("name", ["omega", "fk-k-2", "fk-k1-poly"])
+def test_ideal_check_rejects_a_candidate_not_spanned_by_basis_lines(name):
     with pytest.raises(ValueError, match="spanned by basis lines"):
-        ideal_check(OMEGA, [L(0) + M(0), M(1)], Window(-3, 3))
+        ideal_check(PARITY_SPECS[name], [L(0) + M(0), M(1)], Window(-3, 3))
 
 
 def test_bitmask_closure_rejects_seeds_outside_the_window():
