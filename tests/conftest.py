@@ -11,7 +11,7 @@ from trilie import OMEGA, BasisVector, Element, L, M
 from trilie import brackets
 from trilie.brackets import closed_triple_fn, expand_rows
 from trilie.nambu import SymFunction
-from trilie.operators import gen_q, op_from_ad
+from trilie.operators import Operator, gen_q, op_from_ad
 
 settings.register_profile(
     "ci",
@@ -69,6 +69,16 @@ def sign_flipped_q(r):
     if r == 0:
         return gen_q(0)
     return (op_from_ad(OMEGA, L(0), M(-r)) + op_from_ad(OMEGA, L(r), M(0))).scale(Fraction(1, r))
+
+
+def doubled_x_channel(ad_x):
+    """ad_x with the channel landing on index 1 scaled by 2."""
+
+    def broken(spec, r, s):
+        op = ad_x(spec, r, s)
+        return Operator({key: 2 * c if key[3] == 1 else c for key, c in op.terms.items()})
+
+    return broken
 
 
 @pytest.fixture

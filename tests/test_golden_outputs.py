@@ -12,8 +12,11 @@ the counterexample texts and their order are pinned too.  The operator
 checks pin the benchmark's seven ``operator-calculus`` invocations, and
 the failing table and sl2 checks under a sign-flipped q pin the
 decomposition and commutator counterexample texts (the table's in full,
-with the report's cap lifted).  Each is compared
-byte for byte with a saved file.
+with the report's cap lifted).  Four more failing operator checks pin
+their counterexample texts and their order in full: the Section 3
+structure under a broken ``ad_x``, the Witt-family modules under a
+sign-flipped q, and both basis-independence checks under a changed
+product row.  Each is compared byte for byte with a saved file.
 """
 
 import contextlib
@@ -23,7 +26,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import sign_flipped_q
+from conftest import doubled_x_channel, sign_flipped_q
+from trilie import operators
 from trilie.cli import main
 from trilie.operators import GENERATORS
 from trilie.report import VerdictReport
@@ -117,3 +121,38 @@ def test_every_table_counterexample_matches_golden_stdout(monkeypatch):
     monkeypatch.setitem(GENERATORS, "q", sign_flipped_q)
     monkeypatch.setattr(VerdictReport, "MAX_COUNTEREXAMPLES", 10**6)
     _assert_golden("table-5-1-flipped-q-uncapped", SIGN_FLIPPED_Q_INVOCATIONS["table-5-1-flipped-q"], status=1)
+
+
+def _break_ad_x(monkeypatch, patch_row):
+    monkeypatch.setattr(operators, "ad_x", doubled_x_channel(operators.ad_x))
+
+
+def _flip_q(monkeypatch, patch_row):
+    monkeypatch.setitem(GENERATORS, "q", sign_flipped_q)
+
+
+FAILING_OPERATOR_INVOCATIONS = {
+    "section3-fk-k0-doubled-x": (
+        _break_ad_x,
+        "verify section3-structure --bracket fk --k 0 --beta const:1 --window=-3..3",
+    ),
+    "witt-module-flipped-q": (_flip_q, "verify witt-module --window=-2..2"),
+    # [L_r, L_s, M_t] = (s - 2r) L_{r+s-t}
+    "basis-omega-patched-llm": (
+        lambda monkeypatch, patch_row: patch_row("omega", 0, coef=(-2, 1, 0)),
+        "verify basis-independence --bracket omega --window=-3..3",
+    ),
+    # [L_r, L_s, M_t] = beta_t (r - s) L_{r+s+t+k}
+    "basis-fk-moved-llm": (
+        lambda monkeypatch, patch_row: patch_row("fk", 0, index=(1, 1, 1)),
+        "verify basis-independence --bracket fk --window=-3..3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_OPERATOR_INVOCATIONS))
+def test_every_operator_counterexample_matches_golden_stdout(name, monkeypatch, patch_row):
+    breakage, invocation = FAILING_OPERATOR_INVOCATIONS[name]
+    breakage(monkeypatch, patch_row)
+    monkeypatch.setattr(VerdictReport, "MAX_COUNTEREXAMPLES", 10**6)
+    _assert_golden(name, invocation, status=1)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import sign_flipped_q
+from conftest import doubled_x_channel, sign_flipped_q
 from trilie import (
     OMEGA,
     ConstantFunctional,
@@ -293,18 +293,8 @@ def test_table_and_sl2_fail_under_a_sign_flipped_q(monkeypatch):
     assert verify_sl2_laurent(2).status == "fail"
 
 
-def _doubled_x_channel(ad_x):
-    """ad_x with the channel landing on index 1 scaled by 2."""
-
-    def broken(spec, r, s):
-        op = ad_x(spec, r, s)
-        return Operator({key: 2 * c if key[3] == 1 else c for key, c in op.terms.items()})
-
-    return broken
-
-
 def test_section3_fails_under_a_broken_ad_x(monkeypatch):
-    monkeypatch.setattr(operators, "ad_x", _doubled_x_channel(operators.ad_x))
+    monkeypatch.setattr(operators, "ad_x", doubled_x_channel(operators.ad_x))
     rep = verify_section3_structure(0, ONE, 0, Window(-3, 3))
     assert rep.status == "fail"
 
