@@ -15,7 +15,7 @@ evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -30,7 +30,7 @@ from .brackets import (
 )
 from .elements import BasisVector, Element, L, M, window_basis
 from .linalg import SpanSolver, null_space, span_equal
-from .operators import GeneratorTable, Operator, decompose, invariant_line_structure
+from .operators import GeneratorTable, Operator, RelationSweep, invariant_line_structure, witt_action
 from .polys import Rational, normalize_rational
 from .report import PASS, ConfigError, VerdictReport, Window
 
@@ -761,12 +761,6 @@ def module_axiom_check(
 _FAMILY_OF = {1: "q", 2: "x", 3: "z"}
 
 
-def _line_coefficient(op: Operator, line: Operator) -> Optional[Rational]:
-    """The c with op = c * line, or None when op is off that line."""
-    combo = decompose(op, [(0, line)])
-    return None if combo is None else combo.get(0, 0)
-
-
 def witt_module_check(i: int, window: Window) -> VerdictReport:
     """Verdicts for the i-th generator family as a module over the p family.
 
@@ -783,29 +777,15 @@ def witt_module_check(i: int, window: Window) -> VerdictReport:
         raise ValueError("module index must be 1, 2, or 3")
     fam = _FAMILY_OF[i]
     gens = GeneratorTable()
-    gen = partial(gens, fam)
     rep = VerdictReport("witt-module", {"family": fam, "window": str(window)})
 
-    # (a) action row: [p_r, fam_s] = -s * fam_{r+s}
-    acts = set()
-    for r in window.indices():
-        pr = gens("p", r)
-        for s in window.indices():
-            comm = pr.commutator(gen(s))
-            if comm:
-                acts.add((r, s))
-            if comm != gen(r + s).scale(-s):
-                rep.record_failure(f"[p_{r}, {fam}_{s}] != {-s}*{fam}_{r + s}")
-    rep.stats["action_pairs"] = (window.hi - window.lo + 1) ** 2
-
-    # (b) p_0 weight lines inside the family
-    p0 = gens("p", 0)
-    eigen: Dict[object, object] = {}
-    for s in window.indices():
-        comm = p0.commutator(gen(s))
-        if comm != gen(s).scale(-s):
-            rep.record_failure(f"{fam}_{s} is not a p_0 eigenline")
-        eigen[s] = -s
+    # (a) the action row [p_r, fam_s] = -s fam_{r+s}, then (b) its p_0 weight lines
+    action, weights = witt_action(fam)
+    sweep = RelationSweep(rep, gens, memo=True)
+    labels = list(window.indices())
+    tallies = sweep.run([(action, labels, labels), (weights, [0], labels)])
+    rep.stats["action_pairs"] = tallies[0][0][0]
+    eigen: Dict[object, object] = {s: -s for s in labels}
     distinct = len(set(eigen.values())) == len(eigen)
     rep.stats["weight_lines"] = len(eigen)
     rep.stats["weights_distinct"] = str(distinct)
@@ -813,9 +793,8 @@ def witt_module_check(i: int, window: Window) -> VerdictReport:
         rep.record_failure("p_0 weights are not pairwise distinct on the window")
 
     # (c) literal-action invariant subspaces: edge s -> r+s iff [p_r, fam_s] != 0
-    labels = list(window.indices())
     edges = {
-        s: {s + r for r in window.indices() if (r, s) in acts and s + r in window and r != 0}
+        s: {s + r for r in labels if r != 0 and s + r in window and sweep.lhs(action, r, s)}
         for s in labels
     }
     literal = invariant_line_structure(labels, eigen, edges)
@@ -849,11 +828,14 @@ def witt_module_check(i: int, window: Window) -> VerdictReport:
 
     # (d) the bijection does not intertwine the literal action: the oracle's
     # coefficient of [p_r, p_s] on p_{r+s} against that of [p_r, fam_s] on fam_{r+s}
-    for r in window.indices():
-        pr = gens("p", r)
-        for s in window.indices():
-            transported = _line_coefficient(pr.commutator(gens("p", s)), gens("p", r + s))
-            acted = _line_coefficient(pr.commutator(gen(s)), gen(r + s))
+    def coefficient(tag: str, op: Operator, m: int) -> Optional[Rational]:
+        combo = gens.family(tag, m).decompose(op)
+        return None if combo is None else combo.get((tag, m), 0)
+
+    for r in labels:
+        for s in labels:
+            transported = coefficient("p", gens("p", r).commutator(gens("p", s)), r + s)
+            acted = coefficient(fam, sweep.lhs(action, r, s), r + s)
             if transported != acted:
                 rep.flag(
                     f"the bijection p_r -> {fam}_r is not equivariant for the literal "

@@ -22,7 +22,12 @@ from trilie import (
 from trilie import operators
 from trilie.linalg import SpanSolver
 from trilie.operators import (
+    BASIS_FK,
+    BASIS_OMEGA,
     GENERATORS,
+    SECTION3,
+    SL2_LAURENT,
+    TABLE_5_1,
     GeneratorTable,
     Operator,
     ad_w,
@@ -40,6 +45,7 @@ from trilie.operators import (
     verify_section3_structure,
     verify_sl2_laurent,
     verify_table_5_1,
+    witt_action,
 )
 from trilie.polys import T
 from trilie.report import Window
@@ -343,3 +349,36 @@ def test_basis_independence_builds_shared_operators_once(monkeypatch, args, buil
     # a shared operator may also turn up once as a left-hand side
     assert len(calls) == built
     assert max(Counter(calls).values()) == 2
+
+
+def _always(r, s, k):
+    return True
+
+
+# each relation group with the (r, s, k) that the hand-written loop it
+# replaced visited; a domain that fixes an index (r = 0 or s = -k) is
+# written into the strata as well
+VISITED = [
+    *((group, _always) for group in TABLE_5_1 + SL2_LAURENT + SECTION3[:2]),
+    (SECTION3[2], lambda r, s, k: r != 0),
+    (SECTION3[3], lambda r, s, k: r == 0),
+    (SECTION3[4], lambda r, s, k: s == -k),
+    (BASIS_OMEGA[0], _always),
+    *((group, lambda r, s, k: s != -r or r != 0) for group in BASIS_OMEGA[1:] + BASIS_FK[:1]),
+    (BASIS_FK[1], _always),
+    *((witt_action(fam)[0], _always) for fam in "qxz"),
+    *((witt_action(fam)[1], lambda r, s, k: r == 0) for fam in "qxz"),
+]
+
+
+@pytest.mark.parametrize(
+    "group, visited", VISITED, ids=[f"{i}-{'-'.join(group.lhs)}" for i, (group, _) in enumerate(VISITED)]
+)
+def test_relation_strata_are_disjoint_and_cover_the_visited_pairs(group, visited):
+    grid = range(-6, 7)
+    for r in grid:
+        for s in grid:
+            for k in grid:
+                hits = [case for case in group.cases if case.holds(r, s, k)]
+                assert len(hits) <= 1, (group.lhs, r, s, k, hits)
+                assert bool(hits) == visited(r, s, k), (group.lhs, r, s, k)

@@ -1,10 +1,15 @@
-"""Smoke tests: the runnable experiments in scripts/ exit 0 on small inputs."""
+"""Smoke tests: the runnable experiments in scripts/ exit 0 on small inputs;
+the table script reports each row's own status and fails with the table."""
 
 import os
+import runpy
 import subprocess
 import sys
 
 import pytest
+
+from conftest import sign_flipped_q
+from trilie.operators import GENERATORS
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
@@ -30,3 +35,14 @@ def test_script_runs(script, args, first_line):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(first_line), proc.stdout
+
+
+def test_rederive_tables_reports_each_row_and_fails_with_the_table(monkeypatch, capsys):
+    main = runpy.run_path(os.path.join(ROOT, "scripts", "rederive_tables.py"))["main"]
+    monkeypatch.setitem(GENERATORS, "q", sign_flipped_q)
+    monkeypatch.setattr(sys, "argv", ["rederive_tables.py", "2", "1"])
+    assert main() == 1
+    rows = capsys.readouterr().out.splitlines()[1:11]
+    passed = [row.split(" =")[0].strip() for row in rows if row.endswith("[pass]")]
+    assert passed == ["[p_r, p_s]", "[p_r, x_s]", "[p_r, z_s]", "[x_r, x_s]", "[z_r, z_s]"]
+    assert sum(row.endswith("[fail]") for row in rows) == 5
