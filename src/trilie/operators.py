@@ -589,14 +589,14 @@ class RelationSweep:
             v *= self.functional.beta(a * r + b * s + c * k + d * s0 + e)
         return v
 
-    def _text(self, text: str, group: RelationGroup, case: Case, r: int, s: int, **extra) -> str:
+    def _text(self, text: str, group: RelationGroup, case: Case, r: int, s: int, combo=None, **extra) -> str:
         fields = {"r": r, "s": s, "k": self.k, "s0": self.s0, "A": group.lhs[0], "B": group.lhs[-1]}
         if case.rhs:
             coef, _, index = case.rhs[0]
             c = Fraction(self._value(coef, r, s)) / self._value(case.scale, r, s)
             fields.update(c=rat_str(c), i=self._at(index, r, s)[0])
-        if "combo" in extra:
-            extra = self.explain(extra["combo"], fields)
+        if combo is not None:
+            extra = self.explain(combo, fields)
         return text.format(**fields, **extra)
 
     def run(self, sweep: Sequence[tuple], interleave: bool = False) -> List[List[List[int]]]:
@@ -609,9 +609,11 @@ class RelationSweep:
         else:
             visits = ((g, a, b) for g, (_, outer, inner) in enumerate(sweep) for a in outer for b in inner)
         fail, flagged, gens, k, s0 = self.rep.record_failure, set(), self.gens, self.k, self.s0
-        # per entry: the group, whether a is r, and its case if it has one unconditional case
-        plans = [(group, group.order == "rs", None if group.cases[1:] or group.cases[0][2:4] != ((), ()) else group.cases[0])
-                 for group, _, _ in sweep]
+        # per entry: the group, whether a is r, and its only case if that has no stratum
+        plans = [
+            (group, group.order == "rs", None if group.cases[1:] or group.cases[0][2:4] != ((), ()) else group.cases[0])
+            for group, _, _ in sweep
+        ]
         for g, a, b in visits:
             group, rs, case = plans[g]
             r, s, c = (a, b, 0) if rs else (b, a, 0)
@@ -644,11 +646,12 @@ class RelationSweep:
                     agrees = ops_equal(lhs, want, self.functional, self.window)[0]
             if not agrees:
                 tallies[g][c][1] += 1
-                combo = self.decompose(group, a, b) if group.off_span and not group.span_first else {}
-                if combo is None:
+                decomposed = group.off_span and not group.span_first
+                combo = self.decompose(group, a, b) if decomposed else None
+                if decomposed and combo is None:
                     fail(self._text(group.off_span, group, case, r, s, lhs=self.lhs(group, a, b)))
                 else:
-                    fail(self._text(case.fail, group, case, r, s, **({"combo": combo} if self.explain else {})))
+                    fail(self._text(case.fail, group, case, r, s, combo))
             if case.printed and (g, c) not in flagged:
                 scale, coef = case.printed
                 p0 = self._value(scale, r, s)
@@ -675,6 +678,8 @@ def _graded(left: str, right: str, term: Optional[tuple], fail: str, off_span: s
 
 
 def _graded_check(rep: VerdictReport, bound: int, groups: tuple, tags: str, **options) -> list:
+    """Sweep graded groups over |r|, |s| <= bound, a mismatch decomposed in
+    the generators ``tags`` at index r+s; returns the tallies."""
     gens = GeneratorTable()
     indices = range(-bound, bound + 1)
     sweep = RelationSweep(rep, gens, family=partial(gens.family, tags), **options)
