@@ -783,8 +783,8 @@ def witt_module_check(i: int, window: Window) -> VerdictReport:
     action, weights = witt_action(fam)
     sweep = RelationSweep(rep, gens, memo=True)
     labels = list(window.indices())
-    tallies = sweep.run([(action, labels, labels), (weights, [0], labels)])
-    rep.stats["action_pairs"] = tallies[0][0][0]
+    hits, _ = sweep.run([(action, labels, labels), (weights, [0], labels)])
+    rep.stats["action_pairs"] = hits[0][0]
     eigen: Dict[object, object] = {s: -s for s in labels}
     distinct = len(set(eigen.values())) == len(eigen)
     rep.stats["weight_lines"] = len(eigen)

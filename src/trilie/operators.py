@@ -599,11 +599,11 @@ class RelationSweep:
             extra = self.explain(combo, fields)
         return text.format(**fields, **extra)
 
-    def run(self, sweep: Sequence[tuple], interleave: bool = False) -> List[List[List[int]]]:
+    def run(self, sweep: Sequence[tuple], interleave: bool = False) -> Tuple[List[List[int]], List[int]]:
         """Check the (group, outer range, inner range) entries in order, or
         pair by pair across entries of one domain with ``interleave``;
-        returns [hits, misses] per case of each entry."""
-        tallies = [[[0, 0] for _ in group.cases] for group, _, _ in sweep]
+        returns the hits per case and the mismatches of each entry."""
+        hits, misses = [[0] * len(group.cases) for group, _, _ in sweep], [0] * len(sweep)
         if interleave:
             visits = ((g, a, b) for a in sweep[0][1] for b in sweep[0][2] for g in range(len(sweep)))
         else:
@@ -627,7 +627,7 @@ class RelationSweep:
                 fail(self._text(group.off_span, group, case, r, s))
                 continue
             lhs = self.lhs(group, a, b)
-            tallies[g][c][0] += 1
+            hits[g][c] += 1
             if self.degree_fail and lhs.max_poly_degree() > 1:
                 fail(self._text(self.degree_fail, group, case, r, s))
             if not case.rhs:  # the zero relation is structural
@@ -635,21 +635,19 @@ class RelationSweep:
             else:
                 want = None
                 for coef, tag, index in case.rhs:
-                    term = gens(tag, *[x * r + y * s + z * k + w * s0 + e for x, y, z, w, e in index])
-                    term = term.scale(self._value(coef, r, s))
+                    term = gens(tag, *self._at(index, r, s)).scale(self._value(coef, r, s))
                     want = term if want is None else want + term
-                if case.scale is not _UNIT:
-                    lhs = lhs.scale(self._value(case.scale, r, s))
+                scaled = lhs if case.scale is _UNIT else lhs.scale(self._value(case.scale, r, s))
                 if self.functional is None:
-                    agrees = lhs == want
+                    agrees = scaled == want
                 else:
-                    agrees = ops_equal(lhs, want, self.functional, self.window)[0]
+                    agrees = ops_equal(scaled, want, self.functional, self.window)[0]
             if not agrees:
-                tallies[g][c][1] += 1
+                misses[g] += 1
                 decomposed = group.off_span and not group.span_first
                 combo = self.decompose(group, a, b) if decomposed else None
                 if decomposed and combo is None:
-                    fail(self._text(group.off_span, group, case, r, s, lhs=self.lhs(group, a, b)))
+                    fail(self._text(group.off_span, group, case, r, s, lhs=lhs))
                 else:
                     fail(self._text(case.fail, group, case, r, s, combo))
             if case.printed and (g, c) not in flagged:
@@ -660,15 +658,7 @@ class RelationSweep:
                     flagged.add((g, c))
                     suffix = "" if p0 else "; the printed form divides by zero"
                     self.rep.flag(self._text(case.flag, group, case, r, s) + suffix)
-        return tallies
-
-
-def _hits(tally: List[List[int]]) -> int:
-    return sum(hits for hits, _ in tally)
-
-
-def _misses(tally: List[List[int]]) -> int:
-    return sum(misses for _, misses in tally)
+        return hits, misses
 
 
 def _graded(left: str, right: str, term: Optional[tuple], fail: str, off_span: str) -> RelationGroup:
@@ -677,15 +667,15 @@ def _graded(left: str, right: str, term: Optional[tuple], fail: str, off_span: s
     return RelationGroup((left, right), (Case(rhs, fail),), off_span=off_span)
 
 
-def _graded_check(rep: VerdictReport, bound: int, groups: tuple, tags: str, **options) -> list:
+def _graded_check(rep: VerdictReport, bound: int, groups: tuple, tags: str, **options) -> List[int]:
     """Sweep graded groups over |r|, |s| <= bound, a mismatch decomposed in
-    the generators ``tags`` at index r+s; returns the tallies."""
+    the generators ``tags`` at index r+s; returns the mismatches per group."""
     gens = GeneratorTable()
     indices = range(-bound, bound + 1)
     sweep = RelationSweep(rep, gens, family=partial(gens.family, tags), **options)
-    tallies = sweep.run([(group, indices, indices) for group in groups])
-    rep.stats["pairs_checked"] = sum(map(_hits, tallies))
-    return tallies
+    hits, misses = sweep.run([(group, indices, indices) for group in groups])
+    rep.stats["pairs_checked"] = sum(map(sum, hits))
+    return misses
 
 
 # -- Table 5.1: the ten p/q/x/z bracket rows as printed -----------------------
@@ -720,14 +710,14 @@ def verify_table_5_1(bound: int = 5) -> VerdictReport:
     row without one gets the stat row_<left><right> = "confirmed".
     """
     rep = VerdictReport("table-5-1", {"bound": bound})
-    tallies = _graded_check(
+    misses = _graded_check(
         rep, bound, TABLE_5_1, "pqxz", explain=_combination,
         degree_fail="[{A}_{r}, {B}_{s}] has coefficient degree > 1 after cancellation",
     )
-    for row, tally in zip(TABLE_5_1, tallies):
-        if not _misses(tally):
+    for row, missed in zip(TABLE_5_1, misses):
+        if not missed:
             rep.stats["row_" + "".join(row.lhs)] = "confirmed"
-    rep.stats["corrections"] = sum(map(_misses, tallies))
+    rep.stats["corrections"] = sum(misses)
     return rep
 
 
@@ -927,17 +917,17 @@ def verify_section3_structure(
     witt, xx, on_x, on_x0, pivot = SECTION3
     labels = list(window.indices())
     x_params = [r for r in labels if r != 0] + [0]
-    tallies = sweep.run([
+    hits, misses = sweep.run([
         (witt, labels, labels),
         (xx, x_params, x_params),
         (on_x, labels, labels),
         (on_x0, labels, [0]),
         (pivot, [-k], labels),
     ])
-    rep.stats["witt_pairs"] = _hits(tallies[0])
-    rep.stats["xx_pairs"] = _hits(tallies[1])
-    for branch, (hits, _) in enumerate(tallies[2], 1):
-        rep.stats[f"branch_{branch}_hits"] = hits
+    rep.stats["witt_pairs"] = sum(hits[0])
+    rep.stats["xx_pairs"] = sum(hits[1])
+    for branch, n in enumerate(hits[2], 1):
+        rep.stats[f"branch_{branch}_hits"] = n
 
     # (d) invariant-subspace search: the pivot's eigenvalues, then closures
     eigen: Dict[object, Rational] = {m: beta_s0 * (m + 2 * k) for m in labels}
@@ -953,7 +943,7 @@ def verify_section3_structure(
                     escapes += 1
     structure = invariant_line_structure(labels, eigen, edges)
     rep.stats["action_escapes"] = escapes
-    if not _misses(tallies[4]) and structure["irreducible"]:
+    if not misses[4] and structure["irreducible"]:
         rep.stats["invariant_subspaces"] = "none proper (window-exact)"
     else:
         for sub in structure["minimal_proper"]:
