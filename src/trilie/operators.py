@@ -632,16 +632,21 @@ class RelationSweep:
                 fail(self._text(self.degree_fail, group, case, r, s))
             if not case.rhs:  # the zero relation is structural
                 agrees = not lhs
-            else:
-                want = None
+            else:  # the scaled generators' terms, summed without building each operator
+                want = {}
                 for coef, tag, index in case.rhs:
-                    term = gens(tag, *self._at(index, r, s)).scale(self._value(coef, r, s))
-                    want = term if want is None else want + term
+                    x = self._value(coef, r, s)
+                    if x:
+                        terms = gens(tag, *[u * r + v * s + w * k + y * s0 + z for u, v, w, y, z in index]).terms
+                        if want:
+                            add_into(want, ((key, x * value) for key, value in terms.items()))
+                        else:
+                            want = {key: x * value for key, value in terms.items()}
                 scaled = lhs if case.scale is _UNIT else lhs.scale(self._value(case.scale, r, s))
                 if self.functional is None:
-                    agrees = scaled == want
+                    agrees = scaled.terms == want
                 else:
-                    agrees = ops_equal(scaled, want, self.functional, self.window)[0]
+                    agrees = ops_equal(scaled, Operator(want), self.functional, self.window)[0]
             if not agrees:
                 misses[g] += 1
                 decomposed = group.off_span and not group.span_first

@@ -331,8 +331,8 @@ def test_section3_builds_one_x_family_per_call(monkeypatch):
 @pytest.mark.parametrize(
     "args, built",
     [
-        (("omega", Window(-3, 3)), 197),
-        (("fk", Window(-3, 3), FiniteSupportFunctional({0: 1, 2: Fraction(-1, 3)}), 1), 117),
+        (("omega", Window(-3, 3)), 193),
+        (("fk", Window(-3, 3), FiniteSupportFunctional({0: 1, 2: Fraction(-1, 3)}), 1), 115),
     ],
     ids=["omega", "fk"],
 )
