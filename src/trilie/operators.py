@@ -729,13 +729,14 @@ def verify_table_5_1(bound: int = 5) -> VerdictReport:
 # -- linear independence of the published operator families ----------------
 
 
-def _reductions(tag: str) -> Tuple[Case, Case]:
-    """(r+s) tag(r,s) = (r-s) tag(r+s,0), and tag(r,-r) = r tag(1,-1) for r != 0."""
+def _reductions(tag: str, **printed) -> Tuple[Case, Case]:
+    """(r+s) tag(r,s) = (r-s) tag(r+s,0), and tag(r,-r) = r tag(1,-1) for r != 0,
+    the second with the paper's printed form where given."""
     return (
         Case(((Coef(1, (_R_MINUS_S,)), tag, (_R_PLUS_S, _ZERO)),), tag + "({r},{s}) reduction identity fails",
              ne=(_R_PLUS_S,), scale=Coef(1, (_R_PLUS_S,))),
         Case(((Coef(1, (_R,)), tag, (_ONE, _MINUS_ONE)),), tag + "({r},{s}) != {r}*" + tag + "(1,-1)",
-             eq=(_R_PLUS_S,), ne=(_R,)),
+             eq=(_R_PLUS_S,), ne=(_R,), **printed),
     )
 
 
@@ -753,13 +754,11 @@ BASIS_OMEGA = (
 )
 
 BASIS_FK = (
-    RelationGroup(("X",), (
-        _reductions("X")[0],
-        _reductions("X")[1]._replace(
-            printed=(Coef(1, (_R,)), Coef()),  # r X(r,-r) = X(1,-1)
-            flag="printed scaling X(r,-r) = (1/r)*X(1,-1) is off: the oracle gives "
-            "X(r,-r) = r*X(1,-1) (they agree only for r = +/-1)",
-        ),
+    RelationGroup(("X",), _reductions(
+        "X",
+        printed=(Coef(1, (_R,)), Coef()),  # r X(r,-r) = X(1,-1)
+        flag="printed scaling X(r,-r) = (1/r)*X(1,-1) is off: the oracle gives "
+        "X(r,-r) = r*X(1,-1) (they agree only for r = +/-1)",
     )),
     # beta(s0) W(r,s) = beta(s) W(r,s0)
     RelationGroup(("W",), (Case(
