@@ -12,11 +12,12 @@ the counterexample texts and their order are pinned too.  The operator
 checks pin the benchmark's seven ``operator-calculus`` invocations, and
 the failing table and sl2 checks under a sign-flipped q pin the
 decomposition and commutator counterexample texts (the table's in full,
-with the report's cap lifted).  Four more failing operator checks pin
+with the report's cap lifted).  Six more failing operator checks pin
 their counterexample texts and their order in full: the Section 3
-structure under a broken ``ad_x``, the Witt-family modules under a
-sign-flipped q, and both basis-independence checks under a changed
-product row.  Each is compared byte for byte with a saved file.
+structure under a broken ``ad_x`` and under an fk row landing on M (every
+[W, X] leaves the X span), the Witt-family modules under a sign-flipped
+q, and the basis-independence checks under changed product rows,
+including two omega rows whose X and Y reduction failures alternate.  Each is compared byte for byte with a saved file.
 """
 
 import contextlib
@@ -131,6 +132,11 @@ def _flip_q(monkeypatch, patch_row):
     monkeypatch.setitem(GENERATORS, "q", sign_flipped_q)
 
 
+def _break_llm_and_lmm(monkeypatch, patch_row):
+    patch_row("omega", 0, coef=(-2, 1, 0))  # [L_r, L_s, M_t] = (s - 2r) L_{r+s-t}
+    patch_row("omega", 1, coef=(1, -1, 1))  # [L_r, M_s, M_t] = (r - s + t) M_{s+t-r}
+
+
 FAILING_OPERATOR_INVOCATIONS = {
     "section3-fk-k0-doubled-x": (
         _break_ad_x,
@@ -146,6 +152,16 @@ FAILING_OPERATOR_INVOCATIONS = {
     "basis-fk-moved-llm": (
         lambda monkeypatch, patch_row: patch_row("fk", 0, index=(1, 1, 1)),
         "verify basis-independence --bracket fk --window=-3..3",
+    ),
+    # the X and the Y reductions both fail, so their counterexamples alternate
+    "basis-omega-patched-llm-lmm": (
+        _break_llm_and_lmm,
+        "verify basis-independence --bracket omega --window=-2..2",
+    ),
+    # [L_r, L_s, M_t] = beta_t (r - s) M_{r+s+k}: every [W, X] leaves the X span
+    "section3-fk-k0-llm-on-m": (
+        lambda monkeypatch, patch_row: patch_row("fk", 0, family="M"),
+        "verify section3-structure --bracket fk --k 0 --window=-3..3",
     ),
 }
 
