@@ -9,6 +9,10 @@ numerical error at configurable window scale, every identity, table,
 realization and representation-theoretic claim made about them.
 """
 
+# operators first: it is the largest module, so when imports compile from
+# source its compile runs before the other modules are resident, which
+# keeps the peak memory of a fresh process lower
+from .operators import Operator, op_from_ad  # noqa: I001
 from .brackets import (
     OMEGA,
     DkInduced,
@@ -35,7 +39,6 @@ from .elements import (
     window_basis,
 )
 from .nambu import FKRealization, OmegaRealization, SymFunction, nambu_bracket, partial, realize
-from .operators import Operator, op_from_ad
 from .parsing import parse_beta, parse_element
 from .report import Window, VerdictReport
 
