@@ -37,8 +37,9 @@ paper's printed form where it differs, and the failure and flag texts.
 RelationSweep.run visits each group's pairs (a, b) over two index ranges,
 the first outer, takes the first case whose stratum holds, builds the
 left side once, compares it with the check's own equality, decomposes it
-only on a mismatch to write the failure text, counts hits and misses per
-case, and flags each printed form's first disagreement with the oracle.
+only on a mismatch to write the failure text, counts hits per case and
+mismatches per group, and flags each printed form's first disagreement
+with the oracle.
 """
 
 from __future__ import annotations
