@@ -355,9 +355,8 @@ def _always(r, s, k):
     return True
 
 
-# each relation group with the (r, s, k) that the hand-written loop it
-# replaced visited; a domain that fixes an index (r = 0 or s = -k) is
-# written into the strata as well
+# each relation group with the pairs (r, s, k) its check covers; a domain
+# that fixes an index (r = 0 or s = -k) is written into the strata as well
 VISITED = [
     *((group, _always) for group in TABLE_5_1 + SL2_LAURENT + SECTION3[:2]),
     (SECTION3[2], lambda r, s, k: r != 0),
