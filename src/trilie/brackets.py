@@ -346,6 +346,15 @@ def check_anticommutativity(spec: TriBracketSpec, window: Window) -> VerdictRepo
 # signed terms sum to zero.  Each term is a bracket of brackets: the inner
 # bracket takes the slots named by ``inner``; the outer bracket takes the
 # slots named by ``outer``, where slot INNER holds the inner value.
+#
+# On element 5-tuples (the sampled ones) an identity is one integer pass.
+# Each argument is scaled once by the lcm D_i of its denominators, its terms
+# grouped by family, and each kernel coefficient by the weight's denominator
+# bound B.  A term brackets each argument once and calls the kernel twice,
+# so every term is an int map over D_0*...*D_4 * B**2: inner values stay
+# unreduced, and only a nonzero residual is divided back into an Element.
+# ``tri_bracket`` keeps its rational route: most of its calls elsewhere are
+# one-term triples, where integer forms cost more than they save.
 
 INNER = 5
 
@@ -358,14 +367,84 @@ FUNDAMENTAL_IDENTITY = (
 )
 
 
-def identity_residual(spec: TriBracketSpec, identity, args: Sequence[Element]) -> Element:
-    """The exact residual of a nested identity on five elements."""
-    out = Element.zero()
-    for sign, inner, outer in identity:
-        value = tri_bracket(spec, *itemgetter(*inner)(args))
-        if value:
-            out = out + tri_bracket(spec, *itemgetter(*outer)((*args, value))).scale(sign)
+@lru_cache(maxsize=None)
+def _check_term(sign: int, inner: tuple, outer: tuple) -> None:
+    """Raise unless a nested term has a unit sign and brackets each slot
+    once, with the inner value in the outer bracket."""
+    if sign not in (1, -1) or INNER in inner or sorted((*inner, *outer)) != [0, 1, 2, 3, 4, INNER]:
+        raise ValueError(f"nested term {sign}, {inner}, {outer} needs a unit sign and each slot once")
+
+
+def _by_family(terms) -> dict:
+    """The nonzero (vector, coefficient) pairs of ``terms``, grouped by family."""
+    groups = {}
+    for vec, c in terms:
+        if c:
+            groups.setdefault(vec[0], []).append((vec, c))
+    return groups
+
+
+def _int_bracket(triple: Callable, rules, scale: int, u: dict, v: dict, w: dict, out: dict) -> dict:
+    """Add [u, v, w] into ``out``, on family-grouped int terms, with every
+    kernel coefficient multiplied by ``scale`` (a signed multiple of B)."""
+    get = out.get
+    for (fu, us), (fv, vs), (fw, ws) in product(u.items(), v.items(), w.items()):
+        if (fu, fv, fw) not in rules:
+            # zero by the grading, and check_nested_identities holds the kernel to it
+            # before any sample: _sweep_tables calls it on every window triple and on
+            # every inner output with two window vectors, every triple a sampled tuple
+            # reaches, and raises on a nonzero value where the grading allows none
+            continue
+        for b1, c1 in us:
+            for b2, c2 in vs:
+                c12 = c1 * c2
+                for b3, c3 in ws:
+                    res = triple(b1, b2, b3)
+                    if res is None:
+                        continue
+                    coef = res[0]
+                    if coef.__class__ is int:
+                        coef *= scale
+                    else:
+                        q, r = divmod(scale, coef.denominator)
+                        if r:
+                            raise ValueError(f"kernel coefficient {coef} has a denominator that does not divide {scale}")
+                        coef = coef.numerator * q
+                    key = res[1:]
+                    out[key] = get(key, 0) + c12 * c3 * coef
     return out
+
+
+def identity_residual(spec: TriBracketSpec, identity, args: Sequence[Element]) -> Element:
+    """The exact residual of a nested identity on five elements, in one
+    integer pass that brackets only the family patterns with a rule."""
+    triple = closed_triple_fn(spec)
+    rules, _, weight = bracket_rules(spec)
+    unit = 1 if weight is None else weight.denominator()
+    den = unit * unit
+    slots = []
+    for arg in args:
+        d = lcm(*[c.denominator for c in arg.terms.values()])
+        den *= d
+        group = {}
+        for vec, c in arg.terms.items():
+            group.setdefault(vec[0], []).append((vec, c.numerator * (d // c.denominator)))
+        slots.append(group)
+    slots.append({})  # slot INNER
+    out = {}
+    for sign, inner, outer in identity:
+        _check_term(sign, inner, outer)
+        a, b, c = inner
+        slots[INNER] = _by_family(_int_bracket(triple, rules, unit, slots[a], slots[b], slots[c], {}).items())
+        if slots[INNER]:
+            a, b, c = outer
+            _int_bracket(triple, rules, sign * unit, slots[a], slots[b], slots[c], out)
+    terms = {}
+    for (fam, idx), n in out.items():
+        if n:
+            q, r = divmod(n, den)
+            terms[BasisVector(fam, idx)] = Fraction(n, den) if r else q
+    return Element(terms)
 
 
 # -- the graded scalar-residual kernel of the basis sweeps -------------------
@@ -479,10 +558,9 @@ def _compile_term(sign, inner, outer, n: int, tables, w: int, cache: dict) -> Ca
     bracket holds, packed the outer table over the lanes the outer bracket
     holds, and the fixed slots pick the part and the offset.  Both depend
     only on where the lanes sit, so terms share them through ``cache``."""
+    _check_term(sign, inner, outer)
     coef, base, outer_tables = tables
     x, y = (s for s in outer if s != INNER)
-    if sign not in (1, -1) or sorted((*inner, x, y)) != [0, 1, 2, 3, 4]:
-        raise ValueError(f"nested term {sign}, {inner}, {outer} needs a unit sign and each slot once")
     table, n2 = outer_tables[outer.index(INNER)], n * n
     if ("out", outer) not in cache and {x, y} & set(LANES):
         splits = _lane_splits((x, y), n, w)

@@ -15,6 +15,7 @@ lowest terms, and zero coefficients are never stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .polys import Poly, Rational, Sparse, normalize_rational, rat_str
@@ -133,6 +134,10 @@ class ConstantFunctional:
     def beta(self, t: int) -> Rational:
         return self.value
 
+    def denominator(self) -> int:
+        """A bound B on the denominators of beta: beta(t) * B is an int for every int t."""
+        return self.value.denominator
+
     def as_poly(self) -> Optional[Poly]:
         return Poly.const(self.value)
 
@@ -157,6 +162,10 @@ class PolynomialFunctional:
             value = self._values[t] = self.poly(t)
         return value
 
+    def denominator(self) -> int:
+        """The lcm of the coefficients' denominators, which bounds beta's."""
+        return lcm(*[c.denominator for c in self.poly.terms.values()])
+
     def as_poly(self) -> Optional[Poly]:
         return self.poly
 
@@ -179,6 +188,10 @@ class FiniteSupportFunctional:
 
     def beta(self, t: int) -> Rational:
         return self._by_index.get(t, 0)
+
+    def denominator(self) -> int:
+        """The lcm of the values' denominators."""
+        return lcm(*[c.denominator for _, c in self.values])
 
     def as_poly(self) -> Optional[Poly]:
         return None

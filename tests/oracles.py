@@ -25,14 +25,16 @@ references for the pivot-lookup solver and for the table-read basis
 lines.
 ``lane_failures`` is the basis sweep of the nested identities as it was
 before the lanes were packed into one int: each term's row is a list of
-plain ints, one per lane, summed lane by lane.
+plain ints, one per lane, summed lane by lane.  ``identity_residual`` is
+the nested identity on five elements as two ``tri_bracket`` calls per
+term, the reference for the fused integer pass of the package.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product
 from math import comb
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Optional
 
 from trilie import brackets
@@ -390,6 +392,17 @@ def tri_bracket(spec, u, v, w):
             + ow * (u * dv - v * du)
         )
     return brackets.tri_bracket(spec, u, v, w)
+
+
+def identity_residual(spec, identity, args):
+    """The exact residual of a nested identity on five elements, every
+    bracket an Element from ``tri_bracket``."""
+    out = Element.zero()
+    for sign, inner, outer in identity:
+        value = tri_bracket(spec, *itemgetter(*inner)(args))
+        if value:
+            out = out + tri_bracket(spec, *itemgetter(*outer)((*args, value))).scale(sign)
+    return out
 
 
 def check_constructor_agreement(window, k, f):

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
@@ -7,9 +8,11 @@ import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import RATIONALS
 from oracles import DETERMINANT, BracketPreconditionError, FromFunctionalBracket, certify_from_functional
 from trilie import (
     OMEGA,
+    BasisVector,
     ConstantFunctional,
     DkInduced,
     Element,
@@ -463,6 +466,193 @@ def test_field_width_holds_a_residual_at_the_bound():
 
 def test_nested_terms_need_a_unit_sign_and_each_slot_once():
     tables = _sweep_tables(OMEGA, [("L", 0), ("M", 0)])
-    for term in ((2, (0, 1, 2), (INNER, 3, 4)), (1, (0, 1, 1), (INNER, 3, 4)), (-1, (0, 1, 2), (INNER, 3, 3))):
+    args = [L(1), L(2), M(0), L(0), M(1)]
+    for term in (
+        (2, (0, 1, 2), (INNER, 3, 4)),
+        (1, (0, 1, 1), (INNER, 3, 4)),
+        (-1, (0, 1, 2), (INNER, 3, 3)),
+        (1, (0, 1, INNER), (2, 3, 4)),
+    ):
         with pytest.raises(ValueError, match="unit sign and each slot once"):
             _compile_term(*term, 2, tables, 1, {})
+        with pytest.raises(ValueError, match="unit sign and each slot once"):
+            identity_residual(OMEGA, (term,), args)
+
+
+# -- the fused sampled residual against the per-triple reference ----------------
+
+RESIDUAL_SPECS = (
+    OMEGA,
+    FKBracket(1, parse_beta("const:2")),
+    FKBracket(0, parse_beta("const:1/2")),
+    FKBracket(-1, parse_beta("support:-1=1,2=-1/3")),
+    FKBracket(2, parse_beta("poly:1/2*t^2-1")),
+)
+# the shipped identities, and truncations of them whose residuals are nonzero
+RESIDUAL_IDENTITIES = (
+    FUNDAMENTAL_IDENTITY,
+    MODULE_IDENTITY_1,
+    MODULE_IDENTITY_2,
+    FUNDAMENTAL_IDENTITY[:3],
+    MODULE_IDENTITY_1[1:],
+    MODULE_IDENTITY_2[:1],
+)
+# nonzero elements with mixed denominators, so that most drawn tuples reach the kernel
+TUPLE_ELEMENTS = st.dictionaries(
+    st.builds(BasisVector, st.sampled_from(("L", "M")), st.integers(-2, 2)),
+    RATIONALS.filter(bool),
+    min_size=1,
+    max_size=4,
+).map(Element)
+
+
+def _canonical(elem):
+    return all(c and not (type(c) is Fraction and c.denominator == 1) for c in elem.terms.values())
+
+
+@settings(max_examples=120)
+@given(
+    spec=st.sampled_from(RESIDUAL_SPECS),
+    identity=st.sampled_from(RESIDUAL_IDENTITIES),
+    args=st.lists(TUPLE_ELEMENTS, min_size=5, max_size=5),
+)
+def test_fused_residual_matches_the_reference(spec, identity, args):
+    fused = identity_residual(spec, identity, args)
+    assert fused == oracles.identity_residual(spec, identity, args)
+    assert _canonical(fused)
+
+
+def test_fused_residual_is_nonzero_on_truncated_identities():
+    rng = random.Random(5)
+    for spec in RESIDUAL_SPECS:
+        for identity in RESIDUAL_IDENTITIES[3:]:
+            tuples = ([random_element(rng, Window(-2, 2)) for _ in range(5)] for _ in range(50))
+            args = next(args for args in tuples if identity_residual(spec, identity, args))
+            fused = identity_residual(spec, identity, args)
+            assert fused == oracles.identity_residual(spec, identity, args)
+            assert _canonical(fused)
+
+
+def _recording_kernel(calls):
+    def closed(spec):
+        kernel = closed_triple_fn(spec)
+
+        def triple(a, b, c):
+            calls.append((tuple(a), tuple(b), tuple(c)))
+            return kernel(a, b, c)
+
+        return triple
+
+    return closed
+
+
+@pytest.mark.parametrize("spec", RESIDUAL_SPECS, ids=lambda spec: spec.describe())
+def test_fused_residual_calls_the_kernel_once_per_rule_triple(monkeypatch, spec):
+    """The reference calls the kernel on every triple of every term; the
+    fused pass on exactly those whose family pattern has a rule, once each."""
+    rules = brackets.bracket_rules(spec)[0]
+    fused, reference = [], []
+    rng = random.Random(2)
+    for _ in range(20):
+        args = [random_element(rng, Window(-2, 2)) for _ in range(5)]
+        for identity in RESIDUAL_IDENTITIES[:3]:
+            monkeypatch.setattr(brackets, "closed_triple_fn", _recording_kernel(fused))
+            identity_residual(spec, identity, args)
+            monkeypatch.setattr(brackets, "closed_triple_fn", _recording_kernel(reference))
+            oracles.identity_residual(spec, identity, args)
+    ruled = [call for call in reference if tuple(vec[0] for vec in call) in rules]
+    assert len(ruled) < len(reference)
+    assert Counter(fused) == Counter(ruled)
+
+
+@pytest.mark.parametrize(
+    "check, window, samples, identities",
+    [
+        (check_fundamental_identity, Window(-3, 3), 100, (FUNDAMENTAL_IDENTITY,)),
+        (module_axiom_check, Window(-2, 2), 25, (MODULE_IDENTITY_1, MODULE_IDENTITY_2)),
+    ],
+    ids=("fundamental", "module"),
+)
+def test_sampled_route_counts_match_the_reference(broken_kernel, check, window, samples, identities):
+    """Under the broken kernel the sampled tuples fail too: a run's failures
+    are its basis failures plus the reference's nonzero sampled residuals."""
+    name = check(OMEGA, window).check
+    basis = broken_kernel.pop(name)
+    check(OMEGA, window, samples)
+    rng, sampled = random.Random(0), 0
+    for _ in range(samples):
+        args = [random_element(rng, window) for _ in range(5)]
+        sampled += sum(bool(oracles.identity_residual(OMEGA, identity, args)) for identity in identities)
+    assert basis and sampled
+    assert broken_kernel[name] == basis + sampled
+
+
+def _ruleless_kernel(closed_triple_fn, pattern):
+    """closed_triple_fn with a nonzero value on a family pattern that has no rule."""
+
+    def closed(spec):
+        kernel = closed_triple_fn(spec)
+
+        def triple(a, b, c):
+            if (a[0], b[0], c[0]) == pattern:
+                return (1, "L", a[1] + b[1] + c[1])
+            return kernel(a, b, c)
+
+        return triple
+
+    return closed
+
+
+@pytest.mark.parametrize(
+    "bracket, pattern",
+    [("omega", ("L", "L", "L")), ("fk", ("L", "L", "L")), ("fk", ("L", "M", "M"))],
+    ids=("omega-LLL", "fk-LLL", "fk-LMM"),
+)
+def test_ruleless_patterns_are_refused_before_any_sample(monkeypatch, capsys, bracket, pattern):
+    """The fused pass brackets only the patterns with a rule; the grading
+    check of the basis tables refuses a kernel that is nonzero elsewhere,
+    so no sample ever reaches the skip."""
+    monkeypatch.setattr(brackets, "closed_triple_fn", _ruleless_kernel(brackets.closed_triple_fn, pattern))
+    sampled = []
+    monkeypatch.setattr(brackets, "identity_residual", lambda *args: sampled.append(args))
+    for check in ("fundamental-identity", "module-axioms"):
+        argv = ["verify", check, "--bracket", bracket, "--window", "-1..1", "--samples", "5"]
+        assert main(argv) == 2
+        assert "breaks its grading" in capsys.readouterr().err
+    assert sampled == []
+
+
+def test_fused_residual_refuses_a_coefficient_outside_the_weight_bound(monkeypatch):
+    # every nonzero coefficient becomes 1/3, outside omega's bound B = 1
+    def thirds(spec):
+        kernel = closed_triple_fn(spec)
+
+        def triple(a, b, c):
+            res = kernel(a, b, c)
+            return None if res is None else (Fraction(1, 3), *res[1:])
+
+        return triple
+
+    monkeypatch.setattr(brackets, "closed_triple_fn", thirds)
+    with pytest.raises(ValueError, match="does not divide"):
+        identity_residual(OMEGA, FUNDAMENTAL_IDENTITY, [L(1), L(2), M(0), L(0), M(1)])
+
+
+@pytest.mark.parametrize(
+    "beta",
+    [
+        "const:2",
+        "const:-3/4",
+        "support:-1=1,2=-1/3",
+        "support:0=5/6,3=7/10,-4=-2",
+        "poly:1/2*t^2-1",
+        "poly:1/6*t^3-1/4*t+2/3",
+        "poly:3/7*t^5+1/3*t^2-5",
+    ],
+)
+def test_weight_denominator_clears_beta(beta):
+    f = parse_beta(beta)
+    bound = f.denominator()
+    assert type(bound) is int and bound >= 1
+    for t in range(-20, 21):
+        assert (f.beta(t) * bound).denominator == 1
