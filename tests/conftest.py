@@ -12,6 +12,7 @@ from trilie import brackets
 from trilie.brackets import closed_triple_fn, expand_rows
 from trilie.nambu import SymFunction
 from trilie.operators import Operator, gen_q, op_from_ad
+from trilie.polys import Poly
 
 settings.register_profile(
     "ci",
@@ -37,6 +38,22 @@ def elements(draw, max_terms=4, index_bound=5):
         idx = draw(st.integers(min_value=-index_bound, max_value=index_bound))
         terms[BasisVector(fam, idx)] = draw(RATIONALS)
     return Element(terms)
+
+
+def nonzero_elements(max_terms=4, index_bound=5):
+    """Elements of 1..max_terms terms, each with a nonzero coefficient."""
+    return st.dictionaries(
+        st.builds(BasisVector, st.sampled_from(("L", "M")), st.integers(-index_bound, index_bound)),
+        RATIONALS.filter(bool),
+        min_size=1,
+        max_size=max_terms,
+    ).map(Element)
+
+
+@st.composite
+def polys(draw, max_degree=6, max_terms=4):
+    coeffs = draw(st.dictionaries(st.integers(0, max_degree), RATIONALS, max_size=max_terms))
+    return Poly(tuple(coeffs.get(d, 0) for d in range(max(coeffs, default=-1) + 1)))
 
 
 @st.composite

@@ -8,7 +8,7 @@ import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import RATIONALS
+from conftest import RATIONALS, nonzero_elements
 from oracles import DETERMINANT, BracketPreconditionError, FromFunctionalBracket, certify_from_functional
 from trilie import (
     OMEGA,
@@ -498,12 +498,7 @@ RESIDUAL_IDENTITIES = (
     MODULE_IDENTITY_2[:1],
 )
 # nonzero elements with mixed denominators, so that most drawn tuples reach the kernel
-TUPLE_ELEMENTS = st.dictionaries(
-    st.builds(BasisVector, st.sampled_from(("L", "M")), st.integers(-2, 2)),
-    RATIONALS.filter(bool),
-    min_size=1,
-    max_size=4,
-).map(Element)
+TUPLE_ELEMENTS = nonzero_elements(max_terms=4, index_bound=2)
 
 
 def _canonical(elem):

@@ -1,11 +1,14 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import RATIONALS, elements, polys
 from trilie import cli
 from trilie.brackets import closed_triple_fn
 from trilie.cli import CHECKS, main
@@ -128,6 +131,45 @@ def test_internal_error_exits_three_in_one_line(monkeypatch, capsys, error):
     assert code == 3
     assert out == ""
     assert err == f"trilie: internal error: {type(error).__name__}: {' '.join(str(error).split())}\n"
+
+
+# the characters of both grammars and the weight specs, without the 'e' of a
+# decimal exponent, which Fraction reads in const and support values
+GRAMMAR_TEXT = st.text(alphabet="LM[]t^*/+-=,:. 0123456789", max_size=16)
+
+
+def _short_exponents(text):
+    """Cut every exponent to two digits: parse_poly expands t^N densely."""
+    return re.sub(r"(\^\s*[+-]?)(\d+)", lambda m: m.group(1) + m.group(2)[:2], text)
+
+
+@settings(max_examples=200)
+@given(
+    flag=st.sampled_from(["--seed-element=", "--beta=poly:", "--beta=const:", "--beta=support:"]),
+    body=st.one_of(
+        GRAMMAR_TEXT,
+        elements().map(str),
+        polys().map(str),
+        RATIONALS.map(str),
+        st.dictionaries(st.integers(-3, 3), RATIONALS, min_size=1, max_size=3).map(
+            lambda values: ",".join(f"{t}={c}" for t, c in values.items())
+        ),
+    ),
+)
+def test_grammar_fuzz_keeps_the_exit_contract(flag, body):
+    out, err = io.StringIO(), io.StringIO()
+    old = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, err
+    try:
+        code = main(["analyze", "structure-maps", "--window=-1..1", flag + _short_exponents(body)])
+    finally:
+        sys.stdout, sys.stderr = old
+    text = err.getvalue()
+    assert code in (0, 2), (code, text)
+    if code == 0:
+        assert text == ""
+    else:
+        assert re.fullmatch(r"trilie: [^\n]*\n", text), text
 
 
 def test_unknown_check_rejected():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from conftest import RATIONALS, elements, sym_functions
+from conftest import RATIONALS, elements, nonzero_elements, polys, sym_functions
 from fractions import Fraction
 
 from trilie import (
@@ -27,6 +27,7 @@ from trilie.brackets import FUNDAMENTAL_IDENTITY, identity_residual
 from trilie.nambu import FKRealization, OmegaRealization, nambu_bracket, partial, realize
 from trilie.linalg import SpanSolver
 from trilie.operators import Operator, OperatorFamily, gen_p, gen_q, gen_x, gen_z
+from trilie.parsing import parse_poly
 from trilie.polys import Poly
 from trilie.report import Window
 
@@ -77,7 +78,12 @@ def test_parse_print_roundtrip(a):
     assert parse_element(str(a)) == a
 
 
-@given(SPECS, elements(max_terms=2), elements(max_terms=2), elements(max_terms=2))
+@given(polys())
+def test_poly_parse_print_roundtrip(p):
+    assert parse_poly(str(p)) == p
+
+
+@given(SPECS, nonzero_elements(max_terms=2), nonzero_elements(max_terms=2), nonzero_elements(max_terms=2))
 def test_bracket_antisymmetry_random(spec, u, v, w):
     base = tri_bracket(spec, u, v, w)
     assert tri_bracket(spec, v, u, w) == -base
@@ -88,11 +94,11 @@ def test_bracket_antisymmetry_random(spec, u, v, w):
 
 @given(
     SPECS,
-    elements(max_terms=2, index_bound=3),
-    elements(max_terms=2, index_bound=3),
-    elements(max_terms=2, index_bound=3),
-    elements(max_terms=2, index_bound=3),
-    elements(max_terms=2, index_bound=3),
+    nonzero_elements(max_terms=2, index_bound=3),
+    nonzero_elements(max_terms=2, index_bound=3),
+    nonzero_elements(max_terms=2, index_bound=3),
+    nonzero_elements(max_terms=2, index_bound=3),
+    nonzero_elements(max_terms=2, index_bound=3),
 )
 def test_fundamental_identity_random(spec, u1, u2, u3, v2, v3):
     assert identity_residual(spec, FUNDAMENTAL_IDENTITY, (u1, u2, u3, v2, v3)).is_zero()
