@@ -45,6 +45,14 @@ class Element(Sparse):
     """
 
     __slots__ = ()
+    _monomial = staticmethod(BasisVector.__str__)
+    # the shared product, bound here too because perfbench/tracer.py
+    # wraps Element.__dict__["__mul__"] as its elements.product trace point
+    __mul__ = Sparse.__mul__
+
+    @staticmethod
+    def _product_key(a: BasisVector, b: BasisVector) -> Optional[BasisVector]:
+        return BasisVector(a.family, a.index + b.index) if a.family == b.family else None
 
     @staticmethod
     def basis(family: str, index: int, coef: Rational = 1) -> "Element":
@@ -57,31 +65,6 @@ class Element(Sparse):
 
     def support(self) -> Tuple[BasisVector, ...]:
         return tuple(sorted(self.terms))
-
-    def __mul__(self, other):
-        if isinstance(other, Element):
-            out: Dict[BasisVector, Rational] = {}
-            for (f1, i1), c1 in self.terms.items():
-                for (f2, i2), c2 in other.terms.items():
-                    if f1 == f2:
-                        bv = BasisVector(f1, i1 + i2)
-                        out[bv] = out.get(bv, 0) + c1 * c2
-            return Element(out)
-        return self.scale(other)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for bv in sorted(self.terms):
-            c = self.terms[bv]
-            mag = -c if c < 0 else c
-            body = str(bv) if mag == 1 else f"{rat_str(mag)}*{bv}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
 
 
 def L(index: int, coef: Rational = 1) -> Element:

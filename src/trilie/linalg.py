@@ -20,20 +20,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from .polys import add_into, normalize_rational
+from .polys import normalize_rational, vec_add_scaled, vec_scale
 
 Vec = Dict[Hashable, object]
-
-
-def vec_add_scaled(target: Vec, src: Vec, c) -> None:
-    if c:
-        add_into(target, ((k, c * v) for k, v in src.items()))
-
-
-def vec_scale(v: Vec, c) -> Vec:
-    if not c:
-        return {}
-    return {k: normalize_rational(c * x) for k, x in v.items()}
 
 
 class SpanSolver:

@@ -28,7 +28,7 @@ from .brackets import (
 )
 from .elements import FAMILY_L, BasisVector, Element, FunctionalSpec, window_basis
 from .linalg import SpanSolver
-from .polys import Rational, Sparse, rat_str
+from .polys import Rational, Sparse
 from .report import PASS, ConfigError, VerdictReport, Window
 
 # term key: (ypow, zpow, freq) with freq the integer coefficient of x
@@ -47,40 +47,22 @@ class SymFunction(Sparse):
             raise ValueError("powers of y and z must be nonnegative")
         return SymFunction({(ypow, zpow, freq): coef})
 
-    def __mul__(self, other):
-        if isinstance(other, SymFunction):
-            out: Dict[TermKey, Rational] = {}
-            for (a1, b1, r1), c1 in self.terms.items():
-                for (a2, b2, r2), c2 in other.terms.items():
-                    key = (a1 + a2, b1 + b2, r1 + r2)
-                    out[key] = out.get(key, 0) + c1 * c2
-            return SymFunction(out)
-        return self.scale(other)
+    @staticmethod
+    def _product_key(a: TermKey, b: TermKey) -> TermKey:
+        return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms):
-            ypow, zpow, freq = key
-            c = self.terms[key]
-            factors = []
-            if ypow:
-                factors.append("y" if ypow == 1 else f"y^{ypow}")
-            if zpow:
-                factors.append("z" if zpow == 1 else f"z^{zpow}")
-            if freq:
-                inner = "x" if freq == 1 else ("-x" if freq == -1 else f"{freq}*x")
-                factors.append(f"exp({inner})")
-            mag = -c if c < 0 else c
-            if mag != 1 or not factors:
-                factors.insert(0, rat_str(mag))
-            body = "*".join(factors)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+    @staticmethod
+    def _monomial(key: TermKey) -> str:
+        ypow, zpow, freq = key
+        factors = []
+        if ypow:
+            factors.append("y" if ypow == 1 else f"y^{ypow}")
+        if zpow:
+            factors.append("z" if zpow == 1 else f"z^{zpow}")
+        if freq:
+            inner = "x" if freq == 1 else ("-x" if freq == -1 else f"{freq}*x")
+            factors.append(f"exp({inner})")
+        return "*".join(factors)
 
 
 def partial(var: str, g: SymFunction) -> SymFunction:

@@ -69,9 +69,6 @@ class Operator(Sparse):
 
     __slots__ = ("_form",)
 
-    def __mul__(self, c: Rational) -> "Operator":
-        return self.scale(c)
-
     def apply(self, u: Element, functional: Optional[FunctionalSpec] = None) -> Element:
         out: Dict[BasisVector, Rational] = {}
         for (fam, t), c in u.terms.items():

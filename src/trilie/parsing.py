@@ -7,8 +7,10 @@ Element grammar (whitespace-insensitive)::
     basis    := ('L'|'M') '[' integer ']'
     rational := integer ['/' positive-integer]
 
-Canonical printing (``str(Element)``) emits this grammar, so parse and
-print are mutually inverse on canonical forms.
+This grammar and ``parse_poly``'s are both signed sums, read by one
+loop (``_signed_terms``).  Canonical printing (``str(Element)``,
+``str(Poly)``) emits them, so parse and print are mutually inverse on
+canonical forms.
 """
 
 from __future__ import annotations
@@ -82,25 +84,31 @@ class _Scanner:
         return self.peek() is None
 
 
-def parse_element(text: str) -> Element:
-    """Parse the element grammar into a canonical Element."""
-    sc = _Scanner(text)
-    total = Element.zero()
-    sign = 1
+def _signed_terms(sc: _Scanner, empty: str):
+    """Yield the sign of each term of a signed sum: the optional leading
+    sign, then the sign of each '+'/'-' separator.  The caller reads each
+    term before drawing the next sign; ``empty`` is the error text for
+    blank input."""
     ch = sc.peek()
     if ch is None:
-        raise ElementSyntaxError("empty input", 1)
+        raise ElementSyntaxError(empty, 1)
+    sign = 1
     if ch in "+-":
         sign = -1 if sc.take() == "-" else 1
     while True:
-        total = total + _parse_term(sc, sign)
+        yield sign
         ch = sc.peek()
         if ch is None:
-            break
+            return
         if ch not in "+-":
             raise ElementSyntaxError(f"expected '+' or '-', found {ch!r}", sc.pos + 1)
         sign = -1 if sc.take() == "-" else 1
-    return total
+
+
+def parse_element(text: str) -> Element:
+    """Parse the element grammar into a canonical Element."""
+    sc = _Scanner(text)
+    return sum((_parse_term(sc, sign) for sign in _signed_terms(sc, "empty input")), Element.zero())
 
 
 def _parse_term(sc: _Scanner, sign: int) -> Element:
@@ -131,13 +139,7 @@ def parse_poly(text: str) -> Poly:
     """Parse polynomials in t such as 't^2+1', '-t', '1/2*t - 3'."""
     sc = _Scanner(text)
     coeffs = {}
-    sign = 1
-    ch = sc.peek()
-    if ch is None:
-        raise ElementSyntaxError("empty polynomial", 1)
-    if ch in "+-":
-        sign = -1 if sc.take() == "-" else 1
-    while True:
+    for sign in _signed_terms(sc, "empty polynomial"):
         coef = Fraction(1)
         deg = 0
         ch = sc.peek()
@@ -158,12 +160,6 @@ def parse_poly(text: str) -> Poly:
                 if deg < 0:
                     raise ElementSyntaxError("exponent must be nonnegative", dpos + 1)
         coeffs[deg] = coeffs.get(deg, Fraction(0)) + sign * coef
-        ch = sc.peek()
-        if ch is None:
-            break
-        if ch not in "+-":
-            raise ElementSyntaxError(f"expected '+' or '-', found {ch!r}", sc.pos + 1)
-        sign = -1 if sc.take() == "-" else 1
     size = max(coeffs) + 1 if coeffs else 0
     return Poly(tuple(coeffs.get(d, 0) for d in range(size)))
 

@@ -43,16 +43,33 @@ def add_into(out: dict, pairs) -> dict:
     return out
 
 
+def vec_add_scaled(target: dict, src: dict, c) -> None:
+    """target += c * src, in place."""
+    if c:
+        add_into(target, ((k, c * v) for k, v in src.items()))
+
+
+def vec_scale(v: dict, c) -> dict:
+    """c * v as a new map free of zeros."""
+    if not c:
+        return {}
+    return {k: normalize_rational(c * x) for k, x in v.items()}
+
+
 class Sparse:
     """Finitely supported exact linear combination, the shared carrier of
     Poly, Element, SymFunction and Operator.
 
     ``terms`` maps keys to nonzero rationals, so == is structural
-    equality.  Subclasses add their own product, evaluation and
-    rendering.
+    equality.  A carrier with a product and a printed signed sum gives
+    them as class hooks: ``_product_key(a, b)``, the key of the product
+    of two keys (None when it is zero); ``_monomial(key)``, the printed
+    monomial of a key ('' for the unit); and ``_descending``, whether the
+    sum is printed in descending key order.
     """
 
     __slots__ = ("terms",)
+    _descending = False
 
     def __init__(self, terms: Optional[dict] = None):
         clean = {}
@@ -88,19 +105,43 @@ class Sparse:
         return self._new(add_into(dict(self.terms), ((key, -value) for key, value in other.terms.items())))
 
     def scale(self, c: Rational):
-        if not c:
-            return self._new({})
-        c = normalize_rational(c)
-        return self._new({key: normalize_rational(c * value) for key, value in self.terms.items()})
+        return self._new(vec_scale(self.terms, c))
 
     def __rmul__(self, c: Rational):
         return self.scale(c)
+
+    def __mul__(self, other):
+        """The term-by-term product with a carrier of the same class; any
+        other factor scales."""
+        if not isinstance(other, type(self)):
+            return self.scale(other)
+        key_of = self._product_key
+        return self._new(add_into({}, (
+            (key, a * b)
+            for i, a in self.terms.items()
+            for j, b in other.terms.items()
+            if (key := key_of(i, j)) is not None
+        )))
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
+
+    def __str__(self) -> str:
+        """The signed sum of c*m over the sorted keys, m the key's monomial."""
+        parts = []
+        for key in sorted(self.terms, reverse=self._descending):
+            c = self.terms[key]
+            mag = -c if c < 0 else c
+            mono = self._monomial(key)
+            body = rat_str(mag) if not mono else mono if mag == 1 else f"{rat_str(mag)}*{mono}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts) or "0"
 
     def __repr__(self) -> str:
         return str(self)
@@ -120,9 +161,18 @@ class Poly(Sparse):
     ascending degree."""
 
     __slots__ = ()
+    _descending = True
 
     def __init__(self, coeffs=()):
         super().__init__(dict(enumerate(coeffs)))
+
+    @staticmethod
+    def _product_key(i: int, j: int) -> int:
+        return i + j
+
+    @staticmethod
+    def _monomial(d: int) -> str:
+        return "" if d == 0 else "t" if d == 1 else f"t^{d}"
 
     @staticmethod
     def const(c: Rational) -> "Poly":
@@ -139,13 +189,6 @@ class Poly(Sparse):
         get = self.terms.get
         return tuple(get(d, 0) for d in range(self.degree + 1))
 
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            return self._new(add_into({}, (
-                (i + j, a * b) for i, a in self.terms.items() for j, b in other.terms.items()
-            )))
-        return self.scale(other)
-
     def __call__(self, t: Rational) -> Rational:
         acc = 0
         for d, c in self.terms.items():
@@ -158,24 +201,6 @@ class Poly(Sparse):
         for d, c in self.terms.items():
             add_into(out, ((j, c * comb(d, j) * a ** j * b ** (d - j)) for j in range(d + 1)))
         return self._new(out)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for d in sorted(self.terms, reverse=True):
-            c = self.terms[d]
-            mag = -c if c < 0 else c
-            if d == 0:
-                body = rat_str(mag)
-            else:
-                var = "t" if d == 1 else f"t^{d}"
-                body = var if mag == 1 else f"{rat_str(mag)}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
 
 
 T = Poly((0, 1))

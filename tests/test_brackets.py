@@ -12,7 +12,6 @@ from conftest import RATIONALS, nonzero_elements
 from oracles import DETERMINANT, BracketPreconditionError, FromFunctionalBracket, certify_from_functional
 from trilie import (
     OMEGA,
-    BasisVector,
     ConstantFunctional,
     DkInduced,
     Element,
