@@ -633,24 +633,33 @@ def cartan_normalizer_check(
     cartan span must itself lie in the cartan span.
 
     ``in_cartan(bv)`` decides membership structurally, so out-of-window
-    coordinates are classified correctly for family-shaped cartans.
+    coordinates are classified correctly for family-shaped cartans.  The
+    kernel runs once on each (unknown, generator term, basis vector)
+    triple, and an output outside the cartan adds its coefficient to the
+    equation of (generator, basis vector, output).
     """
     rep = VerdictReport(
         "cartan-self-normalization", {"cartan": name, "window": str(window)}
     )
     unknowns = list(window_basis(window))
+    triple = closed_triple_fn(spec)
+    generators = [tuple(h.terms.items()) for h in cartan_generators]
     equations: Dict[tuple, dict] = {}
     outside: Dict[tuple, bool] = {}  # output (family, index) -> not in_cartan
     for b in unknowns:
-        for j, h in enumerate(cartan_generators):
-            ad = _ad(spec, Element({b: 1}), h)
+        for j, terms in enumerate(generators):
             for jb, bb in enumerate(unknowns):
-                for key, c in ad({bb: 1}).items():
+                for b2, c2 in terms:
+                    res = triple(b, b2, bb)
+                    if res is None:
+                        continue
+                    key = res[1:]
                     off = outside.get(key)
                     if off is None:
                         off = outside[key] = not in_cartan(BasisVector(*key))
                     if off:
-                        equations.setdefault((j, jb, key), {})[b] = c
+                        row = equations.setdefault((j, jb, key), {})
+                        row[b] = row.get(b, 0) + c2 * res[0]
     kernel = null_space(list(equations.values()), unknowns)
     offenders = []
     for vec in kernel:

@@ -46,7 +46,6 @@ from .elements import (
     window_basis,
 )
 from .linalg import null_space
-from .polys import add_into
 from .report import PASS, ConfigError, VerdictReport, Window
 
 # -- bracket specifications --------------------------------------------
@@ -313,6 +312,17 @@ def _tabulate(triple: Callable, basis: Sequence[Triple]) -> list:
 
 def _kernel_element(res) -> Element:
     return Element() if res is None else Element({BasisVector(res[1], res[2]): res[0]})
+
+
+def _is_entry(acc: dict, res, scale: int) -> bool:
+    """Whether an int accumulator, zeros aside, is the kernel entry res
+    times scale."""
+    live = {key: c for key, c in acc.items() if c}
+    return live == ({} if res is None else {(res[1], res[2]): res[0] * scale})
+
+
+def _unscaled(acc: dict, scale: int) -> Element:
+    return Element({key: Fraction(c, scale) for key, c in acc.items()})
 
 
 def check_anticommutativity(spec: TriBracketSpec, window: Window) -> VerdictReport:
@@ -668,13 +678,17 @@ def check_constructor_agreement(
     (a) the functional construction over [ , ]_k reproduces fk(k, f);
     (b) the determinant construction reproduces the omega bracket.
 
-    Each route is combined per triple from tables built once per call: the
-    Lie bracket on basis pairs (the table the certificate of f brackets)
-    and f on basis vectors for (a), and for (b)
-    the cofactors on basis pairs of the determinant with rows (omega,
-    identity, delta), multiplied out with the algebra product.  The
-    combined routes are compared with the closed-form kernel entries, and
-    a counterexample prints the two values compared.
+    Each route is combined per triple from integer tables built once per
+    call: for (a) f on basis vectors, scaled by the lcm F of its
+    denominators, and the Lie bracket on basis pairs (the table the
+    certificate of f brackets), scaled by the lcm P of its denominators;
+    for (b) the rows (omega, identity, delta) of basis vectors, scaled by
+    the lcm R of their denominators, and the cofactors on basis pairs of
+    the determinant with those rows, which carry R^2.  A triple's
+    determinant multiplies cofactor and row terms under the algebra
+    product, memoised per key pair.  Each route is compared with the
+    closed-form kernel entry times F*P or R^3, and only a counterexample
+    divides the route back into an Element to print the two values.
     """
     rep = VerdictReport(
         "constructor-agreement",
@@ -689,28 +703,47 @@ def check_constructor_agreement(
     fk_kernel, omega_kernel = closed_triple_fn(FKBracket(k, f)), closed_triple_fn(OMEGA)
     basis = window_basis(window)
     units = [Element({bv: 1}) for bv in basis]
-    lie = [[value.terms for value in row] for row in pairs]
     weights = [functional_eval(f, u) for u in units]
     rows = [(omega(u), u, delta(u)) for u in units]
-    slots = list(enumerate(zip(basis, units, weights, rows)))
-    for i, (b1, u, f1, row1) in slots:
-        for j, (b2, v, f2, row2) in slots:
-            cofactors = permutation_cofactors(row1, row2, Element())
-            for l, (b3, w, f3, row3) in slots:
+    lie_scale = lcm(*(c.denominator for row in pairs for value in row for c in value.terms.values()))
+    f_scale = lcm(*(c.denominator for c in weights))
+    row_scale = lcm(*(c.denominator for row in rows for x in row for c in x.terms.values()))
+    fk_scale, omega_scale = f_scale * lie_scale, row_scale**3
+    lie = [[tuple((bv, int(c * lie_scale)) for bv, c in value.terms.items()) for value in row] for row in pairs]
+    weights = [int(c * f_scale) for c in weights]
+    rows = [tuple(x.scale(row_scale) for x in row) for row in rows]
+    row_terms = [[(b, pos, c) for pos, x in enumerate(row) for b, c in x.terms.items()] for row in rows]
+    product_key = lru_cache(maxsize=None)(Element._product_key)
+    slots = list(enumerate(zip(basis, weights, rows)))
+    for i, (b1, f1, row1) in slots:
+        for j, (b2, f2, row2) in slots:
+            cofactors = [tuple(c.terms.items()) for c in permutation_cofactors(row1, row2, Element())]
+            lie_ij = lie[i][j]
+            for l, (b3, f3, _) in slots:
                 route = {}
-                for weight, terms in ((f1, lie[j][l]), (f2, lie[l][i]), (f3, lie[i][j])):
+                for weight, terms in ((f1, lie[j][l]), (f2, lie[l][i]), (f3, lie_ij)):
                     if weight:
-                        add_into(route, ((bv, weight * c) for bv, c in terms.items()))
-                closed = _kernel_element(fk_kernel(b1, b2, b3))
-                if route != closed.terms:
+                        for bv, c in terms:
+                            route[bv] = route.get(bv, 0) + weight * c
+                res = fk_kernel(b1, b2, b3)
+                if (route or res) and not _is_entry(route, res, fk_scale):
+                    u, v, w = units[i], units[j], units[l]
                     rep.record_failure(
-                        f"functional route {Element(route)} != closed form {closed} on [{u},{v},{w}]"
+                        f"functional route {_unscaled(route, fk_scale)} != closed form "
+                        f"{_kernel_element(res)} on [{u},{v},{w}]"
                     )
-                det = sum((c * x for c, x in zip(cofactors, row3) if c and x), Element())
-                closed = _kernel_element(omega_kernel(b1, b2, b3))
-                if det != closed:
+                det = {}
+                for b, pos, c in row_terms[l]:
+                    for a, ca in cofactors[pos]:
+                        key = product_key(a, b)
+                        if key is not None:
+                            det[key] = det.get(key, 0) + ca * c
+                res = omega_kernel(b1, b2, b3)
+                if (det or res) and not _is_entry(det, res, omega_scale):
+                    u, v, w = units[i], units[j], units[l]
                     rep.record_failure(
-                        f"determinant route {det} != closed form {closed} on [{u},{v},{w}]"
+                        f"determinant route {_unscaled(det, omega_scale)} != closed form "
+                        f"{_kernel_element(res)} on [{u},{v},{w}]"
                     )
     rep.stats["triples"] = len(basis) ** 3
     rep.note("functional route uses the Lie bracket induced by d_k, as in the source proof")

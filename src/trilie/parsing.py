@@ -19,8 +19,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .elements import BasisVector, Element, ConstantFunctional, FiniteSupportFunctional, FunctionalSpec, PolynomialFunctional
-from .polys import Poly
+from .polys import Poly, add_into
 from .report import ConfigError
+
+MAX_EXPONENT = 1000
+"""The largest exponent of t in a weight polynomial: beta(t) is evaluated
+at every window index, and a huge power only costs time and memory."""
 
 
 class ElementSyntaxError(ConfigError):
@@ -67,7 +71,10 @@ class _Scanner:
             self.pos += 1
         if self.pos == digits:
             raise ElementSyntaxError("expected an integer", self.pos + 1)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+            raise ElementSyntaxError("integer too long", start + 1) from None
 
     def rational(self) -> Fraction:
         num = self.integer()
@@ -136,9 +143,10 @@ def _parse_term(sc: _Scanner, sign: int) -> Element:
 
 
 def parse_poly(text: str) -> Poly:
-    """Parse polynomials in t such as 't^2+1', '-t', '1/2*t - 3'."""
+    """Parse polynomials in t such as 't^2+1', '-t', '1/2*t - 3'.  An
+    exponent above MAX_EXPONENT is a syntax error."""
     sc = _Scanner(text)
-    coeffs = {}
+    terms = {}
     for sign in _signed_terms(sc, "empty polynomial"):
         coef = Fraction(1)
         deg = 0
@@ -159,9 +167,10 @@ def parse_poly(text: str) -> Poly:
                 deg = sc.integer()
                 if deg < 0:
                     raise ElementSyntaxError("exponent must be nonnegative", dpos + 1)
-        coeffs[deg] = coeffs.get(deg, Fraction(0)) + sign * coef
-    size = max(coeffs) + 1 if coeffs else 0
-    return Poly(tuple(coeffs.get(d, 0) for d in range(size)))
+                if deg > MAX_EXPONENT:
+                    raise ElementSyntaxError(f"exponent above the cap of {MAX_EXPONENT}", dpos + 1)
+        add_into(terms, ((deg, sign * coef),))
+    return Poly.zero()._new(terms)
 
 
 def _fraction(text: str) -> Fraction:

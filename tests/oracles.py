@@ -22,7 +22,9 @@ of those reaches the oracle and the tabulated check alike.
 scans every pivot on each reduction; ``span_close`` and ``ideal_check``
 bracket every row with ``tri_bracket``, on spans over that solver: the
 references for the pivot-lookup solver and for the table-read basis
-lines.
+lines.  ``cartan_normalizer_check`` builds its equations from one ``_ad``
+closure per (unknown, generator) pair, the reference for the package's
+direct kernel calls.
 ``lane_failures`` is the basis sweep of the nested identities as it was
 before the lanes were packed into one int: each term's row is a list of
 plain ints, one per lane, summed lane by lane.  ``identity_residual`` is
@@ -55,10 +57,11 @@ from trilie.analysis import (
     MODE_LOWER_CENTRAL,
     MODE_SELF_LOWER,
     WindowSubspace,
+    _ad,
     _project,
 )
-from trilie.elements import FAMILY_L, FAMILY_M, Element, FunctionalSpec, functional_eval, window_basis
-from trilie.linalg import vec_add_scaled, vec_scale
+from trilie.elements import FAMILY_L, FAMILY_M, BasisVector, Element, FunctionalSpec, functional_eval, window_basis
+from trilie.linalg import null_space, vec_add_scaled, vec_scale
 from trilie.nambu import FKRealization, _pairing_ok, nambu_bracket, realize
 from trilie.operators import Operator
 from trilie.polys import Poly, add_into, normalize_rational, rat_str
@@ -649,6 +652,39 @@ def ideal_check(spec, candidate, window, depth=DEFAULT_DEPTH):
             if not minimal:
                 break
         rep.stats["minimality_evidence"] = str(minimal)
+    return rep
+
+
+def cartan_normalizer_check(spec, window, in_cartan, cartan_generators, name):
+    """The self-normalization report, with one ``_ad`` closure per
+    (unknown, generator) pair applied to each window basis vector."""
+    rep = VerdictReport(
+        "cartan-self-normalization", {"cartan": name, "window": str(window)}
+    )
+    unknowns = list(window_basis(window))
+    equations = {}
+    outside = {}
+    for b in unknowns:
+        for j, h in enumerate(cartan_generators):
+            ad = _ad(spec, Element({b: 1}), h)
+            for jb, bb in enumerate(unknowns):
+                for key, c in ad({bb: 1}).items():
+                    off = outside.get(key)
+                    if off is None:
+                        off = outside[key] = not in_cartan(BasisVector(*key))
+                    if off:
+                        equations.setdefault((j, jb, key), {})[b] = c
+    kernel = null_space(list(equations.values()), unknowns)
+    offenders = []
+    for vec in kernel:
+        if any(not in_cartan(bv) for bv in vec):
+            offenders.append(str(Element(vec)))
+    rep.stats["normalizer_dimension"] = len(kernel)
+    if offenders:
+        for o in offenders[:4]:
+            rep.record_failure(f"element outside the cartan normalizes it: {o}")
+    else:
+        rep.note("normalizing set is contained in the cartan span (self-normalizing)")
     return rep
 
 

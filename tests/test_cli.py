@@ -12,6 +12,7 @@ from conftest import RATIONALS, elements, polys
 from trilie import cli
 from trilie.brackets import closed_triple_fn
 from trilie.cli import CHECKS, main
+from trilie.parsing import MAX_EXPONENT
 from trilie.report import VerdictReport
 
 
@@ -138,11 +139,6 @@ def test_internal_error_exits_three_in_one_line(monkeypatch, capsys, error):
 GRAMMAR_TEXT = st.text(alphabet="LM[]t^*/+-=,:. 0123456789", max_size=16)
 
 
-def _short_exponents(text):
-    """Cut every exponent to two digits: parse_poly expands t^N densely."""
-    return re.sub(r"(\^\s*[+-]?)(\d+)", lambda m: m.group(1) + m.group(2)[:2], text)
-
-
 @settings(max_examples=200)
 @given(
     flag=st.sampled_from(["--seed-element=", "--beta=poly:", "--beta=const:", "--beta=support:"]),
@@ -150,6 +146,7 @@ def _short_exponents(text):
         GRAMMAR_TEXT,
         elements().map(str),
         polys().map(str),
+        st.tuples(RATIONALS, st.integers(0, 9_999_999)).map(lambda p: f"{p[0]}*t^{p[1]} + 1"),
         RATIONALS.map(str),
         st.dictionaries(st.integers(-3, 3), RATIONALS, min_size=1, max_size=3).map(
             lambda values: ",".join(f"{t}={c}" for t, c in values.items())
@@ -161,15 +158,25 @@ def test_grammar_fuzz_keeps_the_exit_contract(flag, body):
     old = sys.stdout, sys.stderr
     sys.stdout, sys.stderr = out, err
     try:
-        code = main(["analyze", "structure-maps", "--window=-1..1", flag + _short_exponents(body)])
+        code = main(["analyze", "structure-maps", "--window=-1..1", flag + body])
     finally:
         sys.stdout, sys.stderr = old
     text = err.getvalue()
     assert code in (0, 2), (code, text)
+    if any(int(d) > MAX_EXPONENT for d in re.findall(r"\^\s*[+-]?(\d+)", body)):
+        assert code == 2, body
     if code == 0:
         assert text == ""
     else:
         assert re.fullmatch(r"trilie: [^\n]*\n", text), text
+
+
+def test_weight_exponents_stop_at_the_cap(capsys):
+    argv = ["analyze", "structure-maps", "--window=-1..1"]
+    assert main([*argv, f"--beta=poly:t^{MAX_EXPONENT} + 1"]) == 0
+    assert capsys.readouterr().err == ""
+    assert main([*argv, f"--beta=poly:t^{MAX_EXPONENT + 1}"]) == 2
+    assert capsys.readouterr().err == f"trilie: exponent above the cap of {MAX_EXPONENT} at column 3\n"
 
 
 def test_unknown_check_rejected():

@@ -27,6 +27,7 @@ def test_roundtrip_on_handpicked_forms():
 
 
 def test_parse_poly():
+    assert parse_poly("t^1000 - t^1000 + 1/2*t^1000").terms == {1000: Fraction(1, 2)}
     assert parse_poly("t^2+1").coeffs == (1, 0, 1)
     assert parse_poly("-t").coeffs == (0, -1)
     assert parse_poly("1/2*t - 3").coeffs == (-3, Fraction(1, 2))
@@ -113,6 +114,7 @@ ELEMENT_ERRORS = [
     ("--L[1]", "expected an integer at column 3"),
     ("L[1]]", "expected '+' or '-', found ']' at column 5"),
     ("*L[1]", "expected an integer at column 1"),
+    ("L[" + "9" * 5000 + "]", "integer too long at column 3"),
 ]
 POLY_ERRORS = [
     ("", "empty polynomial at column 1"),
@@ -129,6 +131,9 @@ POLY_ERRORS = [
     ("t^2 + * t", "expected an integer at column 7"),
     ("t^ 1.5", "expected '+' or '-', found '.' at column 5"),
     ("1/2/3", "expected '+' or '-', found '/' at column 4"),
+    ("t^1001", "exponent above the cap of 1000 at column 3"),
+    ("1 + t^+0002000", "exponent above the cap of 1000 at column 7"),
+    ("t^" + "9" * 5000, "integer too long at column 3"),
 ]
 
 

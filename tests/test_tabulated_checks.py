@@ -1,13 +1,17 @@
-"""The tabulated realization and constructor-agreement checks against the
-per-triple oracles in ``oracles.py``: the whole report (status, stats,
-notes, flags, counterexample text and order) must be the same, with the
-product rows intact and under the broken rows of ``test_product_rows``.
-Reports here keep every counterexample, so each failing triple counts."""
+"""The tabulated realization, constructor-agreement and Cartan
+normalizer checks against the per-triple oracles in ``oracles.py``: the
+whole report (status, stats, notes, flags, counterexample text and order)
+must be the same, with the product rows intact and under the broken rows
+of ``test_product_rows``.  Reports here keep every counterexample, so each
+failing triple counts."""
+
+from fractions import Fraction
 
 import pytest
 
 import oracles
-from trilie import OMEGA, FKBracket, FKRealization, OmegaRealization, brackets, nambu, parse_beta
+from trilie import OMEGA, BasisVector, Element, FKBracket, FKRealization, L, M, OmegaRealization, brackets, nambu, parse_beta
+from trilie.analysis import cartan_normalizer_check
 from trilie.brackets import check_constructor_agreement
 from trilie.nambu import check_realization
 from trilie.report import VerdictReport, Window
@@ -80,16 +84,97 @@ def test_broken_rows_fail_with_counterexamples(rows):
 
 
 def test_passing_checks_call_no_per_triple_route(monkeypatch):
-    """The tables decide every triple; nambu_bracket and tri_bracket only
-    write counterexample text, so a passing check calls neither."""
+    """The tables decide every triple; nambu_bracket, tri_bracket and
+    _kernel_element only write counterexample text, so a passing check
+    calls none of them, and constructor agreement multiplies Elements per
+    basis pair (the Lie table and the cofactors), not per triple."""
     def refuse(*args):
         raise AssertionError("a passing check took the per-triple route")
 
+    products = []
+    product = Element.__mul__
+
+    def counted(self, other):
+        products.append(None)
+        return product(self, other)
+
     monkeypatch.setattr(nambu, "nambu_bracket", refuse)
     monkeypatch.setattr(brackets, "tri_bracket", refuse)
+    monkeypatch.setattr(brackets, "_kernel_element", refuse)
+    monkeypatch.setattr(Element, "__mul__", counted)
+    n = 2 * len(WINDOW.indices())
     for weight in WEIGHTS:
         f = parse_beta(weight)
         for k in KS:
             assert check_realization(FKRealization(k, f), FKBracket(k, f), WINDOW).status == "flagged"
+            products.clear()
             assert check_constructor_agreement(WINDOW, k, f).status == "pass"
+            assert 0 < len(products) < n**3
     assert check_realization(OmegaRealization(), OMEGA, WINDOW).status == "pass"
+
+
+def half_swap_omega(u):
+    """omega plus half the identity: L[r] -> M[-r] + 1/2*L[r]."""
+    swap = {"L": "M", "M": "L"}
+    return Element({BasisVector(swap[bv.family], -bv.index): c for bv, c in u.terms.items()}) + u.scale(
+        Fraction(1, 2)
+    )
+
+
+def third_m_delta(u):
+    """delta plus a third of M[r] for each term at index r."""
+    return Element({bv: c * bv.index for bv, c in u.terms.items()}) + Element(
+        {BasisVector("M", bv.index): Fraction(c, 3) for bv, c in u.terms.items()}
+    )
+
+
+def half_d_k(k, u):
+    """d_k at half the coefficient: L[r] -> 1/2*r*L[k+r]."""
+    return Element({BasisVector("L", k + r): Fraction(r, 2) * c for (fam, r), c in u.terms.items() if fam == "L"})
+
+
+FRACTIONAL_MAPS = {
+    "omega and delta": {"omega": half_swap_omega, "delta": third_m_delta},
+    "d_k": {"d_k": half_d_k},
+}
+
+
+@pytest.mark.parametrize("maps", sorted(FRACTIONAL_MAPS))
+@pytest.mark.parametrize("weight", ("const:1/2", "poly:t^2+1"))
+def test_constructor_agreement_matches_the_oracle_under_fractional_maps(monkeypatch, maps, weight):
+    """Multi-term rows and Lie pairs with denominators: the scaled tables
+    must divide back to the oracle's routes, failure text and order."""
+    monkeypatch.setattr(VerdictReport, "MAX_COUNTEREXAMPLES", 10**6)
+    for name, fn in FRACTIONAL_MAPS[maps].items():
+        monkeypatch.setattr(brackets, name, fn)
+    f = parse_beta(weight)
+    for k in (0, 1):
+        rep = check_constructor_agreement(WINDOW, k, f)
+        assert rep.status == "fail"
+        _assert_same(rep, oracles.check_constructor_agreement(WINDOW, k, f))
+
+
+def _cartans(f):
+    """(spec, in_cartan, generators, name) of the battery's cartans, with
+    one L vector wrongly admitted and, under fk, with M[0] wrongly left out."""
+    stray = BasisVector("L", 1)
+    yield OMEGA, lambda bv: bv.index == 0, [L(0), M(0)], "L[0], M[0]"
+    yield OMEGA, lambda bv: bv.index == 0 or bv == stray, [L(0), M(0)], "L[0], M[0] and L[1]"
+    for k in KS:
+        gens = [L(-k)] + [M(t) for t in WINDOW.indices()]
+        lk = BasisVector("L", -k)
+        yield FKBracket(k, f), lambda bv: bv.family == "M" or bv == lk, gens, "M family"
+        yield FKBracket(k, f), lambda bv: bv.family == "M" or bv in (lk, stray), gens, "M family and L[1]"
+        yield FKBracket(k, f), lambda bv: (bv.family == "M" and bv.index != 0) or bv == lk, gens, "M family but M[0]"
+
+
+@pytest.mark.parametrize("weight", WEIGHTS)
+def test_cartan_normalizer_matches_the_oracle(rows, weight):
+    statuses = []
+    for spec, in_cartan, gens, name in _cartans(parse_beta(weight)):
+        rep = cartan_normalizer_check(spec, WINDOW, in_cartan, gens, name)
+        _assert_same(rep, oracles.cartan_normalizer_check(spec, WINDOW, in_cartan, gens, name))
+        statuses.append(rep.status)
+    if rows == "intact":
+        # a stray L vector changes nothing on this window; a missing M[0] is an offender
+        assert statuses == ["pass", "pass"] + ["pass", "pass", "fail"] * len(KS)
