@@ -314,17 +314,6 @@ def _kernel_element(res) -> Element:
     return Element() if res is None else Element({BasisVector(res[1], res[2]): res[0]})
 
 
-def _is_entry(acc: dict, res, scale: int) -> bool:
-    """Whether an int accumulator, zeros aside, is the kernel entry res
-    times scale."""
-    live = {key: c for key, c in acc.items() if c}
-    return live == ({} if res is None else {(res[1], res[2]): res[0] * scale})
-
-
-def _unscaled(acc: dict, scale: int) -> Element:
-    return Element({key: Fraction(c, scale) for key, c in acc.items()})
-
-
 def check_anticommutativity(spec: TriBracketSpec, window: Window) -> VerdictReport:
     """Total antisymmetry under all six permutations, every basis triple,
     comparing entries of the tabulated closed-form kernel."""
@@ -714,24 +703,31 @@ def check_constructor_agreement(
     rows = [tuple(x.scale(row_scale) for x in row) for row in rows]
     row_terms = [[(b, pos, c) for pos, x in enumerate(row) for b, c in x.terms.items()] for row in rows]
     product_key = lru_cache(maxsize=None)(Element._product_key)
+
+    def compare(name: str, acc: dict, res, scale: int, i: int, j: int, l: int) -> None:
+        """Record a failure unless the int accumulator, zeros aside, is the
+        kernel entry res times scale."""
+        live = {key: c for key, c in acc.items() if c}
+        if live != ({} if res is None else {(res[1], res[2]): res[0] * scale}):
+            value = Element({key: Fraction(c, scale) for key, c in live.items()})
+            rep.record_failure(
+                f"{name} route {value} != closed form {_kernel_element(res)} "
+                f"on [{units[i]},{units[j]},{units[l]}]"
+            )
+
     slots = list(enumerate(zip(basis, weights, rows)))
     for i, (b1, f1, row1) in slots:
         for j, (b2, f2, row2) in slots:
             cofactors = [tuple(c.terms.items()) for c in permutation_cofactors(row1, row2, Element())]
-            lie_ij = lie[i][j]
             for l, (b3, f3, _) in slots:
                 route = {}
-                for weight, terms in ((f1, lie[j][l]), (f2, lie[l][i]), (f3, lie_ij)):
+                for weight, terms in ((f1, lie[j][l]), (f2, lie[l][i]), (f3, lie[i][j])):
                     if weight:
                         for bv, c in terms:
                             route[bv] = route.get(bv, 0) + weight * c
                 res = fk_kernel(b1, b2, b3)
-                if (route or res) and not _is_entry(route, res, fk_scale):
-                    u, v, w = units[i], units[j], units[l]
-                    rep.record_failure(
-                        f"functional route {_unscaled(route, fk_scale)} != closed form "
-                        f"{_kernel_element(res)} on [{u},{v},{w}]"
-                    )
+                if route or res:
+                    compare("functional", route, res, fk_scale, i, j, l)
                 det = {}
                 for b, pos, c in row_terms[l]:
                     for a, ca in cofactors[pos]:
@@ -739,12 +735,8 @@ def check_constructor_agreement(
                         if key is not None:
                             det[key] = det.get(key, 0) + ca * c
                 res = omega_kernel(b1, b2, b3)
-                if (det or res) and not _is_entry(det, res, omega_scale):
-                    u, v, w = units[i], units[j], units[l]
-                    rep.record_failure(
-                        f"determinant route {_unscaled(det, omega_scale)} != closed form "
-                        f"{_kernel_element(res)} on [{u},{v},{w}]"
-                    )
+                if det or res:
+                    compare("determinant", det, res, omega_scale, i, j, l)
     rep.stats["triples"] = len(basis) ** 3
     rep.note("functional route uses the Lie bracket induced by d_k, as in the source proof")
     return rep

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -114,7 +115,6 @@ ELEMENT_ERRORS = [
     ("--L[1]", "expected an integer at column 3"),
     ("L[1]]", "expected '+' or '-', found ']' at column 5"),
     ("*L[1]", "expected an integer at column 1"),
-    ("L[" + "9" * 5000 + "]", "integer too long at column 3"),
 ]
 POLY_ERRORS = [
     ("", "empty polynomial at column 1"),
@@ -133,7 +133,6 @@ POLY_ERRORS = [
     ("1/2/3", "expected '+' or '-', found '/' at column 4"),
     ("t^1001", "exponent above the cap of 1000 at column 3"),
     ("1 + t^+0002000", "exponent above the cap of 1000 at column 7"),
-    ("t^" + "9" * 5000, "integer too long at column 3"),
 ]
 
 
@@ -146,6 +145,14 @@ def test_syntax_error_texts(parse, text, message):
         parse(text)
     assert str(exc.value) == message
     assert exc.value.position == int(message.rsplit(" ", 1)[1])
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit")
+def test_integers_too_long_to_convert_are_syntax_errors():
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    for parse, text in ((parse_element, f"L[{digits}]"), (parse_poly, f"t^{digits}")):
+        with pytest.raises(ElementSyntaxError, match=r"^integer too long at column 3$"):
+            parse(text)
 
 
 def test_lenient_forms_still_parse():

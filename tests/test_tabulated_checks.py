@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from trilie import OMEGA, BasisVector, Element, FKBracket, FKRealization, L, M, OmegaRealization, brackets, nambu, parse_beta
+from trilie import OMEGA, BasisVector, Element, FKBracket, FKRealization, L, M, OmegaRealization, analysis, brackets, nambu, parse_beta
 from trilie.analysis import cartan_normalizer_check
 from trilie.brackets import check_constructor_agreement
 from trilie.nambu import check_realization
@@ -87,7 +87,8 @@ def test_passing_checks_call_no_per_triple_route(monkeypatch):
     """The tables decide every triple; nambu_bracket, tri_bracket and
     _kernel_element only write counterexample text, so a passing check
     calls none of them, and constructor agreement multiplies Elements per
-    basis pair (the Lie table and the cofactors), not per triple."""
+    basis pair (the Lie table and the cofactors), not per triple.  The
+    Cartan normalizer calls the kernel without an ad closure."""
     def refuse(*args):
         raise AssertionError("a passing check took the per-triple route")
 
@@ -102,6 +103,7 @@ def test_passing_checks_call_no_per_triple_route(monkeypatch):
     monkeypatch.setattr(brackets, "tri_bracket", refuse)
     monkeypatch.setattr(brackets, "_kernel_element", refuse)
     monkeypatch.setattr(Element, "__mul__", counted)
+    monkeypatch.setattr(analysis, "_ad", refuse)
     n = 2 * len(WINDOW.indices())
     for weight in WEIGHTS:
         f = parse_beta(weight)
@@ -110,6 +112,8 @@ def test_passing_checks_call_no_per_triple_route(monkeypatch):
             products.clear()
             assert check_constructor_agreement(WINDOW, k, f).status == "pass"
             assert 0 < len(products) < n**3
+        for spec, in_cartan, gens, name in list(_cartans(f))[:3]:
+            assert cartan_normalizer_check(spec, WINDOW, in_cartan, gens, name).status == "pass"
     assert check_realization(OmegaRealization(), OMEGA, WINDOW).status == "pass"
 
 
