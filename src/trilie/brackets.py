@@ -246,6 +246,16 @@ def closed_triple_fn(spec: TriBracketSpec) -> Callable:
     return rule_kernel(*bracket_rules(spec))
 
 
+@lru_cache(maxsize=128)
+def integral_spec(spec: TriBracketSpec) -> Tuple[int, TriBracketSpec]:
+    """(B, the bracket with its weight scaled by B), B the weight's
+    denominator bound: every coefficient of the scaled bracket's kernel is
+    an int, B times the bracket's.  (1, spec) for omega and integer weights."""
+    weight = bracket_rules(spec)[2]
+    unit = 1 if weight is None else weight.denominator()
+    return (1, spec) if unit == 1 else (unit, FKBracket(spec.k, weight.scaled(unit)))
+
+
 # -- ternary brackets on general elements --------------------------------
 
 
@@ -310,19 +320,22 @@ def _tabulate(triple: Callable, basis: Sequence[Triple]) -> list:
     return [triple(*args) for args in product(basis, repeat=3)]
 
 
-def _kernel_element(res) -> Element:
-    return Element() if res is None else Element({BasisVector(res[1], res[2]): res[0]})
+def _kernel_element(res, unit: int = 1) -> Element:
+    """A kernel value as an Element, its coefficient divided by ``unit``."""
+    return Element() if res is None else Element({BasisVector(res[1], res[2]): Fraction(res[0], unit)})
 
 
 def check_anticommutativity(spec: TriBracketSpec, window: Window) -> VerdictReport:
     """Total antisymmetry under all six permutations, every basis triple,
-    comparing entries of the tabulated closed-form kernel."""
+    comparing entries of the tabulated closed-form kernel with the weight
+    scaled to integers (``integral_spec``)."""
     rep = VerdictReport(
         "anticommutativity", {"bracket": spec.describe(), "window": str(window)}
     )
     basis = window_basis(window)
     n = len(basis)
-    table = _tabulate(closed_triple_fn(spec), basis)
+    unit, scaled = integral_spec(spec)
+    table = _tabulate(closed_triple_fn(scaled), basis)
     perms = [(perm, sign, itemgetter(*perm)) for perm, sign in PERMUTATIONS[1:]]
     for pos, base in zip(product(range(n), repeat=3), table):
         # an odd permutation must give the entry negated: one negation per entry
@@ -333,7 +346,7 @@ def check_anticommutativity(spec: TriBracketSpec, window: Window) -> VerdictRepo
             if permuted != (base if sign > 0 else flipped):
                 rep.record_failure(
                     f"[{basis[pos[0]]}, {basis[pos[1]]}, {basis[pos[2]]}] vs permutation {perm}: "
-                    f"{_kernel_element(base)} / {_kernel_element(permuted)}"
+                    f"{_kernel_element(base, unit)} / {_kernel_element(permuted, unit)}"
                 )
     rep.stats["permutation_checks"] = 5 * n**3
     return rep
@@ -346,14 +359,19 @@ def check_anticommutativity(spec: TriBracketSpec, window: Window) -> VerdictRepo
 # bracket takes the slots named by ``inner``; the outer bracket takes the
 # slots named by ``outer``, where slot INNER holds the inner value.
 #
+# Every table-driven check reads the kernel of ``integral_spec(spec)``: the
+# weight is scaled by its denominator bound B, so each kernel coefficient is
+# an int, B times the bracket's, and B is divided back only into a failure
+# text or a nonzero residual.
+#
 # On element 5-tuples (the sampled ones) an identity is one integer pass.
-# Each argument is scaled once by the lcm D_i of its denominators, its terms
-# grouped by family, and each kernel coefficient by the weight's denominator
-# bound B.  A term brackets each argument once and calls the kernel twice,
-# so every term is an int map over D_0*...*D_4 * B**2: inner values stay
-# unreduced, and only a nonzero residual is divided back into an Element.
-# ``tri_bracket`` keeps its rational route: most of its calls elsewhere are
-# one-term triples, where integer forms cost more than they save.
+# Each argument is scaled once by the lcm D_i of its denominators and its
+# terms grouped by family.  A term brackets each argument once and calls the
+# kernel twice, so every term is an int map over D_0*...*D_4 * B**2: inner
+# values stay unreduced, and only a nonzero residual is divided back into an
+# Element.  ``tri_bracket`` keeps its rational route: most of its calls
+# elsewhere are one-term triples, where integer forms cost more than they
+# save.
 
 INNER = 5
 
@@ -383,9 +401,10 @@ def _by_family(terms) -> dict:
     return groups
 
 
-def _int_bracket(triple: Callable, rules, scale: int, u: dict, v: dict, w: dict, out: dict) -> dict:
-    """Add [u, v, w] into ``out``, on family-grouped int terms, with every
-    kernel coefficient multiplied by ``scale`` (a signed multiple of B)."""
+def _int_bracket(triple: Callable, rules, unit: int, u: dict, v: dict, w: dict, out: dict) -> dict:
+    """Add [u, v, w] into ``out``, on family-grouped int terms, through the
+    kernel of a bracket whose weight is scaled by ``unit`` (its bound B):
+    every coefficient must be an int."""
     get = out.get
     for (fu, us), (fv, vs), (fw, ws) in product(u.items(), v.items(), w.items()):
         if (fu, fv, fw) not in rules:
@@ -402,24 +421,24 @@ def _int_bracket(triple: Callable, rules, scale: int, u: dict, v: dict, w: dict,
                     if res is None:
                         continue
                     coef = res[0]
-                    if coef.__class__ is int:
-                        coef *= scale
-                    else:
-                        q, r = divmod(scale, coef.denominator)
-                        if r:
-                            raise ValueError(f"kernel coefficient {coef} has a denominator that does not divide {scale}")
-                        coef = coef.numerator * q
+                    if coef.__class__ is not int:
+                        _not_divided(coef, unit)
                     key = res[1:]
                     out[key] = get(key, 0) + c12 * c3 * coef
     return out
 
 
+def _not_divided(coef, unit: int):
+    """Raise for a non-int coefficient of a kernel scaled by ``unit``."""
+    raise ValueError(f"kernel coefficient {coef / unit} has a denominator that does not divide {unit}")
+
+
 def identity_residual(spec: TriBracketSpec, identity, args: Sequence[Element]) -> Element:
     """The exact residual of a nested identity on five elements, in one
     integer pass that brackets only the family patterns with a rule."""
-    triple = closed_triple_fn(spec)
-    rules, _, weight = bracket_rules(spec)
-    unit = 1 if weight is None else weight.denominator()
+    unit, scaled = integral_spec(spec)
+    triple = closed_triple_fn(scaled)
+    rules = bracket_rules(spec)[0]
     den = unit * unit
     slots = []
     for arg in args:
@@ -434,10 +453,11 @@ def identity_residual(spec: TriBracketSpec, identity, args: Sequence[Element]) -
     for sign, inner, outer in identity:
         _check_term(sign, inner, outer)
         a, b, c = inner
-        slots[INNER] = _by_family(_int_bracket(triple, rules, unit, slots[a], slots[b], slots[c], {}).items())
+        value = _int_bracket(triple, rules, unit, slots[a], slots[b], slots[c], {})
+        slots[INNER] = _by_family((vec, sign * c) for vec, c in value.items())
         if slots[INNER]:
             a, b, c = outer
-            _int_bracket(triple, rules, sign * unit, slots[a], slots[b], slots[c], out)
+            _int_bracket(triple, rules, unit, slots[a], slots[b], slots[c], out)
     terms = {}
     for (fam, idx), n in out.items():
         if n:
@@ -465,30 +485,9 @@ def identity_residual(spec: TriBracketSpec, identity, args: Sequence[Element]) -
 LANES = (3, 4)
 
 
-def _graded_output(spec: TriBracketSpec) -> Callable:
-    """The basis vector the grading assigns to a basis triple's bracket, or
-    None where it allows no nonzero value.  Every M_t has degree k under fk,
-    so fk may not output an M.  Each vector's (is L, degree) is found once
-    per call and then looked up."""
-    is_omega = isinstance(spec, OmegaBracket)
-
-    @lru_cache(maxsize=None)
-    def grade(vec):
-        fam, idx = vec
-        return fam == FAMILY_L, idx if fam == FAMILY_L else -idx if is_omega else spec.k
-
-    def graded(args):
-        (la, da), (lb, db), (lc, dc) = map(grade, args)
-        n_l, degree = la + lb + lc, da + db + dc
-        if n_l == 2:
-            return (FAMILY_L, degree)
-        return (FAMILY_M, -degree) if n_l == 1 and is_omega else None
-
-    return graded
-
-
 def _sweep_tables(spec: TriBracketSpec, basis: Sequence[Triple]):
-    """Integer tables of the kernel, all scaled by the lcm of their denominators.
+    """Integer tables of the kernel of ``integral_spec(spec)``: B times the
+    bracket's values, B its weight's denominator bound.
 
     Returns (coef, base, outer):
     * coef[i], base[i]: entry i of the ``_tabulate`` table, as its
@@ -497,33 +496,55 @@ def _sweep_tables(spec: TriBracketSpec, basis: Sequence[Triple]):
       coded vector at position p and basis[x], basis[y] at the other two.
 
     Codes number the inner outputs that occur, so every one has a code.
+    Every nonzero entry is held to the grading, and must be an int.
     """
-    triple, graded = closed_triple_fn(spec), _graded_output(spec)
+    unit, scaled = integral_spec(spec)
+    triple = closed_triple_fn(scaled)
+    is_omega = isinstance(spec, OmegaBracket)
 
-    def entry(*args):
-        res = triple(*args)
-        if res is not None and res[1:] != graded(args):
-            raise ConfigError(
-                f"{spec.describe()} breaks its grading: [{', '.join(map(str, args))}] "
-                f"lands on {res[1:]}, the grading puts it on {graded(args)}"
-            )
-        return res
+    def graded(vecs):
+        """Each vector with its (is L, degree)."""
+        return [
+            (vec, 1, vec[1]) if vec[0] == FAMILY_L else (vec, 0, -vec[1] if is_omega else spec.k)
+            for vec in vecs
+        ]
+
+    graded_basis = graded(basis)
+
+    def table(first, p: int) -> list:
+        """The kernel entries with a vector of ``first`` at position p and
+        basis vectors x, y at the other two, in the order (vector, x, y)."""
+        out = []
+        for v, lv, dv in graded(first):
+            for x, lx, dx in graded_basis:
+                for y, ly, dy in graded_basis:
+                    args = (v, x, y) if p == 0 else (x, v, y) if p == 1 else (x, y, v)
+                    res = triple(*args)
+                    if res is not None:
+                        n_l, degree = lv + lx + ly, dv + dx + dy
+                        if n_l == 2:
+                            want = (FAMILY_L, degree)
+                        else:
+                            want = (FAMILY_M, -degree) if n_l == 1 and is_omega else None
+                        if res[1:] != want:
+                            raise ConfigError(
+                                f"{spec.describe()} breaks its grading: [{', '.join(map(str, args))}] "
+                                f"lands on {res[1:]}, the grading puts it on {want}"
+                            )
+                        if res[0].__class__ is not int:
+                            _not_divided(res[0], unit)
+                    out.append(res)
+        return out
+
+    def coefs(entries) -> list:
+        return [0 if res is None else res[0] for res in entries]
 
     n2 = len(basis) ** 2
-    inner = _tabulate(entry, basis)
+    inner = table(basis, 0)
     ext = sorted({res[1:] for res in inner if res})
     code = {vec: i for i, vec in enumerate(ext)}
-    outer = [
-        [entry(*xy[:p], vec, *xy[p:]) for vec in ext for xy in product(basis, repeat=2)]
-        for p in range(3)
-    ]
-    scale = lcm(*{res[0].denominator for table in (inner, *outer) for res in table if res})
-
-    def scaled(res):
-        return 0 if res is None else int(res[0] * scale)
-
     base = [0 if res is None else code[res[1:]] * n2 for res in inner]
-    return list(map(scaled, inner)), base, [list(map(scaled, t)) for t in outer]
+    return coefs(inner), base, [coefs(table(ext, p)) for p in range(3)]
 
 
 def _field_width(tables, terms: int) -> int:

@@ -121,6 +121,10 @@ class ConstantFunctional:
         """A bound B on the denominators of beta: beta(t) * B is an int for every int t."""
         return self.value.denominator
 
+    def scaled(self, c: Rational) -> "ConstantFunctional":
+        """The functional c * beta."""
+        return ConstantFunctional(self.value * c)
+
     def as_poly(self) -> Optional[Poly]:
         return Poly.const(self.value)
 
@@ -149,6 +153,9 @@ class PolynomialFunctional:
         """The lcm of the coefficients' denominators, which bounds beta's."""
         return lcm(*[c.denominator for c in self.poly.terms.values()])
 
+    def scaled(self, c: Rational) -> "PolynomialFunctional":
+        return PolynomialFunctional(self.poly.scale(c))
+
     def as_poly(self) -> Optional[Poly]:
         return self.poly
 
@@ -175,6 +182,9 @@ class FiniteSupportFunctional:
     def denominator(self) -> int:
         """The lcm of the values' denominators."""
         return lcm(*[c.denominator for _, c in self.values])
+
+    def scaled(self, c: Rational) -> "FiniteSupportFunctional":
+        return FiniteSupportFunctional({t: v * c for t, v in self.values})
 
     def as_poly(self) -> Optional[Poly]:
         return None

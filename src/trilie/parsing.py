@@ -80,6 +80,7 @@ class _Scanner:
         num = self.integer()
         if self.peek() == "/":
             self.pos += 1
+            self.skip_ws()
             dpos = self.pos
             den = self.integer()
             if den <= 0:
@@ -163,6 +164,7 @@ def parse_poly(text: str) -> Poly:
             deg = 1
             if sc.peek() == "^":
                 sc.take()
+                sc.skip_ws()
                 dpos = sc.pos
                 deg = sc.integer()
                 if deg < 0:

@@ -27,15 +27,20 @@ closure per (unknown, generator) pair, the reference for the package's
 direct kernel calls.
 ``lane_failures`` is the basis sweep of the nested identities as it was
 before the lanes were packed into one int: each term's row is a list of
-plain ints, one per lane, summed lane by lane.  ``identity_residual`` is
+plain ints, one per lane, summed lane by lane.  ``sweep_tables`` builds the
+sweep's integer tables from the rational kernel, checks the grading
+through a per-entry closure and scales them by the lcm of their
+denominators, the reference for the package's tables over the weight
+scaled by its denominator bound.  ``identity_residual`` is
 the nested identity on five elements as two ``tri_bracket`` calls per
 term, the reference for the fused integer pass of the package.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress, product
-from math import comb
+from math import comb, lcm
 from operator import add, itemgetter, mul, sub
 from typing import Optional
 
@@ -47,8 +52,10 @@ from trilie.brackets import (
     DkInduced,
     FKBracket,
     LieBracketSpec,
+    OmegaBracket,
     _certify_with_pairs,
     _sweep_tables,
+    _tabulate,
 )
 from trilie.analysis import (
     DEFAULT_DEPTH,
@@ -65,7 +72,7 @@ from trilie.linalg import null_space, vec_add_scaled, vec_scale
 from trilie.nambu import FKRealization, _pairing_ok, nambu_bracket, realize
 from trilie.operators import Operator
 from trilie.polys import Poly, add_into, normalize_rational, rat_str
-from trilie.report import PASS, VerdictReport, Window
+from trilie.report import PASS, ConfigError, VerdictReport, Window
 
 
 def omega_triple(a, b, c):
@@ -792,3 +799,56 @@ def lane_failures(spec, window, checks):
                 out.append(checks[i][1].format(*(tuple(basis[s]) for s in slots)))
             failing = []
     return out
+
+
+def _graded_output(spec):
+    """The basis vector the grading assigns to a basis triple's bracket, or
+    None where it allows no nonzero value.  Every M_t has degree k under fk,
+    so fk may not output an M."""
+    is_omega = isinstance(spec, OmegaBracket)
+
+    @lru_cache(maxsize=None)
+    def grade(vec):
+        fam, idx = vec
+        return fam == FAMILY_L, idx if fam == FAMILY_L else -idx if is_omega else spec.k
+
+    def graded(args):
+        (la, da), (lb, db), (lc, dc) = map(grade, args)
+        n_l, degree = la + lb + lc, da + db + dc
+        if n_l == 2:
+            return (FAMILY_L, degree)
+        return (FAMILY_M, -degree) if n_l == 1 and is_omega else None
+
+    return graded
+
+
+def sweep_tables(spec, basis):
+    """The sweep's (coef, base, outer) tables of the rational kernel of
+    ``spec``, every entry held to the grading, all scaled by the lcm of
+    their denominators; returns them with that lcm."""
+    triple, graded = brackets.closed_triple_fn(spec), _graded_output(spec)
+
+    def entry(*args):
+        res = triple(*args)
+        if res is not None and res[1:] != graded(args):
+            raise ConfigError(
+                f"{spec.describe()} breaks its grading: [{', '.join(map(str, args))}] "
+                f"lands on {res[1:]}, the grading puts it on {graded(args)}"
+            )
+        return res
+
+    n2 = len(basis) ** 2
+    inner = _tabulate(entry, basis)
+    ext = sorted({res[1:] for res in inner if res})
+    code = {vec: i for i, vec in enumerate(ext)}
+    outer = [
+        [entry(*xy[:p], vec, *xy[p:]) for vec in ext for xy in product(basis, repeat=2)]
+        for p in range(3)
+    ]
+    scale = lcm(*{res[0].denominator for table in (inner, *outer) for res in table if res})
+
+    def scaled(res):
+        return 0 if res is None else int(res[0] * scale)
+
+    base = [0 if res is None else code[res[1:]] * n2 for res in inner]
+    return (list(map(scaled, inner)), base, [list(map(scaled, t)) for t in outer]), scale

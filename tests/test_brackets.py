@@ -300,10 +300,13 @@ def _shifted_llm_kernel(closed_triple_fn):
 def test_kernel_rejects_broken_grading(monkeypatch, capsys):
     monkeypatch.setattr(brackets, "closed_triple_fn", _shifted_llm_kernel(brackets.closed_triple_fn))
     w = Window(-2, 2)
-    for spec in (OMEGA, FKBracket(1, ONE)):
+    for spec in (OMEGA, FKBracket(1, ONE), FKBracket(1, ConstantFunctional(Fraction(1, 2)))):
         for check in (check_fundamental_identity, module_axiom_check):
-            with pytest.raises(ValueError, match="breaks its grading"):
+            with pytest.raises(ValueError, match="breaks its grading") as exc:
                 check(spec, w)
+            # the text names the checked bracket, not the one its weight was scaled into
+            assert str(exc.value).startswith(f"{spec.describe()} breaks its grading")
+    assert spec.describe() == "fk(k=1, beta=const:1/2)"
     for bracket in ("omega", "fk"):
         assert main(["verify", "fundamental-identity", "--bracket", bracket, "--window", "-1..1"]) == 2
         assert "breaks its grading" in capsys.readouterr().err
@@ -441,6 +444,39 @@ def test_packed_rows_unpack_to_the_lane_oracle_rows(spec, patch):
             nonzero += any(row)
     patched = patch is not None and patch[0][0] == ("omega" if spec == OMEGA else "fk")
     assert (nonzero > 0) == patched
+
+
+def _ruleless_lll_kernel(closed_triple_fn):
+    return _ruleless_kernel(closed_triple_fn, ("L", "L", "L"))
+
+
+@pytest.mark.parametrize(
+    "breakage", [None, _shifted_llm_kernel, _ruleless_lll_kernel], ids=("shipped", "shifted", "ruleless")
+)
+@pytest.mark.parametrize("spec", PARITY_SPECS, ids=lambda spec: spec.describe())
+def test_sweep_tables_match_the_rational_oracle(monkeypatch, spec, breakage):
+    """The tables over the scaled weight, read as rationals through its
+    bound B, are the rational tables read through their lcm, with the same
+    codes; a kernel that breaks the grading gets the same error from both."""
+    if breakage is not None:
+        monkeypatch.setattr(brackets, "closed_triple_fn", breakage(brackets.closed_triple_fn))
+    unit, errors = brackets.integral_spec(spec)[0], 0
+    for window in PARITY_WINDOWS:
+        basis = [(bv.family, bv.index) for bv in window_basis(window)]
+        try:
+            (coef, base, outer), scale = oracles.sweep_tables(spec, basis)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as got:
+                _sweep_tables(spec, basis)
+            assert str(got.value) == str(exc)
+            errors += 1
+            continue
+        tables = _sweep_tables(spec, basis)
+        assert tables[1] == base
+        for new, old in ((tables[0], coef), *zip(tables[2], outer)):
+            assert all(type(c) is int for c in new)
+            assert [Fraction(c, unit) for c in new] == [Fraction(c, scale) for c in old]
+    assert (errors > 0) == (breakage is not None)
 
 
 @given(w=st.integers(1, 40), data=st.data())
@@ -617,7 +653,8 @@ def test_ruleless_patterns_are_refused_before_any_sample(monkeypatch, capsys, br
 
 
 def test_fused_residual_refuses_a_coefficient_outside_the_weight_bound(monkeypatch):
-    # every nonzero coefficient becomes 1/3, outside omega's bound B = 1
+    # every nonzero coefficient of the scaled kernel becomes 1/3, so the
+    # bracket's is 1/(3B), outside its weight's bound B; the sweep refuses it too
     def thirds(spec):
         kernel = closed_triple_fn(spec)
 
@@ -628,8 +665,14 @@ def test_fused_residual_refuses_a_coefficient_outside_the_weight_bound(monkeypat
         return triple
 
     monkeypatch.setattr(brackets, "closed_triple_fn", thirds)
-    with pytest.raises(ValueError, match="does not divide"):
-        identity_residual(OMEGA, FUNDAMENTAL_IDENTITY, [L(1), L(2), M(0), L(0), M(1)])
+    for spec, text in (
+        (OMEGA, "1/3 has a denominator that does not divide 1"),
+        (FKBracket(1, parse_beta("const:1/2")), "1/6 has a denominator that does not divide 2"),
+    ):
+        with pytest.raises(ValueError, match=f"kernel coefficient {text}"):
+            identity_residual(spec, FUNDAMENTAL_IDENTITY, [L(1), L(2), M(0), L(0), M(1)])
+        with pytest.raises(ValueError, match=f"kernel coefficient {text}"):
+            check_fundamental_identity(spec, Window(-1, 1))
 
 
 @pytest.mark.parametrize(

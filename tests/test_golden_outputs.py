@@ -17,7 +17,10 @@ their counterexample texts and their order in full: the Section 3
 structure under a broken ``ad_x`` and under an fk row landing on M (every
 [W, X] leaves the X span), the Witt-family modules under a sign-flipped
 q, and the basis-independence checks under changed product rows,
-including two omega rows whose X and Y reduction failures alternate.  Each is compared byte for byte with a saved file.
+including two omega rows whose X and Y reduction failures alternate.
+Four failing weighted sweeps under a changed fk row pin every printed
+kernel coefficient and sampled residual of a non-int weight, in full.
+Each is compared byte for byte with a saved file.
 """
 
 import contextlib
@@ -98,6 +101,22 @@ def test_structure_analyses_match_golden_stdout(name):
 @pytest.mark.parametrize("name", sorted(SWEEP_INVOCATIONS))
 def test_identity_sweeps_match_golden_stdout(name):
     _assert_golden(name, SWEEP_INVOCATIONS[name])
+
+
+# the sweeps under weights with denominators, to be divided back into every text
+PATCHED_SWEEP_INVOCATIONS = {
+    "sweep-anti-fk-k1-half-patched": "verify anticommutativity --bracket fk --k 1 --beta const:1/2 --window=-2..2",
+    "sweep-fi-fk-k1-half-patched": "verify fundamental-identity --bracket fk --k 1 --beta const:1/2 --window=-1..1 --samples 30",
+    "sweep-fi-fk-k0-support-patched": "verify fundamental-identity --bracket fk --k 0 --beta support:-1=1,2=-1/3 --window=-1..1 --samples 30",
+    "sweep-module-fk-k2-poly-patched": "verify module-axioms --bracket fk --k 2 --beta poly:1/2*t^2-1 --window=-1..1 --samples 10",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATCHED_SWEEP_INVOCATIONS))
+def test_every_weighted_sweep_counterexample_matches_golden_stdout(name, monkeypatch, patch_row):
+    patch_row("fk", 0, coef=(2, -1, 0))  # [L_r, L_s, M_t] = beta_t (2r - s) L_{r+s+k}
+    monkeypatch.setattr(VerdictReport, "MAX_COUNTEREXAMPLES", 10**6)
+    _assert_golden(name, PATCHED_SWEEP_INVOCATIONS[name], status=1)
 
 
 def test_failing_fundamental_identity_sweep_matches_golden_stdout(patch_row):

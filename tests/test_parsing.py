@@ -109,6 +109,7 @@ ELEMENT_ERRORS = [
     ("2 L[1]", "expected '*' and a basis vector at column 3"),
     ("1/0*L[1]", "denominator must be positive at column 3"),
     ("1/-2*L[1]", "denominator must be positive at column 3"),
+    ("1/ 0*L[1]", "denominator must be positive at column 4"),
     ("L[x]", "expected an integer at column 3"),
     ("2*", "expected basis family 'L' or 'M' at column 3"),
     ("0 + L[1]", "expected '*' and a basis vector at column 3"),
@@ -133,6 +134,8 @@ POLY_ERRORS = [
     ("1/2/3", "expected '+' or '-', found '/' at column 4"),
     ("t^1001", "exponent above the cap of 1000 at column 3"),
     ("1 + t^+0002000", "exponent above the cap of 1000 at column 7"),
+    ("t^  1001", "exponent above the cap of 1000 at column 5"),
+    ("t^ -1", "exponent must be nonnegative at column 4"),
 ]
 
 

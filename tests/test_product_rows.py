@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from trilie import OMEGA, Element, FKBracket, L, M, parse_beta, window_basis
-from trilie.brackets import closed_triple_fn, fk_triple_fn, omega_triple
+from trilie.brackets import closed_triple_fn, fk_triple_fn, integral_spec, omega_triple
 from trilie.cli import main
 from trilie.operators import op_from_ad
 from trilie.report import Window
@@ -42,6 +42,29 @@ def test_fk_kernel_matches_the_oracle(weight):
         for args in triples:
             want = _typed(oracle(*args))
             assert _typed(derived(*args)) == want == _typed(cached(*args)), (k, args)
+
+
+@pytest.mark.parametrize("weight", (*WEIGHTS, "const:-3/4", "poly:1/6*t^3-1/4*t+2/3"))
+def test_scaled_fk_kernel_is_the_bound_times_the_kernel(weight):
+    f = parse_beta(weight)
+    triples = _triples(Window(-5, 5))
+    for k in KS:
+        spec = FKBracket(k, f)
+        unit, scaled = integral_spec(spec)
+        assert unit == f.denominator()
+        if unit == 1:
+            assert scaled == spec
+        kernel, integral = closed_triple_fn(spec), closed_triple_fn(scaled)
+        for args in triples:
+            want, got = kernel(*args), integral(*args)
+            if want is None:
+                assert got is None, (k, args)
+            else:
+                assert type(got[0]) is int and got == (want[0] * unit, *want[1:]), (k, args)
+
+
+def test_omega_is_its_own_integral_spec():
+    assert integral_spec(OMEGA) == (1, OMEGA)
 
 
 ELEMENT_PAIRS = (
