@@ -3,8 +3,10 @@
 Everything here reduces claims about the infinite algebras to exact
 computations on a finite symmetric index window.  Brackets of window
 elements may leave the window; such results are projected onto the
-window and counted.  ``span_close``'s report carries that escape ledger
-(count and note), and so does the derived-series report built on it;
+window and counted.  Every closure runs on a ``ClosureTable``, which
+carries the bracket and the window and holds the bracket of every basis
+triple, read off the kernel once.  ``span_close``'s report carries that escape ledger (count and
+note), and so does the derived-series report built on it;
 ``ideal_check`` counts escapes as boundary escapes or witnesses;
 ``ideal_closure_reaches_all`` reports only the reached dimensions.
 Identity checks are window-uniform; structural verdicts (simplicity
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import product, starmap
 from operator import or_
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -23,12 +26,11 @@ from .brackets import (
     INNER,
     OmegaBracket,
     TriBracketSpec,
-    _tabulate,
     check_nested_identities,
     closed_triple_fn,
     tri_bracket,
 )
-from .elements import BasisVector, Element, L, M, window_basis
+from .elements import FAMILY_L, FAMILY_M, BasisVector, Element, L, M, window_basis
 from .linalg import SpanSolver, null_space, span_equal
 from .operators import GeneratorTable, Operator, RelationSweep, invariant_line_structure, witt_action
 from .polys import Rational, normalize_rational
@@ -108,12 +110,7 @@ CLOSURE_MODES = (MODE_IDEAL, MODE_DERIVED, MODE_LOWER_CENTRAL, MODE_SELF_LOWER)
 
 
 def span_close(
-    spec: TriBracketSpec,
-    seeds: Sequence[Element],
-    window: Window,
-    mode: str,
-    depth: int = DEFAULT_DEPTH,
-    table: Optional["ClosureTable"] = None,
+    table: ClosureTable, seeds: Sequence[Element], mode: str, depth: int = DEFAULT_DEPTH
 ) -> Tuple[List[WindowSubspace], VerdictReport]:
     """Iterate a bracket closure until stabilization (or the depth cap).
 
@@ -125,15 +122,15 @@ def span_close(
     ambient algebra.  Results are projected onto the window; every
     out-of-window remainder is counted in the report's escape ledger.
 
-    Each step reads ``table`` for the basis-line rows of a span and
-    brackets only its other rows with tri_bracket; a caller closing several
-    seed sets of one bracket and window passes one ClosureTable(spec,
-    window) to share its rows.  Single-term seeds span basis lines, and
-    brackets of basis lines are monomials, so their escapes are dropped
-    whole and the note says so.
+    The bracket and the window are those of ``table``.  Each step reads
+    the table for the basis-line rows of a span, a negative entry being an
+    escape, and brackets only its other rows with tri_bracket.
+    Single-term seeds span basis lines, and brackets of basis lines are
+    monomials, so their escapes are dropped whole and the note says so.
     """
     if mode not in CLOSURE_MODES:
         raise ValueError(f"unknown closure mode {mode!r}")
+    spec, window = table.spec, table.window
     rep = VerdictReport(
         "span-close",
         {
@@ -144,8 +141,6 @@ def span_close(
             "seeds": "; ".join(str(s) for s in seeds) or "(empty)",
         },
     )
-    if table is None:
-        table = ClosureTable(spec, window)
     entry, pair, pair_escapes, single, single_escapes = table.rows
     basis, units = table.basis, table.units
     n = len(basis)
@@ -172,7 +167,8 @@ def span_close(
         nonlocal escapes, escape_sample
         escapes += count
         if count and escape_sample is None and not single_term:
-            a, bc = divmod(entry.index(ESCAPE, start, start + size), n * n)
+            first = next(i for i in range(start, start + size) if entry[i] < 0)
+            a, bc = divmod(first, n * n)
             args = (units[a], *(units[i] for i in divmod(bc, n)))
             escape_sample = "[{}, {}, {}] -> {}".format(*args, tri_bracket(spec, *args))
 
@@ -262,19 +258,21 @@ def span_close(
     return chain, rep
 
 
-ESCAPE = -1
+# the entry of a bracket whose output family leaves the window
+ESCAPE = {FAMILY_L: -1, FAMILY_M: -2}
 
 
 class ClosureTable:
-    """Reachability rows of a closed-form bracket on one window.
+    """Reachability rows of a closed-form bracket on one window: the
+    context of every closure of one check call.
 
     Bit p of a mask stands for ``window_basis(window)[p]``, whose unit
-    Element is ``units[p]``.  The rows come from one window³ tabulation of
-    the kernel, made on first use, so the closures of one check call share
-    it and nothing outlives that call:
+    Element is ``units[p]``.  The rows are read off the kernel in one pass
+    over the window³ basis triples, made on first use, so the closures of
+    one check call share them and nothing outlives that call:
 
     * ``entry[(a*n + b)*n + c]``: the output bit of [a, b, c], 0 for a zero
-      bracket, ESCAPE for an output outside the window;
+      bracket, ``ESCAPE[family]`` for an output outside the window;
     * ``pair[a*n + b]``, ``pair_escapes[a*n + b]``: the union of those bits
       over every c, and the number of escapes among them;
     * ``single[a]``, ``single_escapes[a]``: the same over every (b, c).
@@ -292,8 +290,8 @@ class ClosureTable:
         basis, bit = self.basis, self.bit
         n = len(basis)
         entry = [
-            0 if res is None else bit.get(res[1:], ESCAPE)
-            for res in _tabulate(closed_triple_fn(self.spec), basis)
+            0 if res is None else bit.get(res[1:]) or ESCAPE[res[1]]
+            for res in starmap(closed_triple_fn(self.spec), product(basis, repeat=3))
         ]
         pair, pair_escapes = [], []
         for start in range(0, len(entry), n):
@@ -323,26 +321,24 @@ def _positions(mask: int) -> List[int]:
 
 
 def ideal_closure_reaches_all(
-    spec: TriBracketSpec,
-    window: Window,
-    seeds: Optional[Sequence[Element]] = None,
-    expect_full: bool = True,
+    table: ClosureTable, seeds: Optional[Sequence[Element]] = None
 ) -> VerdictReport:
     """Ideal closures of single seeds (every basis vector by default).
 
-    With expect_full the check is simplicity evidence: every closure must
-    reach the full window span.  Without it the reached spans are
-    reported as findings (the weighted bracket has proper ideals, so full
-    reach is not a claim there)."""
+    Under omega the check is simplicity evidence: every closure must
+    reach the full window span.  Under the weighted bracket the reached
+    spans are reported as findings (it has proper ideals, so full reach is
+    not a claim there)."""
+    spec = table.spec
+    expect_full = isinstance(spec, OmegaBracket)
     rep = VerdictReport(
-        "ideal-closure", {"bracket": spec.describe(), "window": str(window)}
+        "ideal-closure", {"bracket": spec.describe(), "window": str(table.window)}
     )
-    full_dim = 2 * (window.hi - window.lo + 1)
-    table = ClosureTable(spec, window)
+    full_dim = len(table.basis)
     seed_list = table.units if seeds is None else list(seeds)
     reached = []
     for seed in seed_list:
-        chain, sub = span_close(spec, [seed], window, MODE_IDEAL, table=table)
+        chain, _ = span_close(table, [seed], MODE_IDEAL)
         reached.append(chain[-1].dim)
         if expect_full and chain[-1].dim != full_dim:
             rep.record_failure(
@@ -409,10 +405,7 @@ def vandermonde_extract(
 
 
 def ideal_check(
-    spec: TriBracketSpec,
-    candidate: Sequence[Element],
-    window: Window,
-    depth: int = DEFAULT_DEPTH,
+    table: ClosureTable, candidate: Sequence[Element], depth: int = DEFAULT_DEPTH
 ) -> VerdictReport:
     """Is the candidate span an ideal on the window, and of which kind?
 
@@ -422,10 +415,12 @@ def ideal_check(
     regenerates the candidate by ideal closure).  Escaping brackets are
     classified structurally when the candidate is spanned by whole basis
     families.  The candidate must be spanned by basis lines, and every
-    bracket is then one entry of the closure table its closures share.
-    The verdicts live in the stats; a non-ideal candidate is a finding
-    with witnesses, not a failure of the check itself.
+    bracket is then one entry of ``table``, which its closures share; an
+    escape's entry codes its family.  The verdicts live in the stats; a
+    non-ideal candidate is a finding with witnesses, not a failure of the
+    check itself.
     """
+    spec, window = table.spec, table.window
     rep = VerdictReport(
         "ideal-check", {"bracket": spec.describe(), "window": str(window)}
     )
@@ -434,26 +429,22 @@ def ideal_check(
     if lines is None:
         raise ValueError(f"ideal_check needs a candidate spanned by basis lines, not {sub}")
     fams = {bv.family for bv in lines}
-    families = fams if lines == [bv for bv in window_basis(window) if bv.family in fams] else None
-    table = ClosureTable(spec, window)
+    # an escape into a whole-family candidate's family is a boundary escape
+    whole = lines == [bv for bv in table.basis if bv.family in fams]
+    boundary_codes = {ESCAPE[fam] for fam in fams} if whole else set()
     units, n = table.units, len(table.basis)
     boundary = 0
     witnesses = 0
-    # every bracket is one table entry; only an escape's family is read
-    # off the kernel
-    triple = closed_triple_fn(spec)
     entry, inside = table.rows[0], sum(table.bit[bv] for bv in lines)
     for bv in lines:
         a = table.bit[bv].bit_length() - 1
         for bc, out in enumerate(entry[a * n * n : (a + 1) * n * n]):
             if not out or out > 0 and out & inside:
                 continue
-            b, c = divmod(bc, n)
-            if out < 0 and families is not None and (
-                triple(bv, table.basis[b], table.basis[c])[1] in families
-            ):
+            if out in boundary_codes:
                 boundary += 1
                 continue
+            b, c = divmod(bc, n)
             witnesses += 1
             if witnesses <= 3:
                 args = (units[a], units[b], units[c])
@@ -468,7 +459,7 @@ def ideal_check(
     rep.stats["boundary_escapes"] = boundary
 
     # the candidate as an algebra of its own: all three slots stay inside
-    own_chain, _ = span_close(spec, list(candidate), window, MODE_SELF_LOWER, depth, table)
+    own_chain, _ = span_close(table, list(candidate), MODE_SELF_LOWER, depth)
     own_nilpotent = own_chain[-1].dim == 0
     rep.stats["own_lower_central_dims"] = ",".join(str(s.dim) for s in own_chain)
     rep.stats["nilpotent_as_algebra"] = str(own_nilpotent)
@@ -476,7 +467,7 @@ def ideal_check(
         rep.note("candidate has zero bracket with itself (abelian subalgebra)")
 
     # lower-central chain of the candidate as an ideal of A
-    lc_chain, _ = span_close(spec, list(candidate), window, MODE_LOWER_CENTRAL, depth, table)
+    lc_chain, _ = span_close(table, list(candidate), MODE_LOWER_CENTRAL, depth)
     lc_zero = lc_chain[-1].dim == 0
     rep.stats["ideal_lower_central_dims"] = ",".join(str(s.dim) for s in lc_chain)
     rep.stats["nilpotent_as_ideal"] = str(lc_zero)
@@ -488,7 +479,7 @@ def ideal_check(
     if is_ideal:
         minimal = True
         for row in sub.basis_elements():
-            chain, _ = span_close(spec, [row], window, MODE_IDEAL, depth, table)
+            chain, _ = span_close(table, [row], MODE_IDEAL, depth)
             closure = chain[-1]
             for other in sub.basis_elements():
                 if not closure.contains(other):

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, product, starmap
 from math import lcm
 from operator import itemgetter, mul
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
@@ -314,12 +314,6 @@ def random_element(rng: random.Random, window: Window, max_terms: int = 4) -> El
 
 # -- identity checkers ----------------------------------------------------
 
-def _tabulate(triple: Callable, basis: Sequence[Triple]) -> list:
-    """The kernel on every basis triple: entry i*n*n + j*n + k holds
-    triple(basis[i], basis[j], basis[k])."""
-    return [triple(*args) for args in product(basis, repeat=3)]
-
-
 def _kernel_element(res, unit: int = 1) -> Element:
     """A kernel value as an Element, its coefficient divided by ``unit``."""
     return Element() if res is None else Element({BasisVector(res[1], res[2]): Fraction(res[0], unit)})
@@ -335,7 +329,8 @@ def check_anticommutativity(spec: TriBracketSpec, window: Window) -> VerdictRepo
     basis = window_basis(window)
     n = len(basis)
     unit, scaled = integral_spec(spec)
-    table = _tabulate(closed_triple_fn(scaled), basis)
+    # entry i*n*n + j*n + k is the kernel on (basis[i], basis[j], basis[k])
+    table = list(starmap(closed_triple_fn(scaled), product(basis, repeat=3)))
     perms = [(perm, sign, itemgetter(*perm)) for perm, sign in PERMUTATIONS[1:]]
     for pos, base in zip(product(range(n), repeat=3), table):
         # an odd permutation must give the entry negated: one negation per entry
@@ -490,8 +485,9 @@ def _sweep_tables(spec: TriBracketSpec, basis: Sequence[Triple]):
     bracket's values, B its weight's denominator bound.
 
     Returns (coef, base, outer):
-    * coef[i], base[i]: entry i of the ``_tabulate`` table, as its
-      coefficient and its output's code times n*n;
+    * coef[i], base[i]: the kernel on the i-th triple of
+      ``product(basis, repeat=3)``, as its coefficient and its output's
+      code times n*n;
     * outer[p][code*n*n + x*n + y]: the coefficient of the bracket with the
       coded vector at position p and basis[x], basis[y] at the other two.
 

@@ -12,21 +12,25 @@ a JSON config file (--config; flags override the file), and --format
 {text,json}.  Identical configuration and seed produce byte-identical
 output: reports carry counts, never wall-clock times.  Exit status: 0 when
 nothing failed (flagged paper discrepancies do not fail a run), 1 on any
-exact counterexample, 2 on configuration errors (``ConfigError``), 3 on an
-internal error, reported in one line without a traceback.
+exact counterexample, 2 on configuration errors (``ConfigError``) and on a
+report that cannot be written, 3 on an internal error, reported in one
+line without a traceback.  A run whose reader closes the stdout pipe keeps
+its 0 or 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .analysis import (
     MODE_DERIVED,
+    ClosureTable,
     ideal_check,
     ideal_closure_reaches_all,
     cartan_normalizer_check,
@@ -59,7 +63,6 @@ from .elements import (
     L,
     M,
     check_structure_maps,
-    window_basis,
 )
 from .nambu import FKRealization, OmegaRealization, check_injectivity, check_realization
 from .operators import (
@@ -172,11 +175,7 @@ def _witt_module(cfg: RunConfig) -> List[VerdictReport]:
 
 def _ideal_closure(cfg: RunConfig) -> List[VerdictReport]:
     seeds = [cfg.seed_element] if cfg.seed_element else None
-    return [
-        ideal_closure_reaches_all(
-            cfg.tri_spec(), cfg.window, seeds, expect_full=cfg.bracket == "omega"
-        )
-    ]
+    return [ideal_closure_reaches_all(ClosureTable(cfg.tri_spec(), cfg.window), seeds)]
 
 
 def _derived_series(cfg: RunConfig) -> List[VerdictReport]:
@@ -185,9 +184,8 @@ def _derived_series(cfg: RunConfig) -> List[VerdictReport]:
             "derived-series under fk needs --depth >= 1: the stabilization test "
             "compares the last two chain terms"
         )
-    spec = cfg.tri_spec()
-    seeds = [Element({bv: 1}) for bv in window_basis(cfg.window)]
-    chain, rep = span_close(spec, seeds, cfg.window, MODE_DERIVED, cfg.depth)
+    table = ClosureTable(cfg.tri_spec(), cfg.window)
+    chain, rep = span_close(table, table.units, MODE_DERIVED, cfg.depth)
     if cfg.bracket == "fk":
         stabilized_nonzero = chain[-1].dim > 0 and chain[-1] == chain[-2]
         if stabilized_nonzero:
@@ -311,8 +309,8 @@ def _center(cfg: RunConfig) -> List[VerdictReport]:
 def _ideal_kinds(cfg: RunConfig) -> List[VerdictReport]:
     """The L family must be a hypo-nilpotent minimal ideal under the
     weighted bracket; the M family an abelian non-ideal subalgebra."""
-    spec = cfg.tri_spec()
-    rep_l = ideal_check(spec, [L(r) for r in cfg.window.indices()], cfg.window, cfg.depth)
+    table = ClosureTable(cfg.tri_spec(), cfg.window)
+    rep_l = ideal_check(table, [L(r) for r in cfg.window.indices()], cfg.depth)
     rep_l.params["candidate"] = "span{L}"
     if cfg.bracket == "fk":
         want = {
@@ -325,7 +323,7 @@ def _ideal_kinds(cfg: RunConfig) -> List[VerdictReport]:
         for key, val in want.items():
             if rep_l.stats.get(key) != val:
                 rep_l.record_failure(f"expected {key}={val}, computed {rep_l.stats.get(key)}")
-    rep_m = ideal_check(spec, [M(r) for r in cfg.window.indices()], cfg.window, cfg.depth)
+    rep_m = ideal_check(table, [M(r) for r in cfg.window.indices()], cfg.depth)
     rep_m.params["candidate"] = "span{M}"
     if cfg.bracket == "fk":
         if rep_m.stats.get("is_ideal") != "False":
@@ -565,14 +563,15 @@ def _glue_dash_values(argv: List[str]) -> List[str]:
     return out
 
 
-def run_command(argv: List[str]) -> int:
-    """Parse, run and print one command; returns its exit status."""
+def run_command(argv: List[str]) -> Tuple[int, str]:
+    """Parse and run one command; returns its exit status and its stdout."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     file_defaults = read_config(known.config) if known.config else None
     args = build_parser(file_defaults).parse_args(argv)
     cfg = make_config(args)
+    out = ""
     if args.command == "verify":
         reports = CHECKS[args.check](cfg)
     elif args.command == "analyze":
@@ -582,20 +581,20 @@ def run_command(argv: List[str]) -> int:
         if cfg.fmt == "text":
             rows = TABLE_TEXT[args.name]
             width = max(len(lhs) for lhs, _ in rows)
-            for lhs, rhs in rows:
-                print(f"  {lhs:<{width}} = {rhs}")
-            print()
+            out = "".join(f"  {lhs:<{width}} = {rhs}\n" for lhs, rhs in rows) + "\n"
     else:
         reports = default_battery(cfg)
-    print(emit(reports, cfg, cfg.describe()))
-    return CHECK_FAILED if overall_status(reports) == FAIL else 0
+    out += emit(reports, cfg, cfg.describe()) + "\n"
+    return CHECK_FAILED if overall_status(reports) == FAIL else 0, out
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run the command; a configuration fault exits 2 and any other
-    exception exits 3, each with one ``trilie:`` line on stderr."""
+    """Run the command and write its report; a configuration fault or a
+    failed write exits 2 and any other exception exits 3, each with one
+    ``trilie:`` line on stderr.  A stdout pipe the reader closed is the
+    reader's choice: the run keeps its status and writes nothing more."""
     try:
-        return run_command(_glue_dash_values(list(sys.argv[1:] if argv is None else argv)))
+        status, out = run_command(_glue_dash_values(list(sys.argv[1:] if argv is None else argv)))
     except ConfigError as exc:
         print(f"trilie: {exc}", file=sys.stderr)
         return CONFIG_ERROR
@@ -603,6 +602,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         detail = " ".join(f"{type(exc).__name__}: {exc}".split())
         print(f"trilie: internal error: {detail}", file=sys.stderr)
         return INTERNAL_ERROR
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except OSError as exc:
+        # what is still buffered goes to the null device, so interpreter
+        # exit has nothing left to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return status
+        print(f"trilie: cannot write the report: {exc}", file=sys.stderr)
+        return CONFIG_ERROR
+    return status
 
 
 if __name__ == "__main__":

@@ -34,6 +34,9 @@ denominators, the reference for the package's tables over the weight
 scaled by its denominator bound.  ``identity_residual`` is
 the nested identity on five elements as two ``tri_bracket`` calls per
 term, the reference for the fused integer pass of the package.
+``basis_residual`` is the same identity on five basis vectors as two
+plain kernel calls per term, the reference for the basis sweeps: it
+shares only the kernel of ``brackets.closed_triple_fn`` with them.
 """
 
 from dataclasses import dataclass
@@ -55,7 +58,6 @@ from trilie.brackets import (
     OmegaBracket,
     _certify_with_pairs,
     _sweep_tables,
-    _tabulate,
 )
 from trilie.analysis import (
     DEFAULT_DEPTH,
@@ -413,6 +415,22 @@ def identity_residual(spec, identity, args):
         if value:
             out = out + tri_bracket(spec, *itemgetter(*outer)((*args, value))).scale(sign)
     return out
+
+
+def basis_residual(spec, identity, args):
+    """The residual of a nested identity on five basis vectors, as a map
+    from output (family, index) to nonzero coefficient: per term one
+    kernel call for the inner bracket and one for the outer, through
+    ``brackets.closed_triple_fn(spec)``, summed per output vector."""
+    triple = brackets.closed_triple_fn(spec)
+    out = {}
+    for sign, inner, outer in identity:
+        res = triple(*itemgetter(*inner)(args))
+        if res is not None:
+            value = triple(*itemgetter(*outer)((*args, res[1:])))
+            if value is not None:
+                out[value[1:]] = out.get(value[1:], 0) + sign * res[0] * value[0]
+    return {vec: c for vec, c in out.items() if c}
 
 
 def check_constructor_agreement(window, k, f):
@@ -838,7 +856,7 @@ def sweep_tables(spec, basis):
         return res
 
     n2 = len(basis) ** 2
-    inner = _tabulate(entry, basis)
+    inner = [entry(*args) for args in product(basis, repeat=3)]
     ext = sorted({res[1:] for res in inner if res})
     code = {vec: i for i, vec in enumerate(ext)}
     outer = [

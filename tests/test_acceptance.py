@@ -28,6 +28,7 @@ from trilie import (
 )
 from trilie.analysis import (
     MODE_DERIVED,
+    ClosureTable,
     fk_cartan_pairs,
     ideal_check,
     ideal_closure_reaches_all,
@@ -170,7 +171,7 @@ def test_criterion_08_simplicity_evidence():
     import random
 
     w = Window(-6, 6)
-    rep = ideal_closure_reaches_all(OMEGA, w)
+    rep = ideal_closure_reaches_all(ClosureTable(OMEGA, w))
     ok = rep.status == "pass"
     rng = random.Random(8)
     trials = 0
@@ -189,12 +190,13 @@ def test_criterion_09_non_solvability_and_hypo_nilpotency():
     w = Window(-5, 5)
     fk = FKBracket(1, ONE)
     seeds = [Element({bv: 1}) for bv in window_basis(w)]
-    chain, rep = span_close(fk, seeds, w, MODE_DERIVED, depth=8)
+    table = ClosureTable(fk, w)
+    chain, rep = span_close(table, seeds, MODE_DERIVED, depth=8)
     l_lines = [L(r).support()[0] for r in w.indices()]
     ok = chain[1].basis_lines() == l_lines
     # stabilization makes the chain constant from step 1 on, covering s = 1..8
     ok = ok and rep.stats["stabilized_at"] >= 2 and chain[-1] == chain[1] and chain[1].dim > 0
-    irep = ideal_check(fk, [L(r) for r in w.indices()], w)
+    irep = ideal_check(table, [L(r) for r in w.indices()])
     for key in ("is_ideal", "nilpotent_as_algebra", "hypo_nilpotent", "minimality_evidence"):
         ok = ok and irep.stats[key] == "True"
     ok = ok and irep.stats["nilpotent_as_ideal"] == "False"

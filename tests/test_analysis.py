@@ -57,9 +57,9 @@ def test_window_subspace_basics():
 
 def test_ideal_closure_fast_path_matches_general():
     w = Window(-2, 2)
-    chain_fast, _ = span_close(OMEGA, [M(1)], w, MODE_IDEAL)
+    chain_fast, _ = span_close(ClosureTable(OMEGA, w), [M(1)], MODE_IDEAL)
     # a multi-term seed row goes through tri_bracket; same final span
-    chain_gen, _ = span_close(OMEGA, [M(1, 2) + L(-1)], w, MODE_IDEAL)
+    chain_gen, _ = span_close(ClosureTable(OMEGA, w), [M(1, 2) + L(-1)], MODE_IDEAL)
     assert chain_fast[-1].dim == chain_gen[-1].dim == 10
 
 
@@ -67,19 +67,19 @@ def test_ideal_closure_fast_path_matches_general():
 @pytest.mark.parametrize("seeds", [[L(0)], [L(0) + M(1)]], ids=["single-term", "multi-term"])
 def test_span_close_rejects_an_unknown_mode(seeds, depth):
     with pytest.raises(ValueError, match="unknown closure mode 'bogus'"):
-        span_close(OMEGA, seeds, Window(-3, 3), "bogus", depth=depth)
+        span_close(ClosureTable(OMEGA, Window(-3, 3)), seeds, "bogus", depth=depth)
 
 
 def test_empty_seed_closure():
-    chain, rep = span_close(OMEGA, [], Window(-2, 2), MODE_IDEAL)
+    chain, rep = span_close(ClosureTable(OMEGA, Window(-2, 2)), [], MODE_IDEAL)
     assert chain[-1].dim == 0
     assert rep.ok
 
 
 def test_omega_simplicity_evidence():
-    rep = ideal_closure_reaches_all(OMEGA, Window(-4, 4))
+    rep = ideal_closure_reaches_all(ClosureTable(OMEGA, Window(-4, 4)))
     assert rep.status == "pass"
-    rep = ideal_closure_reaches_all(OMEGA, Window(-4, 4), [M(2)])
+    rep = ideal_closure_reaches_all(ClosureTable(OMEGA, Window(-4, 4)), [M(2)])
     assert rep.status == "pass"
 
 
@@ -87,7 +87,7 @@ def test_fk_derived_series():
     w = Window(-4, 4)
     fk = FKBracket(1, ONE)
     seeds = [Element({bv: 1}) for bv in window_basis(w)]
-    chain, rep = span_close(fk, seeds, w, MODE_DERIVED)
+    chain, rep = span_close(ClosureTable(fk, w), seeds, MODE_DERIVED)
     assert chain[1].basis_lines() == [L(r).support()[0] for r in w.indices()]
     assert chain[-1] == chain[1]  # stabilizes at the first derived span
     assert rep.stats["stabilized_at"] >= 2
@@ -134,7 +134,7 @@ def test_vandermonde_insufficient_power_reported():
 def test_ideal_check_l_family_under_fk():
     w = Window(-4, 4)
     fk = FKBracket(1, ONE)
-    rep = ideal_check(fk, [L(r) for r in w.indices()], w)
+    rep = ideal_check(ClosureTable(fk, w), [L(r) for r in w.indices()])
     assert rep.stats["is_ideal"] == "True"
     assert rep.stats["nilpotent_as_algebra"] == "True"
     assert rep.stats["nilpotent_as_ideal"] == "False"
@@ -145,13 +145,13 @@ def test_ideal_check_l_family_under_fk():
 def test_ideal_check_m_family_under_fk():
     w = Window(-4, 4)
     fk = FKBracket(1, ONE)
-    rep = ideal_check(fk, [M(r) for r in w.indices()], w)
+    rep = ideal_check(ClosureTable(fk, w), [M(r) for r in w.indices()])
     assert rep.stats["is_ideal"] == "False"
     assert rep.stats["own_lower_central_dims"].split(",")[1] == "0"  # abelian
 
 
 def test_ideal_check_single_line_under_omega():
-    rep = ideal_check(OMEGA, [L(0)], Window(-3, 3))
+    rep = ideal_check(ClosureTable(OMEGA, Window(-3, 3)), [L(0)])
     assert rep.stats["is_ideal"] == "False"
 
 
@@ -371,8 +371,8 @@ def test_bitmask_closure_matches_set_oracle(name, mode):
         want_chain, want_stats, want_notes = _reference_span_close(
             closed_triple_fn(spec), seeds, w, mode
         )
-        for shared in (table, None):
-            chain, rep = span_close(spec, seeds, w, mode, table=shared)
+        for shared in (table, ClosureTable(spec, w)):
+            chain, rep = span_close(shared, seeds, mode)
             assert {k: rep.stats[k] for k in want_stats} == want_stats
             assert rep.notes == want_notes
             assert [ws.basis_lines() for ws in chain] == [sorted(s) for s in want_chain]
@@ -391,7 +391,7 @@ def test_general_closure_matches_the_bitmask_path(mode):
     w = Window(-3, 3)
     table = ClosureTable(OMEGA, w)
     for seeds in _closure_seed_sets(w):
-        want_chain, want = span_close(OMEGA, seeds, w, mode, table=table)
+        want_chain, want = span_close(table, seeds, mode)
         chain, rep = oracles.span_close(oracles.DETERMINANT, seeds, w, mode)
         for stat in ("chain_dims", "stabilized_at", "escapes"):
             assert rep.stats[stat] == want.stats[stat], (seeds, stat)
@@ -434,7 +434,7 @@ def test_span_close_matches_the_tri_bracket_oracle(name, mode):
         table = ClosureTable(spec, w)
         for seeds in _parity_seed_sets():
             want_chain, want = oracles.span_close(spec, seeds, w, mode)
-            chain, rep = span_close(spec, seeds, w, mode, table=table)
+            chain, rep = span_close(table, seeds, mode)
             assert rep.to_dict() == want.to_dict(), seeds
             assert chain == want_chain, seeds
             multi = any(len(s.terms) > 1 for s in seeds)
@@ -459,18 +459,32 @@ def test_ideal_check_matches_the_tri_bracket_oracle(name, candidate):
     spec, w = PARITY_SPECS[name], Window(-3, 3)
     elements = IDEAL_CANDIDATES[candidate](w)
     want = oracles.ideal_check(spec, elements, w)
-    assert ideal_check(spec, elements, w).to_dict() == want.to_dict()
+    assert ideal_check(ClosureTable(spec, w), elements).to_dict() == want.to_dict()
 
 
 @pytest.mark.parametrize("name", ["omega", "fk-k-2", "fk-k1-poly"])
 def test_ideal_check_rejects_a_candidate_not_spanned_by_basis_lines(name):
     with pytest.raises(ValueError, match="spanned by basis lines"):
-        ideal_check(PARITY_SPECS[name], [L(0) + M(0), M(1)], Window(-3, 3))
+        ideal_check(ClosureTable(PARITY_SPECS[name], Window(-3, 3)), [L(0) + M(0), M(1)])
+
+
+def test_the_first_table_escape_is_the_escape_sample(patch_row):
+    # [L_r, M_s, M_t] = (t - s) L_{s+t-r}: the first escape the note shows
+    # is a table entry of a basis-line row, found by its negative code
+    patch_row("omega", 1, family="L")
+    seeds = [L(-3), M(0) + M(1)]
+    chain, rep = span_close(ClosureTable(OMEGA, Window(-3, 3)), seeds, MODE_IDEAL)
+    assert rep.stats == {"chain_dims": "2,8,8", "stabilized_at": 2, "escapes": 396}
+    assert rep.notes == [
+        "396 bracket results had support outside the window and were projected "
+        "(first: [L[-3], L[-2], M[-1]] -> L[-4]); in-window spans are evidence, "
+        "not truncations of exact members"
+    ]
 
 
 def test_bitmask_closure_rejects_seeds_outside_the_window():
     with pytest.raises(ValueError, match="outside window"):
-        span_close(OMEGA, [L(5)], Window(-2, 2), MODE_IDEAL)
+        span_close(ClosureTable(OMEGA, Window(-2, 2)), [L(5)], MODE_IDEAL)
 
 
 def _without_lmm(closed_triple_fn):
@@ -491,28 +505,48 @@ def _without_lmm(closed_triple_fn):
 
 def test_simplicity_evidence_fails_on_broken_kernel(monkeypatch):
     w = Window(-3, 3)
-    assert ideal_closure_reaches_all(OMEGA, w).status == "pass"
+    assert ideal_closure_reaches_all(ClosureTable(OMEGA, w)).status == "pass"
     monkeypatch.setattr(analysis, "closed_triple_fn", _without_lmm(analysis.closed_triple_fn))
-    rep = ideal_closure_reaches_all(OMEGA, w)
+    rep = ideal_closure_reaches_all(ClosureTable(OMEGA, w))
     assert rep.status == "fail"
     # the M seeds still reach the L family, but no L seed reaches an M line
     assert "closure of L[-3] stops at dimension 7 < 14" in rep.counterexamples
 
 
+def _counting_kernels(monkeypatch):
+    """Count the kernel calls made through ``analysis.closed_triple_fn``:
+    one entry per kernel it hands out, that is per closure table built."""
+    calls = []
+    closed = analysis.closed_triple_fn
+
+    def counting(spec):
+        kernel, i = closed(spec), len(calls)
+        calls.append(0)
+
+        def triple(a, b, c):
+            calls[i] += 1
+            return kernel(a, b, c)
+
+        return triple
+
+    monkeypatch.setattr(analysis, "closed_triple_fn", counting)
+    return calls
+
+
 def test_each_cli_call_builds_its_own_table(monkeypatch):
-    built = []
-    tabulate = analysis._tabulate
-
-    def counting(triple, basis):
-        built.append(len(basis))
-        return tabulate(triple, basis)
-
-    monkeypatch.setattr(analysis, "_tabulate", counting)
+    built = _counting_kernels(monkeypatch)
     closure = ["analyze", "ideal-closure", "--bracket", "omega", "--window", "-3..3"]
     assert main(closure) == 0
-    assert built == [14]  # one table for all 14 seeds
+    assert built == [14**3]  # one table for all 14 seeds
     assert main(closure) == 0
-    assert built == [14, 14]
-    # ideal-kinds: one table per ideal_check, shared by its own closures
+    assert built == [14**3] * 2
+    # ideal-kinds: one table for span{L} and span{M}, shared by their closures
     assert main(["analyze", "ideal-kinds", "--bracket", "fk", "--window", "-3..3"]) == 0
-    assert built == [14, 14, 14, 14]
+    assert built == [14**3] * 3
+
+
+def test_ideal_kinds_reads_the_kernel_once_per_basis_triple(monkeypatch):
+    # escapes are classified from their table entries, not by new kernel calls
+    calls = _counting_kernels(monkeypatch)
+    assert main(["analyze", "ideal-kinds", "--bracket", "fk", "--window", "-3..3"]) == 0
+    assert sum(calls) == 14**3 == 2744

@@ -282,3 +282,49 @@ def test_every_public_name_resolves():
     import trilie
 
     assert [name for name in trilie.__all__ if not hasattr(trilie, name)] == []
+
+
+# -- a report that cannot be written ------------------------------------------
+
+
+def _cli_process(args, **kwargs):
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "trilie.cli", *args], stderr=subprocess.PIPE, env=env, **kwargs
+    )
+
+
+def test_a_pipe_closed_before_the_report_keeps_the_verdict_status():
+    proc = _cli_process(["report"], stdout=subprocess.PIPE)
+    proc.stdout.close()  # no reader is left when the report is written
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+
+
+def test_a_pipe_closed_after_the_first_bytes_keeps_the_verdict_status():
+    proc = _cli_process(["report"], stdout=subprocess.PIPE)
+    try:
+        import fcntl
+
+        # a one-page pipe holds less than the report, so the close below
+        # interrupts its writing
+        fcntl.fcntl(proc.stdout.fileno(), fcntl.F_SETPIPE_SZ, 4096)
+    except (ImportError, AttributeError, OSError):
+        pass
+    first = os.read(proc.stdout.fileno(), 16)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert first.startswith(b"[")
+    assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no full device here")
+def test_a_full_device_exits_2_with_one_line():
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(["report"], stdout=full)
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2
+    assert err == "trilie: cannot write the report: [Errno 28] No space left on device\n"

@@ -20,7 +20,10 @@ q, and the basis-independence checks under changed product rows,
 including two omega rows whose X and Y reduction failures alternate.
 Four failing weighted sweeps under a changed fk row pin every printed
 kernel coefficient and sampled residual of a non-int weight, in full.
-Each is compared byte for byte with a saved file.
+Two structure analyses under a row moved to the other family pin the
+split of ideal-check escapes into boundary escapes and witnesses, and the
+ideal closure of a multi-term seed.  Each is compared byte for byte with
+a saved file.
 """
 
 import contextlib
@@ -189,5 +192,28 @@ FAILING_OPERATOR_INVOCATIONS = {
 def test_every_operator_counterexample_matches_golden_stdout(name, monkeypatch, patch_row):
     breakage, invocation = FAILING_OPERATOR_INVOCATIONS[name]
     breakage(monkeypatch, patch_row)
+    monkeypatch.setattr(VerdictReport, "MAX_COUNTEREXAMPLES", 10**6)
+    _assert_golden(name, invocation, status=1)
+
+
+FAILING_CLOSURE_INVOCATIONS = {
+    # [L_r, L_s, M_t] = beta_t (r - s) M_{r+s+k}: span{L} is no ideal, and
+    # the escapes of span{M} are M escapes
+    "ideal-kinds-fk-llm-on-m": (
+        ("fk", 0, "M"),
+        "analyze ideal-kinds --bracket fk --window=-3..3",
+    ),
+    # [L_r, M_s, M_t] = (t - s) L_{s+t-r}
+    "ideal-closure-omega-multi-lmm-on-l": (
+        ("omega", 1, "L"),
+        "analyze ideal-closure --bracket omega '--seed-element=L[1] + 2*M[-3] - 1/2*M[3]' --window=-3..3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_CLOSURE_INVOCATIONS))
+def test_every_closure_counterexample_matches_golden_stdout(name, monkeypatch, patch_row):
+    (bracket, row, family), invocation = FAILING_CLOSURE_INVOCATIONS[name]
+    patch_row(bracket, row, family=family)
     monkeypatch.setattr(VerdictReport, "MAX_COUNTEREXAMPLES", 10**6)
     _assert_golden(name, invocation, status=1)
