@@ -5,8 +5,9 @@ computations on a finite symmetric index window.  Brackets of window
 elements may leave the window; such results are projected onto the
 window and counted.  Every closure runs on a ``ClosureTable``, which
 carries the bracket and the window and holds the bracket of every basis
-triple, read off the kernel once.  ``span_close``'s report carries that escape ledger (count and
-note), and so does the derived-series report built on it;
+triple, built from the bracket's product rules.  ``span_close``'s report
+carries that escape ledger (count and note), and so does the
+derived-series report built on it;
 ``ideal_check`` counts escapes as boundary escapes or witnesses;
 ``ideal_closure_reaches_all`` reports only the reached dimensions.
 Identity checks are window-uniform; structural verdicts (simplicity
@@ -267,9 +268,11 @@ class ClosureTable:
     context of every closure of one check call.
 
     Bit p of a mask stands for ``window_basis(window)[p]``, whose unit
-    Element is ``units[p]``.  The rows are read off the kernel in one pass
-    over the window³ basis triples, made on first use, so the closures of
-    one check call share them and nothing outlives that call:
+    Element is ``units[p]``.  The rows are made on first use, so the
+    closures of one check call share them and nothing outlives that call.
+    A kernel of ``rule_kernel`` carries its rules, and the rows are built
+    from them block by block (``_blocks``), with no kernel call; any other
+    kernel is read once per window³ basis triple:
 
     * ``entry[(a*n + b)*n + c]``: the output bit of [a, b, c], 0 for a zero
       bracket, ``ESCAPE[family]`` for an output outside the window;
@@ -289,25 +292,73 @@ class ClosureTable:
     def rows(self):
         basis, bit = self.basis, self.bit
         n = len(basis)
-        entry = [
-            0 if res is None else bit.get(res[1:]) or ESCAPE[res[1]]
-            for res in starmap(closed_triple_fn(self.spec), product(basis, repeat=3))
-        ]
-        pair, pair_escapes = [], []
-        for start in range(0, len(entry), n):
-            mask = escapes = 0
-            for out in entry[start : start + n]:
-                if out > 0:
-                    mask |= out
-                elif out:
-                    escapes += 1
-            pair.append(mask)
-            pair_escapes.append(escapes)
+        kernel = closed_triple_fn(self.spec)
+        rules = getattr(kernel, "rules", None)
+        if rules is not None:
+            entry, pair, pair_escapes = self._blocks(*rules)
+        else:
+            entry = [
+                0 if res is None else bit.get(res[1:]) or ESCAPE[res[1]]
+                for res in starmap(kernel, product(basis, repeat=3))
+            ]
+            pair, pair_escapes = [], []
+            for start in range(0, len(entry), n):
+                mask = escapes = 0
+                for out in entry[start : start + n]:
+                    if out > 0:
+                        mask |= out
+                    elif out:
+                        escapes += 1
+                pair.append(mask)
+                pair_escapes.append(escapes)
         single, single_escapes = [], []
         for start in range(0, len(pair), n):
             single.append(reduce(or_, pair[start : start + n], 0))
             single_escapes.append(sum(pair_escapes[start : start + n]))
         return entry, pair, pair_escapes, single, single_escapes
+
+    def _blocks(self, rules, shift, weight) -> Tuple[List[int], List[int], List[int]]:
+        """``entry``, ``pair`` and ``pair_escapes`` from a kernel's rules.
+        For one rule and slots (a, b), the output index and the coefficient
+        are arithmetic progressions in slot c: the block of c in one family
+        is the code run of the partial index sum, zeroed where the
+        coefficient or beta vanishes.  Patterns without a rule stay 0."""
+        lo, idx = self.window.lo, self.window.indices()
+        w = len(idx)
+        n = 2 * w
+        offset = {FAMILY_L: 0, FAMILY_M: w}
+        dead = set() if weight is None else {t for t in idx if not weight.beta(t)}
+        entry, pair, pair_escapes = [0] * n**3, [0] * n**2, [0] * n**2
+        for (f0, f1, f2), (fam, (x0, x1, x2), (y0, y1, y2), t) in rules.items():
+            codes = {}  # partial index sum -> (code run over slot c, its bits, its escapes)
+            bits = [1 << p for p in range(offset[fam], offset[fam] + w)]
+            dead_c = {i - lo for i in dead} if t == 2 else set()
+            for a, i0 in enumerate(idx, offset[f0]):
+                for b, i1 in enumerate(idx, offset[f1]):
+                    base = y0 * i0 + y1 * i1 + y2 * lo  # coefficient at c = lo
+                    if (t < 2 and (i0, i1)[t] in dead) or not (y2 or base):
+                        continue
+                    s = x0 * i0 + x1 * i1 + shift
+                    if s not in codes:
+                        outs = (s + x2 * i - lo for i in idx)
+                        run = [bits[o] if 0 <= o < w else ESCAPE[fam] for o in outs]
+                        codes[s] = run, reduce(or_, filter((0).__lt__, run), 0), run.count(ESCAPE[fam])
+                    run, mask, escapes = codes[s]
+                    ab = a * n + b
+                    start = ab * n + offset[f2]
+                    entry[start : start + w] = run
+                    zeroed = dead_c
+                    if y2 and not base % y2 and 0 <= -base // y2 < w:
+                        zeroed = {*dead_c, -base // y2}
+                    for j in zeroed:
+                        entry[start + j] = 0
+                        if run[j] < 0:
+                            escapes -= 1
+                        elif x2:  # the bits of a run are distinct unless x2 == 0
+                            mask ^= run[j]
+                    pair[ab] |= mask if len(zeroed) < w else 0
+                    pair_escapes[ab] += escapes
+        return entry, pair, pair_escapes
 
 
 def _positions(mask: int) -> List[int]:
@@ -321,14 +372,16 @@ def _positions(mask: int) -> List[int]:
 
 
 def ideal_closure_reaches_all(
-    table: ClosureTable, seeds: Optional[Sequence[Element]] = None
+    table: ClosureTable, seeds: Optional[Sequence[Element]] = None, depth: int = DEFAULT_DEPTH
 ) -> VerdictReport:
-    """Ideal closures of single seeds (every basis vector by default).
+    """Ideal closures of single seeds (every basis vector by default), each
+    at most ``depth`` steps long.
 
     Under omega the check is simplicity evidence: every closure must
-    reach the full window span.  Under the weighted bracket the reached
-    spans are reported as findings (it has proper ideals, so full reach is
-    not a claim there)."""
+    reach the full window span.  A closure that stabilizes below it fails;
+    one cut by the depth cap below it is flagged, as no counterexample.
+    Under the weighted bracket the reached spans are reported as findings
+    (it has proper ideals, so full reach is not a claim there)."""
     spec = table.spec
     expect_full = isinstance(spec, OmegaBracket)
     rep = VerdictReport(
@@ -338,12 +391,15 @@ def ideal_closure_reaches_all(
     seed_list = table.units if seeds is None else list(seeds)
     reached = []
     for seed in seed_list:
-        chain, _ = span_close(table, [seed], MODE_IDEAL)
-        reached.append(chain[-1].dim)
-        if expect_full and chain[-1].dim != full_dim:
-            rep.record_failure(
-                f"closure of {seed} stops at dimension {chain[-1].dim} < {full_dim}"
-            )
+        chain, sub = span_close(table, [seed], MODE_IDEAL, depth)
+        dim = chain[-1].dim
+        reached.append(dim)
+        if not expect_full or dim == full_dim:
+            continue
+        if sub.stats["stabilized_at"] < 0:
+            rep.flag(f"closure of {seed} reaches dimension {dim} < {full_dim} within depth {depth}")
+        else:
+            rep.record_failure(f"closure of {seed} stops at dimension {dim} < {full_dim}")
     rep.stats["seeds"] = len(seed_list)
     rep.stats["window_dimension"] = full_dim
     rep.stats["reached_dimensions"] = ",".join(map(str, sorted(set(reached))))

@@ -214,7 +214,9 @@ def bracket_rules(spec: TriBracketSpec):
 
 def rule_kernel(rules: dict, shift: int = 0, weight: Optional[FunctionalSpec] = None) -> Callable:
     """The basis kernel of expanded rules: each index gains ``shift``, and
-    under a weight each coefficient is multiplied by beta at slot t."""
+    under a weight each coefficient is multiplied by beta at slot t.  The
+    kernel carries ``(rules, shift, weight)`` as its ``rules`` attribute, so
+    a table can be built from the rules block by block."""
     get = rules.get
     beta = weight.beta if weight is not None else None
 
@@ -229,6 +231,7 @@ def rule_kernel(rules: dict, shift: int = 0, weight: Optional[FunctionalSpec] = 
             coef = beta((i0, i1, i2)[t_pos]) * coef
         return (coef, family, x0 * i0 + x1 * i1 + x2 * i2 + shift) if coef else None
 
+    triple.rules = (rules, shift, weight)
     return triple
 
 

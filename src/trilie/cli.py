@@ -175,7 +175,8 @@ def _witt_module(cfg: RunConfig) -> List[VerdictReport]:
 
 def _ideal_closure(cfg: RunConfig) -> List[VerdictReport]:
     seeds = [cfg.seed_element] if cfg.seed_element else None
-    return [ideal_closure_reaches_all(ClosureTable(cfg.tri_spec(), cfg.window), seeds)]
+    table = ClosureTable(cfg.tri_spec(), cfg.window)
+    return [ideal_closure_reaches_all(table, seeds, cfg.depth)]
 
 
 def _derived_series(cfg: RunConfig) -> List[VerdictReport]:

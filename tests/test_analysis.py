@@ -36,7 +36,7 @@ from trilie.analysis import (
     weight_decompose,
     witt_module_check,
 )
-from trilie.brackets import closed_triple_fn, tri_bracket
+from trilie.brackets import bracket_rules, closed_triple_fn, tri_bracket
 from trilie.cli import main
 from trilie.operators import GENERATORS, gen_p
 from trilie.report import Window
@@ -550,3 +550,97 @@ def test_ideal_kinds_reads_the_kernel_once_per_basis_triple(monkeypatch):
     calls = _counting_kernels(monkeypatch)
     assert main(["analyze", "ideal-kinds", "--bracket", "fk", "--window", "-3..3"]) == 0
     assert sum(calls) == 14**3 == 2744
+
+
+def _per_triple_rows(monkeypatch, spec, window):
+    """The rows of a table whose kernel carries no rules, so it reads the
+    kernel once per basis triple."""
+    kernel = closed_triple_fn(spec)
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "closed_triple_fn", lambda spec: lambda a, b, c: kernel(a, b, c))
+        return ClosureTable(spec, window).rows
+
+
+TABLE_WEIGHTS = ("const:1", "const:1/2", "support:0=1,2=-1/3", "poly:t-1")
+TABLE_SPECS = [OMEGA] + [FKBracket(k, parse_beta(b)) for k in range(-3, 4) for b in TABLE_WEIGHTS]
+TABLE_WINDOWS = (Window(-3, 3), Window(-2, 5), Window(1, 4), Window(3, 5))  # beta vanishes on 3..5
+ROW_MUTATIONS = {
+    "intact": None,
+    "omega llm coef (-2, 1, 0)": ("omega", 0, {"coef": (-2, 1, 0)}),
+    "omega lmm coef (0, 1, -1)": ("omega", 1, {"coef": (0, 1, -1)}),
+    "omega lmm coef (1, -1, 1)": ("omega", 1, {"coef": (1, -1, 1)}),
+    "omega lmm coef zero": ("omega", 1, {"coef": (0, 0, 0)}),
+    "omega lmm index (-1, 1, 0)": ("omega", 1, {"index": (-1, 1, 0)}),
+    "omega lmm on L": ("omega", 1, {"family": "L"}),
+    "fk llm coef (2, -1, 0)": ("fk", 0, {"coef": (2, -1, 0)}),
+    "fk llm index (1, 1, 1)": ("fk", 0, {"index": (1, 1, 1)}),
+    "fk llm on M": ("fk", 0, {"family": "M"}),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(ROW_MUTATIONS))
+def test_rule_built_rows_equal_the_per_triple_rows(mutation, monkeypatch, patch_row):
+    broken = ROW_MUTATIONS[mutation]
+    specs = TABLE_SPECS
+    if broken is not None:
+        bracket, i, fields = broken
+        patch_row(bracket, i, **fields)
+        specs = [s for s in TABLE_SPECS if (s == OMEGA) == (bracket == "omega")]
+    for spec in specs:
+        assert closed_triple_fn(spec).rules == bracket_rules(spec)
+        for w in TABLE_WINDOWS:
+            assert ClosureTable(spec, w).rows == _per_triple_rows(monkeypatch, spec, w), (spec, w)
+
+
+def test_simplicity_evidence_fails_on_a_zeroed_lmm_rule(patch_row):
+    # the same failure as the broken kernel above, reached through the rules
+    patch_row("omega", 1, coef=(0, 0, 0))
+    assert hasattr(closed_triple_fn(OMEGA), "rules")
+    rep = ideal_closure_reaches_all(ClosureTable(OMEGA, Window(-3, 3)))
+    assert rep.status == "fail"
+    assert "closure of L[-3] stops at dimension 7 < 14" in rep.counterexamples
+
+
+def _counting_rule_tables(monkeypatch):
+    """Count the tables built from rules, and the per-triple calls of the
+    kernels ``analysis.closed_triple_fn`` hands out: those kernels keep their
+    rules, so tables take the shipped path."""
+    built, calls = [], []
+    closed, blocks = analysis.closed_triple_fn, ClosureTable._blocks
+
+    def counting(spec):
+        kernel = closed(spec)
+
+        def triple(a, b, c):
+            calls.append((a, b, c))
+            return kernel(a, b, c)
+
+        triple.rules = kernel.rules
+        return triple
+
+    def counted_blocks(self, *rules):
+        built.append(self.spec)
+        return blocks(self, *rules)
+
+    monkeypatch.setattr(analysis, "closed_triple_fn", counting)
+    monkeypatch.setattr(ClosureTable, "_blocks", counted_blocks)
+    return built, calls
+
+
+def test_each_cli_call_builds_its_own_rule_table(monkeypatch):
+    built, calls = _counting_rule_tables(monkeypatch)
+    closure = ["analyze", "ideal-closure", "--bracket", "omega", "--window", "-3..3"]
+    assert main(closure) == 0
+    assert built == [OMEGA]  # one table for all 14 seeds
+    assert main(closure) == 0
+    assert built == [OMEGA] * 2
+    assert main(["analyze", "ideal-kinds", "--bracket", "fk", "--window", "-3..3"]) == 0
+    assert len(built) == 3 and isinstance(built[2], FKBracket)
+    assert calls == []
+
+
+def test_ideal_kinds_builds_one_rule_table_and_calls_no_kernel(monkeypatch):
+    built, calls = _counting_rule_tables(monkeypatch)
+    assert main(["analyze", "ideal-kinds", "--bracket", "fk", "--window", "-3..3"]) == 0
+    assert len(built) == 1
+    assert calls == []

@@ -193,6 +193,22 @@ def test_analyze_seed_element():
     assert "PASS" in out
 
 
+def test_ideal_closure_honours_depth():
+    reports = {}
+    for depth in ("0", "8"):
+        args = ["analyze", "ideal-closure", "--window=-6..6", "--depth", depth, "--format", "json"]
+        code, out = run_cli(args)
+        assert code == 0
+        (reports[depth],) = json.loads(out)["reports"]
+    assert reports["0"] != reports["8"]
+    assert reports["8"]["status"] == "pass"
+    # depth 0 cuts every closure at its seed: flagged, not failed
+    assert reports["0"]["status"] == "flagged"
+    assert reports["0"]["counterexamples"] == []
+    assert reports["0"]["stats"]["reached_dimensions"] == "1"
+    assert "closure of L[-6] reaches dimension 1 < 26 within depth 0" in reports["0"]["notes"]
+
+
 def test_analyze_bad_seed_element():
     code, _ = run_cli(
         ["analyze", "ideal-closure", "--bracket", "omega", "--seed-element", "L[1", "--window", "-3..3"]

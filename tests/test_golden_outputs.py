@@ -5,7 +5,10 @@ invocations cover the finite-support (window-decided) and polynomial
 (substituted) paths.  The structure analyses pin the ideal kinds of both
 brackets, both weight decompositions with their normalizer reports, the
 omega centers, the ideal closures of one multi-term seed under each
-bracket and the constructor agreement under a polynomial weight.  The
+bracket and the constructor agreement under a polynomial weight; four
+closures on asymmetric windows, one without index 0, pin the block
+arithmetic of the closure tables under a negative k and a ``Fraction``
+weight.  The
 identity sweeps pin the benchmark's four ``identity-sweep`` invocations
 and one failing fundamental-identity sweep under a changed omega row, so
 the counterexample texts and their order are pinned too.  The operator
@@ -57,6 +60,10 @@ STRUCTURE_INVOCATIONS = {
     "ideal-closure-omega-multi": "analyze ideal-closure --bracket omega '--seed-element=L[1] + 2*M[-3] - 1/2*M[3]'",
     "ideal-closure-fk-multi": "analyze ideal-closure --bracket fk '--seed-element=L[2] - M[1]'",
     "constructor-agreement-k1-poly": "verify constructor-agreement --k 1 --beta poly:t^2+1",
+    "derived-series-fk-k-2-support": "analyze derived-series --bracket fk --k -2 --beta support:0=1,2=-1/3 --window=-2..4",
+    "derived-series-omega-asymmetric": "analyze derived-series --bracket omega --window=-2..4",
+    "ideal-closure-omega-no-zero": "analyze ideal-closure --bracket omega --window=1..4",
+    "ideal-kinds-fk-k3-half": "analyze ideal-kinds --bracket fk --k 3 --beta const:1/2 --window=-4..1",
 }
 
 

@@ -1,6 +1,8 @@
 """Smoke tests: the runnable experiments in scripts/ exit 0 on small inputs;
-the table script reports each row's own status and fails with the table."""
+the table script reports each row's own status and fails with the table;
+the digest script prints each benchmark invocation's stdout hash."""
 
+import hashlib
 import os
 import runpy
 import subprocess
@@ -46,3 +48,27 @@ def test_rederive_tables_reports_each_row_and_fails_with_the_table(monkeypatch, 
     passed = [row.split(" =")[0].strip() for row in rows if row.endswith("[pass]")]
     assert passed == ["[p_r, p_s]", "[p_r, x_s]", "[p_r, z_s]", "[x_r, x_s]", "[z_r, z_s]"]
     assert sum(row.endswith("[fail]") for row in rows) == 5
+
+
+def test_stdout_digest_prints_one_sha256_per_invocation():
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        from workloads import WORKLOADS, argv_for
+    finally:
+        sys.path.pop(0)
+    from trilie.cli import run_command
+
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "stdout_digest.py"), "--workload", "structure-analysis", "--seed", "3"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    invocations = WORKLOADS["structure-analysis"]
+    assert [line.split("  ", 4)[1:] for line in lines] == [
+        ["0", "structure-analysis", "seed=3", inv] for inv in invocations
+    ]
+    status, out = run_command(argv_for(invocations[0], 3))
+    assert lines[0].split()[0] == hashlib.sha256(out.encode("utf-8")).hexdigest()
