@@ -28,9 +28,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product, starmap
+from itertools import chain, groupby, product, starmap
 from math import lcm
-from operator import itemgetter, mul
+from operator import itemgetter, mul, neg
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .elements import (
@@ -235,6 +235,71 @@ def rule_kernel(rules: dict, shift: int = 0, weight: Optional[FunctionalSpec] = 
     return triple
 
 
+def _family_runs(slot) -> dict:
+    """family -> [(start, indices)], one entry per maximal run of that family in ``slot``."""
+    runs, start = {}, 0
+    for family, group in groupby(slot, itemgetter(0)):
+        indices = [vec[1] for vec in group]
+        runs.setdefault(family, []).append((start, indices))
+        start += len(indices)
+    return runs
+
+
+def rule_table(kernel: Callable, slots, at: Tuple[int, int, int] = (0, 1, 2)):
+    """The kernel on every triple of ``product(*slots)``, vector j at
+    argument position at[j], as (coefficients, outputs): 0 and None where the
+    bracket is zero.  Built from the kernel's rules, or None unless it carries
+    rules and beta is an int wherever a rule reads it.
+
+    For one rule and vectors a, b of the first two slots, the coefficient and
+    the output index are affine in the index of the last slot: each run of
+    that slot's family is computed once per partial sum and copied in by one
+    slice.  Beta is read once per index; patterns without a rule stay 0."""
+    if not hasattr(kernel, "rules"):
+        return None
+    rules, shift, weight = kernel.rules
+    first, second, last = slots
+    runs = _family_runs(last)
+    n1, n2 = len(second), len(last)
+    coefs, outs = [0] * (len(first) * n1 * n2), [None] * (len(first) * n1 * n2)
+    vectors = {}  # one tuple per output vector, so equal outputs compare by identity
+    for pattern, (family, index, coef, t) in rules.items():
+        f0, f1, f2 = (pattern[p] for p in at)
+        x0, x1, x2 = (index[p] for p in at)
+        y0, y1, y2 = (coef[p] for p in at)
+        t = at.index(t)
+        beta = None if weight is None else {i: weight.beta(i) for f, i in slots[t] if f == (f0, f1, f2)[t]}
+        if beta and any(b.__class__ is not int for b in beta.values()):
+            return None
+        coef_runs, out_runs = {}, {}
+        for a, (g0, i0) in enumerate(first):
+            if g0 != f0:
+                continue
+            for b, (g1, i1) in enumerate(second):
+                if g1 != f1:
+                    continue
+                m = 1 if beta is None or t == 2 else beta[(i0, i1)[t]]
+                c, step, s = m * (y0 * i0 + y1 * i1), m * y2, x0 * i0 + x1 * i1 + shift
+                if not (c or step):
+                    continue
+                row = (a * n1 + b) * n2
+                for start, idx in runs.get(f2, ()):
+                    if (c, step, start) not in coef_runs:
+                        run = [c + step * i for i in idx]
+                        if beta is not None and t == 2:
+                            run = [v * beta[i] for v, i in zip(run, idx)]
+                        coef_runs[c, step, start] = run, [j for j, v in enumerate(run) if not v]
+                    if (s, start) not in out_runs:
+                        out_runs[s, start] = [vectors.setdefault(v, v) for v in [(family, s + x2 * i) for i in idx]]
+                    run, zeros = coef_runs[c, step, start]
+                    lo = row + start
+                    coefs[lo : lo + len(run)] = run
+                    outs[lo : lo + len(run)] = out_runs[s, start]
+                    for j in zeros:
+                        outs[lo + j] = None
+    return coefs, outs
+
+
 omega_triple = rule_kernel(RULES["omega"])
 
 
@@ -322,30 +387,54 @@ def _kernel_element(res, unit: int = 1) -> Element:
     return Element() if res is None else Element({BasisVector(res[1], res[2]): Fraction(res[0], unit)})
 
 
+def _split(entries: list) -> Tuple[list, list]:
+    """Kernel values as ``rule_table``'s (coefficients, outputs)."""
+    return [0 if res is None else res[0] for res in entries], [None if res is None else res[1:] for res in entries]
+
+
+def _permutations_agree(coefs: list, outs: list, n: int) -> bool:
+    """Whether the table of a window of n vectors, read under each odd or
+    even permutation of its slots, is the table negated or itself; each
+    permuted list is gathered by n*n extended slices."""
+    flipped = list(map(neg, coefs))
+    for perm, sign in PERMUTATIONS[1:]:
+        s0, s1, s2 = (n ** (2 - perm.index(m)) for m in range(3))
+        starts = [p0 * s0 + p1 * s1 for p0 in range(n) for p1 in range(n)]
+        for values, want in ((coefs, coefs if sign > 0 else flipped), (outs, outs)):
+            if list(chain.from_iterable(values[st : st + n * s2 : s2] for st in starts)) != want:
+                return False
+    return True
+
+
 def check_anticommutativity(spec: TriBracketSpec, window: Window) -> VerdictReport:
     """Total antisymmetry under all six permutations, every basis triple,
     comparing entries of the tabulated closed-form kernel with the weight
-    scaled to integers (``integral_spec``)."""
+    scaled to integers (``integral_spec``).  The table is built from the
+    rules where the kernel carries them; each permuted table is compared
+    as a whole, and only a mismatch is searched entry by entry."""
     rep = VerdictReport(
         "anticommutativity", {"bracket": spec.describe(), "window": str(window)}
     )
     basis = window_basis(window)
     n = len(basis)
     unit, scaled = integral_spec(spec)
+    kernel = closed_triple_fn(scaled)
     # entry i*n*n + j*n + k is the kernel on (basis[i], basis[j], basis[k])
-    table = list(starmap(closed_triple_fn(scaled), product(basis, repeat=3)))
-    perms = [(perm, sign, itemgetter(*perm)) for perm, sign in PERMUTATIONS[1:]]
-    for pos, base in zip(product(range(n), repeat=3), table):
-        # an odd permutation must give the entry negated: one negation per entry
-        flipped = None if base is None else (-base[0], base[1], base[2])
-        for perm, sign, permute in perms:
-            i, j, k = permute(pos)
-            permuted = table[(i * n + j) * n + k]
-            if permuted != (base if sign > 0 else flipped):
-                rep.record_failure(
-                    f"[{basis[pos[0]]}, {basis[pos[1]]}, {basis[pos[2]]}] vs permutation {perm}: "
-                    f"{_kernel_element(base, unit)} / {_kernel_element(permuted, unit)}"
-                )
+    coefs, outs = rule_table(kernel, (basis,) * 3) or _split(list(starmap(kernel, product(basis, repeat=3))))
+    if not _permutations_agree(coefs, outs, n):
+        table = [None if out is None else (c, *out) for c, out in zip(coefs, outs)]
+        perms = [(perm, sign, itemgetter(*perm)) for perm, sign in PERMUTATIONS[1:]]
+        for pos, base in zip(product(range(n), repeat=3), table):
+            # an odd permutation must give the entry negated: one negation per entry
+            flipped = None if base is None else (-base[0], base[1], base[2])
+            for perm, sign, permute in perms:
+                i, j, k = permute(pos)
+                permuted = table[(i * n + j) * n + k]
+                if permuted != (base if sign > 0 else flipped):
+                    rep.record_failure(
+                        f"[{basis[pos[0]]}, {basis[pos[1]]}, {basis[pos[2]]}] vs permutation {perm}: "
+                        f"{_kernel_element(base, unit)} / {_kernel_element(permuted, unit)}"
+                    )
     rep.stats["permutation_checks"] = 5 * n**3
     return rep
 
@@ -406,10 +495,11 @@ def _int_bracket(triple: Callable, rules, unit: int, u: dict, v: dict, w: dict, 
     get = out.get
     for (fu, us), (fv, vs), (fw, ws) in product(u.items(), v.items(), w.items()):
         if (fu, fv, fw) not in rules:
-            # zero by the grading, and check_nested_identities holds the kernel to it
-            # before any sample: _sweep_tables calls it on every window triple and on
-            # every inner output with two window vectors, every triple a sampled tuple
-            # reaches, and raises on a nonzero value where the grading allows none
+            # zero by the grading.  A rule kernel is zero here by construction; any
+            # other kernel check_nested_identities holds to it before any sample, as
+            # _sweep_tables calls it on every window triple and on every inner output
+            # with two window vectors, every triple a sampled tuple reaches, and
+            # raises on a nonzero value where the grading allows none
             continue
         for b1, c1 in us:
             for b2, c2 in vs:
@@ -471,7 +561,8 @@ def identity_residual(spec: TriBracketSpec, identity, args: Sequence[Element]) -
 # deg L_r = r and deg M_t = -t (omega) or k (fk).  Every term of a nested
 # identity brackets all five slots, so on a basis 5-tuple all its nonzero
 # terms land on one basis vector and the residual is a single scalar.  The
-# grading is checked on every table entry, never assumed.
+# grading is checked, never assumed: once per rule when the tables are built
+# from the rules, on every nonzero entry of any other kernel's tables.
 #
 # The sweep runs over the slots (a0, a1, a2) and evaluates each identity on
 # all n*n "lanes" (a3, a4) at once, lane a3*n + a4, as one exact int that
@@ -481,6 +572,9 @@ def identity_residual(spec: TriBracketSpec, identity, args: Sequence[Element]) -
 # only a failing (a0, a1, a2) is unpacked.
 
 LANES = (3, 4)
+
+# the argument position of each slot (vector, x, y) of the table outer[p]
+OUTER_AT = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 
 
 def _sweep_tables(spec: TriBracketSpec, basis: Sequence[Triple]):
@@ -495,7 +589,11 @@ def _sweep_tables(spec: TriBracketSpec, basis: Sequence[Triple]):
       coded vector at position p and basis[x], basis[y] at the other two.
 
     Codes number the inner outputs that occur, so every one has a code.
-    Every nonzero entry is held to the grading, and must be an int.
+    The tables are built from the kernel's rules (``rule_table``) when each
+    rule's output family and index form are the grading's, so no value can
+    break it.  A plain kernel, a rule off the grading or a beta value that
+    is not an int takes the per-triple path, where every nonzero entry is
+    held to the grading and must be an int.
     """
     unit, scaled = integral_spec(spec)
     triple = closed_triple_fn(scaled)
@@ -508,11 +606,26 @@ def _sweep_tables(spec: TriBracketSpec, basis: Sequence[Triple]):
             for vec in vecs
         ]
 
+    def graded_rule(pattern, rule, shift: int) -> bool:
+        """Whether the grading puts every value of a rule where it lands."""
+        family, index = rule[:2]
+        degree = tuple(1 if f == FAMILY_L else -1 if is_omega else 0 for f in pattern)
+        if pattern.count(FAMILY_L) == 2:
+            return (family, index, shift) == (FAMILY_L, degree, 0 if is_omega else spec.k)
+        minus = tuple(-d for d in degree)
+        return pattern.count(FAMILY_L) == 1 and is_omega and (family, index, shift) == (FAMILY_M, minus, 0)
+
+    rules = getattr(triple, "rules", None)
+    by_rules = rules is not None and all(graded_rule(*item, rules[1]) for item in rules[0].items())
     graded_basis = graded(basis)
 
-    def table(first, p: int) -> list:
-        """The kernel entries with a vector of ``first`` at position p and
-        basis vectors x, y at the other two, in the order (vector, x, y)."""
+    def table(first, p: int):
+        """The kernel's (coefficients, outputs) with a vector of ``first`` at
+        position p and basis vectors x, y at the other two, in the order
+        (vector, x, y)."""
+        built = rule_table(triple, (first, basis, basis), OUTER_AT[p]) if by_rules else None
+        if built is not None:
+            return built
         out = []
         for v, lv, dv in graded(first):
             for x, lx, dx in graded_basis:
@@ -533,17 +646,14 @@ def _sweep_tables(spec: TriBracketSpec, basis: Sequence[Triple]):
                         if res[0].__class__ is not int:
                             _not_divided(res[0], unit)
                     out.append(res)
-        return out
-
-    def coefs(entries) -> list:
-        return [0 if res is None else res[0] for res in entries]
+        return _split(out)
 
     n2 = len(basis) ** 2
-    inner = table(basis, 0)
-    ext = sorted({res[1:] for res in inner if res})
+    coef, outs = table(basis, 0)
+    ext = sorted({vec for vec in outs if vec is not None})
     code = {vec: i for i, vec in enumerate(ext)}
-    base = [0 if res is None else code[res[1:]] * n2 for res in inner]
-    return coefs(inner), base, [coefs(table(ext, p)) for p in range(3)]
+    base = [0 if vec is None else code[vec] * n2 for vec in outs]
+    return coef, base, [table(ext, p)[0] for p in range(3)]
 
 
 def _field_width(tables, terms: int) -> int:

@@ -1,5 +1,6 @@
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -98,18 +99,49 @@ def doubled_x_channel(ad_x):
     return broken
 
 
+# the product-row mutations the tests install through patch_row: (bracket, row, fields)
+ROW_MUTATIONS = {
+    "intact": None,
+    "omega llm coef (-2, 1, 0)": ("omega", 0, {"coef": (-2, 1, 0)}),
+    "omega llm index (1, 1, 0)": ("omega", 0, {"index": (1, 1, 0)}),
+    "omega lmm coef (0, 1, -1)": ("omega", 1, {"coef": (0, 1, -1)}),
+    "omega lmm coef (1, -1, 1)": ("omega", 1, {"coef": (1, -1, 1)}),
+    "omega lmm coef zero": ("omega", 1, {"coef": (0, 0, 0)}),
+    "omega lmm index (-1, 1, 0)": ("omega", 1, {"index": (-1, 1, 0)}),
+    "omega lmm on L": ("omega", 1, {"family": "L"}),
+    "fk llm coef (2, -1, 0)": ("fk", 0, {"coef": (2, -1, 0)}),
+    "fk llm index (1, 1, 1)": ("fk", 0, {"index": (1, 1, 1)}),
+    "fk llm on M": ("fk", 0, {"family": "M"}),
+}
+
+
+def _install_row(mp, bracket, i, **fields):
+    """Replace fields of row i of a bracket through ``mp`` and install its expanded rules."""
+    rows = list(brackets.PRODUCT_ROWS[bracket])
+    rows[i] = rows[i]._replace(**fields)
+    mp.setitem(brackets.PRODUCT_ROWS, bracket, tuple(rows))
+    mp.setitem(brackets.RULES, bracket, expand_rows(rows))
+    closed_triple_fn.cache_clear()
+
+
+@contextmanager
+def mutated_rows(mutation):
+    """Install ``ROW_MUTATIONS[mutation]`` for the duration of a with block."""
+    closed_triple_fn.cache_clear()
+    with pytest.MonkeyPatch.context() as m:
+        if ROW_MUTATIONS[mutation] is not None:
+            bracket, i, fields = ROW_MUTATIONS[mutation]
+            _install_row(m, bracket, i, **fields)
+        try:
+            yield
+        finally:
+            closed_triple_fn.cache_clear()
+
+
 @pytest.fixture
 def patch_row(monkeypatch):
     """patch_row(bracket, i, **fields) replaces fields of row i of a bracket
     and installs the expanded rules for the rest of the test."""
     closed_triple_fn.cache_clear()
-
-    def patch(bracket, i, **fields):
-        rows = list(brackets.PRODUCT_ROWS[bracket])
-        rows[i] = rows[i]._replace(**fields)
-        monkeypatch.setitem(brackets.PRODUCT_ROWS, bracket, tuple(rows))
-        monkeypatch.setitem(brackets.RULES, bracket, expand_rows(rows))
-        closed_triple_fn.cache_clear()
-
-    yield patch
+    yield lambda bracket, i, **fields: _install_row(monkeypatch, bracket, i, **fields)
     closed_triple_fn.cache_clear()

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conftest import sign_flipped_q
+from conftest import ROW_MUTATIONS, sign_flipped_q
 from trilie import (
     OMEGA,
     BasisVector,
@@ -564,19 +564,6 @@ def _per_triple_rows(monkeypatch, spec, window):
 TABLE_WEIGHTS = ("const:1", "const:1/2", "support:0=1,2=-1/3", "poly:t-1")
 TABLE_SPECS = [OMEGA] + [FKBracket(k, parse_beta(b)) for k in range(-3, 4) for b in TABLE_WEIGHTS]
 TABLE_WINDOWS = (Window(-3, 3), Window(-2, 5), Window(1, 4), Window(3, 5))  # beta vanishes on 3..5
-ROW_MUTATIONS = {
-    "intact": None,
-    "omega llm coef (-2, 1, 0)": ("omega", 0, {"coef": (-2, 1, 0)}),
-    "omega lmm coef (0, 1, -1)": ("omega", 1, {"coef": (0, 1, -1)}),
-    "omega lmm coef (1, -1, 1)": ("omega", 1, {"coef": (1, -1, 1)}),
-    "omega lmm coef zero": ("omega", 1, {"coef": (0, 0, 0)}),
-    "omega lmm index (-1, 1, 0)": ("omega", 1, {"index": (-1, 1, 0)}),
-    "omega lmm on L": ("omega", 1, {"family": "L"}),
-    "fk llm coef (2, -1, 0)": ("fk", 0, {"coef": (2, -1, 0)}),
-    "fk llm index (1, 1, 1)": ("fk", 0, {"index": (1, 1, 1)}),
-    "fk llm on M": ("fk", 0, {"family": "M"}),
-}
-
 
 @pytest.mark.parametrize("mutation", sorted(ROW_MUTATIONS))
 def test_rule_built_rows_equal_the_per_triple_rows(mutation, monkeypatch, patch_row):

@@ -2,13 +2,14 @@ import random
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice, product, starmap
+from operator import itemgetter
 
 import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import RATIONALS, nonzero_elements
+from conftest import RATIONALS, ROW_MUTATIONS, nonzero_elements
 from oracles import DETERMINANT, BracketPreconditionError, FromFunctionalBracket, certify_from_functional
 from trilie import (
     OMEGA,
@@ -31,6 +32,7 @@ from trilie.analysis import MODULE_IDENTITY_1, MODULE_IDENTITY_2, module_axiom_c
 from trilie.brackets import (
     FUNDAMENTAL_IDENTITY,
     INNER,
+    OUTER_AT,
     PERMUTATIONS,
     _compile_term,
     _field_width,
@@ -45,6 +47,7 @@ from trilie.brackets import (
     expand_rows,
     identity_residual,
     random_element,
+    rule_table,
 )
 from trilie.cli import main
 from trilie.polys import Poly, T
@@ -308,6 +311,143 @@ def test_kernel_rejects_broken_grading(monkeypatch, capsys):
     for bracket in ("omega", "fk"):
         assert main(["verify", "fundamental-identity", "--bracket", bracket, "--window", "-1..1"]) == 2
         assert "breaks its grading" in capsys.readouterr().err
+
+
+# rows off the grading: the first entry that breaks it, in table order, as the parent printed it
+GRADING_BREAKS = {
+    "fk llm index (1, 1, 1)": "fk(k=1, beta=const:1) breaks its grading: [('L', -1), ('L', 0), ('M', -1)] "
+    "lands on ('L', -1), the grading puts it on ('L', 0)",
+    "omega llm index (1, 1, 0)": "omega breaks its grading: [('L', -1), ('L', 0), ('M', -1)] "
+    "lands on ('L', -1), the grading puts it on ('L', 0)",
+    "fk llm on M": "fk(k=1, beta=const:1) breaks its grading: [('L', -1), ('L', 0), ('M', -1)] "
+    "lands on ('M', 0), the grading puts it on ('L', 0)",
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(GRADING_BREAKS))
+def test_rules_off_the_grading_exit_2_with_the_first_entry(mutation, patch_row, capsys):
+    """A rule off the grading sends the sweep to the per-triple tables, which
+    name the first entry that breaks it; anticommutativity checks no grading."""
+    bracket, i, fields = ROW_MUTATIONS[mutation]
+    patch_row(bracket, i, **fields)
+    for check in ("fundamental-identity", "module-axioms"):
+        assert main(["verify", check, "--bracket", bracket, "--window=-1..1"]) == 2
+        assert capsys.readouterr() == ("", f"trilie: {GRADING_BREAKS[mutation]}\n")
+    assert main(["verify", "anticommutativity", "--bracket", bracket, "--window=-1..1"]) == 0
+
+
+def test_rules_with_a_shifted_index_exit_2(monkeypatch):
+    """The rule check reads the kernel's index shift too: fk rules shifted by
+    one more than k take the per-triple path and fail its grading check."""
+    closed = brackets.closed_triple_fn
+
+    def shifted(spec):
+        rules, k, weight = closed(spec).rules
+        return brackets.rule_kernel(rules, k + 1, weight)
+
+    monkeypatch.setattr(brackets, "closed_triple_fn", shifted)
+    with pytest.raises(ValueError, match=r"lands on \('L', 1\), the grading puts it on \('L', 0\)"):
+        check_fundamental_identity(FKBracket(1, ONE), Window(-1, 1))
+
+
+# -- tables built from the product rules ----------------------------------------
+
+TABLE_WEIGHTS = ("const:1", "const:1/2", "support:0=1,2=-1/3", "poly:1/2*t^2-1")
+TABLE_SPECS = [OMEGA] + [FKBracket(k, parse_beta(b)) for k in range(-3, 4) for b in TABLE_WEIGHTS]
+TABLE_BASES = [
+    *([(bv.family, bv.index) for bv in window_basis(w)] for w in (Window(-3, 3), Window(-2, 5), Window(1, 4))),
+    [("L", 0), ("M", 0)],
+]
+
+
+def _per_triple_table(kernel, slots, at=(0, 1, 2)):
+    """(coefficients, outputs) of one kernel call per triple of
+    ``product(*slots)``, vector j at argument position at[j]."""
+    args = itemgetter(*map(at.index, range(3)))
+    entries = list(starmap(kernel, map(args, product(*slots))))
+    return [0 if res is None else res[0] for res in entries], [None if res is None else res[1:] for res in entries]
+
+
+@pytest.mark.parametrize("mutation", sorted(ROW_MUTATIONS))
+def test_rule_built_tables_equal_the_per_triple_tables(mutation, patch_row):
+    """The anticommutativity table and the sweep's inner and outer tables,
+    built from the rules, are the scaled kernel's values triple by triple."""
+    broken = ROW_MUTATIONS[mutation]
+    specs = TABLE_SPECS
+    if broken is not None:
+        bracket, i, fields = broken
+        patch_row(bracket, i, **fields)
+        specs = [s for s in TABLE_SPECS if (s == OMEGA) == (bracket == "omega")]
+    for spec in specs:
+        kernel = closed_triple_fn(brackets.integral_spec(spec)[1])
+        for basis in TABLE_BASES:
+            coefs, outs = _per_triple_table(kernel, (basis,) * 3)
+            assert rule_table(kernel, (basis,) * 3) == (coefs, outs), (spec, basis)
+            ext = sorted({vec for vec in outs if vec is not None})
+            for at in OUTER_AT:
+                slots = (ext, basis, basis)
+                assert rule_table(kernel, slots, at) == _per_triple_table(kernel, slots, at), (spec, basis, at)
+
+
+def test_rule_tables_need_rules_and_int_beta():
+    basis = [("L", 0), ("L", 1), ("M", 0), ("M", 1)]
+    half = FKBracket(1, ConstantFunctional(Fraction(1, 2)))
+    assert rule_table(closed_triple_fn(half), (basis,) * 3) is None  # beta 1/2 before scaling
+    assert rule_table(closed_triple_fn(brackets.integral_spec(half)[1]), (basis,) * 3) is not None
+    assert rule_table(lambda a, b, c: None, (basis,) * 3) is None
+
+
+def test_passing_sweeps_build_every_table_from_the_rules(monkeypatch):
+    """Passing sweeps call the kernel on no triple: the counting kernel keeps
+    its rules, so every table is built from them."""
+    calls, built = [], []
+    closed, table = brackets.closed_triple_fn, brackets.rule_table
+
+    def counting(spec):
+        kernel = closed(spec)
+
+        def triple(a, b, c):
+            calls.append((a, b, c))
+            return kernel(a, b, c)
+
+        triple.rules = kernel.rules
+        return triple
+
+    def counted(kernel, slots, at=(0, 1, 2)):
+        built.append(table(kernel, slots, at))
+        return built[-1]
+
+    monkeypatch.setattr(brackets, "closed_triple_fn", counting)
+    monkeypatch.setattr(brackets, "rule_table", counted)
+    for bracket in (["--bracket", "omega"], ["--bracket", "fk", "--k", "-1", "--beta", "poly:1/2*t^2-1"]):
+        for check in ("anticommutativity", "fundamental-identity", "module-axioms"):
+            assert main(["verify", check, *bracket, "--window=-2..2", "--samples", "0"]) == 0
+    assert calls == []
+    assert len(built) == 2 * (1 + 4 + 4) and None not in built
+
+
+def test_fk_values_with_one_l_argument_break_the_grading(monkeypatch):
+    """Under fk a bracket with one L argument has no value at all: one on M
+    at minus the degree, where the omega grading would put it, is refused."""
+    closed = brackets.closed_triple_fn
+
+    def closed_with_lmm(spec):
+        kernel = closed(spec)
+
+        def triple(a, b, c):
+            if (a[0], b[0], c[0]) == ("L", "M", "M"):
+                return (1, "M", -(a[1] + 2 * spec.k))
+            return kernel(a, b, c)
+
+        return triple
+
+    monkeypatch.setattr(brackets, "closed_triple_fn", closed_with_lmm)
+    with pytest.raises(ValueError) as exc:
+        check_fundamental_identity(FKBracket(0, ONE), Window(-1, 1))
+    assert str(exc.value) == (
+        "fk(k=0, beta=const:1) breaks its grading: [('L', -1), ('M', -1), ('M', -1)] "
+        "lands on ('M', 1), the grading puts it on None"
+    )
 
 
 def test_module_axioms_counterexamples_under_mutation(broken_kernel):

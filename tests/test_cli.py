@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -8,7 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import RATIONALS, elements, polys
+from conftest import RATIONALS, ROW_MUTATIONS, elements, mutated_rows, polys
 from trilie import cli
 from trilie.brackets import closed_triple_fn
 from trilie.cli import CHECKS, main
@@ -169,6 +170,38 @@ def test_grammar_fuzz_keeps_the_exit_contract(flag, body):
         assert text == ""
     else:
         assert re.fullmatch(r"trilie: [^\n]*\n", text), text
+
+
+@settings(max_examples=25)
+@given(
+    check=st.sampled_from(("anticommutativity", "fundamental-identity", "module-axioms")),
+    bracket=st.sampled_from(("omega", "fk")),
+    k=st.integers(-3, 3),
+    beta=st.sampled_from(("const:1", "const:1/2", "support:0=1,2=-1/3", "poly:1/2*t^2-1")),
+    lo=st.integers(-4, 4),
+    size=st.integers(1, 4),
+    samples=st.integers(0, 5),
+    mutation=st.sampled_from(sorted(ROW_MUTATIONS)),
+)
+def test_sweep_fuzz_keeps_the_exit_contract(check, bracket, k, beta, lo, size, samples, mutation):
+    """The three basis sweeps on drawn options, windows of one to four
+    indices in -4..4 and intact or mutated rows: exit 0, 1 or 2, never a
+    traceback, and 1 only with a counterexample in the report."""
+    window = f"--window={lo}..{min(lo + size - 1, 4)}"
+    argv = ["verify", check, "--bracket", bracket, f"--k={k}", f"--beta={beta}", window, f"--samples={samples}"]
+    out, err = io.StringIO(), io.StringIO()
+    with mutated_rows(mutation), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--format", "json"])
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert re.fullmatch(r"trilie: [^\n]*\n", err.getvalue()), err.getvalue()
+        return
+    assert err.getvalue() == ""
+    failing = [rep for rep in json.loads(out.getvalue())["reports"] if rep["status"] == "fail"]
+    assert (code == 1) == bool(failing)
+    assert all(rep["counterexamples"] for rep in failing)
 
 
 def test_weight_exponents_stop_at_the_cap(capsys):

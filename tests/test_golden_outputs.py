@@ -10,8 +10,10 @@ closures on asymmetric windows, one without index 0, pin the block
 arithmetic of the closure tables under a negative k and a ``Fraction``
 weight.  The
 identity sweeps pin the benchmark's four ``identity-sweep`` invocations
-and one failing fundamental-identity sweep under a changed omega row, so
-the counterexample texts and their order are pinned too.  The operator
+and failing fundamental-identity, module-axioms and anticommutativity
+sweeps under a changed omega row (the last on an asymmetric window, with
+the report's cap lifted), so the counterexample texts and their order are
+pinned too.  The operator
 checks pin the benchmark's seven ``operator-calculus`` invocations, and
 the failing table and sl2 checks under a sign-flipped q pin the
 decomposition and commutator counterexample texts (the table's in full,
@@ -132,6 +134,15 @@ def test_every_weighted_sweep_counterexample_matches_golden_stdout(name, monkeyp
 def test_failing_fundamental_identity_sweep_matches_golden_stdout(patch_row):
     patch_row("omega", 0, coef=(-2, 1, 0))
     _assert_golden("fi-omega-patched-llm", "verify fundamental-identity --bracket omega --window=-2..2", status=1)
+
+
+def test_failing_anticommutativity_and_module_sweeps_match_golden_stdout(monkeypatch, patch_row):
+    # [L_r, L_s, M_t] = (s - 2r) L_{r+s-t} is not antisymmetric in r, s: the
+    # whole-table comparison finds a mismatch and the entries are searched in order
+    patch_row("omega", 0, coef=(-2, 1, 0))
+    _assert_golden("module-omega-patched-llm", "verify module-axioms --bracket omega --window=-1..1 --samples 10", 1)
+    monkeypatch.setattr(VerdictReport, "MAX_COUNTEREXAMPLES", 10**6)
+    _assert_golden("anti-omega-patched-llm-uncapped", "verify anticommutativity --bracket omega --window=-1..2", 1)
 
 
 @pytest.mark.parametrize("name", sorted(OPERATOR_INVOCATIONS))

@@ -1,6 +1,7 @@
 """Smoke tests: the runnable experiments in scripts/ exit 0 on small inputs;
 the table script reports each row's own status and fails with the table;
-the digest script prints each benchmark invocation's stdout hash."""
+the digest script prints each benchmark invocation's stdout hash, and
+only the differing lines when it compares two checkouts."""
 
 import hashlib
 import os
@@ -72,3 +73,17 @@ def test_stdout_digest_prints_one_sha256_per_invocation():
     ]
     status, out = run_command(argv_for(invocations[0], 3))
     assert lines[0].split()[0] == hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+def test_stdout_digest_against_its_own_root_prints_nothing():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            os.path.join(ROOT, "scripts", "stdout_digest.py"),
+            *("--against", ROOT, "--workload", "identity-sweep", "--seed", "3"),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
