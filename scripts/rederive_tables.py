@@ -12,7 +12,7 @@ Usage: python scripts/rederive_tables.py [bound] [k]
 import sys
 
 from trilie import ConstantFunctional
-from trilie.cli import TABLE_TEXT
+from trilie.cli import TABLES
 from trilie.operators import TABLE_5_1, verify_section3_structure, verify_table_5_1
 from trilie.report import Window
 
@@ -21,9 +21,10 @@ def main() -> int:
     bound = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     k = int(sys.argv[2]) if len(sys.argv) > 2 else 1
     table = verify_table_5_1(bound)
-    width = max(len(lhs) for lhs, _ in TABLE_TEXT["5.1"])
+    _, rows = TABLES["5.1"]
+    width = max(len(lhs) for lhs, _ in rows)
     print(f"p/q/x/z bracket rows, |r|,|s| <= {bound}:")
-    for (lhs, rhs), row in zip(TABLE_TEXT["5.1"], TABLE_5_1):
+    for (lhs, rhs), row in zip(rows, TABLE_5_1):
         status = "pass" if f"row_{''.join(row.lhs)}" in table.stats else "fail"
         print(f"  {lhs:<{width}} = {rhs:<14} [{status}]")
     print(f"  pairs checked: {table.stats['pairs_checked']}, corrections: {table.stats['corrections']}")

@@ -366,12 +366,13 @@ def _certify_with_pairs(lie: LieBracketSpec, f: FunctionalSpec, window: Window):
 # -- deterministic random elements ---------------------------------------
 
 COEFF_POOL = (1, -1, Fraction(1, 2), Fraction(-1, 2), 2, -2, Fraction(1, 3), Fraction(-1, 3))
+MAX_TERMS = 4
 
 
-def random_element(rng: random.Random, window: Window, max_terms: int = 4) -> Element:
-    """Seeded small element: support <= max_terms inside the window,
+def random_element(rng: random.Random, window: Window) -> Element:
+    """Seeded small element: support <= MAX_TERMS inside the window,
     coefficients from a fixed rational pool."""
-    n = rng.randint(1, max_terms)
+    n = rng.randint(1, MAX_TERMS)
     terms = {}
     for _ in range(n):
         fam = rng.choice((FAMILY_L, FAMILY_M))
@@ -392,26 +393,12 @@ def _split(entries: list) -> Tuple[list, list]:
     return [0 if res is None else res[0] for res in entries], [None if res is None else res[1:] for res in entries]
 
 
-def _permutations_agree(coefs: list, outs: list, n: int) -> bool:
-    """Whether the table of a window of n vectors, read under each odd or
-    even permutation of its slots, is the table negated or itself; each
-    permuted list is gathered by n*n extended slices."""
-    flipped = list(map(neg, coefs))
-    for perm, sign in PERMUTATIONS[1:]:
-        s0, s1, s2 = (n ** (2 - perm.index(m)) for m in range(3))
-        starts = [p0 * s0 + p1 * s1 for p0 in range(n) for p1 in range(n)]
-        for values, want in ((coefs, coefs if sign > 0 else flipped), (outs, outs)):
-            if list(chain.from_iterable(values[st : st + n * s2 : s2] for st in starts)) != want:
-                return False
-    return True
-
-
 def check_anticommutativity(spec: TriBracketSpec, window: Window) -> VerdictReport:
     """Total antisymmetry under all six permutations, every basis triple,
-    comparing entries of the tabulated closed-form kernel with the weight
-    scaled to integers (``integral_spec``).  The table is built from the
-    rules where the kernel carries them; each permuted table is compared
-    as a whole, and only a mismatch is searched entry by entry."""
+    on the tabulated closed-form kernel with the weight scaled to integers
+    (``integral_spec``), built from the rules where the kernel carries them.
+    Each permuted copy, gathered by n*n extended slices, is compared with the
+    table as a whole list; mismatches are reported by (triple, permutation)."""
     rep = VerdictReport(
         "anticommutativity", {"bracket": spec.describe(), "window": str(window)}
     )
@@ -421,20 +408,22 @@ def check_anticommutativity(spec: TriBracketSpec, window: Window) -> VerdictRepo
     kernel = closed_triple_fn(scaled)
     # entry i*n*n + j*n + k is the kernel on (basis[i], basis[j], basis[k])
     coefs, outs = rule_table(kernel, (basis,) * 3) or _split(list(starmap(kernel, product(basis, repeat=3))))
-    if not _permutations_agree(coefs, outs, n):
-        table = [None if out is None else (c, *out) for c, out in zip(coefs, outs)]
-        perms = [(perm, sign, itemgetter(*perm)) for perm, sign in PERMUTATIONS[1:]]
-        for pos, base in zip(product(range(n), repeat=3), table):
-            # an odd permutation must give the entry negated: one negation per entry
-            flipped = None if base is None else (-base[0], base[1], base[2])
-            for perm, sign, permute in perms:
-                i, j, k = permute(pos)
-                permuted = table[(i * n + j) * n + k]
-                if permuted != (base if sign > 0 else flipped):
-                    rep.record_failure(
-                        f"[{basis[pos[0]]}, {basis[pos[1]]}, {basis[pos[2]]}] vs permutation {perm}: "
-                        f"{_kernel_element(base, unit)} / {_kernel_element(permuted, unit)}"
-                    )
+    flipped = list(map(neg, coefs))
+    mismatches = []
+    for perm, sign in PERMUTATIONS[1:]:
+        # entry x of a permuted copy is the kernel on triple x with its slots permuted
+        s0, s1, s2 = (n ** (2 - perm.index(m)) for m in range(3))
+        starts = [p0 * s0 + p1 * s1 for p0 in range(n) for p1 in range(n)]
+        pc, po = ([*chain.from_iterable(values[st : st + n * s2 : s2] for st in starts)] for values in (coefs, outs))
+        want = coefs if sign > 0 else flipped
+        if pc != want or po != outs:
+            mismatches += [(x, perm, pc[x], po[x]) for x in range(n**3) if pc[x] != want[x] or po[x] != outs[x]]
+    for x, perm, c, out in sorted(mismatches):
+        base = outs[x] and (coefs[x], *outs[x])
+        rep.record_failure(
+            f"[{basis[x // n // n]}, {basis[x // n % n]}, {basis[x % n]}] vs permutation {perm}: "
+            f"{_kernel_element(base, unit)} / {_kernel_element(out and (c, *out), unit)}"
+        )
     rep.stats["permutation_checks"] = 5 * n**3
     return rep
 

@@ -200,13 +200,12 @@ def _derived_series(cfg: RunConfig) -> List[VerdictReport]:
 
 
 def _vandermonde(cfg: RunConfig) -> List[VerdictReport]:
-    out: List[VerdictReport] = []
+    def separate(u: Element) -> VerdictReport:
+        # the least dominating index, and one power fewer than the support (at least one)
+        return vandermonde_extract(OMEGA, u, max(bv.index for bv in u.terms) + 1, max(len(u.terms) - 1, 1))[1]
+
     if cfg.seed_element:
-        u = cfg.seed_element
-        top = max(bv.index for bv in u.terms)
-        _, rep = vandermonde_extract(OMEGA, u, top + 1, max(len(u.terms) - 1, 1))
-        out.append(rep)
-        return out
+        return [separate(cfg.seed_element)]
     rng = random.Random(cfg.seed)
     trials = max(cfg.samples, 1)
     agg = VerdictReport(
@@ -214,9 +213,7 @@ def _vandermonde(cfg: RunConfig) -> List[VerdictReport]:
         {"window": str(cfg.window), "trials": trials, "seed": cfg.seed},
     )
     for _ in range(trials):
-        u = random_element(rng, cfg.window, max_terms=4)
-        top = max(bv.index for bv in u.terms)
-        _, rep = vandermonde_extract(OMEGA, u, top + 1, max(len(u.terms) - 1, 1))
+        rep = separate(random_element(rng, cfg.window))
         agg.merge_status(rep)
         for counterexample in rep.counterexamples:
             agg.record_failure(counterexample)
@@ -228,26 +225,22 @@ def _weight_decomposition(cfg: RunConfig) -> List[VerdictReport]:
     spec = cfg.tri_spec()
     hi = max(abs(cfg.window.lo), abs(cfg.window.hi), 2)
     zero_dims = []
-    last_rep = None
-    for w in range(2, hi + 1):
+    for w in range(2, hi + 1):  # the last window's decomposition and report are kept
         win = Window(-w, w)
         pairs = (
             omega_cartan_pairs() if cfg.bracket == "omega" else fk_cartan_pairs(win, cfg.k)
         )
         deco, rep = weight_decompose(spec, pairs, win)
         zero_dims.append(deco.zero_weight_dim())
-        last_rep = rep
-        last_deco = deco
-    rep = last_rep
     rep.stats["zero_weight_growth"] = ",".join(map(str, zero_dims))
     if cfg.bracket == "omega":
-        if last_deco.max_dim == 2 and all(d == 0 for d in zero_dims):
+        if deco.max_dim == 2 and all(d == 0 for d in zero_dims):
             rep.note(
                 "every weight space is two-dimensional at every window "
                 "(Harish-Chandra evidence)"
             )
-        elif last_deco.max_dim != 2:
-            rep.record_failure(f"expected two-dimensional weight spaces, saw {last_deco.max_dim}")
+        elif deco.max_dim != 2:
+            rep.record_failure(f"expected two-dimensional weight spaces, saw {deco.max_dim}")
         nz = cartan_normalizer_check(
             spec,
             cfg.window,
@@ -391,31 +384,8 @@ def default_battery(cfg: RunConfig) -> List[VerdictReport]:
 
 # -- tables -------------------------------------------------------------------
 
-TABLE_TEXT = {
-    "5.1": (
-        ("[p_r, p_s]", "(r-s) p_{r+s}"),
-        ("[p_r, q_s]", "-s q_{r+s}"),
-        ("[p_r, x_s]", "-s x_{r+s}"),
-        ("[p_r, z_s]", "-s z_{r+s}"),
-        ("[q_r, q_s]", "0"),
-        ("[q_r, x_s]", "-2 x_{r+s}"),
-        ("[q_r, z_s]", "2 z_{r+s}"),
-        ("[x_r, x_s]", "0"),
-        ("[z_r, z_s]", "0"),
-        ("[z_r, x_s]", "q_{r+s}"),
-    ),
-    "wxy": (
-        ("W_{r,s} L_t", "(r-t) L_{t+r-s}"),
-        ("W_{r,s} M_t", "(t-s) M_{t+s-r}"),
-        ("X_{r,s} L_t", "0"),
-        ("X_{r,s} M_t", "(s-r) L_{r+s-t}"),
-        ("Y_{r,s} L_t", "(s-r) M_{r+s-t}"),
-        ("Y_{r,s} M_t", "0"),
-    ),
-}
 
-
-def _table_wxy_check(cfg: RunConfig) -> VerdictReport:
+def _table_wxy(cfg: RunConfig) -> List[VerdictReport]:
     rep = VerdictReport("table-wxy", {"window": str(cfg.window)})
     win = cfg.window
     for r in win.indices():
@@ -434,15 +404,38 @@ def _table_wxy_check(cfg: RunConfig) -> VerdictReport:
                     if got != want:
                         rep.record_failure(f"(r={r}, s={s}, t={t}): {got} != {want}")
     rep.stats["parameter_triples"] = (win.hi - win.lo + 1) ** 3
-    return rep
+    return [rep]
 
 
-def run_table(name: str, cfg: RunConfig) -> List[VerdictReport]:
-    if name == "5.1":
-        return _table_5_1(cfg)
-    if name == "wxy":
-        return [_table_wxy_check(cfg)]
-    raise ConfigError(f"unknown table {name!r} (available: 5.1, wxy)")
+# table name -> (the check that verifies it, its printed rows)
+TABLES = {
+    "5.1": (
+        _table_5_1,
+        (
+            ("[p_r, p_s]", "(r-s) p_{r+s}"),
+            ("[p_r, q_s]", "-s q_{r+s}"),
+            ("[p_r, x_s]", "-s x_{r+s}"),
+            ("[p_r, z_s]", "-s z_{r+s}"),
+            ("[q_r, q_s]", "0"),
+            ("[q_r, x_s]", "-2 x_{r+s}"),
+            ("[q_r, z_s]", "2 z_{r+s}"),
+            ("[x_r, x_s]", "0"),
+            ("[z_r, z_s]", "0"),
+            ("[z_r, x_s]", "q_{r+s}"),
+        ),
+    ),
+    "wxy": (
+        _table_wxy,
+        (
+            ("W_{r,s} L_t", "(r-t) L_{t+r-s}"),
+            ("W_{r,s} M_t", "(t-s) M_{t+s-r}"),
+            ("X_{r,s} L_t", "0"),
+            ("X_{r,s} M_t", "(s-r) L_{r+s-t}"),
+            ("Y_{r,s} L_t", "(s-r) M_{r+s-t}"),
+            ("Y_{r,s} M_t", "0"),
+        ),
+    ),
+}
 
 
 # -- output -------------------------------------------------------------------
@@ -520,7 +513,7 @@ def build_parser(file_defaults: Optional[dict] = None) -> argparse.ArgumentParse
     p_analyze.add_argument("procedure", choices=sorted(CHECKS))
     p_analyze.add_argument("--seed-element", help="element expression, e.g. 'M[2]'")
     p_table = sub.add_parser("table", parents=[common], help="print a verified table")
-    p_table.add_argument("name", choices=("5.1", "wxy"))
+    p_table.add_argument("name", choices=tuple(TABLES))
     sub.add_parser("report", parents=[common], help="run the default battery")
     return parser
 
@@ -578,9 +571,9 @@ def run_command(argv: List[str]) -> Tuple[int, str]:
     elif args.command == "analyze":
         reports = CHECKS[args.procedure](cfg)
     elif args.command == "table":
-        reports = run_table(args.name, cfg)
+        run, rows = TABLES[args.name]
+        reports = run(cfg)
         if cfg.fmt == "text":
-            rows = TABLE_TEXT[args.name]
             width = max(len(lhs) for lhs, _ in rows)
             out = "".join(f"  {lhs:<{width}} = {rhs}\n" for lhs, rhs in rows) + "\n"
     else:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 from operator import add
-from typing import Dict, Tuple, Union
+from typing import Tuple, Union
 
 from .brackets import (
     PERMUTATIONS,
@@ -65,27 +65,17 @@ class SymFunction(Sparse):
         return "*".join(factors)
 
 
+# d/dx, d/dy and d/dz of c*y^a z^b exp(rx): c times the key entry r, a or b
+# (by its position in the key (a, b, r)), at this offset from the key
+PARTIALS = {"x": (2, (0, 0, 0)), "y": (0, (-1, 0, 0)), "z": (1, (0, -1, 0))}
+
+
 def partial(var: str, g: SymFunction) -> SymFunction:
     """Exact partial derivative with respect to 'x', 'y', or 'z'."""
-    out: Dict[TermKey, Rational] = {}
-    if var == "x":
-        for (a, b, r), c in g.terms.items():
-            if r:
-                key = (a, b, r)
-                out[key] = out.get(key, 0) + c * r
-    elif var == "y":
-        for (a, b, r), c in g.terms.items():
-            if a:
-                key = (a - 1, b, r)
-                out[key] = out.get(key, 0) + c * a
-    elif var == "z":
-        for (a, b, r), c in g.terms.items():
-            if b:
-                key = (a, b - 1, r)
-                out[key] = out.get(key, 0) + c * b
-    else:
+    if var not in PARTIALS:
         raise ValueError(f"unknown variable {var!r}")
-    return SymFunction(out)
+    slot, offset = PARTIALS[var]
+    return SymFunction({tuple(map(add, key, offset)): c * key[slot] for key, c in g.terms.items()})
 
 
 def nambu_bracket(g1: SymFunction, g2: SymFunction, g3: SymFunction) -> SymFunction:
@@ -161,10 +151,6 @@ def _pairing_ok(rmap, spec) -> bool:
     return False
 
 
-# d/dx, d/dy and d/dz of c*y^a z^b exp(rx) sit at these offsets from (a, b, r)
-PARTIAL_OFFSETS = ((0, 0, 0), (-1, 0, 0), (0, -1, 0))
-
-
 def _jacobian_row(g: SymFunction):
     """(key, (d/dx, d/dy, d/dz) coefficients) of a zero or one-monomial g,
     read through ``partial``.  The Jacobian of three such rows is one
@@ -175,7 +161,7 @@ def _jacobian_row(g: SymFunction):
         raise ValueError(f"the tabulated Jacobian needs one-monomial images, not {g}")
     key = next(iter(g.terms), (0, 0, 0))
     row = []
-    for var, offset in zip("xyz", PARTIAL_OFFSETS):
+    for var, (_, offset) in PARTIALS.items():
         terms = partial(var, g).terms
         at = tuple(map(add, key, offset))
         if len(terms) > (at in terms):

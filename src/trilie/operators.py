@@ -216,6 +216,13 @@ def _compose_into(acc: Dict[tuple, int], outer: Dict[str, tuple], inner: Dict[st
                         acc[key] = get(key, 0) + c * comb(d2, j) * eps1 ** j * m1 ** (d2 - j)
 
 
+def _window_map(op: Operator, functional: FunctionalSpec, window: Window) -> dict:
+    """(basis vector, output vector) -> coefficient of op on the window basis."""
+    return {
+        (bv, obv): c for bv in window_basis(window) for obv, c in op.apply(Element({bv: 1}), functional).terms.items()
+    }
+
+
 def ops_equal(
     a: Operator,
     b: Operator,
@@ -235,13 +242,8 @@ def ops_equal(
         return a == b, "structural"
     if functional is None or window is None:
         raise ValueError("beta-dependent equality needs a functional and a window")
-    if a == b:  # equal flat terms agree under every functional
-        return True, "window-decided"
-    for bv in window_basis(window):
-        u = Element({bv: 1})
-        if a.apply(u, functional) != b.apply(u, functional):
-            return False, "window-decided"
-    return True, "window-decided"
+    # equal flat terms agree under every functional
+    return a == b or _window_map(a, functional, window) == _window_map(b, functional, window), "window-decided"
 
 
 # -- building inner derivations ------------------------------------------
@@ -421,14 +423,8 @@ def operator_rank(
         if functional is None or window is None:
             raise ValueError("beta-dependent rank needs a functional and a window")
         solver = SpanSolver()
-        basis = window_basis(window)
         for op in ops:
-            vec = {}
-            for bv in basis:
-                img = op.apply(Element({bv: 1}), functional)
-                for obv, c in img.terms.items():
-                    vec[(bv, obv)] = c
-            solver.add(vec)
+            solver.add(_window_map(op, functional, window))
         return solver.rank, "window-decided"
     # structural coordinates are faithful for polynomial coefficients:
     # channels with different index maps agree at most at one index, so

@@ -176,7 +176,7 @@ def test_criterion_08_simplicity_evidence():
     rng = random.Random(8)
     trials = 0
     while trials < 20:
-        u = random_element(rng, w, max_terms=4)
+        u = random_element(rng, w)
         if len(u.terms) != 4:
             continue
         trials += 1

@@ -138,7 +138,7 @@ def test_failing_fundamental_identity_sweep_matches_golden_stdout(patch_row):
 
 def test_failing_anticommutativity_and_module_sweeps_match_golden_stdout(monkeypatch, patch_row):
     # [L_r, L_s, M_t] = (s - 2r) L_{r+s-t} is not antisymmetric in r, s: the
-    # whole-table comparison finds a mismatch and the entries are searched in order
+    # permuted tables name the mismatches, in (triple, permutation) order
     patch_row("omega", 0, coef=(-2, 1, 0))
     _assert_golden("module-omega-patched-llm", "verify module-axioms --bracket omega --window=-1..1 --samples 10", 1)
     monkeypatch.setattr(VerdictReport, "MAX_COUNTEREXAMPLES", 10**6)

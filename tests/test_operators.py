@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from conftest import doubled_x_channel, sign_flipped_q
 from trilie import (
@@ -230,6 +231,26 @@ def test_decompose():
 def test_operator_rank_structural():
     rank, mode = operator_rank([gen_p(0), gen_q(0), gen_p(0) + gen_q(0)])
     assert (rank, mode) == (2, "structural")
+
+
+@pytest.mark.parametrize("window, rank", [(Window(-3, 3), 2), (Window(3, 6), 1)])
+def test_operator_rank_window_decided_matches_sympy(window, rank):
+    # A = ad(L[2], L[0]) reads beta(t), B = ad(L[0], M[0]) does not, and
+    # ad(L[2] + M[0], L[0]) = A - B; beta's support {0, 2} lies outside 3..6,
+    # so A vanishes on that window and only B's line is left
+    beta = FiniteSupportFunctional({0: 1, 2: Fraction(-1, 3)})
+    spec = FKBracket(1, beta)
+    pairs = [(L(2), L(0)), (L(0), M(0)), (L(2) + M(0), L(0))]
+    ops = [op_from_ad(spec, u, v) for u, v in pairs]
+    assert [op.has_beta() for op in ops] == [True, False, True]
+    images = [
+        {(bv, out): c for bv in window_basis(window) for out, c in tri_bracket(spec, u, v, Element({bv: 1})).terms.items()}
+        for u, v in pairs
+    ]
+    columns = list(dict.fromkeys(key for image in images for key in image))
+    matrix = sympy.Matrix([[sympy.Rational(str(image.get(key, 0))) for key in columns] for image in images])
+    assert matrix.rank() == rank
+    assert operator_rank(ops, beta, window) == (rank, "window-decided")
 
 
 def test_invariant_line_structure():

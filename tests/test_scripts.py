@@ -1,7 +1,8 @@
 """Smoke tests: the runnable experiments in scripts/ exit 0 on small inputs;
 the table script reports each row's own status and fails with the table;
 the digest script prints each benchmark invocation's stdout hash, and
-only the differing lines when it compares two checkouts."""
+only the differing lines when it compares two checkouts; and those hashes
+are pinned, whatever the string hash seed."""
 
 import hashlib
 import os
@@ -87,3 +88,20 @@ def test_stdout_digest_against_its_own_root_prints_nothing():
         timeout=120,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_stdout_digests_match_golden(hash_seed):
+    # every benchmark invocation at seeds 0 and 3; when a workload or an output
+    # changes on purpose, regenerate with
+    #   python scripts/stdout_digest.py > tests/golden/workload-digests.txt
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "stdout_digest.py")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(ROOT, "tests", "golden", "workload-digests.txt"), encoding="utf-8") as fh:
+        assert proc.stdout == fh.read()
