@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import product, starmap
+from itertools import product
 from operator import or_
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .brackets import (
     INNER,
@@ -29,6 +29,7 @@ from .brackets import (
     TriBracketSpec,
     check_nested_identities,
     closed_triple_fn,
+    rule_table,
     tri_bracket,
 )
 from .elements import FAMILY_L, FAMILY_M, BasisVector, Element, L, M, window_basis
@@ -271,8 +272,8 @@ class ClosureTable:
     Element is ``units[p]``.  The rows are made on first use, so the
     closures of one check call share them and nothing outlives that call.
     A kernel of ``rule_kernel`` carries its rules, and the rows are built
-    from them block by block (``_blocks``), with no kernel call; any other
-    kernel is read once per window³ basis triple:
+    from them block by block (``_blocks``), with no kernel call; for any
+    other kernel ``entry`` maps the outputs of its ``rule_table`` to bits:
 
     * ``entry[(a*n + b)*n + c]``: the output bit of [a, b, c], 0 for a zero
       bracket, ``ESCAPE[family]`` for an output outside the window;
@@ -297,10 +298,8 @@ class ClosureTable:
         if rules is not None:
             entry, pair, pair_escapes = self._blocks(*rules)
         else:
-            entry = [
-                0 if res is None else bit.get(res[1:]) or ESCAPE[res[1]]
-                for res in starmap(kernel, product(basis, repeat=3))
-            ]
+            outs = rule_table(kernel, (basis,) * 3)[1]
+            entry = [0 if out is None else bit.get(out) or ESCAPE[out[0]] for out in outs]
             pair, pair_escapes = [], []
             for start in range(0, len(entry), n):
                 mask = escapes = 0
@@ -554,25 +553,11 @@ def ideal_check(
 # -- weight decompositions ---------------------------------------------------
 
 
-def _ad(spec: TriBracketSpec, u: Element, v: Element) -> Callable[[dict], dict]:
-    """w -> [u, v, w] for w given by its terms, as a map from output
-    (family, index) to nonzero coefficient.  The products of the terms of
-    u and v are formed once, and each costs one kernel call per term of
-    w."""
-    triple = closed_triple_fn(spec)
-    prods = [(b1, b2, c1 * c2) for b1, c1 in u.terms.items() for b2, c2 in v.terms.items()]
-
-    def ad(w: dict) -> dict:
-        out = {}
-        for b3, c3 in w.items():
-            for b1, b2, c12 in prods:
-                res = triple(b1, b2, b3)
-                if res is not None:
-                    key = res[1:]
-                    out[key] = out.get(key, 0) + c12 * c3 * res[0]
-        return {key: normalize_rational(c) for key, c in out.items() if c}
-
-    return ad
+def _single_term(h: Element) -> Tuple[BasisVector, Rational]:
+    """The basis vector and coefficient of a one-term Cartan entry."""
+    if len(h.terms) != 1:
+        raise ValueError(f"a Cartan entry must be one basis vector times a coefficient, not {h}")
+    return next(iter(h.terms.items()))
 
 
 @dataclass
@@ -605,9 +590,11 @@ def weight_decompose(
     window: Window,
 ) -> Tuple[WeightDecomposition, VerdictReport]:
     """Decompose the window span under the bracket action of the given
-    commuting pairs.  All published Cartan actions are diagonal on the
-    basis; a non-diagonal action is reported as a failure rather than
-    approximated."""
+    commuting pairs, each entry one basis vector times a coefficient (else
+    ValueError).  The action of a pair and the brackets of the Cartan entries
+    are read from the closed-form kernel's ``rule_table``.  All published
+    Cartan actions are diagonal on the basis; a non-diagonal action is
+    reported as a failure rather than approximated."""
     rep = VerdictReport(
         "weight-decomposition",
         {
@@ -617,18 +604,18 @@ def weight_decompose(
         },
     )
     basis = window_basis(window)
+    kernel = closed_triple_fn(spec)
     weights: Dict[BasisVector, list] = {bv: [] for bv in basis}
     diagonal = True
     for h1, h2 in cartan_pairs:
-        ad = _ad(spec, h1, h2)
-        for bv in basis:
-            img = ad({bv: 1})
-            lam = img.get(bv, 0)
-            if any(key != bv for key in img):
+        (v1, c1), (v2, c2) = _single_term(h1), _single_term(h2)
+        for bv, coef, out in zip(basis, *rule_table(kernel, ([v1], [v2], basis))):
+            c = normalize_rational(c1 * c2 * coef)
+            if c and out != bv:
                 diagonal = False
-                img = Element({BasisVector(*key): c for key, c in img.items()})
+                img = Element({BasisVector(*out): c})
                 rep.record_failure(f"action of ({h1}, {h2}) is not diagonal: {bv} -> {img}")
-            weights[bv].append(lam)
+            weights[bv].append(c)  # read only when every action is diagonal
     spaces: Dict[tuple, list] = {}
     if diagonal:
         for bv in basis:
@@ -651,12 +638,10 @@ def weight_decompose(
     # abelianness of the span of all cartan entries, each distinct entry
     # once (under fk every pair repeats L[-k])
     gens = list(dict.fromkeys(h for pair in cartan_pairs for h in pair))
-    for a in gens:
-        for b in gens:
-            ad = _ad(spec, a, b)
-            for c in gens:
-                if ad(c.terms):
-                    rep.record_failure(f"cartan span is not abelian: [{a}, {b}, {c}] != 0")
+    coefs = rule_table(kernel, ([_single_term(h)[0] for h in gens],) * 3)[0]
+    for (a, b, c), coef in zip(product(gens, repeat=3), coefs):
+        if coef:
+            rep.record_failure(f"cartan span is not abelian: [{a}, {b}, {c}] != 0")
     return deco, rep
 
 
@@ -680,33 +665,30 @@ def cartan_normalizer_check(
     cartan span must itself lie in the cartan span.
 
     ``in_cartan(bv)`` decides membership structurally, so out-of-window
-    coordinates are classified correctly for family-shaped cartans.  The
-    kernel runs once on each (unknown, generator term, basis vector)
-    triple, and an output outside the cartan adds its coefficient to the
-    equation of (generator, basis vector, output).
+    coordinates are classified correctly for family-shaped cartans.  Each
+    generator must be one basis vector times a coefficient (else
+    ValueError).  The closed-form kernel's ``rule_table`` on (unknown,
+    generator vector, basis vector) gives every bracket, and an output
+    outside the cartan puts the generator's coefficient times the entry
+    into the equation of (generator, basis vector, output).
     """
     rep = VerdictReport(
         "cartan-self-normalization", {"cartan": name, "window": str(window)}
     )
     unknowns = list(window_basis(window))
-    triple = closed_triple_fn(spec)
-    generators = [tuple(h.terms.items()) for h in cartan_generators]
+    generators = [_single_term(h) for h in cartan_generators]
+    table = rule_table(closed_triple_fn(spec), (unknowns, [v for v, _ in generators], unknowns))
+    triples = product(unknowns, enumerate(c for _, c in generators), range(len(unknowns)))
     equations: Dict[tuple, dict] = {}
     outside: Dict[tuple, bool] = {}  # output (family, index) -> not in_cartan
-    for b in unknowns:
-        for j, terms in enumerate(generators):
-            for jb, bb in enumerate(unknowns):
-                for b2, c2 in terms:
-                    res = triple(b, b2, bb)
-                    if res is None:
-                        continue
-                    key = res[1:]
-                    off = outside.get(key)
-                    if off is None:
-                        off = outside[key] = not in_cartan(BasisVector(*key))
-                    if off:
-                        row = equations.setdefault((j, jb, key), {})
-                        row[b] = row.get(b, 0) + c2 * res[0]
+    for (b, (j, c), jb), coef, key in zip(triples, *table):
+        if key is None:
+            continue
+        off = outside.get(key)
+        if off is None:
+            off = outside[key] = not in_cartan(BasisVector(*key))
+        if off:
+            equations.setdefault((j, jb, key), {})[b] = c * coef
     kernel = null_space(list(equations.values()), unknowns)
     offenders = []
     for vec in kernel:

@@ -248,15 +248,17 @@ def _family_runs(slot) -> dict:
 def rule_table(kernel: Callable, slots, at: Tuple[int, int, int] = (0, 1, 2)):
     """The kernel on every triple of ``product(*slots)``, vector j at
     argument position at[j], as (coefficients, outputs): 0 and None where the
-    bracket is zero.  Built from the kernel's rules, or None unless it carries
-    rules and beta is an int wherever a rule reads it.
+    bracket is zero.  Built from the kernel's rules; a kernel without rules
+    is called once per triple.
 
     For one rule and vectors a, b of the first two slots, the coefficient and
     the output index are affine in the index of the last slot: each run of
     that slot's family is computed once per partial sum and copied in by one
     slice.  Beta is read once per index; patterns without a rule stay 0."""
     if not hasattr(kernel, "rules"):
-        return None
+        args = itemgetter(*map(at.index, range(3)))
+        entries = list(starmap(kernel, map(args, product(*slots))))
+        return [0 if res is None else res[0] for res in entries], [None if res is None else res[1:] for res in entries]
     rules, shift, weight = kernel.rules
     first, second, last = slots
     runs = _family_runs(last)
@@ -269,8 +271,6 @@ def rule_table(kernel: Callable, slots, at: Tuple[int, int, int] = (0, 1, 2)):
         y0, y1, y2 = (coef[p] for p in at)
         t = at.index(t)
         beta = None if weight is None else {i: weight.beta(i) for f, i in slots[t] if f == (f0, f1, f2)[t]}
-        if beta and any(b.__class__ is not int for b in beta.values()):
-            return None
         coef_runs, out_runs = {}, {}
         for a, (g0, i0) in enumerate(first):
             if g0 != f0:
@@ -383,20 +383,15 @@ def random_element(rng: random.Random, window: Window) -> Element:
 
 # -- identity checkers ----------------------------------------------------
 
-def _kernel_element(res, unit: int = 1) -> Element:
-    """A kernel value as an Element, its coefficient divided by ``unit``."""
-    return Element() if res is None else Element({BasisVector(res[1], res[2]): Fraction(res[0], unit)})
-
-
-def _split(entries: list) -> Tuple[list, list]:
-    """Kernel values as ``rule_table``'s (coefficients, outputs)."""
-    return [0 if res is None else res[0] for res in entries], [None if res is None else res[1:] for res in entries]
+def _kernel_element(coef, out, unit: int = 1) -> Element:
+    """A table entry as an Element, its coefficient divided by ``unit``."""
+    return Element() if out is None else Element({BasisVector(*out): Fraction(coef, unit)})
 
 
 def check_anticommutativity(spec: TriBracketSpec, window: Window) -> VerdictReport:
     """Total antisymmetry under all six permutations, every basis triple,
-    on the tabulated closed-form kernel with the weight scaled to integers
-    (``integral_spec``), built from the rules where the kernel carries them.
+    on the ``rule_table`` of the closed-form kernel with the weight scaled to
+    integers (``integral_spec``).
     Each permuted copy, gathered by n*n extended slices, is compared with the
     table as a whole list; mismatches are reported by (triple, permutation)."""
     rep = VerdictReport(
@@ -407,7 +402,7 @@ def check_anticommutativity(spec: TriBracketSpec, window: Window) -> VerdictRepo
     unit, scaled = integral_spec(spec)
     kernel = closed_triple_fn(scaled)
     # entry i*n*n + j*n + k is the kernel on (basis[i], basis[j], basis[k])
-    coefs, outs = rule_table(kernel, (basis,) * 3) or _split(list(starmap(kernel, product(basis, repeat=3))))
+    coefs, outs = rule_table(kernel, (basis,) * 3)
     flipped = list(map(neg, coefs))
     mismatches = []
     for perm, sign in PERMUTATIONS[1:]:
@@ -419,10 +414,9 @@ def check_anticommutativity(spec: TriBracketSpec, window: Window) -> VerdictRepo
         if pc != want or po != outs:
             mismatches += [(x, perm, pc[x], po[x]) for x in range(n**3) if pc[x] != want[x] or po[x] != outs[x]]
     for x, perm, c, out in sorted(mismatches):
-        base = outs[x] and (coefs[x], *outs[x])
         rep.record_failure(
             f"[{basis[x // n // n]}, {basis[x // n % n]}, {basis[x % n]}] vs permutation {perm}: "
-            f"{_kernel_element(base, unit)} / {_kernel_element(out and (c, *out), unit)}"
+            f"{_kernel_element(coefs[x], outs[x], unit)} / {_kernel_element(c, out, unit)}"
         )
     rep.stats["permutation_checks"] = 5 * n**3
     return rep
@@ -485,10 +479,10 @@ def _int_bracket(triple: Callable, rules, unit: int, u: dict, v: dict, w: dict, 
     for (fu, us), (fv, vs), (fw, ws) in product(u.items(), v.items(), w.items()):
         if (fu, fv, fw) not in rules:
             # zero by the grading.  A rule kernel is zero here by construction; any
-            # other kernel check_nested_identities holds to it before any sample, as
-            # _sweep_tables calls it on every window triple and on every inner output
-            # with two window vectors, every triple a sampled tuple reaches, and
-            # raises on a nonzero value where the grading allows none
+            # other kernel check_nested_identities holds to it before any sample:
+            # _sweep_tables reads it through rule_table on every window triple and
+            # on every inner output with two window vectors, every triple a sampled
+            # tuple reaches, and raises on a nonzero entry where the grading allows none
             continue
         for b1, c1 in us:
             for b2, c2 in vs:
@@ -550,8 +544,8 @@ def identity_residual(spec: TriBracketSpec, identity, args: Sequence[Element]) -
 # deg L_r = r and deg M_t = -t (omega) or k (fk).  Every term of a nested
 # identity brackets all five slots, so on a basis 5-tuple all its nonzero
 # terms land on one basis vector and the residual is a single scalar.  The
-# grading is checked, never assumed: once per rule when the tables are built
-# from the rules, on every nonzero entry of any other kernel's tables.
+# grading is checked, never assumed: once per rule when the rules carry it,
+# on every nonzero table entry otherwise.
 #
 # The sweep runs over the slots (a0, a1, a2) and evaluates each identity on
 # all n*n "lanes" (a3, a4) at once, lane a3*n + a4, as one exact int that
@@ -578,11 +572,12 @@ def _sweep_tables(spec: TriBracketSpec, basis: Sequence[Triple]):
       coded vector at position p and basis[x], basis[y] at the other two.
 
     Codes number the inner outputs that occur, so every one has a code.
-    The tables are built from the kernel's rules (``rule_table``) when each
-    rule's output family and index form are the grading's, so no value can
-    break it.  A plain kernel, a rule off the grading or a beta value that
-    is not an int takes the per-triple path, where every nonzero entry is
-    held to the grading and must be an int.
+    Every table is read through ``rule_table``.  When each rule's output
+    family and index form are the grading's, no value can break it, and
+    every value is an int once beta is an int at each basis index, checked
+    once per index.  Otherwise (a plain kernel, a rule off the grading or a
+    beta value that is not an int) every nonzero entry is held to the
+    grading and must be an int.
     """
     unit, scaled = integral_spec(spec)
     triple = closed_triple_fn(scaled)
@@ -605,37 +600,39 @@ def _sweep_tables(spec: TriBracketSpec, basis: Sequence[Triple]):
         return pattern.count(FAMILY_L) == 1 and is_omega and (family, index, shift) == (FAMILY_M, minus, 0)
 
     rules = getattr(triple, "rules", None)
-    by_rules = rules is not None and all(graded_rule(*item, rules[1]) for item in rules[0].items())
+    # on the grading every fk output is an L vector, so beta is read only at basis M vectors
+    by_rules = (
+        rules is not None
+        and all(graded_rule(*item, rules[1]) for item in rules[0].items())
+        and (rules[2] is None or all(rules[2].beta(i).__class__ is int for f, i in basis if f == FAMILY_M))
+    )
     graded_basis = graded(basis)
 
     def table(first, p: int):
         """The kernel's (coefficients, outputs) with a vector of ``first`` at
         position p and basis vectors x, y at the other two, in the order
         (vector, x, y)."""
-        built = rule_table(triple, (first, basis, basis), OUTER_AT[p]) if by_rules else None
-        if built is not None:
-            return built
-        out = []
-        for v, lv, dv in graded(first):
-            for x, lx, dx in graded_basis:
-                for y, ly, dy in graded_basis:
-                    args = (v, x, y) if p == 0 else (x, v, y) if p == 1 else (x, y, v)
-                    res = triple(*args)
-                    if res is not None:
-                        n_l, degree = lv + lx + ly, dv + dx + dy
-                        if n_l == 2:
-                            want = (FAMILY_L, degree)
-                        else:
-                            want = (FAMILY_M, -degree) if n_l == 1 and is_omega else None
-                        if res[1:] != want:
-                            raise ConfigError(
-                                f"{spec.describe()} breaks its grading: [{', '.join(map(str, args))}] "
-                                f"lands on {res[1:]}, the grading puts it on {want}"
-                            )
-                        if res[0].__class__ is not int:
-                            _not_divided(res[0], unit)
-                    out.append(res)
-        return _split(out)
+        coefs, outs = rule_table(triple, (first, basis, basis), OUTER_AT[p])
+        if by_rules:
+            return coefs, outs
+        entries = zip(product(graded(first), graded_basis, graded_basis), coefs, outs)
+        for ((v, lv, dv), (x, lx, dx), (y, ly, dy)), c, out in entries:
+            if out is None:
+                continue
+            n_l, degree = lv + lx + ly, dv + dx + dy
+            if n_l == 2:
+                want = (FAMILY_L, degree)
+            else:
+                want = (FAMILY_M, -degree) if n_l == 1 and is_omega else None
+            if out != want:
+                args = (v, x, y) if p == 0 else (x, v, y) if p == 1 else (x, y, v)
+                raise ConfigError(
+                    f"{spec.describe()} breaks its grading: [{', '.join(map(str, args))}] "
+                    f"lands on {out}, the grading puts it on {want}"
+                )
+            if c.__class__ is not int:
+                _not_divided(c, unit)
+        return coefs, outs
 
     n2 = len(basis) ** 2
     coef, outs = table(basis, 0)
@@ -794,9 +791,10 @@ def check_constructor_agreement(
     the lcm R of their denominators, and the cofactors on basis pairs of
     the determinant with those rows, which carry R^2.  A triple's
     determinant multiplies cofactor and row terms under the algebra
-    product, memoised per key pair.  Each route is compared with the
-    closed-form kernel entry times F*P or R^3, and only a counterexample
-    divides the route back into an Element to print the two values.
+    product, memoised per key pair.  Each route is compared with the entry
+    of the closed-form kernel's ``rule_table`` times F*P or R^3, and only a
+    counterexample divides the route back into an Element to print the two
+    values.
     """
     rep = VerdictReport(
         "constructor-agreement",
@@ -808,8 +806,9 @@ def check_constructor_agreement(
     if cert.status != PASS:
         rep.counterexamples.extend(cert.counterexamples)
         return rep
-    fk_kernel, omega_kernel = closed_triple_fn(FKBracket(k, f)), closed_triple_fn(OMEGA)
     basis = window_basis(window)
+    n = len(basis)
+    fk_table, omega_table = (rule_table(closed_triple_fn(spec), (basis,) * 3) for spec in (FKBracket(k, f), OMEGA))
     units = [Element({bv: 1}) for bv in basis]
     weights = [functional_eval(f, u) for u in units]
     rows = [(omega(u), u, delta(u)) for u in units]
@@ -823,40 +822,40 @@ def check_constructor_agreement(
     row_terms = [[(b, pos, c) for pos, x in enumerate(row) for b, c in x.terms.items()] for row in rows]
     product_key = lru_cache(maxsize=None)(Element._product_key)
 
-    def compare(name: str, acc: dict, res, scale: int, i: int, j: int, l: int) -> None:
-        """Record a failure unless the int accumulator, zeros aside, is the
-        kernel entry res times scale."""
+    def compare(name: str, acc: dict, table, scale: int, x: int) -> None:
+        """Record a failure unless the int accumulator, zeros aside, is entry
+        x of the table times scale."""
+        coef, out = table[0][x], table[1][x]
         live = {key: c for key, c in acc.items() if c}
-        if live != ({} if res is None else {(res[1], res[2]): res[0] * scale}):
+        if live != ({} if out is None else {out: coef * scale}):
             value = Element({key: Fraction(c, scale) for key, c in live.items()})
             rep.record_failure(
-                f"{name} route {value} != closed form {_kernel_element(res)} "
-                f"on [{units[i]},{units[j]},{units[l]}]"
+                f"{name} route {value} != closed form {_kernel_element(coef, out)} "
+                f"on [{units[x // n // n]},{units[x // n % n]},{units[x % n]}]"
             )
 
-    slots = list(enumerate(zip(basis, weights, rows)))
-    for i, (b1, f1, row1) in slots:
-        for j, (b2, f2, row2) in slots:
+    slots = list(enumerate(zip(weights, rows)))
+    for i, (f1, row1) in slots:
+        for j, (f2, row2) in slots:
             cofactors = [tuple(c.terms.items()) for c in permutation_cofactors(row1, row2, Element())]
-            for l, (b3, f3, _) in slots:
+            for l, (f3, _) in slots:
+                x = (i * n + j) * n + l
                 route = {}
                 for weight, terms in ((f1, lie[j][l]), (f2, lie[l][i]), (f3, lie[i][j])):
                     if weight:
                         for bv, c in terms:
                             route[bv] = route.get(bv, 0) + weight * c
-                res = fk_kernel(b1, b2, b3)
-                if route or res:
-                    compare("functional", route, res, fk_scale, i, j, l)
+                if route or fk_table[1][x]:
+                    compare("functional", route, fk_table, fk_scale, x)
                 det = {}
                 for b, pos, c in row_terms[l]:
                     for a, ca in cofactors[pos]:
                         key = product_key(a, b)
                         if key is not None:
                             det[key] = det.get(key, 0) + ca * c
-                res = omega_kernel(b1, b2, b3)
-                if det or res:
-                    compare("determinant", det, res, omega_scale, i, j, l)
-    rep.stats["triples"] = len(basis) ** 3
+                if det or omega_table[1][x]:
+                    compare("determinant", det, omega_table, omega_scale, x)
+    rep.stats["triples"] = n**3
     rep.note("functional route uses the Lie bracket induced by d_k, as in the source proof")
     return rep
 

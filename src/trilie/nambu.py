@@ -25,6 +25,7 @@ from .brackets import (
     _kernel_element,
     closed_triple_fn,
     permutation_cofactors,
+    rule_table,
 )
 from .elements import FAMILY_L, BasisVector, Element, FunctionalSpec, window_basis
 from .linalg import SpanSolver
@@ -176,9 +177,9 @@ def check_realization(rmap: RealizationMap, spec, window: Window) -> VerdictRepo
 
     Each basis image is read once, as its Jacobian row; the Jacobian of a
     triple is its rows' determinant, expanded over the first two rows once
-    per pair, and the bracket side is the closed-form kernel entry times
-    the image of its output vector.  A counterexample is written out with
-    ``nambu_bracket`` and ``realize``."""
+    per pair, and the bracket side is the entry of the closed-form kernel's
+    ``rule_table`` times the image of its output vector.  A counterexample
+    is written out with ``nambu_bracket`` and ``realize``."""
     if not _pairing_ok(rmap, spec):
         raise ConfigError(
             f"realization {rmap.describe()} does not correspond to bracket {spec.describe()}"
@@ -188,7 +189,7 @@ def check_realization(rmap: RealizationMap, spec, window: Window) -> VerdictRepo
         {"map": rmap.describe(), "bracket": spec.describe(), "window": str(window)},
     )
     basis = window_basis(window)
-    kernel = closed_triple_fn(spec)
+    coefs, outs = rule_table(closed_triple_fn(spec), (basis,) * 3)
     images = [rmap.image(bv) for bv in basis]
     rows = [_jacobian_row(g) for g in images]
     # integer rows: every determinant is then scale**3 times the Jacobian's
@@ -196,33 +197,33 @@ def check_realization(rmap: RealizationMap, spec, window: Window) -> VerdictRepo
     rows = [(key, [int(x * scale) for x in row]) for key, row in rows]
     scale3 = scale**3
     slots = list(zip(basis, images, rows))
-    outputs = {}  # output vector of a kernel entry -> the terms of its image
+    outputs = {}  # output vector of a table entry -> the terms of its image
 
-    def image_terms(res) -> dict:
-        vec = res[1:]
+    def image_terms(vec) -> dict:
         if vec not in outputs:
             outputs[vec] = rmap.image(BasisVector(*vec)).terms
         return outputs[vec]
 
+    entry = iter(zip(coefs, outs))
     for b1, g1, (key1, row1) in slots:
         for b2, g2, (key2, row2) in slots:
             c1, c2, c3 = permutation_cofactors(row1, row2)
             key12 = [x + y + d for x, y, d in zip(key1, key2, (-1, -1, 0))]
             for b3, g3, (key3, (x, y, z)) in slots:
                 det = c1 * x + c2 * y + c3 * z
-                res = kernel(b1, b2, b3)
-                if res is None:
+                coef, out = next(entry)
+                if out is None:
                     same = not det
                 elif not det:
-                    same = not image_terms(res)
+                    same = not image_terms(out)
                 else:
-                    image = image_terms(res)
+                    image = image_terms(out)
                     key = tuple(map(add, key12, key3))
-                    same = len(image) == 1 and image.get(key, 0) * res[0] * scale3 == det
+                    same = len(image) == 1 and image.get(key, 0) * coef * scale3 == det
                 if not same:
                     rep.record_failure(
                         f"[{b1},{b2},{b3}]: jacobian gives {nambu_bracket(g1, g2, g3)}, "
-                        f"bracket image is {realize(rmap, _kernel_element(res))}"
+                        f"bracket image is {realize(rmap, _kernel_element(coef, out))}"
                     )
     rep.stats["triples"] = len(basis) ** 3
     if isinstance(rmap, FKRealization) and rep.status == PASS:

@@ -22,9 +22,10 @@ of those reaches the oracle and the tabulated check alike.
 scans every pivot on each reduction; ``span_close`` and ``ideal_check``
 bracket every row with ``tri_bracket``, on spans over that solver: the
 references for the pivot-lookup solver and for the table-read basis
-lines.  ``cartan_normalizer_check`` builds its equations from one ``_ad``
-closure per (unknown, generator) pair, the reference for the package's
-direct kernel calls.
+lines.  ``weight_decompose`` and ``cartan_normalizer_check`` bracket
+through ``_ad`` closures (the products of two elements' terms, applied to
+a third element by one kernel call per term), the reference for the
+package's ``rule_table`` reads.
 ``lane_failures`` is the basis sweep of the nested identities as it was
 before the lanes were packed into one int: each term's row is a list of
 plain ints, one per lane, summed lane by lane.  ``sweep_tables`` builds the
@@ -45,7 +46,7 @@ from functools import lru_cache
 from itertools import compress, product
 from math import comb, lcm
 from operator import add, itemgetter, mul, sub
-from typing import Optional
+from typing import Callable, Optional
 
 from trilie import brackets
 from trilie.brackets import (
@@ -58,6 +59,7 @@ from trilie.brackets import (
     OmegaBracket,
     _certify_with_pairs,
     _sweep_tables,
+    closed_triple_fn,
 )
 from trilie.analysis import (
     DEFAULT_DEPTH,
@@ -65,8 +67,8 @@ from trilie.analysis import (
     MODE_IDEAL,
     MODE_LOWER_CENTRAL,
     MODE_SELF_LOWER,
+    WeightDecomposition,
     WindowSubspace,
-    _ad,
     _project,
 )
 from trilie.elements import FAMILY_L, FAMILY_M, BasisVector, Element, FunctionalSpec, functional_eval, window_basis
@@ -678,6 +680,84 @@ def ideal_check(spec, candidate, window, depth=DEFAULT_DEPTH):
                 break
         rep.stats["minimality_evidence"] = str(minimal)
     return rep
+
+
+def _ad(spec, u, v) -> Callable[[dict], dict]:
+    """w -> [u, v, w] for w given by its terms, as a map from output
+    (family, index) to nonzero coefficient.  The products of the terms of
+    u and v are formed once, and each costs one kernel call per term of
+    w."""
+    triple = closed_triple_fn(spec)
+    prods = [(b1, b2, c1 * c2) for b1, c1 in u.terms.items() for b2, c2 in v.terms.items()]
+
+    def ad(w: dict) -> dict:
+        out = {}
+        for b3, c3 in w.items():
+            for b1, b2, c12 in prods:
+                res = triple(b1, b2, b3)
+                if res is not None:
+                    key = res[1:]
+                    out[key] = out.get(key, 0) + c12 * c3 * res[0]
+        return {key: normalize_rational(c) for key, c in out.items() if c}
+
+    return ad
+
+
+def weight_decompose(spec, cartan_pairs, window):
+    """The weight decomposition and its report, with one ``_ad`` closure
+    per Cartan pair applied to each window basis vector, and one per pair
+    of Cartan entries applied to each entry: the reference for the
+    package's tables."""
+    rep = VerdictReport(
+        "weight-decomposition",
+        {
+            "bracket": spec.describe(),
+            "window": str(window),
+            "pairs": "; ".join(f"({h1}, {h2})" for h1, h2 in cartan_pairs),
+        },
+    )
+    basis = window_basis(window)
+    weights = {bv: [] for bv in basis}
+    diagonal = True
+    for h1, h2 in cartan_pairs:
+        ad = _ad(spec, h1, h2)
+        for bv in basis:
+            img = ad({bv: 1})
+            lam = img.get(bv, 0)
+            if any(key != bv for key in img):
+                diagonal = False
+                img = Element({BasisVector(*key): c for key, c in img.items()})
+                rep.record_failure(f"action of ({h1}, {h2}) is not diagonal: {bv} -> {img}")
+            weights[bv].append(lam)
+    spaces = {}
+    if diagonal:
+        for bv in basis:
+            spaces.setdefault(tuple(weights[bv]), []).append(bv)
+    deco = WeightDecomposition(
+        window,
+        [f"({h1}, {h2})" for h1, h2 in cartan_pairs],
+        {w: tuple(sorted(v)) for w, v in spaces.items()},
+        diagonal,
+    )
+    if diagonal:
+        rep.stats["weight_spaces"] = len(deco.spaces)
+        rep.stats["max_dim"] = deco.max_dim
+        rep.stats["zero_weight_dim"] = deco.zero_weight_dim()
+        total = sum(deco.dims.values())
+        if total != len(basis):
+            rep.record_failure("weight spaces do not exhaust the window span")
+        else:
+            rep.note("window span is the direct sum of the weight spaces")
+    # abelianness of the span of all cartan entries, each distinct entry
+    # once (under fk every pair repeats L[-k])
+    gens = list(dict.fromkeys(h for pair in cartan_pairs for h in pair))
+    for a in gens:
+        for b in gens:
+            ad = _ad(spec, a, b)
+            for c in gens:
+                if ad(c.terms):
+                    rep.record_failure(f"cartan span is not abelian: [{a}, {b}, {c}] != 0")
+    return deco, rep
 
 
 def cartan_normalizer_check(spec, window, in_cartan, cartan_generators, name):

@@ -368,10 +368,24 @@ def _per_triple_table(kernel, slots, at=(0, 1, 2)):
     return [0 if res is None else res[0] for res in entries], [None if res is None else res[1:] for res in entries]
 
 
+def _cartan_slots(spec, basis):
+    """The slot lists of the Cartan normalizer's table (unknowns, generator
+    vectors, unknowns) and of each weight table ([h1], [h2], basis), with the
+    battery's Cartan vectors on the indices of ``basis``."""
+    if spec == OMEGA:
+        gens, pairs = [("L", 0), ("M", 0)], [(("L", 0), ("M", 0))]
+    else:
+        ms = [("M", t) for t in sorted({i for _, i in basis})]
+        gens, pairs = [("L", -spec.k), *ms], [(("L", -spec.k), m) for m in ms]
+    return [(basis, gens, basis), *(([h1], [h2], basis) for h1, h2 in pairs)]
+
+
 @pytest.mark.parametrize("mutation", sorted(ROW_MUTATIONS))
 def test_rule_built_tables_equal_the_per_triple_tables(mutation, patch_row):
     """The anticommutativity table and the sweep's inner and outer tables,
-    built from the rules, are the scaled kernel's values triple by triple."""
+    built from the rules, are the scaled kernel's values triple by triple;
+    the window³ table and the Cartan and weight tables of the unscaled
+    kernel, rational weights included, are its values too."""
     broken = ROW_MUTATIONS[mutation]
     specs = TABLE_SPECS
     if broken is not None:
@@ -387,14 +401,63 @@ def test_rule_built_tables_equal_the_per_triple_tables(mutation, patch_row):
             for at in OUTER_AT:
                 slots = (ext, basis, basis)
                 assert rule_table(kernel, slots, at) == _per_triple_table(kernel, slots, at), (spec, basis, at)
+            unscaled = closed_triple_fn(spec)
+            for slots in [(basis,) * 3, *_cartan_slots(spec, basis)]:
+                assert rule_table(unscaled, slots) == _per_triple_table(unscaled, slots), (spec, basis, slots)
 
 
-def test_rule_tables_need_rules_and_int_beta():
-    basis = [("L", 0), ("L", 1), ("M", 0), ("M", 1)]
-    half = FKBracket(1, ConstantFunctional(Fraction(1, 2)))
-    assert rule_table(closed_triple_fn(half), (basis,) * 3) is None  # beta 1/2 before scaling
-    assert rule_table(closed_triple_fn(brackets.integral_spec(half)[1]), (basis,) * 3) is not None
-    assert rule_table(lambda a, b, c: None, (basis,) * 3) is None
+@pytest.mark.parametrize("beta", ["const:1", *TABLE_WEIGHTS[1:]])
+def test_rule_tables_read_plain_kernels_and_rational_weights(beta):
+    """A kernel without rules is called once per triple, and a rational
+    weight is built from the rules like an integer one: both equal one
+    kernel call per triple, and rule_table never returns None."""
+    basis = [(bv.family, bv.index) for bv in window_basis(Window(-2, 3))]
+    for spec in (OMEGA, *(FKBracket(k, parse_beta(beta)) for k in (-1, 0, 2))):
+        kernel = closed_triple_fn(spec)
+        calls = []
+
+        def plain(a, b, c):
+            calls.append((a, b, c))
+            return kernel(a, b, c)
+
+        for at in OUTER_AT:
+            slots = (basis[::2], basis, basis[1:])
+            want = _per_triple_table(kernel, slots, at)
+            assert rule_table(kernel, slots, at) == want, (spec, at)
+            calls.clear()
+            assert rule_table(plain, slots, at) == want, (spec, at)
+            assert len(calls) == len(basis[::2]) * len(basis) * len(basis[1:])
+    assert rule_table(lambda a, b, c: None, (basis,) * 3) == ([0] * len(basis) ** 3, [None] * len(basis) ** 3)
+
+
+def test_a_non_integral_scaled_weight_is_refused_with_a_value_error(monkeypatch, capsys):
+    """An integral_spec that does not clear the weight's denominators hands
+    the sweeps a rule kernel with Fraction beta values: beta is read once
+    per index for ints, and the tables are refused with the per-entry text,
+    the same ValueError a plain kernel gets, never a TypeError from the
+    packing."""
+    monkeypatch.setattr(brackets, "integral_spec", lambda spec: (1, spec))
+    closed = brackets.closed_triple_fn
+
+    def refusals(spec, window):
+        texts = []
+        for check in (check_fundamental_identity, module_axiom_check):
+            with pytest.raises(ValueError) as exc:
+                check(spec, window)
+            assert type(exc.value) is ValueError and "does not divide 1" in str(exc.value)
+            texts.append(str(exc.value))
+        return texts
+
+    for beta, window in (("const:1/2", Window(-1, 1)), ("support:0=1,2=-1/3", Window(-1, 2))):
+        spec = FKBracket(1, parse_beta(beta))
+        by_rules = refusals(spec, window)
+        with monkeypatch.context() as m:
+            m.setattr(brackets, "closed_triple_fn", lambda spec: lambda a, b, c: closed(spec)(a, b, c))
+            assert refusals(spec, window) == by_rules
+    text = "kernel coefficient -1/2 has a denominator that does not divide 1"
+    argv = ["verify", "fundamental-identity", "--bracket", "fk", "--beta", "const:1/2", "--window=-1..1"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"trilie: internal error: ValueError: {text}\n"
 
 
 def test_passing_sweeps_build_every_table_from_the_rules(monkeypatch):

@@ -204,6 +204,39 @@ def test_sweep_fuzz_keeps_the_exit_contract(check, bracket, k, beta, lo, size, s
     assert all(rep["counterexamples"] for rep in failing)
 
 
+@settings(max_examples=25)
+@given(
+    check=st.sampled_from(
+        ("nambu-realization", "constructor-agreement", "weight-decomposition", "center", "ideal-kinds", "derived-series")
+    ),
+    bracket=st.sampled_from(("omega", "fk")),
+    k=st.integers(-3, 3),
+    beta=st.sampled_from(("const:1", "const:1/2", "support:0=1,2=-1/3", "poly:1/2*t^2-1")),
+    lo=st.integers(-4, 4),
+    size=st.integers(1, 4),
+    depth=st.integers(0, 3),
+    mutation=st.sampled_from(sorted(ROW_MUTATIONS)),
+)
+def test_table_check_fuzz_keeps_the_exit_contract(check, bracket, k, beta, lo, size, depth, mutation):
+    """The table-reading and closure checks on drawn options, windows of one
+    to four indices in -4..4, depths 0 to 3 and intact or mutated rows:
+    exit 0, 1 or 2, never a traceback, and 1 only with a counterexample."""
+    window = f"--window={lo}..{min(lo + size - 1, 4)}"
+    argv = ["analyze", check, "--bracket", bracket, f"--k={k}", f"--beta={beta}", window, f"--depth={depth}"]
+    out, err = io.StringIO(), io.StringIO()
+    with mutated_rows(mutation), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--format", "json"])
+    assert code in (0, 1, 2), (code, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == ""
+        assert re.fullmatch(r"trilie: [^\n]*\n", err.getvalue()), err.getvalue()
+        return
+    assert err.getvalue() == ""
+    failing = [rep for rep in json.loads(out.getvalue())["reports"] if rep["status"] == "fail"]
+    assert (code == 1) == bool(failing)
+    assert all(rep["counterexamples"] for rep in failing)
+
+
 def test_weight_exponents_stop_at_the_cap(capsys):
     argv = ["analyze", "structure-maps", "--window=-1..1"]
     assert main([*argv, f"--beta=poly:t^{MAX_EXPONENT} + 1"]) == 0

@@ -1,4 +1,4 @@
-"""The tabulated realization, constructor-agreement and Cartan
+"""The tabulated realization, constructor-agreement, weight and Cartan
 normalizer checks against the per-triple oracles in ``oracles.py``: the
 whole report (status, stats, notes, flags, counterexample text and order)
 must be the same, with the product rows intact and under the broken rows
@@ -11,7 +11,8 @@ import pytest
 
 import oracles
 from trilie import OMEGA, BasisVector, Element, FKBracket, FKRealization, L, M, OmegaRealization, analysis, brackets, nambu, parse_beta
-from trilie.analysis import cartan_normalizer_check
+from trilie.analysis import cartan_normalizer_check, fk_cartan_pairs, omega_cartan_pairs, weight_decompose
+from trilie.cli import main
 from trilie.brackets import check_constructor_agreement
 from trilie.nambu import check_realization
 from trilie.report import VerdictReport, Window
@@ -87,8 +88,7 @@ def test_passing_checks_call_no_per_triple_route(monkeypatch):
     """The tables decide every triple; nambu_bracket, tri_bracket and
     _kernel_element only write counterexample text, so a passing check
     calls none of them, and constructor agreement multiplies Elements per
-    basis pair (the Lie table and the cofactors), not per triple.  The
-    Cartan normalizer calls the kernel without an ad closure."""
+    basis pair (the Lie table and the cofactors), not per triple."""
     def refuse(*args):
         raise AssertionError("a passing check took the per-triple route")
 
@@ -103,7 +103,6 @@ def test_passing_checks_call_no_per_triple_route(monkeypatch):
     monkeypatch.setattr(brackets, "tri_bracket", refuse)
     monkeypatch.setattr(brackets, "_kernel_element", refuse)
     monkeypatch.setattr(Element, "__mul__", counted)
-    monkeypatch.setattr(analysis, "_ad", refuse)
     n = 2 * len(WINDOW.indices())
     for weight in WEIGHTS:
         f = parse_beta(weight)
@@ -182,3 +181,69 @@ def test_cartan_normalizer_matches_the_oracle(rows, weight):
     if rows == "intact":
         # a stray L vector changes nothing on this window; a missing M[0] is an offender
         assert statuses == ["pass", "pass"] + ["pass", "pass", "fail"] * len(KS)
+
+
+# the weight test's non-commuting pairs, a non-diagonal pair and scaled entries
+EXTRA_PAIRS = (
+    [(L(0), M(0)), (L(1), M(1)), (L(0), M(0))],
+    [(L(1), M(0)), (L(0), M(1))],
+    [(L(0, Fraction(1, 2)), M(-1, 3)), (M(2, -2), L(1))],
+)
+
+
+def _assert_same_weights(spec, pairs):
+    deco, rep = weight_decompose(spec, pairs, WINDOW)
+    want_deco, want_rep = oracles.weight_decompose(spec, pairs, WINDOW)
+    assert deco.spaces == want_deco.spaces
+    assert deco == want_deco
+    _assert_same(rep, want_rep)
+    return rep
+
+
+@pytest.mark.parametrize("weight", WEIGHTS)
+def test_weight_decomposition_matches_the_oracle(rows, weight):
+    f = parse_beta(weight)
+    statuses = [_assert_same_weights(OMEGA, pairs).status for pairs in (omega_cartan_pairs(), *EXTRA_PAIRS)]
+    for k in KS:
+        spec = FKBracket(k, f)
+        statuses += [_assert_same_weights(spec, pairs).status for pairs in (fk_cartan_pairs(WINDOW, k), *EXTRA_PAIRS)]
+    if rows == "intact":
+        assert statuses[:2] == ["pass", "fail"] and "fail" in statuses[4:]
+
+
+def test_multi_term_cartan_entries_are_refused():
+    two = L(0) + M(0)
+    for spec in (OMEGA, FKBracket(1, parse_beta("const:1/2"))):
+        for pairs in ([(two, M(0))], [(L(0), two)], [(L(0), M(0)), (Element(), M(0))]):
+            with pytest.raises(ValueError, match="one basis vector times a coefficient"):
+                weight_decompose(spec, pairs, WINDOW)
+        with pytest.raises(ValueError, match="one basis vector times a coefficient"):
+            cartan_normalizer_check(spec, WINDOW, lambda bv: bv.index == 0, [L(0), two], "L[0], L[0] + M[0]")
+
+
+def test_passing_table_checks_call_no_kernel(monkeypatch):
+    """Through a counting kernel that keeps its rules, every table is built
+    from the rules: passing realization, constructor, weight and Cartan
+    checks make no kernel call."""
+    calls = []
+    closed = brackets.closed_triple_fn
+
+    def counting(spec):
+        kernel = closed(spec)
+
+        def triple(a, b, c):
+            calls.append((a, b, c))
+            return kernel(a, b, c)
+
+        triple.rules = kernel.rules
+        return triple
+
+    for module in (brackets, nambu, analysis):
+        monkeypatch.setattr(module, "closed_triple_fn", counting)
+    for bracket in (["--bracket", "omega"], ["--bracket", "fk", "--k", "-1", "--beta", "poly:1/2*t^2-1"]):
+        for check in ("nambu-realization", "constructor-agreement", "weight-decomposition"):
+            assert main(["verify", check, *bracket, "--window=-3..3", "--format", "json"]) == 0
+    f = parse_beta("support:0=1,2=-1/3")
+    for spec, in_cartan, gens, name in _cartans(f):
+        cartan_normalizer_check(spec, WINDOW, in_cartan, gens, name)
+    assert calls == []
