@@ -13,7 +13,7 @@ import sys
 
 from trilie import ConstantFunctional
 from trilie.cli import TABLES
-from trilie.operators import TABLE_5_1, verify_section3_structure, verify_table_5_1
+from trilie.relations import TABLE_5_1, verify_section3_structure, verify_table_5_1
 from trilie.report import Window
 
 

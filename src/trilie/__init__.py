@@ -9,73 +9,60 @@ numerical error at configurable window scale, every identity, table,
 realization and representation-theoretic claim made about them.
 """
 
-# operators first: it is the largest module, so when imports compile from
-# source its compile runs before the other modules are resident, which
-# keeps the peak memory of a fresh process lower
-from .operators import Operator, op_from_ad  # noqa: I001
-from .brackets import (
-    OMEGA,
-    DkInduced,
-    FixedThird,
-    FixedThirdL,
-    FixedThirdM,
-    FKBracket,
-    OmegaBracket,
-    lie_bracket,
-    tri_bracket,
-)
-from .elements import (
-    BasisVector,
-    ConstantFunctional,
-    Element,
-    FiniteSupportFunctional,
-    L,
-    M,
-    PolynomialFunctional,
-    d_k,
-    delta,
-    functional_eval,
-    omega,
-    window_basis,
-)
-from .nambu import FKRealization, OmegaRealization, SymFunction, nambu_bracket, partial, realize
-from .parsing import parse_beta, parse_element
-from .report import Window, VerdictReport
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisVector",
-    "ConstantFunctional",
-    "DkInduced",
-    "Element",
-    "FKBracket",
-    "FKRealization",
-    "FiniteSupportFunctional",
-    "FixedThird",
-    "FixedThirdL",
-    "FixedThirdM",
-    "L",
-    "M",
-    "OMEGA",
-    "OmegaBracket",
-    "OmegaRealization",
-    "Operator",
-    "PolynomialFunctional",
-    "SymFunction",
-    "VerdictReport",
-    "Window",
-    "d_k",
-    "delta",
-    "functional_eval",
-    "lie_bracket",
-    "nambu_bracket",
-    "omega",
-    "op_from_ad",
-    "parse_beta",
-    "parse_element",
-    "partial",
-    "realize",
-    "tri_bracket",
-    "window_basis",
-]
+# public name -> the module that defines it.  ``import trilie`` loads no
+# submodule: each name is imported on first access (PEP 562), so a caller
+# compiles only the modules it reads.
+_SOURCES = {
+    "BasisVector": "elements",
+    "ConstantFunctional": "elements",
+    "DkInduced": "brackets",
+    "Element": "elements",
+    "FKBracket": "brackets",
+    "FKRealization": "nambu",
+    "FiniteSupportFunctional": "elements",
+    "FixedThird": "brackets",
+    "FixedThirdL": "brackets",
+    "FixedThirdM": "brackets",
+    "L": "elements",
+    "M": "elements",
+    "OMEGA": "brackets",
+    "OmegaBracket": "brackets",
+    "OmegaRealization": "nambu",
+    "Operator": "operators",
+    "PolynomialFunctional": "elements",
+    "SymFunction": "nambu",
+    "VerdictReport": "report",
+    "Window": "report",
+    "d_k": "elements",
+    "delta": "elements",
+    "functional_eval": "elements",
+    "lie_bracket": "brackets",
+    "nambu_bracket": "nambu",
+    "omega": "elements",
+    "op_from_ad": "operators",
+    "parse_beta": "parsing",
+    "parse_element": "parsing",
+    "partial": "nambu",
+    "realize": "nambu",
+    "tri_bracket": "brackets",
+    "window_basis": "elements",
+}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name):
+    module = _SOURCES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_SOURCES})

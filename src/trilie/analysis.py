@@ -34,7 +34,7 @@ from .brackets import (
 )
 from .elements import FAMILY_L, FAMILY_M, BasisVector, Element, L, M, window_basis
 from .linalg import SpanSolver, null_space, span_equal
-from .operators import GeneratorTable, Operator, RelationSweep, invariant_line_structure, witt_action
+from .operators import GeneratorTable
 from .polys import Rational, normalize_rational
 from .report import PASS, ConfigError, VerdictReport, Window
 
@@ -791,95 +791,4 @@ def module_axiom_check(
         "second identity checked in the standard commutator reading; the printed "
         "display is typographically unbalanced"
     )
-    return rep
-
-
-# -- the three Witt-family modules inside the omega inner derivations --------
-
-_FAMILY_OF = {1: "q", 2: "x", 3: "z"}
-
-
-def witt_module_check(i: int, window: Window) -> VerdictReport:
-    """Verdicts for the i-th generator family as a module over the p family.
-
-    Verifies the action row as exact operator identities, the
-    one-dimensionality of every p_0 weight line, and enumerates all
-    invariant window subspaces under the literal bracket action.  The
-    line at index 0 is annihilated by every p_r, so the printed
-    irreducibility claim fails for the literal action and is flagged
-    with the exact finding; under the degree-preserving bijection with
-    the p family itself (the printed 'regular representation' reading)
-    the same search finds no proper invariant subspace.
-    """
-    if i not in _FAMILY_OF:
-        raise ValueError("module index must be 1, 2, or 3")
-    fam = _FAMILY_OF[i]
-    gens = GeneratorTable()
-    rep = VerdictReport("witt-module", {"family": fam, "window": str(window)})
-
-    # (a) the action row [p_r, fam_s] = -s fam_{r+s}, then (b) its p_0 weight lines
-    action, weights = witt_action(fam)
-    sweep = RelationSweep(rep, gens, memo=True)
-    labels = list(window.indices())
-    hits, _ = sweep.run([(action, labels, labels), (weights, [0], labels)])
-    rep.stats["action_pairs"] = hits[0][0]
-    eigen: Dict[object, object] = {s: -s for s in labels}
-    distinct = len(set(eigen.values())) == len(eigen)
-    rep.stats["weight_lines"] = len(eigen)
-    rep.stats["weights_distinct"] = str(distinct)
-    if not distinct:
-        rep.record_failure("p_0 weights are not pairwise distinct on the window")
-
-    # (c) literal-action invariant subspaces: edge s -> r+s iff [p_r, fam_s] != 0
-    edges = {
-        s: {s + r for r in labels if r != 0 and s + r in window and sweep.lhs(action, r, s)}
-        for s in labels
-    }
-    literal = invariant_line_structure(labels, eigen, edges)
-    if literal["minimal_proper"] == [frozenset({0})]:
-        rep.flag(
-            f"literal bracket action: span{{{fam}_0}} is a trivial submodule "
-            "(every p_r kills it), so the printed irreducibility claim fails; "
-            "all other weight lines generate the full window span"
-        )
-    elif literal["minimal_proper"]:
-        for sub in literal["minimal_proper"]:
-            rep.record_failure(
-                f"unexpected invariant subspace {{{', '.join(map(str, sorted(sub)))}}}"
-            )
-    else:
-        rep.note("no proper invariant subspace under the literal action")
-
-    # regular-representation reading: transport the p-family adjoint action
-    adj_edges = {
-        s: {s + r for r in window.indices() if r != s and s + r in window}
-        for s in labels
-    }
-    adjoint = invariant_line_structure(labels, eigen, adj_edges)
-    if adjoint["irreducible"]:
-        rep.note(
-            "under the degree-preserving bijection with the p family the window "
-            "search finds no proper invariant subspace (regular-representation reading)"
-        )
-    else:
-        rep.record_failure("adjoint transport unexpectedly reducible on the window")
-
-    # (d) the bijection does not intertwine the literal action: the oracle's
-    # coefficient of [p_r, p_s] on p_{r+s} against that of [p_r, fam_s] on fam_{r+s}
-    def coefficient(tag: str, op: Operator, m: int) -> Optional[Rational]:
-        combo = gens.family(tag, m).decompose(op)
-        return None if combo is None else combo.get((tag, m), 0)
-
-    for r in labels:
-        for s in labels:
-            transported = coefficient("p", gens("p", r).commutator(gens("p", s)), r + s)
-            acted = coefficient(fam, sweep.lhs(action, r, s), r + s)
-            if transported != acted:
-                rep.flag(
-                    f"the bijection p_r -> {fam}_r is not equivariant for the literal "
-                    f"action: at (r={r}, s={s}) the transported bracket coefficient is "
-                    f"{transported} while the action row gives {acted}; the printed "
-                    "isomorphism claim holds only in the regular-representation reading"
-                )
-                return rep
     return rep

@@ -28,21 +28,8 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .analysis import (
-    MODE_DERIVED,
-    ClosureTable,
-    ideal_check,
-    ideal_closure_reaches_all,
-    cartan_normalizer_check,
-    fk_cartan_pairs,
-    module_axiom_check,
-    natural_module_decompose,
-    omega_cartan_pairs,
-    span_close,
-    vandermonde_extract,
-    weight_decompose,
-    witt_module_check,
-)
+# The check modules (analysis, nambu, operators, relations) are imported by
+# the handlers that use them, so a call compiles and loads only its own.
 from .brackets import (
     DkInduced,
     FKBracket,
@@ -55,25 +42,7 @@ from .brackets import (
     check_fundamental_identity,
     random_element,
 )
-from .elements import (
-    FAMILY_L,
-    FAMILY_M,
-    Element,
-    FunctionalSpec,
-    L,
-    M,
-    check_structure_maps,
-)
-from .nambu import FKRealization, OmegaRealization, check_injectivity, check_realization
-from .operators import (
-    ad_w,
-    ad_x,
-    ad_y,
-    verify_basis_independence,
-    verify_section3_structure,
-    verify_sl2_laurent,
-    verify_table_5_1,
-)
+from .elements import FAMILY_L, FAMILY_M, Element, FunctionalSpec, L, M, check_structure_maps
 from .parsing import parse_beta, parse_element
 from .report import FAIL, ConfigError, VerdictReport, Window, overall_status
 
@@ -131,6 +100,8 @@ def _constructor_agreement(cfg: RunConfig) -> List[VerdictReport]:
 
 
 def _nambu(cfg: RunConfig) -> List[VerdictReport]:
+    from .nambu import FKRealization, OmegaRealization, check_injectivity, check_realization
+
     if cfg.bracket == "omega":
         rmap = OmegaRealization()
     else:
@@ -146,40 +117,56 @@ def _structure_maps(cfg: RunConfig) -> List[VerdictReport]:
 
 
 def _basis_independence(cfg: RunConfig) -> List[VerdictReport]:
+    from .relations import verify_basis_independence
+
     return [
         verify_basis_independence(cfg.bracket, cfg.window, cfg.beta, cfg.k, cfg.s0)
     ]
 
 
 def _table_5_1(cfg: RunConfig) -> List[VerdictReport]:
+    from .relations import verify_table_5_1
+
     bound = max(abs(cfg.window.lo), abs(cfg.window.hi))
     return [verify_table_5_1(bound)]
 
 
 def _section3(cfg: RunConfig) -> List[VerdictReport]:
+    from .relations import verify_section3_structure
+
     return [verify_section3_structure(cfg.k, cfg.beta, cfg.s0, cfg.window)]
 
 
 def _sl2(cfg: RunConfig) -> List[VerdictReport]:
+    from .relations import verify_sl2_laurent
+
     bound = max(abs(cfg.window.lo), abs(cfg.window.hi))
     return [verify_sl2_laurent(bound)]
 
 
 def _module_axioms(cfg: RunConfig) -> List[VerdictReport]:
+    from .analysis import module_axiom_check
+
     return [module_axiom_check(cfg.tri_spec(), cfg.window, cfg.samples, cfg.seed)]
 
 
 def _witt_module(cfg: RunConfig) -> List[VerdictReport]:
+    from .relations import witt_module_check
+
     return [witt_module_check(i, cfg.window) for i in (1, 2, 3)]
 
 
 def _ideal_closure(cfg: RunConfig) -> List[VerdictReport]:
+    from .analysis import ClosureTable, ideal_closure_reaches_all
+
     seeds = [cfg.seed_element] if cfg.seed_element else None
     table = ClosureTable(cfg.tri_spec(), cfg.window)
     return [ideal_closure_reaches_all(table, seeds, cfg.depth)]
 
 
 def _derived_series(cfg: RunConfig) -> List[VerdictReport]:
+    from .analysis import MODE_DERIVED, ClosureTable, span_close
+
     if cfg.bracket == "fk" and cfg.depth < 1:
         raise ConfigError(
             "derived-series under fk needs --depth >= 1: the stabilization test "
@@ -200,6 +187,8 @@ def _derived_series(cfg: RunConfig) -> List[VerdictReport]:
 
 
 def _vandermonde(cfg: RunConfig) -> List[VerdictReport]:
+    from .analysis import vandermonde_extract
+
     def separate(u: Element) -> VerdictReport:
         # the least dominating index, and one power fewer than the support (at least one)
         return vandermonde_extract(OMEGA, u, max(bv.index for bv in u.terms) + 1, max(len(u.terms) - 1, 1))[1]
@@ -222,6 +211,8 @@ def _vandermonde(cfg: RunConfig) -> List[VerdictReport]:
 
 
 def _weight_decomposition(cfg: RunConfig) -> List[VerdictReport]:
+    from .analysis import cartan_normalizer_check, fk_cartan_pairs, omega_cartan_pairs, weight_decompose
+
     spec = cfg.tri_spec()
     hi = max(abs(cfg.window.lo), abs(cfg.window.hi), 2)
     zero_dims = []
@@ -270,6 +261,8 @@ def _weight_decomposition(cfg: RunConfig) -> List[VerdictReport]:
 
 
 def _natural_module(cfg: RunConfig) -> List[VerdictReport]:
+    from .analysis import natural_module_decompose
+
     _, rep = natural_module_decompose(cfg.window)
     return [rep]
 
@@ -303,6 +296,8 @@ def _center(cfg: RunConfig) -> List[VerdictReport]:
 def _ideal_kinds(cfg: RunConfig) -> List[VerdictReport]:
     """The L family must be a hypo-nilpotent minimal ideal under the
     weighted bracket; the M family an abelian non-ideal subalgebra."""
+    from .analysis import ClosureTable, ideal_check
+
     table = ClosureTable(cfg.tri_spec(), cfg.window)
     rep_l = ideal_check(table, [L(r) for r in cfg.window.indices()], cfg.depth)
     rep_l.params["candidate"] = "span{L}"
@@ -386,6 +381,8 @@ def default_battery(cfg: RunConfig) -> List[VerdictReport]:
 
 
 def _table_wxy(cfg: RunConfig) -> List[VerdictReport]:
+    from .operators import ad_w, ad_x, ad_y
+
     rep = VerdictReport("table-wxy", {"window": str(cfg.window)})
     win = cfg.window
     for r in win.indices():

@@ -37,7 +37,6 @@ from trilie.analysis import (
     span_close,
     vandermonde_extract,
     weight_decompose,
-    witt_module_check,
 )
 from trilie.brackets import (
     check_anticommutativity,
@@ -47,11 +46,12 @@ from trilie.brackets import (
 )
 from trilie.elements import check_structure_maps
 from trilie.nambu import SymFunction, check_injectivity, check_realization, nambu_bracket
-from trilie.operators import (
+from trilie.relations import (
     verify_basis_independence,
     verify_section3_structure,
     verify_sl2_laurent,
     verify_table_5_1,
+    witt_module_check,
 )
 from trilie.polys import T
 from trilie.report import Window

@@ -34,11 +34,11 @@ from trilie.analysis import (
     span_close,
     vandermonde_extract,
     weight_decompose,
-    witt_module_check,
 )
 from trilie.brackets import bracket_rules, closed_triple_fn, tri_bracket
 from trilie.cli import main
 from trilie.operators import GENERATORS, gen_p
+from trilie.relations import witt_module_check
 from trilie.report import Window
 
 ONE = ConstantFunctional(1)

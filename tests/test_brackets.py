@@ -159,6 +159,29 @@ def test_center_dk_induced_is_m_family():
     assert lie_bracket(DkInduced(0), L(0), L(1)) == L(1, -1)  # L_0 is not central
 
 
+def test_anticommutativity_fails_on_one_swapped_output(monkeypatch):
+    """A plain kernel (no rules) whose coefficients stay antisymmetric but
+    which sends one triple to another output vector: the output comparison
+    alone must fail the check, naming that triple."""
+    closed = brackets.closed_triple_fn
+    target = (("L", 1), ("L", 0), ("M", 0))  # omega: -L[1]
+
+    def swapped(spec):
+        kernel = closed(spec)
+
+        def triple(a, b, c):
+            res = kernel(a, b, c)
+            return (res[0], "M", res[2]) if (a, b, c) == target else res
+
+        return triple
+
+    monkeypatch.setattr(brackets, "closed_triple_fn", swapped)
+    rep = check_anticommutativity(OMEGA, Window(-1, 1))
+    assert rep.status == "fail"
+    assert sum(text.startswith("[L[1], L[0], M[0]] vs permutation") for text in rep.counterexamples) == 5
+    assert all("M[1]" in text for text in rep.counterexamples)
+
+
 def test_random_element_determinism():
     import random
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import RATIONALS, ROW_MUTATIONS, elements, mutated_rows, polys
-from trilie import cli
+from trilie import analysis, cli
 from trilie.brackets import closed_triple_fn
 from trilie.cli import CHECKS, main
 from trilie.parsing import MAX_EXPONENT
@@ -333,7 +333,7 @@ def test_vandermonde_params_match_stats(monkeypatch):
             rep.record_failure(f"failure {i}")
         return None, rep
 
-    monkeypatch.setattr(cli, "vandermonde_extract", failing_extract)
+    monkeypatch.setattr(analysis, "vandermonde_extract", failing_extract)
     code, out = run_cli(["analyze", "vandermonde", "--samples", "3", "--window", "-2..2", "--format", "json"])
     assert code == 1
     (rep,) = json.loads(out)["reports"]

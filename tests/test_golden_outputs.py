@@ -39,7 +39,7 @@ from pathlib import Path
 import pytest
 
 from conftest import doubled_x_channel, sign_flipped_q
-from trilie import operators
+from trilie import relations
 from trilie.cli import main
 from trilie.operators import GENERATORS
 from trilie.report import VerdictReport
@@ -165,7 +165,7 @@ def test_every_table_counterexample_matches_golden_stdout(monkeypatch):
 
 
 def _break_ad_x(monkeypatch, patch_row):
-    monkeypatch.setattr(operators, "ad_x", doubled_x_channel(operators.ad_x))
+    monkeypatch.setattr(relations, "ad_x", doubled_x_channel(relations.ad_x))
 
 
 def _flip_q(monkeypatch, patch_row):

@@ -20,15 +20,10 @@ from trilie import (
     tri_bracket,
     window_basis,
 )
-from trilie import operators
+from trilie import operators, relations
 from trilie.linalg import SpanSolver
 from trilie.operators import (
-    BASIS_FK,
-    BASIS_OMEGA,
     GENERATORS,
-    SECTION3,
-    SL2_LAURENT,
-    TABLE_5_1,
     GeneratorTable,
     Operator,
     ad_w,
@@ -42,6 +37,13 @@ from trilie.operators import (
     invariant_line_structure,
     operator_rank,
     ops_equal,
+)
+from trilie.relations import (
+    BASIS_FK,
+    BASIS_OMEGA,
+    SECTION3,
+    SL2_LAURENT,
+    TABLE_5_1,
     verify_basis_independence,
     verify_section3_structure,
     verify_sl2_laurent,
@@ -321,7 +323,7 @@ def test_table_and_sl2_fail_under_a_sign_flipped_q(monkeypatch):
 
 
 def test_section3_fails_under_a_broken_ad_x(monkeypatch):
-    monkeypatch.setattr(operators, "ad_x", doubled_x_channel(operators.ad_x))
+    monkeypatch.setattr(relations, "ad_x", doubled_x_channel(relations.ad_x))
     rep = verify_section3_structure(0, ONE, 0, Window(-3, 3))
     assert rep.status == "fail"
 

@@ -5,12 +5,13 @@ must be the same, with the product rows intact and under the broken rows
 of ``test_product_rows``.  Reports here keep every counterexample, so each
 failing triple counts."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from trilie import OMEGA, BasisVector, Element, FKBracket, FKRealization, L, M, OmegaRealization, analysis, brackets, nambu, parse_beta
+from trilie import OMEGA, BasisVector, Element, FKBracket, FKRealization, L, M, OmegaRealization, SymFunction, analysis, brackets, nambu, parse_beta
 from trilie.analysis import cartan_normalizer_check, fk_cartan_pairs, omega_cartan_pairs, weight_decompose
 from trilie.cli import main
 from trilie.brackets import check_constructor_agreement
@@ -66,6 +67,27 @@ def test_constructor_agreement_matches_the_oracle(rows, weight):
             check_constructor_agreement(WINDOW, k, f),
             oracles.check_constructor_agreement(WINDOW, k, f),
         )
+
+
+@dataclass(frozen=True)
+class TwoTermImage(OmegaRealization):
+    """The omega realization, except that L[2] maps to z*exp(2*x) + y."""
+
+    def image(self, bv):
+        img = super().image(bv)
+        return img + SymFunction.term(1, 1) if bv == BasisVector("L", 2) else img
+
+
+def test_a_two_term_output_image_fails_the_realization():
+    """L[2] lies outside -1..1, so its image is read only as the image of a
+    bracket's output; the Jacobian side is one monomial there, and the
+    image's one matching term must not be enough."""
+    window = Window(-1, 1)
+    rep = check_realization(TwoTermImage(), OMEGA, window)
+    assert rep.status == "fail"
+    assert len(rep.counterexamples) == 6
+    assert all(text.endswith(("z*exp(2*x) + y", "-z*exp(2*x) - y")) for text in rep.counterexamples)
+    _assert_same(rep, oracles.check_realization(TwoTermImage(), OMEGA, window))
 
 
 def test_broken_rows_fail_with_counterexamples(rows):
@@ -181,6 +203,35 @@ def test_cartan_normalizer_matches_the_oracle(rows, weight):
     if rows == "intact":
         # a stray L vector changes nothing on this window; a missing M[0] is an offender
         assert statuses == ["pass", "pass"] + ["pass", "pass", "fail"] * len(KS)
+
+
+def _normalizer_equations(monkeypatch, module, *args):
+    """The (equations, unknowns) that module.cartan_normalizer_check hands to null_space."""
+    calls = []
+    solve = module.null_space
+
+    def recording(equations, unknowns):
+        calls.append((equations, list(unknowns)))
+        return solve(equations, unknowns)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "null_space", recording)
+        module.cartan_normalizer_check(*args)
+    return calls
+
+
+@pytest.mark.parametrize("weight", WEIGHTS)
+def test_cartan_normalizer_equations_match_the_oracle(rows, weight, monkeypatch):
+    """The report holds the null-space dimension and at most four offenders,
+    which equations read off the wrong table entries can leave unchanged on
+    this window; the equation rows themselves must be the oracle's."""
+    rows_seen = 0
+    for spec, in_cartan, gens, name in _cartans(parse_beta(weight)):
+        args = (spec, WINDOW, in_cartan, gens, name)
+        got = _normalizer_equations(monkeypatch, analysis, *args)
+        assert got == _normalizer_equations(monkeypatch, oracles, *args)
+        rows_seen += sum(len(equations) for equations, _ in got)
+    assert rows_seen
 
 
 # the weight test's non-commuting pairs, a non-diagonal pair and scaled entries
