@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, groupby, product, starmap
+from itertools import chain, combinations, groupby, product, starmap
 from math import lcm
 from operator import itemgetter, mul, neg
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
@@ -715,6 +715,49 @@ def _compile_term(sign, inner, outer, n: int, tables, w: int, cache: dict) -> Ca
     return term
 
 
+def _symmetries(identity) -> list:
+    """The (perm, sign) of PERMUTATIONS with R(a permuted by perm) = sign * R(a)
+    for the residual R of a nested identity under a totally antisymmetric
+    bracket: relabelling slots 0-2 by perm gives sign times the same terms,
+    once each bracket's slots are sorted and each term's sign multiplied by
+    the parity of the sorts."""
+
+    def terms(perm) -> dict:
+        out, relabel = {}, (*perm, 3, 4, INNER)
+        for sign, *pair in identity:
+            pair = [[relabel[s] for s in slots] for slots in pair]
+            key = tuple(tuple(sorted(slots)) for slots in pair)
+            out[key] = out.get(key, 0) + sign * (-1) ** sum(x > y for s in pair for x, y in combinations(s, 2))
+        return {key: c for key, c in out.items() if c}
+
+    base = terms((0, 1, 2))
+    return [(perm, e) for perm, _ in PERMUTATIONS for e in (1, -1) if terms(perm) == {k: e * c for k, c in base.items()}]
+
+
+def _antisymmetric(rules, weight) -> bool:
+    """Whether the rules make the kernel totally antisymmetric at every
+    index: each permuted pattern holds the permuted rule, its coefficient
+    form times the sign, and under a weight slot t where the permutation
+    puts it."""
+    for pattern, (family, index, coef, t) in rules.items():
+        for perm, sign in PERMUTATIONS:
+            rule = rules.get(tuple(pattern[j] for j in perm))
+            want = (family, tuple(index[j] for j in perm), tuple(sign * coef[j] for j in perm))
+            if rule is None or rule[:3] != want or (weight is not None and rule[3] != perm.index(t)):
+                return False
+    return True
+
+
+def _representatives(symmetries, n: int) -> list:
+    """The lex-least triple of each orbit of the symmetries on range(n)**3
+    whose stabiliser holds no odd element: a triple fixed by an odd one has
+    R = -R = 0."""
+    reps = list(product(range(n), repeat=3))
+    for perm, sign in symmetries:
+        reps = [a for a, b in zip(reps, map(itemgetter(*perm), reps)) if b > a or (b == a and sign > 0)]
+    return reps
+
+
 def check_nested_identities(
     rep: VerdictReport, spec: TriBracketSpec, window: Window, samples: int, seed: int, checks
 ) -> None:
@@ -724,8 +767,14 @@ def check_nested_identities(
     Each check is (identity, basis message, sample message); the basis
     message formats the five basis slots, the sample message may name
     {residual} and {args}.  Basis tuples go through the graded
-    scalar-residual kernel; failures are recorded with tuples in
-    lexicographic order, then identities in order.
+    scalar-residual kernel, and every one is decided.  When the kernel's
+    rules are antisymmetric at every index, an identity's residual changes
+    only by a sign under its symmetries (``_symmetries``), so the sweep
+    evaluates it on one representative (a0, a1, a2) per orbit and all n*n
+    lanes.  A kernel without rules, rules that are not antisymmetric and
+    any failing representative take the full sweep over every (a0, a1,
+    a2), which records failures with tuples in lexicographic order, then
+    identities in order.
     """
     basis = [(bv.family, bv.index) for bv in window_basis(window)]
     n = len(basis)
@@ -733,7 +782,17 @@ def check_nested_identities(
     w = _field_width(tables, max(len(identity) for identity, _, _ in checks))
     cache = {}
     identities = [[_compile_term(*term, n, tables, w, cache) for term in identity] for identity, _, _ in checks]
-    for a in product(range(n), repeat=3):
+    rules = getattr(closed_triple_fn(integral_spec(spec)[1]), "rules", None)
+    decided = (
+        rules is not None
+        and _antisymmetric(rules[0], rules[2])
+        and not any(
+            sum([term(*a) for term in terms])
+            for (identity, _, _), terms in zip(checks, identities)
+            for a in _representatives(_symmetries(identity), n)
+        )
+    )
+    for a in () if decided else product(range(n), repeat=3):
         failing = []
         for pos, terms in enumerate(identities):
             row = sum([term(*a) for term in terms])

@@ -2,14 +2,14 @@ import random
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import islice, product, starmap
+from itertools import combinations, islice, product, starmap
 from operator import itemgetter
 
 import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import RATIONALS, ROW_MUTATIONS, nonzero_elements
+from conftest import RATIONALS, ROW_MUTATIONS, mutated_rows, nonzero_elements
 from oracles import DETERMINANT, BracketPreconditionError, FromFunctionalBracket, certify_from_functional
 from trilie import (
     OMEGA,
@@ -34,9 +34,12 @@ from trilie.brackets import (
     INNER,
     OUTER_AT,
     PERMUTATIONS,
+    _antisymmetric,
     _compile_term,
     _field_width,
+    _representatives,
     _sweep_tables,
+    _symmetries,
     _unpack,
     check_nested_identities,
     center_window,
@@ -51,7 +54,7 @@ from trilie.brackets import (
 )
 from trilie.cli import main
 from trilie.polys import Poly, T
-from trilie.report import VerdictReport, Window
+from trilie.report import ConfigError, VerdictReport, Window
 
 ONE = ConstantFunctional(1)
 
@@ -736,6 +739,180 @@ def test_nested_terms_need_a_unit_sign_and_each_slot_once():
             _compile_term(*term, 2, tables, 1, {})
         with pytest.raises(ValueError, match="unit sign and each slot once"):
             identity_residual(OMEGA, (term,), args)
+
+
+# -- the orbit sweep: symmetries of the identities, antisymmetry of the rules ---
+
+# a weight that differs between indices, so a beta read at the wrong slot changes a value
+SYMMETRY_SPECS = {"omega": OMEGA, "fk": FKBracket(1, parse_beta("poly:1/2*t^2-1"))}
+REFUSED_ROWS = (
+    "omega llm coef (-2, 1, 0)",
+    "omega lmm coef (1, -1, 1)",
+    "omega lmm index (-1, 1, 0)",
+    "fk llm coef (2, -1, 0)",
+)
+ANTISYMMETRIC_ROWS = tuple(m for m in ROW_MUTATIONS if m != "intact" and m not in REFUSED_ROWS)
+# (bracket, mutation): the intact rules of both brackets and each antisymmetric mutation of its own
+RULE_CASES = (("omega", "intact"), ("fk", "intact"), *((ROW_MUTATIONS[m][0], m) for m in ANTISYMMETRIC_ROWS))
+
+
+def _swept_rules(spec):
+    """The (rules, shift, weight) of the kernel the basis sweep reads."""
+    return closed_triple_fn(brackets.integral_spec(spec)[1]).rules
+
+
+@contextmanager
+def _installed(mutation):
+    """``mutated_rows(mutation)`` with every counterexample kept."""
+    with mutated_rows(mutation), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(VerdictReport, "MAX_COUNTEREXAMPLES", 10**9)
+        yield
+
+
+def test_symmetries_of_the_shipped_identities():
+    assert _symmetries(FUNDAMENTAL_IDENTITY) == list(PERMUTATIONS)
+    assert _symmetries(MODULE_IDENTITY_1) == list(PERMUTATIONS)
+    assert _symmetries(MODULE_IDENTITY_2) == [((0, 1, 2), 1), ((1, 0, 2), -1)]
+
+
+def _assert_symmetric_residuals(spec, identity, window) -> bool:
+    """R(a permuted by perm) = sign * R(a) on every basis 5-tuple of the
+    window, for every derived (perm, sign); returns whether R is nonzero somewhere."""
+    residual = {a: oracles.basis_residual(spec, identity, a) for a in product(window_basis(window), repeat=5)}
+    for perm, sign in _symmetries(identity):
+        for a, value in residual.items():
+            permuted = residual[(*itemgetter(*perm)(a), *a[3:])]
+            assert permuted == {vec: sign * c for vec, c in value.items()}, (identity, perm, a)
+    return any(residual.values())
+
+
+@pytest.mark.parametrize("bracket, mutation", RULE_CASES, ids=lambda v: v)
+def test_derived_symmetries_hold_on_residuals(bracket, mutation):
+    with mutated_rows(mutation):
+        assert _antisymmetric(*_swept_rules(SYMMETRY_SPECS[bracket])[::2])
+        nonzero = [_assert_symmetric_residuals(SYMMETRY_SPECS[bracket], i, Window(-1, 0)) for i in RESIDUAL_IDENTITIES]
+    # the truncated identities have residuals, so a claimed symmetry they lack would show
+    assert all(nonzero[3:])
+
+
+@settings(max_examples=25)
+@given(case=st.sampled_from(RULE_CASES), checks=DRAWN)
+def test_derived_symmetries_hold_on_drawn_residuals(case, checks):
+    bracket, mutation = case
+    with mutated_rows(mutation):
+        for identity, _ in checks:
+            _assert_symmetric_residuals(SYMMETRY_SPECS[bracket], identity, Window(-1, 0))
+
+
+def test_antisymmetry_check_refuses_edited_rules():
+    rules = brackets.RULES["omega"]
+    family, index, coef, t = rules["L", "M", "L"]
+    negated = {**rules, ("L", "M", "L"): (family, index, tuple(-c for c in coef), t)}
+    missing = {pattern: rule for pattern, rule in rules.items() if pattern != ("M", "L", "M")}
+    assert _antisymmetric(rules, None)
+    assert not _antisymmetric(negated, None)
+    assert not _antisymmetric(missing, None)
+    # under a weight slot t must follow the permutation; without one it is never read
+    rules, weight = brackets.RULES["fk"], SYMMETRY_SPECS["fk"].functional
+    family, index, coef, t = rules["L", "M", "L"]
+    moved = {**rules, ("L", "M", "L"): (family, index, coef, (t + 1) % 3)}
+    assert _antisymmetric(rules, weight)
+    assert not _antisymmetric(moved, weight)
+    assert _antisymmetric(moved, None)
+
+
+@pytest.mark.parametrize("mutation", list(ROW_MUTATIONS)[1:])
+def test_antisymmetry_check_refuses_exactly_the_skewed_row_mutations(mutation):
+    assert len(ANTISYMMETRIC_ROWS) == 6
+    with mutated_rows(mutation):
+        rules, _, weight = _swept_rules(SYMMETRY_SPECS[ROW_MUTATIONS[mutation][0]])
+        assert _antisymmetric(rules, weight) == (mutation not in REFUSED_ROWS)
+
+
+def _counted_terms(monkeypatch) -> list:
+    """Patch ``_compile_term`` so every evaluation of a compiled term appends its (a0, a1, a2)."""
+    calls, compile_term = [], brackets._compile_term
+
+    def counting(*args):
+        term = compile_term(*args)
+        return lambda *a: calls.append(a) or term(*a)
+
+    monkeypatch.setattr(brackets, "_compile_term", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "bracket, mutation, orbits",
+    [
+        ("omega", "intact", True),
+        ("fk", "intact", True),
+        ("omega", "omega llm coef (-2, 1, 0)", False),
+        ("fk", "fk llm coef (2, -1, 0)", False),
+    ],
+)
+def test_the_orbit_route_runs_only_on_antisymmetric_rules(monkeypatch, bracket, mutation, orbits):
+    """Antisymmetric rules that pass evaluate FI's terms on the 364 strictly
+    increasing triples of -3..3; refused rules on all 2,744.  Either way the
+    failures are the lane oracle's."""
+    spec, window, checks = SYMMETRY_SPECS[bracket], Window(-3, 3), SHIPPED[0]
+    calls = _counted_terms(monkeypatch)
+    with _installed(mutation):
+        failures = oracles.lane_failures(spec, window, checks)
+        assert _packed_failures(spec, window, checks) == failures
+    assert bool(failures) != orbits
+    triples = list(combinations(range(14), 3)) if orbits else list(product(range(14), repeat=3))
+    assert calls == [a for a in triples for _ in FUNDAMENTAL_IDENTITY]
+
+
+def test_a_kernel_without_rules_takes_the_full_route(monkeypatch, broken_kernel):
+    spec, window, checks = OMEGA, Window(-3, 3), SHIPPED[0]
+    calls = _counted_terms(monkeypatch)
+    monkeypatch.setattr(VerdictReport, "MAX_COUNTEREXAMPLES", 10**9)
+    assert _packed_failures(spec, window, checks) == oracles.lane_failures(spec, window, checks)
+    assert len(calls) == 4 * 14**3 and len(set(calls)) == 14**3
+
+
+def test_module_identities_run_on_their_own_orbits(monkeypatch):
+    """-2..2 has n = 10: the first identity keeps the 120 strictly increasing
+    triples, the second the 450 with a0 < a1."""
+    calls = _counted_terms(monkeypatch)
+    assert _packed_failures(OMEGA, Window(-2, 2), SHIPPED[1]) == []
+    assert len(calls) == 4 * 120 + 4 * 450
+    assert set(calls[: 4 * 120]) == set(combinations(range(10), 3))
+    assert set(calls[4 * 120 :]) == {a for a in product(range(10), repeat=3) if a[0] < a[1]}
+
+
+def _outcome(sweep, *args):
+    """A sweep's failures, or the text of the grading error it raises."""
+    try:
+        return sweep(*args)
+    except ConfigError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("window", [Window(0, 0), Window(-1, 0)], ids=("n=2", "n=4"))
+def test_small_windows_report_what_the_full_sweep_reports(window):
+    n, sweeps, failed = len(window_basis(window)), (_packed_failures, oracles.lane_failures), 0
+    assert len(_representatives(_symmetries(FUNDAMENTAL_IDENTITY), n)) == n * (n - 1) * (n - 2) // 6
+    for mutation, row in ROW_MUTATIONS.items():
+        for bracket in ("omega", "fk") if row is None else (row[0],):
+            with _installed(mutation):
+                for checks in SHIPPED:
+                    runs = [_outcome(sweep, SYMMETRY_SPECS[bracket], window, checks) for sweep in sweeps]
+                    assert runs[0] == runs[1], (mutation, bracket)
+                    failed += bool(runs[0])
+    # no mutation shows on L[0], M[0]; on -1..0 several do, through the orbit route first
+    assert (failed > 0) == (n > 2)
+
+
+def test_a_malformed_identity_raises_before_any_symmetry_is_derived(monkeypatch):
+    derived = []
+    monkeypatch.setattr(brackets, "_symmetries", lambda identity: derived.append(identity) or list(PERMUTATIONS))
+    for term in ((2, (0, 1, 2), (INNER, 3, 4)), (1, (0, 1, INNER), (2, 3, 4))):
+        checks = ((FUNDAMENTAL_IDENTITY, "{},{},{},{},{}"), (FUNDAMENTAL_IDENTITY[1:] + (term,), "{},{},{},{},{}"))
+        with pytest.raises(ValueError, match="unit sign and each slot once"):
+            _packed_failures(OMEGA, Window(-1, 1), checks)
+    assert derived == []
 
 
 # -- the fused sampled residual against the per-triple reference ----------------
