@@ -582,22 +582,21 @@ def _sweep_tables(spec: TriBracketSpec, basis: Sequence[Triple]):
     unit, scaled = integral_spec(spec)
     triple = closed_triple_fn(scaled)
     is_omega = isinstance(spec, OmegaBracket)
+    # the grading law: a vector's degree is a * index + b, (a, b) by its family,
+    # and a nonzero bracket lands on family f at sign * the degree sum of its
+    # arguments, (f, sign) by how many of them are L; elsewhere it is zero
+    form = {FAMILY_L: (1, 0), FAMILY_M: (-1, 0) if is_omega else (0, spec.k)}
+    lands = {2: (FAMILY_L, 1), 1: (FAMILY_M, -1)} if is_omega else {2: (FAMILY_L, 1)}
 
     def graded(vecs):
         """Each vector with its (is L, degree)."""
-        return [
-            (vec, 1, vec[1]) if vec[0] == FAMILY_L else (vec, 0, -vec[1] if is_omega else spec.k)
-            for vec in vecs
-        ]
+        return [(vec, vec[0] == FAMILY_L, form[vec[0]][0] * vec[1] + form[vec[0]][1]) for vec in vecs]
 
     def graded_rule(pattern, rule, shift: int) -> bool:
         """Whether the grading puts every value of a rule where it lands."""
-        family, index = rule[:2]
-        degree = tuple(1 if f == FAMILY_L else -1 if is_omega else 0 for f in pattern)
-        if pattern.count(FAMILY_L) == 2:
-            return (family, index, shift) == (FAMILY_L, degree, 0 if is_omega else spec.k)
-        minus = tuple(-d for d in degree)
-        return pattern.count(FAMILY_L) == 1 and is_omega and (family, index, shift) == (FAMILY_M, minus, 0)
+        family, sign = lands.get(pattern.count(FAMILY_L), (None, 0))  # no rule lands on family None
+        index, constant = zip(*map(form.get, pattern))
+        return rule[:2] == (family, tuple(sign * a for a in index)) and shift == sign * sum(constant)
 
     rules = getattr(triple, "rules", None)
     # on the grading every fk output is an L vector, so beta is read only at basis M vectors
@@ -619,11 +618,8 @@ def _sweep_tables(spec: TriBracketSpec, basis: Sequence[Triple]):
         for ((v, lv, dv), (x, lx, dx), (y, ly, dy)), c, out in entries:
             if out is None:
                 continue
-            n_l, degree = lv + lx + ly, dv + dx + dy
-            if n_l == 2:
-                want = (FAMILY_L, degree)
-            else:
-                want = (FAMILY_M, -degree) if n_l == 1 and is_omega else None
+            family, sign = lands.get(lv + lx + ly, (None, 0))
+            want = None if family is None else (family, sign * (dv + dx + dy))
             if out != want:
                 args = (v, x, y) if p == 0 else (x, v, y) if p == 1 else (x, y, v)
                 raise ConfigError(

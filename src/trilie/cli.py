@@ -102,12 +102,9 @@ def _constructor_agreement(cfg: RunConfig) -> List[VerdictReport]:
 def _nambu(cfg: RunConfig) -> List[VerdictReport]:
     from .nambu import FKRealization, OmegaRealization, check_injectivity, check_realization
 
-    if cfg.bracket == "omega":
-        rmap = OmegaRealization()
-    else:
-        rmap = FKRealization(cfg.k, cfg.beta)
+    rmap = OmegaRealization() if cfg.bracket == "omega" else FKRealization(cfg.k, cfg.beta)
     return [
-        check_realization(rmap, cfg.tri_spec(), cfg.window),
+        check_realization(rmap, cfg.window),
         check_injectivity(rmap, cfg.window),
     ]
 
@@ -191,7 +188,7 @@ def _vandermonde(cfg: RunConfig) -> List[VerdictReport]:
 
     def separate(u: Element) -> VerdictReport:
         # the least dominating index, and one power fewer than the support (at least one)
-        return vandermonde_extract(OMEGA, u, max(bv.index for bv in u.terms) + 1, max(len(u.terms) - 1, 1))[1]
+        return vandermonde_extract(u, max(bv.index for bv in u.terms) + 1, max(len(u.terms) - 1, 1))[1]
 
     if cfg.seed_element:
         return [separate(cfg.seed_element)]

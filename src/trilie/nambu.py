@@ -19,9 +19,10 @@ from operator import add
 from typing import Tuple, Union
 
 from .brackets import (
+    OMEGA,
     PERMUTATIONS,
     FKBracket,
-    OmegaBracket,
+    TriBracketSpec,
     _kernel_element,
     closed_triple_fn,
     permutation_cofactors,
@@ -30,7 +31,7 @@ from .brackets import (
 from .elements import FAMILY_L, BasisVector, Element, FunctionalSpec, window_basis
 from .linalg import SpanSolver
 from .polys import Rational, Sparse
-from .report import PASS, ConfigError, VerdictReport, Window
+from .report import PASS, VerdictReport, Window
 
 # term key: (ypow, zpow, freq) with freq the integer coefficient of x
 # inside the exponential
@@ -93,7 +94,9 @@ def nambu_bracket(g1: SymFunction, g2: SymFunction, g3: SymFunction) -> SymFunct
 
 @dataclass(frozen=True)
 class OmegaRealization:
-    """L_r -> z exp(rx), M_r -> y exp(-rx)."""
+    """L_r -> z exp(rx), M_r -> y exp(-rx), realizing ``omega``."""
+
+    spec = OMEGA
 
     def image(self, bv: BasisVector) -> SymFunction:
         if bv.family == FAMILY_L:
@@ -118,6 +121,11 @@ class FKRealization:
     k: int
     functional: FunctionalSpec
 
+    @property
+    def spec(self) -> TriBracketSpec:
+        """The bracket this map realizes."""
+        return FKBracket(self.k, self.functional)
+
     def image(self, bv: BasisVector) -> SymFunction:
         if bv.family == FAMILY_L:
             return SymFunction.term(1, 0, 1, bv.index)
@@ -140,18 +148,6 @@ def realize(rmap: RealizationMap, u: Element) -> SymFunction:
     return acc
 
 
-def _pairing_ok(rmap, spec) -> bool:
-    if isinstance(rmap, OmegaRealization):
-        return isinstance(spec, OmegaBracket)
-    if isinstance(rmap, FKRealization):
-        return (
-            isinstance(spec, FKBracket)
-            and spec.k == rmap.k
-            and spec.functional == rmap.functional
-        )
-    return False
-
-
 def _jacobian_row(g: SymFunction):
     """(key, (d/dx, d/dy, d/dz) coefficients) of a zero or one-monomial g,
     read through ``partial``.  The Jacobian of three such rows is one
@@ -171,25 +167,22 @@ def _jacobian_row(g: SymFunction):
     return key, row
 
 
-def check_realization(rmap: RealizationMap, spec, window: Window) -> VerdictReport:
+def check_realization(rmap: RealizationMap, window: Window) -> VerdictReport:
     """Homomorphism check: the Jacobian bracket of the images equals the
-    image of the algebra bracket, on every window basis triple.
+    image of the bracket the map realizes (``rmap.spec``), on every window
+    basis triple.
 
     Each basis image is read once, as its Jacobian row; the Jacobian of a
     triple is its rows' determinant, expanded over the first two rows once
     per pair, and the bracket side is the entry of the closed-form kernel's
     ``rule_table`` times the image of its output vector.  A counterexample
     is written out with ``nambu_bracket`` and ``realize``."""
-    if not _pairing_ok(rmap, spec):
-        raise ConfigError(
-            f"realization {rmap.describe()} does not correspond to bracket {spec.describe()}"
-        )
     rep = VerdictReport(
         "nambu-realization",
-        {"map": rmap.describe(), "bracket": spec.describe(), "window": str(window)},
+        {"map": rmap.describe(), "bracket": rmap.spec.describe(), "window": str(window)},
     )
     basis = window_basis(window)
-    coefs, outs = rule_table(closed_triple_fn(spec), (basis,) * 3)
+    coefs, outs = rule_table(closed_triple_fn(rmap.spec), (basis,) * 3)
     images = [rmap.image(bv) for bv in basis]
     rows = [_jacobian_row(g) for g in images]
     # integer rows: every determinant is then scale**3 times the Jacobian's

@@ -403,20 +403,16 @@ def operator_rank(
     """
     if functional is not None:
         ops = [op.substitute(functional) for op in ops]
-    if any(op.has_beta() for op in ops):
-        if functional is None or window is None:
-            raise ValueError("beta-dependent rank needs a functional and a window")
-        solver = SpanSolver()
-        for op in ops:
-            solver.add(_window_map(op, functional, window))
-        return solver.rank, "window-decided"
+    window_decided = any(op.has_beta() for op in ops)
+    if window_decided and (functional is None or window is None):
+        raise ValueError("beta-dependent rank needs a functional and a window")
     # structural coordinates are faithful for polynomial coefficients:
     # channels with different index maps agree at most at one index, so
     # structural independence coincides with independence as linear maps
     solver = SpanSolver()
     for op in ops:
-        solver.add(op.terms)
-    return solver.rank, "structural"
+        solver.add(_window_map(op, functional, window) if window_decided else op.terms)
+    return solver.rank, "window-decided" if window_decided else "structural"
 
 
 # -- invariant-subspace search (labelled basis, diagonal pivot) ------------

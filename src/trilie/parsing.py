@@ -8,7 +8,8 @@ Element grammar (whitespace-insensitive)::
     rational := integer ['/' positive-integer]
 
 This grammar and ``parse_poly``'s are both signed sums, read by one
-loop (``_signed_terms``).  Canonical printing (``str(Element)``,
+loop (``_signed_terms``); a ``const:`` or ``support:`` weight value is one
+``rational``.  Canonical printing (``str(Element)``,
 ``str(Poly)``) emits them, so parse and print are mutually inverse on
 canonical forms.
 """
@@ -176,12 +177,12 @@ def parse_poly(text: str) -> Poly:
 
 
 def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ConfigError(f"zero denominator in weight value {text!r}") from None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    """A weight value: one ``rational`` of the element grammar and nothing more."""
+    sc = _Scanner(text)
+    value = sc.rational()
+    if not sc.done():
+        raise ElementSyntaxError("expected the end of the weight value", sc.pos + 1)
+    return value
 
 
 def parse_beta(text: str) -> FunctionalSpec:

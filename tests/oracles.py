@@ -73,7 +73,7 @@ from trilie.analysis import (
 )
 from trilie.elements import FAMILY_L, FAMILY_M, BasisVector, Element, FunctionalSpec, functional_eval, window_basis
 from trilie.linalg import null_space, vec_add_scaled, vec_scale
-from trilie.nambu import FKRealization, _pairing_ok, nambu_bracket, realize
+from trilie.nambu import FKRealization, nambu_bracket, realize
 from trilie.operators import Operator
 from trilie.polys import Poly, add_into, normalize_rational, rat_str
 from trilie.report import PASS, ConfigError, VerdictReport, Window
@@ -295,13 +295,10 @@ class DensePoly:
         return " ".join(parts)
 
 
-def check_realization(rmap, spec, window):
-    """The Jacobian of the images against the image of the bracket, each
-    side built as a SymFunction on every window basis triple."""
-    if not _pairing_ok(rmap, spec):
-        raise ValueError(
-            f"realization {rmap.describe()} does not correspond to bracket {spec.describe()}"
-        )
+def check_realization(rmap, window):
+    """The Jacobian of the images against the image of the bracket the map
+    realizes, each side built as a SymFunction on every window basis triple."""
+    spec = rmap.spec
     rep = VerdictReport(
         "nambu-realization",
         {"map": rmap.describe(), "bracket": spec.describe(), "window": str(window)},
@@ -733,12 +730,7 @@ def weight_decompose(spec, cartan_pairs, window):
     if diagonal:
         for bv in basis:
             spaces.setdefault(tuple(weights[bv]), []).append(bv)
-    deco = WeightDecomposition(
-        window,
-        [f"({h1}, {h2})" for h1, h2 in cartan_pairs],
-        {w: tuple(sorted(v)) for w, v in spaces.items()},
-        diagonal,
-    )
+    deco = WeightDecomposition({w: tuple(sorted(v)) for w, v in spaces.items()})
     if diagonal:
         rep.stats["weight_spaces"] = len(deco.spaces)
         rep.stats["max_dim"] = deco.max_dim

@@ -102,9 +102,9 @@ def test_criterion_03_constructor_agreement():
 def test_criterion_04_nambu_realization():
     w = Window(-3, 3)
     ok = True
-    rep = check_realization(OmegaRealization(), OMEGA, w)
+    rep = check_realization(OmegaRealization(), w)
     ok = ok and rep.ok and not rep.counterexamples
-    rep = check_realization(FKRealization(1, ONE), FKBracket(1, ONE), w)
+    rep = check_realization(FKRealization(1, ONE), w)
     ok = ok and rep.ok and not rep.counterexamples
     flagged_sign = rep.status == "flagged"
 
@@ -181,7 +181,7 @@ def test_criterion_08_simplicity_evidence():
             continue
         trials += 1
         top = max(bv.index for bv in u.terms)
-        extracted, vrep = vandermonde_extract(OMEGA, u, top + 1, 3)
+        extracted, vrep = vandermonde_extract(u, top + 1, 3)
         ok = ok and vrep.status == "pass" and len(extracted) == 4
     _criterion(8, ok, "26 basis seeds close to the full -6..6 span; 20 separations exact")
 

@@ -106,28 +106,26 @@ def test_derived_algebra_of_omega_contains_generating_brackets():
 
 
 def test_vandermonde_extraction():
-    ext, rep = vandermonde_extract(OMEGA, L(1) + M(2), 5, 1)
+    ext, rep = vandermonde_extract(L(1) + M(2), 5, 1)
     assert sorted(map(str, ext)) == ["L[1]", "M[2]"]
-    ext, rep = vandermonde_extract(OMEGA, L(1), 3, 1)
+    ext, rep = vandermonde_extract(L(1), 3, 1)
     assert [str(e) for e in ext] == ["L[1]"]
-    ext, rep = vandermonde_extract(OMEGA, L(1) + L(2), 9, 1)
+    ext, rep = vandermonde_extract(L(1) + L(2), 9, 1)
     assert sorted(map(str, ext)) == ["L[1]", "L[2]"]
     u = L(1, 2) + M(1, Fraction(1, 3)) + M(-3, -1) + L(0, 5)
-    ext, rep = vandermonde_extract(OMEGA, u, 2, 3)
+    ext, rep = vandermonde_extract(u, 2, 3)
     assert rep.status == "pass"
     assert len(ext) == 4
 
 
 def test_vandermonde_preconditions():
     with pytest.raises(ValueError):
-        vandermonde_extract(OMEGA, L(5), 5, 2)  # r must dominate strictly
-    with pytest.raises(ValueError):
-        vandermonde_extract(FKBracket(0, ONE), L(1), 5, 2)
+        vandermonde_extract(L(5), 5, 2)  # r must dominate strictly
 
 
 def test_vandermonde_insufficient_power_reported():
     u = L(1) + L(2) + M(0) + M(3)
-    ext, rep = vandermonde_extract(OMEGA, u, 9, 1)
+    ext, rep = vandermonde_extract(u, 9, 1)
     assert rep.status == "fail"
 
 

@@ -362,6 +362,45 @@ def test_rules_off_the_grading_exit_2_with_the_first_entry(mutation, patch_row, 
     assert main(["verify", "anticommutativity", "--bracket", bracket, "--window=-1..1"]) == 0
 
 
+# a plain kernel off the grading only where the argument at one position lies
+# outside -1..1: the inner table and the outer tables before that position
+# hold no such argument, so the first break has the coded vector in place
+OUTER_GRADING_BREAKS = {
+    ("omega", 1): "omega breaks its grading: [('L', -1), ('L', -2), ('M', -1)] "
+    "lands on ('L', -1), the grading puts it on ('L', -2)",
+    ("omega", 2): "omega breaks its grading: [('L', -1), ('M', -1), ('L', -2)] "
+    "lands on ('L', -1), the grading puts it on ('L', -2)",
+    ("fk", 1): "fk(k=1, beta=const:1) breaks its grading: [('L', -1), ('L', 2), ('M', -1)] "
+    "lands on ('L', 3), the grading puts it on ('L', 2)",
+    ("fk", 2): "fk(k=1, beta=const:1) breaks its grading: [('L', -1), ('M', -1), ('L', 2)] "
+    "lands on ('L', 3), the grading puts it on ('L', 2)",
+}
+
+
+@pytest.mark.parametrize("bracket, position", sorted(OUTER_GRADING_BREAKS))
+def test_grading_breaks_in_the_outer_tables_keep_argument_order(monkeypatch, bracket, position):
+    window, closed = Window(-1, 1), brackets.closed_triple_fn
+
+    def shifted_outside(spec):
+        kernel = closed(spec)
+
+        def triple(*args):
+            res = kernel(*args)
+            if res is not None and args[position][1] not in window:
+                return (res[0], res[1], res[2] + 1)
+            return res
+
+        return triple
+
+    monkeypatch.setattr(brackets, "closed_triple_fn", shifted_outside)
+    spec = {"omega": OMEGA, "fk": FKBracket(1, ONE)}[bracket]
+    basis = [(bv.family, bv.index) for bv in window_basis(window)]
+    for tables in (_sweep_tables, oracles.sweep_tables):
+        with pytest.raises(ConfigError) as exc:
+            tables(spec, basis)
+        assert str(exc.value) == OUTER_GRADING_BREAKS[bracket, position]
+
+
 def test_rules_with_a_shifted_index_exit_2(monkeypatch):
     """The rule check reads the kernel's index shift too: fk rules shifted by
     one more than k take the per-triple path and fail its grading check."""

@@ -122,6 +122,22 @@ def test_more_config_faults_exit_two(capsys, tmp_path):
         assert err.startswith("trilie: ") and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("beta", ["const:1e5000", "support:0=1e5000", "const:0.5", "const:1_0"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_weight_values_are_rationals_of_the_element_grammar(beta, via, tmp_path, capsys):
+    """A weight value is one integer or integer/positive-integer: decimals,
+    exponents and digit separators are configuration errors, read before any
+    digit string is converted (1e5000 would print as 5001 digits)."""
+    args = ["--beta", beta]
+    if via == "config":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"beta": beta}))
+        args = ["--config", str(path)]
+    code, out = run_cli(["verify", "structure-maps", "--window=-1..1", *args])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "trilie: expected the end of the weight value at column 2\n"
+
+
 @pytest.mark.parametrize("error", [RuntimeError("kernel\nexploded"), ValueError("not a config fault")])
 def test_internal_error_exits_three_in_one_line(monkeypatch, capsys, error):
     def broken(cfg):
@@ -135,9 +151,9 @@ def test_internal_error_exits_three_in_one_line(monkeypatch, capsys, error):
     assert err == f"trilie: internal error: {type(error).__name__}: {' '.join(str(error).split())}\n"
 
 
-# the characters of both grammars and the weight specs, without the 'e' of a
-# decimal exponent, which Fraction reads in const and support values
-GRAMMAR_TEXT = st.text(alphabet="LM[]t^*/+-=,:. 0123456789", max_size=16)
+# the characters of both grammars and the weight specs, with the 'e' and '_'
+# of decimal literals, which no weight value may hold
+GRAMMAR_TEXT = st.text(alphabet="LM[]t^*/+-=,:.e_ 0123456789", max_size=16)
 
 
 @settings(max_examples=200)

@@ -9,7 +9,7 @@ and give the per-triple oracle's report."""
 import pytest
 
 import oracles
-from trilie import OMEGA, FKBracket, brackets, elements, nambu, parse_beta
+from trilie import brackets, elements, nambu, parse_beta
 from trilie.analysis import natural_module_decompose
 from trilie.brackets import check_constructor_agreement
 from trilie.cli import main
@@ -82,6 +82,18 @@ def test_natural_module_reads_the_patched_generators(monkeypatch, capsys):
     assert _exit(["verify", "natural-module"], capsys) == 1
 
 
+def test_natural_module_fails_when_p0_is_not_diagonal(monkeypatch, capsys):
+    # p_1 in place of p_0 moves every index: no basis vector is an eigenvector,
+    # and the spaces of the coefficients read on the diagonal are still built
+    monkeypatch.setitem(GENERATORS, "p", lambda r: gen_p(r + 1))
+    deco, rep = natural_module_decompose(Window(-2, 2))
+    assert rep.status == "fail"
+    assert rep.counterexamples[:2] == ["p_0/q_0 not diagonal on L[-2]", "p_0/q_0 not diagonal on L[-1]"]
+    assert all(text.startswith("p_0/q_0 not diagonal on ") for text in rep.counterexamples)
+    assert rep.stats == {"weight_spaces": 2, "max_dim": 5} and deco.max_dim == 5
+    assert _exit(["verify", "natural-module"], capsys) == 1
+
+
 def swap_only(u):
     """omega without the index reflection: L[r] <-> M[r]."""
     swap = {"L": "M", "M": "L"}
@@ -99,10 +111,10 @@ def test_structure_maps_fail_under_an_unreflected_omega(monkeypatch, capsys):
 def _realizations_fail_as_the_oracle(monkeypatch, capsys):
     monkeypatch.setattr(VerdictReport, "MAX_COUNTEREXAMPLES", 10**6)
     window = Window(-2, 2)
-    for rmap, spec in ((OmegaRealization(), OMEGA), (FKRealization(1, HALF), FKBracket(1, HALF))):
-        rep = check_realization(rmap, spec, window)
+    for rmap in (OmegaRealization(), FKRealization(1, HALF)):
+        rep = check_realization(rmap, window)
         assert rep.status == "fail", rmap
-        assert rep.to_dict() == oracles.check_realization(rmap, spec, window).to_dict()
+        assert rep.to_dict() == oracles.check_realization(rmap, window).to_dict()
     for bracket in ("omega", "fk"):
         assert _exit(["verify", "nambu-realization", "--bracket", bracket], capsys) == 1, bracket
 
@@ -132,7 +144,7 @@ def test_nambu_realization_refuses_a_stray_partial_term(monkeypatch, capsys):
 
     monkeypatch.setattr(nambu, "partial", partial_with_stray_term)
     with pytest.raises(ValueError, match="is not one monomial"):
-        check_realization(OmegaRealization(), OMEGA, Window(-2, 2))
+        check_realization(OmegaRealization(), Window(-2, 2))
     assert main(["verify", "nambu-realization", "--window", "-2..2"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("trilie: internal error: ValueError: d/dz of ")
@@ -148,10 +160,10 @@ def test_nambu_realization_fails_under_the_printed_m_image(monkeypatch, capsys):
 
     monkeypatch.setattr(FKRealization, "image", printed_image)
     monkeypatch.setattr(VerdictReport, "MAX_COUNTEREXAMPLES", 10**6)
-    rmap, spec, window = FKRealization(1, HALF), FKBracket(1, HALF), Window(-2, 2)
-    rep = check_realization(rmap, spec, window)
+    rmap, window = FKRealization(1, HALF), Window(-2, 2)
+    rep = check_realization(rmap, window)
     assert rep.status == "fail"
-    assert rep.to_dict() == oracles.check_realization(rmap, spec, window).to_dict()
+    assert rep.to_dict() == oracles.check_realization(rmap, window).to_dict()
     assert _exit(["verify", "nambu-realization", "--bracket", "fk"], capsys) == 1
 
 

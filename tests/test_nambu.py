@@ -84,18 +84,18 @@ def test_weighted_realization_determinant_class():
 
 
 def test_realization_checks_pass():
-    assert check_realization(OmegaRealization(), OMEGA, Window(-3, 3)).ok
-    rep = check_realization(FKRealization(1, ONE), FKBracket(1, ONE), Window(-3, 3))
+    assert check_realization(OmegaRealization(), Window(-3, 3)).ok
+    rep = check_realization(FKRealization(1, ONE), Window(-3, 3))
     assert rep.ok and rep.status == "flagged"  # sign of the printed M image
     for beta in (PolynomialFunctional(T), FiniteSupportFunctional({0: 1})):
-        assert check_realization(FKRealization(0, beta), FKBracket(0, beta), Window(-2, 2)).ok
+        assert check_realization(FKRealization(0, beta), Window(-2, 2)).ok
 
 
-def test_realization_pairing_enforced():
-    with pytest.raises(ValueError):
-        check_realization(OmegaRealization(), FKBracket(1, ONE), Window(-2, 2))
-    with pytest.raises(ValueError):
-        check_realization(FKRealization(1, ONE), FKBracket(2, ONE), Window(-2, 2))
+def test_each_realization_names_its_bracket():
+    assert OmegaRealization().spec == OMEGA
+    assert FKRealization(1, ONE).spec == FKBracket(1, ONE)
+    rep = check_realization(FKRealization(2, ONE), Window(-1, 1))
+    assert rep.params["bracket"] == FKBracket(2, ONE).describe()
 
 
 def test_injectivity_kernels():

@@ -48,15 +48,15 @@ def rows(request, patch_row, monkeypatch):
 
 def test_omega_realization_matches_the_oracle(rows):
     rmap = OmegaRealization()
-    _assert_same(check_realization(rmap, OMEGA, WINDOW), oracles.check_realization(rmap, OMEGA, WINDOW))
+    _assert_same(check_realization(rmap, WINDOW), oracles.check_realization(rmap, WINDOW))
 
 
 @pytest.mark.parametrize("weight", WEIGHTS)
 def test_fk_realization_matches_the_oracle(rows, weight):
     f = parse_beta(weight)
     for k in KS:
-        rmap, spec = FKRealization(k, f), FKBracket(k, f)
-        _assert_same(check_realization(rmap, spec, WINDOW), oracles.check_realization(rmap, spec, WINDOW))
+        rmap = FKRealization(k, f)
+        _assert_same(check_realization(rmap, WINDOW), oracles.check_realization(rmap, WINDOW))
 
 
 @pytest.mark.parametrize("weight", WEIGHTS)
@@ -83,19 +83,19 @@ def test_a_two_term_output_image_fails_the_realization():
     bracket's output; the Jacobian side is one monomial there, and the
     image's one matching term must not be enough."""
     window = Window(-1, 1)
-    rep = check_realization(TwoTermImage(), OMEGA, window)
+    rep = check_realization(TwoTermImage(), window)
     assert rep.status == "fail"
     assert len(rep.counterexamples) == 6
     assert all(text.endswith(("z*exp(2*x) + y", "-z*exp(2*x) - y")) for text in rep.counterexamples)
-    _assert_same(rep, oracles.check_realization(TwoTermImage(), OMEGA, window))
+    _assert_same(rep, oracles.check_realization(TwoTermImage(), window))
 
 
 def test_broken_rows_fail_with_counterexamples(rows):
     """The parity above compares failing reports too, not only passing ones."""
     f = parse_beta("const:1/2")
     reports = [
-        check_realization(OmegaRealization(), OMEGA, WINDOW),
-        check_realization(FKRealization(1, f), FKBracket(1, f), WINDOW),
+        check_realization(OmegaRealization(), WINDOW),
+        check_realization(FKRealization(1, f), WINDOW),
         check_constructor_agreement(WINDOW, 1, f),
     ]
     statuses = [rep.status for rep in reports]
@@ -129,13 +129,13 @@ def test_passing_checks_call_no_per_triple_route(monkeypatch):
     for weight in WEIGHTS:
         f = parse_beta(weight)
         for k in KS:
-            assert check_realization(FKRealization(k, f), FKBracket(k, f), WINDOW).status == "flagged"
+            assert check_realization(FKRealization(k, f), WINDOW).status == "flagged"
             products.clear()
             assert check_constructor_agreement(WINDOW, k, f).status == "pass"
             assert 0 < len(products) < n**3
         for spec, in_cartan, gens, name in list(_cartans(f))[:3]:
             assert cartan_normalizer_check(spec, WINDOW, in_cartan, gens, name).status == "pass"
-    assert check_realization(OmegaRealization(), OMEGA, WINDOW).status == "pass"
+    assert check_realization(OmegaRealization(), WINDOW).status == "pass"
 
 
 def half_swap_omega(u):
