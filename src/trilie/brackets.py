@@ -46,6 +46,7 @@ from .elements import (
     window_basis,
 )
 from .linalg import null_space
+from .polys import divided, integral
 from .report import PASS, ConfigError, VerdictReport, Window
 
 # -- bracket specifications --------------------------------------------
@@ -513,12 +514,9 @@ def identity_residual(spec: TriBracketSpec, identity, args: Sequence[Element]) -
     den = unit * unit
     slots = []
     for arg in args:
-        d = lcm(*[c.denominator for c in arg.terms.values()])
+        d, scaled = integral(arg.terms)
         den *= d
-        group = {}
-        for vec, c in arg.terms.items():
-            group.setdefault(vec[0], []).append((vec, c.numerator * (d // c.denominator)))
-        slots.append(group)
+        slots.append(_by_family(scaled.items()))
     slots.append({})  # slot INNER
     out = {}
     for sign, inner, outer in identity:
@@ -529,12 +527,7 @@ def identity_residual(spec: TriBracketSpec, identity, args: Sequence[Element]) -
         if slots[INNER]:
             a, b, c = outer
             _int_bracket(triple, rules, unit, slots[a], slots[b], slots[c], out)
-    terms = {}
-    for (fam, idx), n in out.items():
-        if n:
-            q, r = divmod(n, den)
-            terms[BasisVector(fam, idx)] = Fraction(n, den) if r else q
-    return Element(terms)
+    return Element({BasisVector(*vec): c for vec, c in divided(out, den).items()})
 
 
 # -- the graded scalar-residual kernel of the basis sweeps -------------------
@@ -883,7 +876,7 @@ def check_constructor_agreement(
         coef, out = table[0][x], table[1][x]
         live = {key: c for key, c in acc.items() if c}
         if live != ({} if out is None else {out: coef * scale}):
-            value = Element({key: Fraction(c, scale) for key, c in live.items()})
+            value = Element(divided(live, scale))
             rep.record_failure(
                 f"{name} route {value} != closed form {_kernel_element(coef, out)} "
                 f"on [{units[x // n // n]},{units[x // n % n]},{units[x % n]}]"

@@ -15,10 +15,9 @@ lowest terms, and zero coefficients are never stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
-from .polys import Poly, Rational, Sparse, normalize_rational, rat_str
+from .polys import Poly, Rational, Sparse, integral, normalize_rational, rat_str
 from .report import PASS, ConfigError, VerdictReport, Window
 
 FAMILY_L = "L"
@@ -104,43 +103,15 @@ def omega(u: Element) -> Element:
 
 
 @dataclass(frozen=True)
-class ConstantFunctional:
-    """beta(t) = c for every index t; c must be nonzero."""
-
-    value: Rational
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", normalize_rational(self.value))
-        if self.value == 0:
-            raise ConfigError("constant functional must be nonzero")
-
-    def beta(self, t: int) -> Rational:
-        return self.value
-
-    def denominator(self) -> int:
-        """A bound B on the denominators of beta: beta(t) * B is an int for every int t."""
-        return self.value.denominator
-
-    def scaled(self, c: Rational) -> "ConstantFunctional":
-        """The functional c * beta."""
-        return ConstantFunctional(self.value * c)
-
-    def as_poly(self) -> Optional[Poly]:
-        return Poly.const(self.value)
-
-    def describe(self) -> str:
-        return f"const:{rat_str(self.value)}"
-
-
-@dataclass(frozen=True)
 class PolynomialFunctional:
-    """beta(t) = p(t) for a nonzero rational polynomial p."""
+    """beta(t) = p(t) for a nonzero rational polynomial p; a constant
+    weight is the degree-0 case."""
 
     poly: Poly
 
     def __post_init__(self):
         if self.poly.is_zero():
-            raise ConfigError("polynomial functional must be nonzero")
+            raise ConfigError("weight must be nonzero")
         object.__setattr__(self, "_values", {})
 
     def beta(self, t: int) -> Rational:
@@ -151,7 +122,7 @@ class PolynomialFunctional:
 
     def denominator(self) -> int:
         """The lcm of the coefficients' denominators, which bounds beta's."""
-        return lcm(*[c.denominator for c in self.poly.terms.values()])
+        return integral(self.poly.terms)[0]
 
     def scaled(self, c: Rational) -> "PolynomialFunctional":
         return PolynomialFunctional(self.poly.scale(c))
@@ -160,7 +131,12 @@ class PolynomialFunctional:
         return self.poly
 
     def describe(self) -> str:
-        return f"poly:{self.poly}"
+        return f"{'const' if self.poly.degree == 0 else 'poly'}:{self.poly}"
+
+
+def ConstantFunctional(c: Rational) -> PolynomialFunctional:
+    """beta(t) = c for every index t: the degree-0 polynomial weight."""
+    return PolynomialFunctional(Poly.const(c))
 
 
 @dataclass(frozen=True)
@@ -181,7 +157,7 @@ class FiniteSupportFunctional:
 
     def denominator(self) -> int:
         """The lcm of the values' denominators."""
-        return lcm(*[c.denominator for _, c in self.values])
+        return integral(self._by_index)[0]
 
     def scaled(self, c: Rational) -> "FiniteSupportFunctional":
         return FiniteSupportFunctional({t: v * c for t, v in self.values})
@@ -194,7 +170,7 @@ class FiniteSupportFunctional:
         return f"support:{body}"
 
 
-FunctionalSpec = Union[ConstantFunctional, PolynomialFunctional, FiniteSupportFunctional]
+FunctionalSpec = Union[PolynomialFunctional, FiniteSupportFunctional]
 
 
 def functional_eval(f: FunctionalSpec, u: Element) -> Rational:

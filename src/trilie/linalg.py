@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from .polys import normalize_rational, vec_add_scaled, vec_scale
+from .polys import integral, normalize_rational, vec_add_scaled, vec_scale
 
 Vec = Dict[Hashable, object]
 
@@ -137,12 +137,7 @@ def span_equal(a: SpanSolver, b: SpanSolver) -> bool:
 def _primitive_row(eq: Vec, order: Dict[Hashable, int]) -> Tuple[Tuple[int, int], ...]:
     """The equation over column numbers as a primitive integer row, sparse
     and ascending, with a positive leading entry; () for a zero equation."""
-    den = lcm(*(c.denominator for c in eq.values()))
-    acc: Dict[int, int] = {}
-    for k, c in eq.items():
-        col = order[k]
-        acc[col] = acc.get(col, 0) + c.numerator * (den // c.denominator)
-    items = sorted((col, v) for col, v in acc.items() if v)
+    items = sorted((order[k], v) for k, v in integral(eq)[1].items() if v)
     if not items:
         return ()
     g = gcd(*(v for _, v in items))

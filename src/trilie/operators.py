@@ -30,10 +30,10 @@ equality falls back to exhaustive window evaluation and reports say so.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .brackets import OmegaBracket, TriBracketSpec, bracket_rules
+from .brackets import OMEGA, TriBracketSpec, bracket_rules
 from .elements import (
     FAMILIES,
     BasisVector,
@@ -44,7 +44,7 @@ from .elements import (
     window_basis,
 )
 from .linalg import SpanSolver
-from .polys import Poly, Rational, Sparse, add_into
+from .polys import Poly, Rational, Sparse, add_into, divided, integral
 from .report import Window
 
 
@@ -70,30 +70,19 @@ class Operator(Sparse):
         return Element(out)
 
     def _int_form(self) -> Tuple[int, Dict[str, tuple]]:
-        """(D, {fin: ((key, c*D), ...)}): the common denominator D of the
-        coefficients and the terms grouped by input family with integer
-        numerators.  Built on first use as an operand and kept in a slot
-        for the operator's lifetime."""
+        """(D, {fin: ((key, c*D), ...)}): the integral form of the terms,
+        grouped by input family.  Built on first use as an operand and kept
+        in a slot for the operator's lifetime."""
         try:
             return self._form
         except AttributeError:
             pass
-        den = lcm(*[c.denominator for c in self.terms.values()])
+        den, scaled = integral(self.terms)
         by_fin: Dict[str, list] = {}
-        for key, c in self.terms.items():
-            n = c * den if type(c) is int else c.numerator * (den // c.denominator)
+        for key, n in scaled.items():
             by_fin.setdefault(key[0], []).append((key, n))
         self._form = form = (den, {fin: tuple(terms) for fin, terms in by_fin.items()})
         return form
-
-    def _from_scaled(self, acc: Dict[tuple, int], den: int) -> "Operator":
-        """The operator with terms acc / den, zero keys dropped."""
-        terms = {}
-        for key, n in acc.items():
-            if n:
-                q, r = divmod(n, den)
-                terms[key] = Fraction(n, den) if r else q
-        return self._new(terms)
 
     def compose(self, other: "Operator") -> "Operator":
         """self after other: the coefficient of self is read at the index
@@ -101,7 +90,7 @@ class Operator(Sparse):
         (da, a), (db, b) = self._int_form(), other._int_form()
         acc: Dict[tuple, int] = {}
         _compose_into(acc, a, b, 1)
-        return self._from_scaled(acc, da * db)
+        return self._new(divided(acc, da * db))
 
     def commutator(self, other: "Operator") -> "Operator":
         """self after other minus other after self, both passes into one
@@ -110,7 +99,7 @@ class Operator(Sparse):
         acc: Dict[tuple, int] = {}
         _compose_into(acc, a, b, 1)
         _compose_into(acc, b, a, -1)
-        return self._from_scaled(acc, da * db)
+        return self._new(divided(acc, da * db))
 
     def substitute(self, f: FunctionalSpec) -> "Operator":
         """Reduce beta atoms when the functional has a closed polynomial form."""
@@ -274,31 +263,28 @@ def ad_y(spec: TriBracketSpec, r: int, s: int) -> Operator:
     return op_from_ad(spec, M(r), M(s))
 
 
-_OMEGA = OmegaBracket()
-
-
 def gen_p(r: int) -> Operator:
     if r == 0:
-        return op_from_ad(_OMEGA, L(0), M(0))
-    return (op_from_ad(_OMEGA, L(0), M(-r)) + op_from_ad(_OMEGA, L(r), M(0))).scale(Fraction(1, 2))
+        return op_from_ad(OMEGA, L(0), M(0))
+    return (op_from_ad(OMEGA, L(0), M(-r)) + op_from_ad(OMEGA, L(r), M(0))).scale(Fraction(1, 2))
 
 
 def gen_q(r: int) -> Operator:
     if r == 0:
-        return op_from_ad(_OMEGA, L(0), M(0)) - op_from_ad(_OMEGA, L(1), M(1))
-    return (op_from_ad(_OMEGA, L(0), M(-r)) - op_from_ad(_OMEGA, L(r), M(0))).scale(Fraction(1, r))
+        return op_from_ad(OMEGA, L(0), M(0)) - op_from_ad(OMEGA, L(1), M(1))
+    return (op_from_ad(OMEGA, L(0), M(-r)) - op_from_ad(OMEGA, L(r), M(0))).scale(Fraction(1, r))
 
 
 def gen_x(r: int) -> Operator:
     if r == 0:
-        return op_from_ad(_OMEGA, L(1), L(-1)).scale(Fraction(1, 2))
-    return op_from_ad(_OMEGA, L(r), L(0)).scale(Fraction(1, r))
+        return op_from_ad(OMEGA, L(1), L(-1)).scale(Fraction(1, 2))
+    return op_from_ad(OMEGA, L(r), L(0)).scale(Fraction(1, r))
 
 
 def gen_z(r: int) -> Operator:
     if r == 0:
-        return op_from_ad(_OMEGA, M(1), M(-1)).scale(Fraction(1, 2))
-    return op_from_ad(_OMEGA, M(-r), M(0)).scale(Fraction(-1, r))
+        return op_from_ad(OMEGA, M(1), M(-1)).scale(Fraction(1, 2))
+    return op_from_ad(OMEGA, M(-r), M(0)).scale(Fraction(-1, r))
 
 
 GENERATORS = {"p": gen_p, "q": gen_q, "x": gen_x, "z": gen_z}

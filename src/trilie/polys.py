@@ -11,8 +11,8 @@ rationals), so structural equality is decidable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from typing import Optional, Union
+from math import comb, lcm
+from typing import Optional, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -40,6 +40,24 @@ def add_into(out: dict, pairs) -> dict:
             out[key] = s.numerator
         else:
             out[key] = s
+    return out
+
+
+def integral(terms: dict) -> Tuple[int, dict]:
+    """(D, {key: c*D}): the lcm D of the denominators of the rational
+    values of ``terms`` and the values scaled by it, all ints."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    return den, {k: c * den if type(c) is int else c.numerator * (den // c.denominator) for k, c in terms.items()}
+
+
+def divided(acc: dict, den: int) -> dict:
+    """{key: n/den} over the nonzero entries n of the int map ``acc``: an
+    int where den divides n, a Fraction otherwise."""
+    out = {}
+    for key, n in acc.items():
+        if n:
+            q, r = divmod(n, den)
+            out[key] = Fraction(n, den) if r else q
     return out
 
 

@@ -9,7 +9,7 @@ import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import RATIONALS, ROW_MUTATIONS, mutated_rows, nonzero_elements
+from conftest import ROW_MUTATIONS, mutated_rows, nonzero_elements
 from oracles import DETERMINANT, BracketPreconditionError, FromFunctionalBracket, certify_from_functional
 from trilie import (
     OMEGA,

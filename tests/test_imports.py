@@ -1,11 +1,14 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module, test module or script imports is used in
+that module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(p for p in (Path(__file__).parent.parent / "src" / "trilie").glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted(p for p in (ROOT / "src" / "trilie").glob("*.py") if p.name != "__init__.py")
+SOURCES += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:

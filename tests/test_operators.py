@@ -21,6 +21,7 @@ from trilie import (
     window_basis,
 )
 from trilie import operators, relations
+from trilie.cli import run_command
 from trilie.linalg import SpanSolver
 from trilie.operators import (
     GENERATORS,
@@ -320,6 +321,18 @@ def test_table_and_sl2_fail_under_a_sign_flipped_q(monkeypatch):
     assert rep.status == "fail"
     assert "row_qq" not in rep.stats and rep.stats["corrections"] > 0
     assert verify_sl2_laurent(2).status == "fail"
+
+
+def test_table_5_1_degree_check_fails_under_a_raised_p(monkeypatch):
+    def raised_p(r):  # every channel's coefficient degree raised by one
+        return Operator({key[:7] + (key[7] + 1,): c for key, c in gen_p(r).terms.items()})
+
+    monkeypatch.setitem(GENERATORS, "p", raised_p)
+    text = "[p_-2, p_-1] has coefficient degree > 1 after cancellation"
+    rep = verify_table_5_1(2)
+    assert rep.status == "fail" and text in rep.counterexamples
+    code, out = run_command(["verify", "table-5-1", "--window=-2..2"])
+    assert code == 1 and f"counterexample: {text}\n" in out
 
 
 def test_section3_fails_under_a_broken_ad_x(monkeypatch):

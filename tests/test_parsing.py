@@ -2,7 +2,9 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import RATIONALS, polys
 from trilie import Element, L, M, parse_beta, parse_element
 from trilie.elements import ConstantFunctional, FiniteSupportFunctional, PolynomialFunctional
 from trilie.nambu import SymFunction
@@ -36,10 +38,15 @@ def test_parse_poly():
 
 
 def test_parse_beta():
-    assert isinstance(parse_beta("const:1"), ConstantFunctional)
-    assert type(parse_beta("const:1").value) is int
-    assert parse_beta("const:4/2") == ConstantFunctional(2)
-    assert parse_beta("const:-1/2").value == Fraction(-1, 2)
+    one = parse_beta("const:1")
+    assert isinstance(one, PolynomialFunctional) and one.poly.degree == 0
+    assert one == ConstantFunctional(1)
+    assert type(one.beta(3)) is int
+    two = parse_beta("const:4/2")
+    assert two == ConstantFunctional(2) and type(two.beta(-1)) is int
+    assert parse_beta("const:-1/2").beta(5) == Fraction(-1, 2)
+    assert parse_beta("poly:2") == ConstantFunctional(2)
+    assert parse_beta("poly:2").describe() == "const:2"
     poly = parse_beta("poly:t^2+1")
     assert isinstance(poly, PolynomialFunctional)
     assert poly.beta(2) == 5
@@ -51,6 +58,20 @@ def test_parse_beta():
         parse_beta("wat:1")
     with pytest.raises(ValueError):
         parse_beta("const")
+
+
+WEIGHTS = st.one_of(
+    RATIONALS.filter(bool).map(ConstantFunctional),
+    polys().filter(bool).map(PolynomialFunctional),
+    st.dictionaries(st.integers(-5, 5), RATIONALS, min_size=1)
+    .filter(lambda values: any(values.values()))
+    .map(FiniteSupportFunctional),
+)
+
+
+@given(WEIGHTS)
+def test_parse_beta_inverts_describe(f):
+    assert parse_beta(f.describe()) == f
 
 
 # the printed form of each carrier: zero, unit coefficients, constant terms,
