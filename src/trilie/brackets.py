@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations, groupby, product, starmap
 from math import lcm
 from operator import itemgetter, mul, neg
@@ -747,6 +747,17 @@ def _representatives(symmetries, n: int) -> list:
     return reps
 
 
+def _index_triples(n: int, orbits: bool):
+    """(i, j, the range of l) over every triple of range(n) in lexicographic
+    order, or with ``orbits`` over the strictly increasing ones: those are
+    ``_representatives(PERMUTATIONS, n)``, one per orbit of the six
+    permutations, since a triple with a repeated index is fixed by an odd
+    transposition."""
+    for i in range(n):
+        for j in range(i + 1, n - 1) if orbits else range(n):
+            yield i, j, range(j + 1, n) if orbits else range(n)
+
+
 def check_nested_identities(
     rep: VerdictReport, spec: TriBracketSpec, window: Window, samples: int, seed: int, checks
 ) -> None:
@@ -781,6 +792,10 @@ def check_nested_identities(
             for a in _representatives(_symmetries(identity), n)
         )
     )
+
+    def basis_text(message: str, slots) -> str:
+        return message.format(*(basis[i] for i in slots))
+
     for a in () if decided else product(range(n), repeat=3):
         failing = []
         for pos, terms in enumerate(identities):
@@ -788,8 +803,7 @@ def check_nested_identities(
             if row:
                 failing += ((lane, pos) for lane, v in enumerate(_unpack(row, w, n * n)) if v)
         for lane, pos in sorted(failing):
-            slots = (*a, *divmod(lane, n))
-            rep.record_failure(checks[pos][1].format(*(basis[i] for i in slots)))
+            rep.record_failure(partial(basis_text, checks[pos][1], (*a, *divmod(lane, n))))
     rep.stats["basis_tuples"] = n**5
     rng = random.Random(seed)
     for _ in range(samples):
@@ -843,6 +857,22 @@ def check_constructor_agreement(
     of the closed-form kernel's ``rule_table`` times F*P or R^3, and only a
     counterexample divides the route back into an Element to print the two
     values.
+
+    Both sides of both agreements are alternating when what the check reads
+    makes them so, and then agreement on the strictly increasing triples
+    decides all n**3: a permutation multiplies every side by its sign, and
+    a triple with a repeated vector is zero on every side.  That holds when
+    (1) both kernels' rules are totally antisymmetric (``_antisymmetric``),
+    so a permuted table entry is the signed entry and a repeated vector
+    gives 0; (2) the certified Lie-pair table is antisymmetric, its
+    diagonal empty, so the functional route is alternating; and (3) the
+    product is commutative on the keys the rows hold.  With (3) the
+    determinant is alternating in its rows, because the product is also
+    associative: ``Element._product_key`` adds the indices of one family
+    and gives zero across families, and each row term is one key times an
+    int.  All three are checked first; if one fails, or a representative
+    disagrees, every triple is compared in lexicographic order, so the
+    failures are the full sweep's.
     """
     rep = VerdictReport(
         "constructor-agreement",
@@ -856,7 +886,8 @@ def check_constructor_agreement(
         return rep
     basis = window_basis(window)
     n = len(basis)
-    fk_table, omega_table = (rule_table(closed_triple_fn(spec), (basis,) * 3) for spec in (FKBracket(k, f), OMEGA))
+    kernels = [closed_triple_fn(spec) for spec in (FKBracket(k, f), OMEGA)]
+    fk_table, omega_table = (rule_table(kernel, (basis,) * 3) for kernel in kernels)
     units = [Element({bv: 1}) for bv in basis]
     weights = [functional_eval(f, u) for u in units]
     rows = [(omega(u), u, delta(u)) for u in units]
@@ -870,39 +901,51 @@ def check_constructor_agreement(
     row_terms = [[(b, pos, c) for pos, x in enumerate(row) for b, c in x.terms.items()] for row in rows]
     product_key = lru_cache(maxsize=None)(Element._product_key)
 
-    def compare(name: str, acc: dict, table, scale: int, x: int) -> None:
-        """Record a failure unless the int accumulator, zeros aside, is entry
-        x of the table times scale."""
-        coef, out = table[0][x], table[1][x]
-        live = {key: c for key, c in acc.items() if c}
-        if live != ({} if out is None else {out: coef * scale}):
-            value = Element(divided(live, scale))
-            rep.record_failure(
-                f"{name} route {value} != closed form {_kernel_element(coef, out)} "
-                f"on [{units[x // n // n]},{units[x // n % n]},{units[x % n]}]"
-            )
+    def agrees(acc: dict, table, scale: int, x: int) -> bool:
+        """Whether the int accumulator, zeros aside, is entry x of the table times scale."""
+        out = table[1][x]
+        return {key: c for key, c in acc.items() if c} == ({} if out is None else {out: table[0][x] * scale})
 
-    slots = list(enumerate(zip(weights, rows)))
-    for i, (f1, row1) in slots:
-        for j, (f2, row2) in slots:
-            cofactors = [tuple(c.terms.items()) for c in permutation_cofactors(row1, row2, Element())]
-            for l, (f3, _) in slots:
+    def failures(orbits: bool):
+        """(route name, accumulator, table, scale, entry) of each disagreement
+        on ``_index_triples(n, orbits)``, the functional route first."""
+        for i, j, ls in _index_triples(n, orbits):
+            cofactors = [tuple(c.terms.items()) for c in permutation_cofactors(rows[i], rows[j], Element())]
+            f1, f2 = weights[i], weights[j]
+            for l in ls:
                 x = (i * n + j) * n + l
                 route = {}
-                for weight, terms in ((f1, lie[j][l]), (f2, lie[l][i]), (f3, lie[i][j])):
+                for weight, terms in ((f1, lie[j][l]), (f2, lie[l][i]), (weights[l], lie[i][j])):
                     if weight:
                         for bv, c in terms:
                             route[bv] = route.get(bv, 0) + weight * c
-                if route or fk_table[1][x]:
-                    compare("functional", route, fk_table, fk_scale, x)
+                if (route or fk_table[1][x]) and not agrees(route, fk_table, fk_scale, x):
+                    yield "functional", route, fk_table, fk_scale, x
                 det = {}
                 for b, pos, c in row_terms[l]:
                     for a, ca in cofactors[pos]:
                         key = product_key(a, b)
                         if key is not None:
                             det[key] = det.get(key, 0) + ca * c
-                if det or omega_table[1][x]:
-                    compare("determinant", det, omega_table, omega_scale, x)
+                if (det or omega_table[1][x]) and not agrees(det, omega_table, omega_scale, x):
+                    yield "determinant", det, omega_table, omega_scale, x
+
+    def text(name: str, acc: dict, table, scale: int, x: int) -> str:
+        value = Element(divided({key: c for key, c in acc.items() if c}, scale))
+        return (
+            f"{name} route {value} != closed form {_kernel_element(table[0][x], table[1][x])} "
+            f"on [{units[x // n // n]},{units[x // n % n]},{units[x % n]}]"
+        )
+
+    keys = {b for terms in row_terms for b, _, _ in terms}
+    decided = (
+        all(hasattr(kernel, "rules") and _antisymmetric(kernel.rules[0], kernel.rules[2]) for kernel in kernels)
+        and all(pairs[i][j] == -pairs[j][i] for i in range(n) for j in range(i, n))
+        and all(product_key(a, b) == product_key(b, a) for a, b in combinations(keys, 2))
+        and not any(failures(True))
+    )
+    for failure in () if decided else failures(False):
+        rep.record_failure(partial(text, *failure))
     rep.stats["triples"] = n**3
     rep.note("functional route uses the Lie bracket induced by d_k, as in the source proof")
     return rep

@@ -11,7 +11,7 @@ paper's printed form where it differs, and the failure and flag texts.
 RelationSweep.run visits each group's pairs (a, b) over two index ranges,
 the first outer, takes the first case whose stratum holds, builds the
 left side once, compares it with the check's own equality, decomposes it
-only on a mismatch to write the failure text, counts hits per case and
+only to write a mismatch text the report keeps, counts hits per case and
 mismatches per group, and flags each printed form's first disagreement
 with the oracle.
 
@@ -158,6 +158,16 @@ class RelationSweep:
             extra = self.explain(combo, fields)
         return text.format(**fields, **extra)
 
+    def _mismatch(self, group: RelationGroup, case: Case, r: int, s: int, a: int, b: int, lhs: Operator) -> str:
+        """The failure text of a left side at (a, b) that disagrees with its
+        case: the decomposition's text, or the off-span text when it has none."""
+        if not group.off_span or group.span_first:
+            return self._text(case.fail, group, case, r, s)
+        combo = self.decompose(group, a, b)
+        if combo is None:
+            return self._text(group.off_span, group, case, r, s, lhs=lhs)
+        return self._text(case.fail, group, case, r, s, combo)
+
     def run(self, sweep: Sequence[tuple], interleave: bool = False) -> Tuple[List[List[int]], List[int]]:
         """Check the (group, outer range, inner range) entries in order, or
         pair by pair across entries of one domain with ``interleave``;
@@ -208,12 +218,7 @@ class RelationSweep:
                     agrees = ops_equal(scaled, Operator(want), self.functional, self.window)[0]
             if not agrees:
                 misses[g] += 1
-                decomposed = group.off_span and not group.span_first
-                combo = self.decompose(group, a, b) if decomposed else None
-                if decomposed and combo is None:
-                    fail(self._text(group.off_span, group, case, r, s, lhs=lhs))
-                else:
-                    fail(self._text(case.fail, group, case, r, s, combo))
+                fail(partial(self._mismatch, group, case, r, s, a, b, lhs))
             if case.printed and (g, c) not in flagged:
                 scale, coef = case.printed
                 p0 = self._value(scale, r, s)

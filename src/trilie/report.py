@@ -20,6 +20,7 @@ CLI reports it with exit status 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Union
 
 PASS = "pass"
 FAIL = "fail"
@@ -75,10 +76,13 @@ class VerdictReport:
 
     MAX_COUNTEREXAMPLES = 8
 
-    def record_failure(self, description: str) -> None:
+    def record_failure(self, description: Union[str, Callable[[], str]]) -> None:
+        """Fail, and keep the counterexample while fewer than
+        MAX_COUNTEREXAMPLES are kept; a callable description is called only
+        then, so a check can leave the texts it would drop unwritten."""
         self.status = FAIL
         if len(self.counterexamples) < self.MAX_COUNTEREXAMPLES:
-            self.counterexamples.append(description)
+            self.counterexamples.append(description() if callable(description) else description)
 
     def flag(self, note: str) -> None:
         if self.status != FAIL:

@@ -12,7 +12,11 @@ the reference for the integer kernel of ``trilie.operators``.
 ``DensePoly`` is the polynomial as an ascending coefficient tuple, the
 reference for the sparse ``trilie.polys.Poly``.  ``check_realization`` and
 ``check_constructor_agreement`` build both sides of every basis triple as
-SymFunctions or Elements, the reference for the tabulated checks.
+SymFunctions or Elements, the reference for the tabulated checks.  They
+compare all n**3 triples with no symmetry assumed, so they are the
+full-sweep oracles of ``nambu.check_realization`` and
+``brackets.check_constructor_agreement``, which decide every triple from
+the strictly increasing ones when both sides are alternating.
 ``FromFunctionalBracket`` and ``DETERMINANT`` are the paper's two general
 constructions as bracket specs, evaluated on elements by ``tri_bracket``
 here, which hands ``omega`` and ``fk`` to the package's; they read

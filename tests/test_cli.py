@@ -9,10 +9,11 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import RATIONALS, ROW_MUTATIONS, elements, mutated_rows, polys
-from trilie import analysis, cli
+from conftest import RATIONALS, ROW_MUTATIONS, doubled_x_channel, elements, mutated_rows, polys, sign_flipped_q
+from trilie import analysis, cli, relations
 from trilie.brackets import closed_triple_fn
 from trilie.cli import CHECKS, main
+from trilie.operators import GENERATORS
 from trilie.parsing import MAX_EXPONENT
 from trilie.report import VerdictReport
 
@@ -188,6 +189,22 @@ def test_grammar_fuzz_keeps_the_exit_contract(flag, body):
         assert re.fullmatch(r"trilie: [^\n]*\n", text), text
 
 
+def _assert_exit_contract(code, out, err):
+    """Exit 0, 1 or 2, never a traceback; 2 with one ``trilie:`` line and no
+    report, otherwise 1 exactly when a report failed, each failing report
+    with a counterexample."""
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert re.fullmatch(r"trilie: [^\n]*\n", err), err
+        return
+    assert err == ""
+    failing = [rep for rep in json.loads(out)["reports"] if rep["status"] == "fail"]
+    assert (code == 1) == bool(failing)
+    assert all(rep["counterexamples"] for rep in failing)
+
+
 @settings(max_examples=25)
 @given(
     check=st.sampled_from(("anticommutativity", "fundamental-identity", "module-axioms")),
@@ -208,16 +225,7 @@ def test_sweep_fuzz_keeps_the_exit_contract(check, bracket, k, beta, lo, size, s
     out, err = io.StringIO(), io.StringIO()
     with mutated_rows(mutation), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*argv, "--format", "json"])
-    assert code in (0, 1, 2), (code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
-    if code == 2:
-        assert out.getvalue() == ""
-        assert re.fullmatch(r"trilie: [^\n]*\n", err.getvalue()), err.getvalue()
-        return
-    assert err.getvalue() == ""
-    failing = [rep for rep in json.loads(out.getvalue())["reports"] if rep["status"] == "fail"]
-    assert (code == 1) == bool(failing)
-    assert all(rep["counterexamples"] for rep in failing)
+    _assert_exit_contract(code, out.getvalue(), err.getvalue())
 
 
 @settings(max_examples=25)
@@ -242,15 +250,40 @@ def test_table_check_fuzz_keeps_the_exit_contract(check, bracket, k, beta, lo, s
     out, err = io.StringIO(), io.StringIO()
     with mutated_rows(mutation), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*argv, "--format", "json"])
-    assert code in (0, 1, 2), (code, err.getvalue())
-    if code == 2:
-        assert out.getvalue() == ""
-        assert re.fullmatch(r"trilie: [^\n]*\n", err.getvalue()), err.getvalue()
-        return
-    assert err.getvalue() == ""
-    failing = [rep for rep in json.loads(out.getvalue())["reports"] if rep["status"] == "fail"]
-    assert (code == 1) == bool(failing)
-    assert all(rep["counterexamples"] for rep in failing)
+    _assert_exit_contract(code, out.getvalue(), err.getvalue())
+
+
+GENERATOR_MUTATIONS = {
+    "intact": lambda m: None,
+    "sign_flipped_q": lambda m: m.setitem(GENERATORS, "q", sign_flipped_q),
+    "doubled_x_channel": lambda m: m.setattr(relations, "ad_x", doubled_x_channel(relations.ad_x)),
+}
+
+
+@settings(max_examples=100)
+@given(
+    check=st.sampled_from(
+        ("table-5-1", "sl2-laurent", "section3-structure", "witt-module", "basis-independence", "natural-module")
+    ),
+    bracket=st.sampled_from(("omega", "fk")),
+    k=st.integers(-3, 3),
+    s0=st.integers(-3, 3),
+    beta=st.sampled_from(("const:1", "const:1/2", "support:0=1,2=-1/3", "poly:1/2*t^2-1")),
+    lo=st.integers(-4, 4),
+    size=st.integers(1, 4),
+    mutation=st.sampled_from(sorted(GENERATOR_MUTATIONS)),
+)
+def test_operator_check_fuzz_keeps_the_exit_contract(check, bracket, k, s0, beta, lo, size, mutation):
+    """The operator checks on drawn options, windows of one to four indices
+    in -4..4 and intact or broken generators: exit 0, 1 or 2, never a
+    traceback, and 1 only with a counterexample in the report."""
+    window = f"--window={lo}..{min(lo + size - 1, 4)}"
+    argv = ["verify", check, "--bracket", bracket, f"--k={k}", f"--s0={s0}", f"--beta={beta}", window]
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as m, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        GENERATOR_MUTATIONS[mutation](m)
+        code = main([*argv, "--format", "json"])
+    _assert_exit_contract(code, out.getvalue(), err.getvalue())
 
 
 def test_weight_exponents_stop_at_the_cap(capsys):

@@ -7,14 +7,16 @@ failing triple counts."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import oracles
+from conftest import ROW_MUTATIONS
 from trilie import OMEGA, BasisVector, Element, FKBracket, FKRealization, L, M, OmegaRealization, SymFunction, analysis, brackets, nambu, parse_beta
 from trilie.analysis import cartan_normalizer_check, fk_cartan_pairs, omega_cartan_pairs, weight_decompose
 from trilie.cli import main
-from trilie.brackets import check_constructor_agreement
+from trilie.brackets import PERMUTATIONS, _antisymmetric, _representatives, check_constructor_agreement
 from trilie.nambu import check_realization
 from trilie.report import VerdictReport, Window
 
@@ -298,3 +300,154 @@ def test_passing_table_checks_call_no_kernel(monkeypatch):
     for spec, in_cartan, gens, name in _cartans(f):
         cartan_normalizer_check(spec, WINDOW, in_cartan, gens, name)
     assert calls == []
+
+
+# -- the orbit route of the realization and constructor-agreement checks ----
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """The sweeps the two checks run, in order: (orbits, the triples
+    ``_index_triples`` enumerates)."""
+    seen = []
+    sweep = brackets._index_triples
+
+    def spy(n, orbits):
+        triples = []
+        seen.append((orbits, triples))
+        for i, j, ls in sweep(n, orbits):
+            triples.extend((i, j, l) for l in ls)
+            yield i, j, ls
+
+    monkeypatch.setattr(brackets, "_index_triples", spy)
+    monkeypatch.setattr(nambu, "_index_triples", spy)
+    return seen
+
+
+def _orbit_checks(window, k, f):
+    """(check, oracle, its arguments, the brackets it reads) of the omega
+    map, the fk map and the constructors."""
+    yield check_realization, oracles.check_realization, (OmegaRealization(), window), [OMEGA]
+    yield check_realization, oracles.check_realization, (FKRealization(k, f), window), [FKBracket(k, f)]
+    yield check_constructor_agreement, oracles.check_constructor_agreement, (window, k, f), [FKBracket(k, f), OMEGA]
+
+
+def _n(window):
+    return 2 * len(window.indices())
+
+
+def _full(window):
+    return (False, list(product(range(_n(window)), repeat=3)))
+
+
+ORBIT_WINDOWS = (Window(0, 0), Window(2, 2), Window(-3, 1))
+
+
+@pytest.mark.parametrize("window", ORBIT_WINDOWS, ids=str)
+@pytest.mark.parametrize("weight", ("const:1/2", "support:0=1,2=-1/3", "poly:t^2+1"))
+def test_the_orbit_route_decides_as_the_oracle(routes, weight, window):
+    """Intact rules: each check compares only the strictly increasing
+    triples, ``_representatives(PERMUTATIONS, n)``, and its report is the
+    per-triple oracle's."""
+    reps = _representatives(PERMUTATIONS, _n(window))
+    for k in range(-2, 3):
+        for check, oracle, args, _ in _orbit_checks(window, k, parse_beta(weight)):
+            routes.clear()
+            _assert_same(check(*args), oracle(*args))
+            assert routes == [(True, reps)], (check.__name__, args)
+
+
+@pytest.mark.parametrize("mutation", sorted(ROW_MUTATIONS))
+def test_every_row_mutation_gives_the_oracle_report(routes, patch_row, monkeypatch, mutation):
+    """Every failure is the oracle's, in its order.  Rules that are not
+    antisymmetric take the full sweep at once; antisymmetric ones take it
+    after a disagreeing representative, or are decided on the orbits."""
+    monkeypatch.setattr(VerdictReport, "MAX_COUNTEREXAMPLES", 10**6)
+    if ROW_MUTATIONS[mutation] is not None:
+        bracket, i, fields = ROW_MUTATIONS[mutation]
+        patch_row(bracket, i, **fields)
+    window = Window(-2, 1)
+    statuses = []
+    for check, oracle, args, specs in _orbit_checks(window, 1, parse_beta("const:1/2")):
+        routes.clear()
+        rep = check(*args)
+        _assert_same(rep, oracle(*args))
+        statuses.append(rep.status)
+        if not all(_antisymmetric(*brackets.closed_triple_fn(spec).rules[::2]) for spec in specs):
+            assert routes == [_full(window)]
+        elif rep.status == "fail":
+            assert len(routes) == 2 and routes[0][0] and routes[1] == _full(window)
+        else:
+            assert routes == [(True, _representatives(PERMUTATIONS, _n(window)))]
+    if mutation == "intact":
+        assert statuses == ["pass", "flagged", "pass"]
+    else:
+        assert "fail" in statuses
+
+
+def test_a_kernel_without_rules_takes_the_full_sweep(routes, monkeypatch):
+    closed = brackets.closed_triple_fn
+
+    def plain(spec):
+        kernel = closed(spec)
+        return lambda a, b, c: kernel(a, b, c)
+
+    for module in (brackets, nambu):
+        monkeypatch.setattr(module, "closed_triple_fn", plain)
+    window = Window(-2, 1)
+    for check, oracle, args, _ in _orbit_checks(window, 1, parse_beta("support:0=1,2=-1/3")):
+        routes.clear()
+        _assert_same(check(*args), oracle(*args))
+        assert routes == [_full(window)], check.__name__
+
+
+def test_rules_off_antisymmetry_take_the_full_sweep(routes, patch_row, monkeypatch):
+    """Both brackets with the sign of their (L, M, L) rule flipped: every
+    strictly increasing triple has a sorted family pattern and still agrees,
+    so only the full sweep finds the failures."""
+    monkeypatch.setattr(VerdictReport, "MAX_COUNTEREXAMPLES", 10**6)
+    for name in ("omega", "fk"):
+        rules = dict(brackets.RULES[name])
+        family, index, coef, t = rules["L", "M", "L"]
+        rules["L", "M", "L"] = family, index, tuple(-c for c in coef), t
+        monkeypatch.setitem(brackets.RULES, name, rules)
+    brackets.closed_triple_fn.cache_clear()  # patch_row clears it again on teardown
+    window = Window(-2, 1)
+    for check, oracle, args, _ in _orbit_checks(window, 1, parse_beta("poly:t^2+1")):
+        routes.clear()
+        rep = check(*args)
+        assert rep.status == "fail"
+        assert routes == [_full(window)]
+        _assert_same(rep, oracle(*args))
+
+
+def test_a_lie_table_off_antisymmetry_takes_the_full_sweep(routes, monkeypatch):
+    """[u, v] = d_k(u) v: f still vanishes on it, so the certificate passes,
+    but the functional route is no longer alternating."""
+    monkeypatch.setattr(VerdictReport, "MAX_COUNTEREXAMPLES", 10**6)
+    monkeypatch.setattr(brackets, "lie_bracket", lambda lie, u, v: brackets.d_k(lie.k, u) * v)
+    window, f = Window(-2, 1), parse_beta("const:1/2")
+    rep = check_constructor_agreement(window, 1, f)
+    assert rep.status == "fail"
+    assert routes == [_full(window)]
+    _assert_same(rep, oracles.check_constructor_agreement(window, 1, f))
+
+
+def test_a_non_commutative_product_takes_the_full_sweep(routes, monkeypatch):
+    """M_a M_b = M_a is associative but not commutative, so the determinant
+    is not alternating; the Lie pairs multiply no two M vectors and stay
+    antisymmetric.  The report is the one the full sweep gives when the
+    orbit route is refused outright."""
+    monkeypatch.setattr(VerdictReport, "MAX_COUNTEREXAMPLES", 10**6)
+    product_key = Element._product_key
+
+    def left_on_m(a, b):
+        return a if a.family == b.family == "M" else product_key(a, b)
+
+    monkeypatch.setattr(Element, "_product_key", staticmethod(left_on_m))
+    window, f = Window(-2, 1), parse_beta("const:1/2")
+    rep = check_constructor_agreement(window, 1, f)
+    assert rep.status == "fail"
+    assert routes == [_full(window)]
+    monkeypatch.setattr(brackets, "_antisymmetric", lambda rules, weight: False)
+    _assert_same(rep, check_constructor_agreement(window, 1, f))
