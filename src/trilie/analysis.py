@@ -28,6 +28,7 @@ from .brackets import (
     OMEGA,
     OmegaBracket,
     TriBracketSpec,
+    bracket_rules,
     check_nested_identities,
     closed_triple_fn,
     rule_table,
@@ -272,9 +273,8 @@ class ClosureTable:
     Bit p of a mask stands for ``window_basis(window)[p]``, whose unit
     Element is ``units[p]``.  The rows are made on first use, so the
     closures of one check call share them and nothing outlives that call.
-    A kernel of ``rule_kernel`` carries its rules, and the rows are built
-    from them block by block (``_blocks``), with no kernel call; for any
-    other kernel ``entry`` maps the outputs of its ``rule_table`` to bits:
+    The rows are built block by block from the bracket's product rules
+    (``_blocks``), with no kernel call:
 
     * ``entry[(a*n + b)*n + c]``: the output bit of [a, b, c], 0 for a zero
       bracket, ``ESCAPE[family]`` for an output outside the window;
@@ -292,25 +292,8 @@ class ClosureTable:
 
     @cached_property
     def rows(self):
-        basis, bit = self.basis, self.bit
-        n = len(basis)
-        kernel = closed_triple_fn(self.spec)
-        rules = getattr(kernel, "rules", None)
-        if rules is not None:
-            entry, pair, pair_escapes = self._blocks(*rules)
-        else:
-            outs = rule_table(kernel, (basis,) * 3)[1]
-            entry = [0 if out is None else bit.get(out) or ESCAPE[out[0]] for out in outs]
-            pair, pair_escapes = [], []
-            for start in range(0, len(entry), n):
-                mask = escapes = 0
-                for out in entry[start : start + n]:
-                    if out > 0:
-                        mask |= out
-                    elif out:
-                        escapes += 1
-                pair.append(mask)
-                pair_escapes.append(escapes)
+        n = len(self.basis)
+        entry, pair, pair_escapes = self._blocks(*bracket_rules(self.spec))
         single, single_escapes = [], []
         for start in range(0, len(pair), n):
             single.append(reduce(or_, pair[start : start + n], 0))

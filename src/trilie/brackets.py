@@ -31,7 +31,7 @@ from functools import lru_cache, partial
 from itertools import chain, combinations, groupby, product, starmap
 from math import lcm
 from operator import itemgetter, mul, neg
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .elements import (
     FAMILY_L,
@@ -121,6 +121,13 @@ def lie_bracket(spec: LieBracketSpec, u: Element, v: Element) -> Element:
     if isinstance(spec, FixedThird):
         return tri_bracket(OMEGA, u, v, Element.basis(spec.family, spec.k))
     raise TypeError(f"unknown Lie bracket spec {spec!r}")
+
+
+def _lie_pairs(spec: LieBracketSpec, basis: Sequence[BasisVector]) -> List[List[Element]]:
+    """The Lie bracket on the unit Elements of ``basis``: entry [i][j] is
+    [basis[i], basis[j]]."""
+    units = [Element({bv: 1}) for bv in basis]
+    return [[lie_bracket(spec, u, v) for v in units] for u in units]
 
 
 # -- the product rows and their basis kernels ------------------------------
@@ -353,8 +360,7 @@ def _certify_with_pairs(lie: LieBracketSpec, f: FunctionalSpec, window: Window):
         {"lie": lie.describe(), "beta": f.describe(), "window": str(window)},
     )
     basis = window_basis(window)
-    units = [Element({bv: 1}) for bv in basis]
-    pairs = [[lie_bracket(lie, u, v) for v in units] for u in units]
+    pairs = _lie_pairs(lie, basis)
     for b1, row in zip(basis, pairs):
         for b2, value in zip(basis, row):
             val = functional_eval(f, value)
@@ -964,9 +970,8 @@ def center_window(spec: LieBracketSpec, window: Window):
     rep = VerdictReport("center", {"lie": spec.describe(), "window": str(window)})
     unknowns = list(window_basis(window))
     eq_rows = {}  # one equation per (bprime, output coordinate)
-    for b in unknowns:
-        for bprime in unknowns:
-            res = lie_bracket(spec, Element({b: 1}), Element({bprime: 1}))
+    for b, row in zip(unknowns, _lie_pairs(spec, unknowns)):
+        for bprime, res in zip(unknowns, row):
             for out_bv, c in res.terms.items():
                 eq_rows.setdefault((bprime, out_bv), {})[b] = c
     kernel = null_space(list(eq_rows.values()), unknowns)

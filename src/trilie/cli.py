@@ -53,16 +53,16 @@ INTERNAL_ERROR = 3
 
 @dataclass
 class RunConfig:
-    bracket: str = "omega"
-    k: int = 1
-    beta: FunctionalSpec = None
-    window: Window = None
-    samples: int = 20
-    seed: int = 0
-    depth: int = 8
-    s0: int = 0
-    fmt: str = "text"
-    seed_element: Optional[Element] = None
+    bracket: str
+    k: int
+    beta: FunctionalSpec
+    window: Window
+    samples: int
+    seed: int
+    depth: int
+    s0: int
+    fmt: str
+    seed_element: Optional[Element]
 
     def tri_spec(self):
         if self.bracket == "omega":

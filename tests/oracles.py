@@ -29,7 +29,9 @@ references for the pivot-lookup solver and for the table-read basis
 lines.  ``weight_decompose`` and ``cartan_normalizer_check`` bracket
 through ``_ad`` closures (the products of two elements' terms, applied to
 a third element by one kernel call per term), the reference for the
-package's ``rule_table`` reads.
+package's ``rule_table`` reads.  ``closure_rows`` reads the kernel once per
+window basis triple, the reference for the rows ``ClosureTable`` builds
+block by block from the product rules.
 ``lane_failures`` is the basis sweep of the nested identities as it was
 before the lanes were packed into one int: each term's row is a list of
 plain ints, one per lane, summed lane by lane.  ``sweep_tables`` builds the
@@ -538,6 +540,33 @@ def _eager_subspace(window, elements=()):
     for e in elements:
         ws.add(e)
     return ws
+
+
+def closure_rows(spec, window):
+    """``ClosureTable(spec, window).rows`` from one call of the bracket's
+    kernel per basis triple: each entry is its output's bit, 0 for a zero
+    bracket, -1 or -2 for an L or M output outside the window."""
+    basis = window_basis(window)
+    n = len(basis)
+    bit = {bv: 1 << p for p, bv in enumerate(basis)}
+    escape = {FAMILY_L: -1, FAMILY_M: -2}
+    triple = closed_triple_fn(spec)
+    entry = []
+    for a, b, c in product(basis, repeat=3):
+        res = triple(a, b, c)
+        out = None if res is None else BasisVector(*res[1:])
+        entry.append(0 if out is None else bit.get(out, escape[out.family]))
+    pair, pair_escapes = [0] * n**2, [0] * n**2
+    single, single_escapes = [0] * n, [0] * n
+    for abc, e in enumerate(entry):
+        ab, a = abc // n, abc // n**2
+        if e > 0:
+            pair[ab] |= e
+            single[a] |= e
+        elif e:
+            pair_escapes[ab] += 1
+            single_escapes[a] += 1
+    return entry, pair, pair_escapes, single, single_escapes
 
 
 def span_close(spec, seeds, window, mode, depth=DEFAULT_DEPTH):

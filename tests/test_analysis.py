@@ -485,86 +485,12 @@ def test_bitmask_closure_rejects_seeds_outside_the_window():
         span_close(ClosureTable(OMEGA, Window(-2, 2)), [L(5)], MODE_IDEAL)
 
 
-def _without_lmm(closed_triple_fn):
-    """closed_triple_fn with every product of one L and two Ms dropped."""
-
-    def closed(spec):
-        kernel = closed_triple_fn(spec)
-
-        def triple(a, b, c):
-            if sorted((a[0], b[0], c[0])) == ["L", "M", "M"]:
-                return None
-            return kernel(a, b, c)
-
-        return triple
-
-    return closed
-
-
-def test_simplicity_evidence_fails_on_broken_kernel(monkeypatch):
-    w = Window(-3, 3)
-    assert ideal_closure_reaches_all(ClosureTable(OMEGA, w)).status == "pass"
-    monkeypatch.setattr(analysis, "closed_triple_fn", _without_lmm(analysis.closed_triple_fn))
-    rep = ideal_closure_reaches_all(ClosureTable(OMEGA, w))
-    assert rep.status == "fail"
-    # the M seeds still reach the L family, but no L seed reaches an M line
-    assert "closure of L[-3] stops at dimension 7 < 14" in rep.counterexamples
-
-
-def _counting_kernels(monkeypatch):
-    """Count the kernel calls made through ``analysis.closed_triple_fn``:
-    one entry per kernel it hands out, that is per closure table built."""
-    calls = []
-    closed = analysis.closed_triple_fn
-
-    def counting(spec):
-        kernel, i = closed(spec), len(calls)
-        calls.append(0)
-
-        def triple(a, b, c):
-            calls[i] += 1
-            return kernel(a, b, c)
-
-        return triple
-
-    monkeypatch.setattr(analysis, "closed_triple_fn", counting)
-    return calls
-
-
-def test_each_cli_call_builds_its_own_table(monkeypatch):
-    built = _counting_kernels(monkeypatch)
-    closure = ["analyze", "ideal-closure", "--bracket", "omega", "--window", "-3..3"]
-    assert main(closure) == 0
-    assert built == [14**3]  # one table for all 14 seeds
-    assert main(closure) == 0
-    assert built == [14**3] * 2
-    # ideal-kinds: one table for span{L} and span{M}, shared by their closures
-    assert main(["analyze", "ideal-kinds", "--bracket", "fk", "--window", "-3..3"]) == 0
-    assert built == [14**3] * 3
-
-
-def test_ideal_kinds_reads_the_kernel_once_per_basis_triple(monkeypatch):
-    # escapes are classified from their table entries, not by new kernel calls
-    calls = _counting_kernels(monkeypatch)
-    assert main(["analyze", "ideal-kinds", "--bracket", "fk", "--window", "-3..3"]) == 0
-    assert sum(calls) == 14**3 == 2744
-
-
-def _per_triple_rows(monkeypatch, spec, window):
-    """The rows of a table whose kernel carries no rules, so it reads the
-    kernel once per basis triple."""
-    kernel = closed_triple_fn(spec)
-    with monkeypatch.context() as m:
-        m.setattr(analysis, "closed_triple_fn", lambda spec: lambda a, b, c: kernel(a, b, c))
-        return ClosureTable(spec, window).rows
-
-
 TABLE_WEIGHTS = ("const:1", "const:1/2", "support:0=1,2=-1/3", "poly:t-1")
 TABLE_SPECS = [OMEGA] + [FKBracket(k, parse_beta(b)) for k in range(-3, 4) for b in TABLE_WEIGHTS]
 TABLE_WINDOWS = (Window(-3, 3), Window(-2, 5), Window(1, 4), Window(3, 5))  # beta vanishes on 3..5
 
 @pytest.mark.parametrize("mutation", sorted(ROW_MUTATIONS))
-def test_rule_built_rows_equal_the_per_triple_rows(mutation, monkeypatch, patch_row):
+def test_rule_built_rows_equal_the_per_triple_rows(mutation, patch_row):
     broken = ROW_MUTATIONS[mutation]
     specs = TABLE_SPECS
     if broken is not None:
@@ -574,22 +500,24 @@ def test_rule_built_rows_equal_the_per_triple_rows(mutation, monkeypatch, patch_
     for spec in specs:
         assert closed_triple_fn(spec).rules == bracket_rules(spec)
         for w in TABLE_WINDOWS:
-            assert ClosureTable(spec, w).rows == _per_triple_rows(monkeypatch, spec, w), (spec, w)
+            assert ClosureTable(spec, w).rows == oracles.closure_rows(spec, w), (spec, w)
 
 
 def test_simplicity_evidence_fails_on_a_zeroed_lmm_rule(patch_row):
-    # the same failure as the broken kernel above, reached through the rules
+    w = Window(-3, 3)
+    assert ideal_closure_reaches_all(ClosureTable(OMEGA, w)).status == "pass"
+    # every product of one L and two Ms vanishes
     patch_row("omega", 1, coef=(0, 0, 0))
-    assert hasattr(closed_triple_fn(OMEGA), "rules")
-    rep = ideal_closure_reaches_all(ClosureTable(OMEGA, Window(-3, 3)))
+    rep = ideal_closure_reaches_all(ClosureTable(OMEGA, w))
     assert rep.status == "fail"
+    # the M seeds still reach the L family, but no L seed reaches an M line
     assert "closure of L[-3] stops at dimension 7 < 14" in rep.counterexamples
 
 
 def _counting_rule_tables(monkeypatch):
     """Count the tables built from rules, and the per-triple calls of the
-    kernels ``analysis.closed_triple_fn`` hands out: those kernels keep their
-    rules, so tables take the shipped path."""
+    kernels ``analysis.closed_triple_fn`` hands out.  Those kernels carry no
+    rules, the shape of the benchmark tracer's timing wrapper."""
     built, calls = [], []
     closed, blocks = analysis.closed_triple_fn, ClosureTable._blocks
 
@@ -600,7 +528,6 @@ def _counting_rule_tables(monkeypatch):
             calls.append((a, b, c))
             return kernel(a, b, c)
 
-        triple.rules = kernel.rules
         return triple
 
     def counted_blocks(self, *rules):
@@ -628,4 +555,24 @@ def test_ideal_kinds_builds_one_rule_table_and_calls_no_kernel(monkeypatch):
     built, calls = _counting_rule_tables(monkeypatch)
     assert main(["analyze", "ideal-kinds", "--bracket", "fk", "--window", "-3..3"]) == 0
     assert len(built) == 1
+    assert calls == []
+
+
+def test_a_ruleless_kernel_leaves_every_closure_table_unchanged(monkeypatch, capsys):
+    # closure tables are built from the bracket's rules, not from the kernel
+    # that analysis.closed_triple_fn hands out
+    argvs = [
+        ["analyze", "ideal-closure", "--bracket", "omega", "--window", "-3..3"],
+        ["analyze", "derived-series", "--bracket", "fk", "--window", "-3..3"],
+        ["analyze", "ideal-kinds", "--bracket", "fk", "--window", "-3..3"],
+    ]
+    want = []
+    for argv in argvs:
+        assert main([*argv, "--format", "json"]) == 0
+        want.append(capsys.readouterr().out)
+    built, calls = _counting_rule_tables(monkeypatch)
+    for i, argv in enumerate(argvs):
+        assert main([*argv, "--format", "json"]) == 0
+        assert capsys.readouterr().out == want[i], argv
+        assert len(built) == i + 1
     assert calls == []
