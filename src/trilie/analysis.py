@@ -61,14 +61,14 @@ class WindowSubspace:
         for bv in e.terms:
             if bv.index not in self.window:
                 raise ConfigError(f"{bv} outside window {self.window}")
-        return self.solver.add(dict(e.terms))
+        return self.solver.add(e.terms)
 
     @property
     def dim(self) -> int:
         return self.solver.rank
 
     def contains(self, e: Element) -> bool:
-        return self.solver.contains(dict(e.terms))
+        return self.solver.contains(e.terms)
 
     def basis_elements(self) -> List[Element]:
         return [Element(dict(row)) for row in self.solver.rows]
@@ -419,7 +419,7 @@ def vandermonde_extract(u: Element, r: int, max_power: int) -> Tuple[List[Elemen
         iterates.append(tri_bracket(OMEGA, lr, mr, iterates[-1]))
     solver = SpanSolver()
     for it in iterates:
-        solver.add(dict(it.terms))
+        solver.add(it.terms)
     extracted = []
     for row in solver.rows:
         if len(row) == 1:

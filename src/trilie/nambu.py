@@ -266,7 +266,7 @@ def check_injectivity(rmap: RealizationMap, window: Window) -> VerdictReport:
     solver = SpanSolver()
     basis = window_basis(window)
     for bv in basis:
-        solver.add(dict(rmap.image(bv).terms))
+        solver.add(rmap.image(bv).terms)
     kernel_dim = len(basis) - solver.rank
     rep.stats["window_vectors"] = len(basis)
     rep.stats["image_rank"] = solver.rank

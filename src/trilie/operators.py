@@ -296,10 +296,16 @@ GENERATORS = {"p": gen_p, "q": gen_q, "x": gen_x, "z": gen_z}
 class OperatorFamily:
     """A labelled operator family prebuilt for decomposition.
 
-    Each operator is substituted once (when a functional is given) and
-    its structural channel coordinates are added once to one SpanSolver,
-    so every ``decompose`` is a single exact ``express``.  A check builds
-    the families it needs per call and drops them when it returns.
+    Each operator is substituted once (when a functional is given) and its
+    structural channel coordinates, as ``(0, key)``, are reduced against
+    one SpanSolver.  If a ``(0, key)`` entry is left, the residual is added
+    with a unit entry at the label coordinate ``(1, label)``: the augmented
+    reduction [A | I], so each reduced row carries its combination over the
+    labels, and an operator the family already spans gets no label.  Row
+    pivots are ``(0, key)`` coordinates, but finding one may compare label
+    coordinates, so the labels of a family must be mutually orderable.  A
+    check builds the families it needs per call and drops them when it
+    returns.
     """
 
     __slots__ = ("functional", "_solver")
@@ -314,21 +320,26 @@ class OperatorFamily:
         for lab, op in labelled:
             if functional is not None:
                 op = op.substitute(functional)
-            self._solver.add(op.terms, tag=lab)
+            residual = self._solver.reduce({(0, key): c for key, c in op.terms.items()})
+            if any(side == 0 for side, _ in residual):
+                add_into(residual, [((1, lab), 1)])
+                self._solver.add(residual)
 
     def decompose(self, target: Operator) -> Optional[Dict[object, Rational]]:
         """Express target as an exact combination of the family.
 
         Returns {label: coefficient} without zero entries, or None if the
         target lies outside the span.  Decomposition happens in structural
-        channel coordinates (faithful for polynomial coefficients).
+        channel coordinates (faithful for polynomial coefficients): one
+        ``reduce`` of the target, whose label entries are the negated
+        combination once no ``(0, key)`` entry is left.
         """
         if self.functional is not None:
             target = target.substitute(self.functional)
-        combo = self._solver.express(target.terms)
-        if combo is None:
+        residual = self._solver.reduce({(0, key): c for key, c in target.terms.items()})
+        if any(side == 0 for side, _ in residual):
             return None
-        return {lab: c for lab, c in combo.items() if c}
+        return {lab: -c for (_, lab), c in residual.items()}
 
 
 def decompose(

@@ -27,6 +27,7 @@ from trilie.operators import (
     GENERATORS,
     GeneratorTable,
     Operator,
+    OperatorFamily,
     ad_w,
     ad_x,
     ad_y,
@@ -231,6 +232,42 @@ def test_decompose():
     assert decompose(gen_z(1), basis) is None
 
 
+# three channels of one coordinate each, so a family reads like plain vectors
+X, Y, Z = (
+    Operator({key: 1})
+    for key in (
+        ("L", "L", 1, 0, "p", 0, 0, 0),
+        ("L", "L", 1, 2, "p", 0, 0, 0),
+        ("M", "L", 0, 1, "p", 0, 0, 0),
+    )
+)
+
+
+def test_decompose_reads_the_label_coordinates():
+    family = OperatorFamily([("u", X + Y), ("v", Y + Z)])
+    assert family.decompose(X.scale(2) + Y.scale(3) + Z) == {"u": 2, "v": 1}
+    assert family.decompose(Operator.zero()) == {}
+    outside = Operator({("M", "M", 1, 5, "p", 0, 0, 0): 1})
+    assert family.decompose(outside) is None
+    assert family.decompose(X + Y + outside) is None  # an in-span part does not hide the rest
+
+
+def test_a_dependent_operator_never_gets_a_label():
+    assert OperatorFamily([("u", X + Y)]).decompose(X.scale(2) + Y.scale(2)) == {"u": 2}
+    family = OperatorFamily([("u", X + Y), ("v", Y), ("w", X + Y.scale(5)), ("u2", X + Y)])
+    assert family.decompose(X + Y.scale(3)) == {"u": 1, "v": 2}
+    assert family.decompose(Y) == {"v": 1}
+    assert family.decompose(X + Y.scale(5)) == {"u": 1, "v": 4}
+
+
+def test_decompose_is_exact_with_fractions():
+    family = OperatorFamily([("g", X.scale(Fraction(1, 3)) + Y.scale(Fraction(2, 7)))])
+    combo = family.decompose(X.scale(Fraction(2, 3)) + Y.scale(Fraction(4, 7)))
+    assert combo == {"g": 2} and type(combo["g"]) is int
+    combo = family.decompose(X.scale(Fraction(1, 2)) + Y.scale(Fraction(3, 7)))
+    assert combo == {"g": Fraction(3, 2)}
+
+
 def test_operator_rank_structural():
     rank, mode = operator_rank([gen_p(0), gen_q(0), gen_p(0) + gen_q(0)])
     assert (rank, mode) == (2, "structural")
@@ -345,12 +382,12 @@ def test_section3_builds_one_x_family_per_call(monkeypatch):
     solvers, refs = [], []
     add = SpanSolver.add
 
-    def counting(self, vec, tag=None):
+    def counting(self, vec):
         if not hasattr(self, "serial"):
             self.serial = len(refs)
             refs.append(weakref.ref(self))
         solvers.append(self.serial)
-        return add(self, vec, tag)
+        return add(self, vec)
 
     monkeypatch.setattr(SpanSolver, "add", counting)
     window, k = Window(-3, 3), 0

@@ -25,7 +25,6 @@ from trilie import (
 )
 from trilie.brackets import FUNDAMENTAL_IDENTITY, identity_residual
 from trilie.nambu import FKRealization, OmegaRealization, nambu_bracket, partial, realize
-from trilie.linalg import SpanSolver
 from trilie.operators import Operator, OperatorFamily, gen_p, gen_q, gen_x, gen_z
 from trilie.parsing import parse_poly
 from trilie.polys import Poly
@@ -368,22 +367,28 @@ def test_substitution_keeps_the_linear_map(op, f):
 # -- a prebuilt OperatorFamily against a one-shot solver ----------------------
 
 def one_shot_decompose(target, labelled, functional):
-    """A fresh solver per target: the decomposition before families were prebuilt."""
+    """A fresh eager certificate solver per target, with no label coordinates:
+    the decomposition before families were prebuilt."""
     if functional is not None:
         target = target.substitute(functional)
         labelled = [(lab, op.substitute(functional)) for lab, op in labelled]
-    solver = SpanSolver()
+    solver = oracles.EagerSpanSolver()
     for lab, op in labelled:
         solver.add(op.terms, tag=lab)
     combo = solver.express(target.terms)
     return None if combo is None else {lab: c for lab, c in combo.items() if c}
 
 
+# a channel no drawn operator uses, so a target holding it is off the span
+OFF_SPAN = Operator({("M", "M", 1, 5, "p", 0, 0, 0): 1})
+
+
 @given(
-    st.lists(channel_operators(), min_size=1, max_size=4),
+    st.lists(channel_operators(), min_size=2, max_size=4),
+    RATIONALS.filter(bool),
     st.lists(
         st.tuples(
-            st.lists(RATIONALS, min_size=4, max_size=4),
+            st.lists(RATIONALS, min_size=7, max_size=7),
             st.one_of(st.none(), channel_operators()),
         ),
         min_size=1,
@@ -391,15 +396,27 @@ def one_shot_decompose(target, labelled, functional):
     ),
     FUNCTIONALS,
 )
-def test_operator_family_matches_one_shot_solver(ops, targets, functional):
-    labelled = [(("op", i), op) for i, op in enumerate(ops)]
+def test_operator_family_matches_one_shot_solver(ops, scale, targets, functional):
+    # a repeated member, a scaled copy and a sum of two members: all dependent
+    members = ops + [ops[0], ops[1].scale(scale), ops[0] + ops[1]]
+    labelled = [(("op", i), op) for i, op in enumerate(members)]
     family = OperatorFamily(labelled, functional)
     for coeffs, extra in targets:
-        target = Operator.zero() if extra is None else extra
-        for c, op in zip(coeffs, ops):
-            target = target + op.scale(c)
-        got, want = family.decompose(target), one_shot_decompose(target, labelled, functional)
-        assert got == want
-        if want is not None:
+        inside = Operator.zero()
+        for c, op in zip(coeffs, members):
+            inside = inside + op.scale(c)
+        for target in (inside, inside if extra is None else inside + extra, inside + OFF_SPAN):
+            got, want = family.decompose(target), one_shot_decompose(target, labelled, functional)
+            assert got == want
+            if want is None:
+                assert target is not inside
+                continue
             assert list(got.items()) == list(want.items())
             assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+            assert {lab for lab, _ in labelled[len(ops):]}.isdisjoint(got)
+            rebuilt = Operator.zero()
+            for lab, op in labelled:
+                rebuilt = rebuilt + op.scale(got.get(lab, 0))
+            if functional is not None:
+                rebuilt, target = rebuilt.substitute(functional), target.substitute(functional)
+            assert rebuilt == target
