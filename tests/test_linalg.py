@@ -58,6 +58,20 @@ def test_null_space_no_equations():
     assert basis == [{"x": 1}, {"y": 1}]
 
 
+def test_adding_and_comparing_spans_builds_no_certificates():
+    # one mode: no certificate state, and rows hold only the added vectors' keys
+    for name in ("express", "_certificates", "_combos", "_grown", "_n_inserted"):
+        assert not hasattr(SpanSolver, name)
+    assert null_space([{"x": 1, "y": 1}, {"y": 1, "z": 1}], ["x", "y", "z"]) == [
+        {"x": 1, "y": -1, "z": 1}
+    ]
+    a, b = SpanSolver(), SpanSolver()
+    a.add({"x": 2, "y": 4})
+    b.add({"x": 1, "y": 2})
+    assert span_equal(a, b) and a.contains({"x": 3, "y": 6})
+    assert a.rows == [{"x": 1, "y": 2}] and vars(a).keys() == {"rows", "pivots", "_row_at"}
+
+
 VECTORS = st.dictionaries(st.sampled_from("abcdef"), RATIONALS.filter(bool), max_size=4)
 
 

@@ -379,6 +379,32 @@ def one_shot_decompose(target, labelled, functional):
     return None if combo is None else {lab: c for lab, c in combo.items() if c}
 
 
+@given(
+    st.lists(channel_operators(), min_size=1, max_size=4),
+    st.lists(
+        st.tuples(
+            st.lists(RATIONALS, min_size=4, max_size=4),
+            st.one_of(st.none(), channel_operators()),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    FUNCTIONALS,
+)
+def test_operator_family_matches_one_shot_solver(ops, targets, functional):
+    labelled = [(("op", i), op) for i, op in enumerate(ops)]
+    family = OperatorFamily(labelled, functional)
+    for coeffs, extra in targets:
+        target = Operator.zero() if extra is None else extra
+        for c, op in zip(coeffs, ops):
+            target = target + op.scale(c)
+        got, want = family.decompose(target), one_shot_decompose(target, labelled, functional)
+        assert got == want
+        if want is not None:
+            assert list(got.items()) == list(want.items())
+            assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+
+
 # a channel no drawn operator uses, so a target holding it is off the span
 OFF_SPAN = Operator({("M", "M", 1, 5, "p", 0, 0, 0): 1})
 
@@ -396,7 +422,9 @@ OFF_SPAN = Operator({("M", "M", 1, 5, "p", 0, 0, 0): 1})
     ),
     FUNCTIONALS,
 )
-def test_operator_family_matches_one_shot_solver(ops, scale, targets, functional):
+def test_decompose_with_dependent_members_matches_the_eager_express(
+    ops, scale, targets, functional
+):
     # a repeated member, a scaled copy and a sum of two members: all dependent
     members = ops + [ops[0], ops[1].scale(scale), ops[0] + ops[1]]
     labelled = [(("op", i), op) for i, op in enumerate(members)]
