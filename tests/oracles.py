@@ -19,9 +19,12 @@ full-sweep oracles of ``nambu.check_realization`` and
 the strictly increasing ones when both sides are alternating.
 ``FromFunctionalBracket`` and ``DETERMINANT`` are the paper's two general
 constructions as bracket specs, evaluated on elements by ``tri_bracket``
-here, which hands ``omega`` and ``fk`` to the package's; they read
-``d_k``, ``omega`` and ``delta`` through ``trilie.brackets``, so a patch
-of those reaches the oracle and the tabulated check alike.
+here; they read ``d_k``, ``omega`` and ``delta`` through
+``trilie.brackets``, so a patch of those reaches the oracle and the
+tabulated check alike.  On ``omega`` and ``fk`` the same ``tri_bracket`` is
+the rational per-term loop, one kernel call per term triple with no
+integer form and no division, the reference for the package's integer
+pass; it shares only the kernel of ``brackets.closed_triple_fn`` with it.
 ``EagerSpanSolver`` keeps a certificate row beside every echelon row and
 scans every pivot on each reduction; ``span_close`` and ``ideal_check``
 bracket every row with ``tri_bracket``, on spans over that solver: the
@@ -379,8 +382,11 @@ def certify_from_functional(lie, f, window):
 
 
 def tri_bracket(spec, u, v, w):
-    """[u, v, w] under a constructor bracket; omega and fk specs go to the
-    package's ``tri_bracket``."""
+    """[u, v, w] under a constructor bracket, or under omega or fk by one
+    kernel call per term triple, its rational coefficient multiplied in
+    as it comes: the reference for the integer pass of the package's
+    ``tri_bracket``.  The kernel is ``brackets.closed_triple_fn(spec)``, so a
+    patch of it reaches both."""
     if isinstance(spec, FromFunctionalBracket):
         if spec.certified is None:
             raise BracketPreconditionError(
@@ -408,7 +414,19 @@ def tri_bracket(spec, u, v, w):
             - ov * (u * dw - w * du)
             + ow * (u * dv - v * du)
         )
-    return brackets.tri_bracket(spec, u, v, w)
+    triple = brackets.closed_triple_fn(spec)
+    out = {}
+    for b1, c1 in u.terms.items():
+        for b2, c2 in v.terms.items():
+            c12 = c1 * c2
+            for b3, c3 in w.terms.items():
+                res = triple(b1, b2, b3)
+                if res is None:
+                    continue
+                coef, fam, idx = res
+                bv = BasisVector(fam, idx)
+                out[bv] = out.get(bv, 0) + c12 * c3 * coef
+    return Element(out)
 
 
 def identity_residual(spec, identity, args):

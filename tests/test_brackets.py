@@ -28,7 +28,7 @@ from trilie import (
     tri_bracket,
 )
 from trilie import brackets, window_basis
-from trilie.analysis import MODULE_IDENTITY_1, MODULE_IDENTITY_2, module_axiom_check
+from trilie.analysis import MODE_DERIVED, MODULE_IDENTITY_1, MODULE_IDENTITY_2, module_axiom_check
 from trilie.brackets import (
     FUNDAMENTAL_IDENTITY,
     INNER,
@@ -977,7 +977,51 @@ TUPLE_ELEMENTS = nonzero_elements(max_terms=4, index_bound=2)
 
 
 def _canonical(elem):
-    return all(c and not (type(c) is Fraction and c.denominator == 1) for c in elem.terms.values())
+    """Every coefficient an int where it is integral and a Fraction otherwise (never a float)."""
+    return all(c and (type(c) is int or type(c) is Fraction and c.denominator > 1) for c in elem.terms.values())
+
+
+# -- the element bracket against the rational per-term reference ---------------
+
+
+@pytest.mark.parametrize("spec", RESIDUAL_SPECS, ids=lambda spec: spec.describe())
+@settings(max_examples=40)
+@given(args=st.lists(nonzero_elements(max_terms=6, index_bound=3), min_size=3, max_size=3))
+def test_tri_bracket_matches_the_rational_reference(spec, args):
+    value = tri_bracket(spec, *args)
+    assert value == oracles.tri_bracket(spec, *args)
+    assert _canonical(value)
+
+
+def test_a_patched_kernel_reaches_tri_bracket_through_the_scaled_spec(broken_kernel):
+    # B = 2: the package reads the patched kernel of fk(1, const:1), the reference that of fk(1, const:1/2)
+    spec = FKBracket(1, parse_beta("const:1/2"))
+    args = (L(2) + M(0, Fraction(1, 3)), L(1) - L(-3, 2), M(0) + L(5, Fraction(-1, 5)))
+    value = tri_bracket(spec, *args)
+    assert value == oracles.tri_bracket(spec, *args)
+    assert value.coefficient(brackets.BasisVector("L", 4)) == 1  # [L[2], L[1], M[0]] = 1/2 * (2 - 1) L[4], doubled
+    assert _canonical(value)
+
+
+@pytest.mark.parametrize("spec", [OMEGA, FKBracket(0, parse_beta("const:1/2"))], ids=lambda spec: spec.describe())
+def test_the_oracles_run_without_the_package_loop(monkeypatch, spec):
+    """With the shared loop broken, the package's element brackets raise and
+    the oracles' element brackets, residuals and closures still run."""
+
+    def broken(*args):
+        raise AssertionError("the shared loop ran")
+
+    monkeypatch.setattr(brackets, "_bracket_into", broken)
+    rng = random.Random(4)
+    tuples = [[random_element(rng, Window(-2, 2)) for _ in range(5)] for _ in range(3)]
+    with pytest.raises(AssertionError, match="the shared loop ran"):
+        tri_bracket(spec, *tuples[0][:3])
+    with pytest.raises(AssertionError, match="the shared loop ran"):
+        identity_residual(spec, FUNDAMENTAL_IDENTITY, tuples[0])
+    assert any([oracles.tri_bracket(spec, *args[:3]) for args in tuples])
+    assert not any([oracles.identity_residual(spec, FUNDAMENTAL_IDENTITY, args) for args in tuples])
+    chain, _ = oracles.span_close(spec, tuples[0][:2], Window(-2, 2), MODE_DERIVED, 2)
+    assert chain[0].dim == 2
 
 
 @settings(max_examples=120)
@@ -1017,9 +1061,10 @@ def _recording_kernel(calls):
 
 
 @pytest.mark.parametrize("spec", RESIDUAL_SPECS, ids=lambda spec: spec.describe())
-def test_fused_residual_calls_the_kernel_once_per_rule_triple(monkeypatch, spec):
-    """The reference calls the kernel on every triple of every term; the
-    fused pass on exactly those whose family pattern has a rule, once each."""
+def test_fused_residual_calls_the_kernel_on_the_reference_triples(monkeypatch, spec):
+    """The integer pass calls the kernel on exactly the triples the
+    per-term reference calls it on, as often: every triple of every term,
+    those without a rule too."""
     rules = brackets.bracket_rules(spec)[0]
     fused, reference = [], []
     rng = random.Random(2)
@@ -1030,9 +1075,8 @@ def test_fused_residual_calls_the_kernel_once_per_rule_triple(monkeypatch, spec)
             identity_residual(spec, identity, args)
             monkeypatch.setattr(brackets, "closed_triple_fn", _recording_kernel(reference))
             oracles.identity_residual(spec, identity, args)
-    ruled = [call for call in reference if tuple(vec[0] for vec in call) in rules]
-    assert len(ruled) < len(reference)
-    assert Counter(fused) == Counter(ruled)
+    assert any(tuple(vec[0] for vec in call) not in rules for call in fused)
+    assert Counter(fused) == Counter(reference)
 
 
 @pytest.mark.parametrize(
@@ -1079,9 +1123,9 @@ def _ruleless_kernel(closed_triple_fn, pattern):
     ids=("omega-LLL", "fk-LLL", "fk-LMM"),
 )
 def test_ruleless_patterns_are_refused_before_any_sample(monkeypatch, capsys, bracket, pattern):
-    """The fused pass brackets only the patterns with a rule; the grading
-    check of the basis tables refuses a kernel that is nonzero elsewhere,
-    so no sample ever reaches the skip."""
+    """The grading check of the basis tables refuses a kernel that is
+    nonzero on a pattern without a rule before any sampled tuple is
+    bracketed."""
     monkeypatch.setattr(brackets, "closed_triple_fn", _ruleless_kernel(brackets.closed_triple_fn, pattern))
     sampled = []
     monkeypatch.setattr(brackets, "identity_residual", lambda *args: sampled.append(args))
@@ -1094,7 +1138,8 @@ def test_ruleless_patterns_are_refused_before_any_sample(monkeypatch, capsys, br
 
 def test_fused_residual_refuses_a_coefficient_outside_the_weight_bound(monkeypatch):
     # every nonzero coefficient of the scaled kernel becomes 1/3, so the
-    # bracket's is 1/(3B), outside its weight's bound B; the sweep refuses it too
+    # bracket's is 1/(3B), outside its weight's bound B; tri_bracket and the
+    # sweep refuse it too
     def thirds(spec):
         kernel = closed_triple_fn(spec)
 
@@ -1111,6 +1156,8 @@ def test_fused_residual_refuses_a_coefficient_outside_the_weight_bound(monkeypat
     ):
         with pytest.raises(ValueError, match=f"kernel coefficient {text}"):
             identity_residual(spec, FUNDAMENTAL_IDENTITY, [L(1), L(2), M(0), L(0), M(1)])
+        with pytest.raises(ValueError, match=f"kernel coefficient {text}"):
+            tri_bracket(spec, L(1), L(2), M(0))
         with pytest.raises(ValueError, match=f"kernel coefficient {text}"):
             check_fundamental_identity(spec, Window(-1, 1))
 
