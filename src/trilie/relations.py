@@ -13,7 +13,11 @@ the first outer, takes the first case whose stratum holds, builds the
 left side once, compares it with the check's own equality, decomposes it
 only to write a mismatch text the report keeps, counts hits per case and
 mismatches per group, and flags each printed form's first disagreement
-with the oracle.
+with the oracle.  As [B_b, A_a] = -[A_a, B_b], a case that ``mirrors`` a
+case of the swapped left side (with r and s swapped: the same scale, the
+right side negated) lets a passed visit (a, b) decide the later (b, a)
+without building either side; the mirror plan is read off the Case data
+at each call, and an empty plan is the full sweep.
 
 The checks here are Table 5.1, the linear independence of the published
 operator families, the Section 3 structure of the weighted bracket's
@@ -23,6 +27,7 @@ modules; the operators themselves are built in ``operators``.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -102,6 +107,61 @@ class RelationGroup(NamedTuple):
     span_first: bool = False  # decompose before comparing; off span is no hit
 
 
+def _swapped(form: Form) -> Form:
+    a, b, c, d, e = form
+    return b, a, c, d, e
+
+
+def _value_key(coef: Coef, swap: bool = False, sign: int = 1) -> tuple:
+    """sign * coef, with r and s swapped if ``swap``, as (constant, affine
+    factors, beta atoms): each factor's sign is pulled into the constant and
+    beta atoms are kept as they are, so equal keys have equal values."""
+    const, forms = sign * coef.const, []
+    for form in coef.forms:
+        form = _swapped(form) if swap else form
+        if next((x for x in form if x), 0) < 0:
+            const, form = -const, tuple(-x for x in form)
+        forms.append(form)
+    return const, tuple(sorted(forms)), tuple(sorted(_swapped(f) if swap else f for f in coef.betas))
+
+
+def mirrors(case: Case, other: Case) -> bool:
+    """Whether ``case`` of [A_a, B_b] at (r, s) decides ``other`` of
+    [B_b, A_a] at (s, r).  The commutator is antisymmetric, so with r and s
+    swapped ``case`` must have other's scale and, term for term, its right
+    side negated."""
+
+    def terms(of: Case, swap: bool, sign: int) -> Counter:
+        return Counter(
+            (_value_key(coef, swap, sign), tag, tuple(map(_swapped, index)) if swap else index)
+            for coef, tag, index in of.rhs
+        )
+
+    return _value_key(case.scale, True) == _value_key(other.scale) and terms(case, True, -1) == terms(other, False, 1)
+
+
+def _mirror_plan(sweep: Sequence[tuple]) -> Dict[Tuple[int, int], Tuple[int, frozenset]]:
+    """(entry g, case) -> (h, the cases of entry h that decide it), where
+    entry h <= g is the first with the left tags swapped (g itself for one
+    tag twice) in the same order; one-tag and span-first groups, and an
+    entry before its mirror, have none."""
+    first: Dict[tuple, int] = {}
+    for g, (group, _, _) in enumerate(sweep):
+        first.setdefault(group.lhs, g)
+    plan = {}
+    for g, (group, _, _) in enumerate(sweep):
+        if len(group.lhs) != 2 or group.span_first:
+            continue
+        h = g if group.lhs[0] == group.lhs[1] else first.get(group.lhs[::-1])
+        if h is None or h > g or sweep[h][0].span_first or sweep[h][0].order != group.order:
+            continue
+        for c, case in enumerate(group.cases):
+            cases = frozenset(d for d, other in enumerate(sweep[h][0].cases) if mirrors(other, case))
+            if cases:
+                plan[g, c] = h, cases
+    return plan
+
+
 class RelationSweep:
     """The relation engine of one check call.  Texts are format templates
     over r, s, k, s0, the left tags A and B, the first right-hand term's
@@ -171,20 +231,49 @@ class RelationSweep:
     def run(self, sweep: Sequence[tuple], interleave: bool = False) -> Tuple[List[List[int]], List[int]]:
         """Check the (group, outer range, inner range) entries in order, or
         pair by pair across entries of one domain with ``interleave``;
-        returns the hits per case and the mismatches of each entry."""
+        returns the hits per case and the mismatches of each entry.
+
+        A commutator is antisymmetric, so in order (not ``interleave``) a
+        visit (a, b) whose case ``mirrors`` a case of its swapped left side
+        is decided by the mirror visit (b, a) if that came earlier in the
+        sweep, fell in such a case and neither mismatched nor failed the
+        degree check: it counts its hit and its printed form's flag, and
+        builds no left or right side.  A diagonal visit [A_a, A_a] of a
+        self-mirrored case is decided alone: both of its sides are zero.
+        Every other visit, among them the mirror of a failed one, is
+        checked, so the failure records are those of the full sweep."""
         hits, misses = [[0] * len(group.cases) for group, _, _ in sweep], [0] * len(sweep)
         if interleave:
             visits = ((g, a, b) for a in sweep[0][1] for b in sweep[0][2] for g in range(len(sweep)))
         else:
             visits = ((g, a, b) for g, (_, outer, inner) in enumerate(sweep) for a in outer for b in inner)
         fail, flagged, gens, k, s0 = self.rep.record_failure, set(), self.gens, self.k, self.s0
-        # per entry: the group, whether a is r, and its only case if that has no stratum
+        mirror_plan, failed = {} if interleave else _mirror_plan(sweep), set()
+        # per entry: the group, whether a is r, its only case if that has no
+        # stratum, and the mirror plan of each case
         plans = [
-            (group, group.order == "rs", None if group.cases[1:] or group.cases[0][2:4] != ((), ()) else group.cases[0])
-            for group, _, _ in sweep
+            (group, group.order == "rs", None if group.cases[1:] or group.cases[0][2:4] != ((), ()) else group.cases[0],
+             [mirror_plan.get((g, c)) for c in range(len(group.cases))])
+            for g, (group, _, _) in enumerate(sweep)
         ]
+        # per entry: the position of each index in its outer and its inner range
+        spots = [({a: i for i, a in enumerate(outer)}, {b: j for j, b in enumerate(inner)}) for _, outer, inner in sweep]
+
+        def decided(g: int, c: int, a: int, b: int, h: int, cases: frozenset) -> bool:
+            """Whether the mirror (b, a) of entry h came earlier, fell in one
+            of ``cases`` and passed, or (a, b) is the diagonal of a
+            self-mirrored case."""
+            outer, inner = spots[h]
+            i, j = outer.get(b), inner.get(a)
+            if i is None or j is None or (h, b, a) in failed:
+                return False
+            if h == g and (i, j) >= (outer[a], inner[b]):  # a later mirror, or the diagonal
+                return a == b and c in cases
+            r, s = (b, a) if plans[h][1] else (a, b)
+            return next((d for d, case in enumerate(sweep[h][0].cases) if case.holds(r, s, k, s0)), None) in cases
+
         for g, a, b in visits:
-            group, rs, case = plans[g]
+            group, rs, case, mirrored = plans[g]
             r, s, c = (a, b, 0) if rs else (b, a, 0)
             if case is None:
                 for c, case in enumerate(group.cases):
@@ -195,9 +284,20 @@ class RelationSweep:
             if group.span_first and self.decompose(group, a, b) is None:
                 fail(self._text(group.off_span, group, case, r, s))
                 continue
-            lhs = self.lhs(group, a, b)
             hits[g][c] += 1
+            if case.printed and (g, c) not in flagged:
+                scale, coef = case.printed
+                p0 = self._value(scale, r, s)
+                if not p0 or (self._value(coef, r, s) * self._value(case.scale, r, s)
+                              != self._value(case.rhs[0][0], r, s) * p0):
+                    flagged.add((g, c))
+                    suffix = "" if p0 else "; the printed form divides by zero"
+                    self.rep.flag(self._text(case.flag, group, case, r, s) + suffix)
+            if mirrored[c] and decided(g, c, a, b, *mirrored[c]):
+                continue
+            lhs = self.lhs(group, a, b)
             if self.degree_fail and lhs.max_poly_degree() > 1:
+                failed.add((g, a, b))
                 fail(self._text(self.degree_fail, group, case, r, s))
             if not case.rhs:  # the zero relation is structural
                 agrees = not lhs
@@ -217,16 +317,9 @@ class RelationSweep:
                 else:
                     agrees = ops_equal(scaled, Operator(want), self.functional, self.window)[0]
             if not agrees:
+                failed.add((g, a, b))
                 misses[g] += 1
                 fail(partial(self._mismatch, group, case, r, s, a, b, lhs))
-            if case.printed and (g, c) not in flagged:
-                scale, coef = case.printed
-                p0 = self._value(scale, r, s)
-                if not p0 or (self._value(coef, r, s) * self._value(case.scale, r, s)
-                              != self._value(case.rhs[0][0], r, s) * p0):
-                    flagged.add((g, c))
-                    suffix = "" if p0 else "; the printed form divides by zero"
-                    self.rep.flag(self._text(case.flag, group, case, r, s) + suffix)
         return hits, misses
 
 
