@@ -18,9 +18,9 @@ operator identities.  Products run on an integer form of each operand,
 built on first use and kept in a slot: the common denominator D of its
 coefficients and its terms grouped by input family with numerators c*D.
 One kernel, ``_compose_into``, adds sign*(outer after inner) into an
-integer accumulator; ``compose`` is one pass, ``commutator`` two passes
-into the same accumulator, and one exact division by the denominators'
-product per key gives the canonical rationals back.
+integer accumulator; ``compose`` is one pass, ``commutator_form`` two
+passes into the same accumulator, and ``Operator.commutator`` divides that
+form back to canonical rationals, while the relation sweeps read it as is.
 
 When the functional is constant or polynomial the beta atoms reduce to
 polynomials and equality is structural; for finite-support functionals
@@ -93,13 +93,9 @@ class Operator(Sparse):
         return self._new(divided(acc, da * db))
 
     def commutator(self, other: "Operator") -> "Operator":
-        """self after other minus other after self, both passes into one
-        integer accumulator."""
-        (da, a), (db, b) = self._int_form(), other._int_form()
-        acc: Dict[tuple, int] = {}
-        _compose_into(acc, a, b, 1)
-        _compose_into(acc, b, a, -1)
-        return self._new(divided(acc, da * db))
+        """self after other minus other after self, from ``commutator_form``."""
+        den, acc = commutator_form(self._int_form(), other._int_form())
+        return self._new(divided(acc, den))
 
     def substitute(self, f: FunctionalSpec) -> "Operator":
         """Reduce beta atoms when the functional has a closed polynomial form."""
@@ -117,9 +113,6 @@ class Operator(Sparse):
 
     def has_beta(self) -> bool:
         return any(key[4] == "b" for key in self.terms)
-
-    def max_poly_degree(self) -> int:
-        return max((key[7] for key in self.terms), default=-1)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -148,6 +141,32 @@ class Operator(Sparse):
                 idx = str(m)
             lines.append(f"{fin}[t] -> ({' + '.join(parts)})*{fout}[{idx}]")
         return "; ".join(lines)
+
+
+def commutator_form(a: tuple, b: tuple) -> Tuple[int, Dict[tuple, int]]:
+    """(Da*Db, acc): the integer form of [A, B] from the integer forms
+    (Da, _) of A and (Db, _) of B, both passes of ``_compose_into`` in one
+    int accumulator, which may keep sums that cancelled to 0."""
+    acc: Dict[tuple, int] = {}
+    _compose_into(acc, a[1], b[1], 1)
+    _compose_into(acc, b[1], a[1], -1)
+    return a[0] * b[0], acc
+
+
+def residual_form(den: int, acc: dict, sigma: Rational, terms: list) -> dict:
+    """D*(sigma*L - R) as a map, for the integer form (D, acc) of L and the
+    terms (x_j, (D_j, N_j), _) of R = sum of x_j*G_j, (D_j, N_j) the integer
+    form of G_j: sigma*acc minus each y_j*N_j, y_j = x_j*D/D_j, an int when
+    D_j divides x_j*D; the map is of ints when sigma and each x_j are."""
+    res = dict(acc) if sigma == 1 else {key: sigma * c for key, c in acc.items()}
+    for x, (dj, grouped), _ in terms:
+        y, rem = divmod(x * den, dj)
+        if rem:  # a rational x_j, or D_j does not divide x_j*D
+            y = Fraction(x * den) / dj
+        for fin_terms in grouped.values():
+            for key, c in fin_terms:
+                res[key] = res.get(key, 0) - y * c
+    return res
 
 
 def _compose_into(acc: Dict[tuple, int], outer: Dict[str, tuple], inner: Dict[str, tuple], sign: int) -> None:
@@ -358,15 +377,17 @@ class GeneratorTable:
     by default), read through the dict on first use, so a patched
     generator takes effect, and reused for the rest of the call;
     ``table.family(tags, m)`` is the OperatorFamily labelled ``(tag, m)``
-    over the one-parameter generators ``tags`` at index m.
+    over the one-parameter generators ``tags`` at index m; ``table.forms``
+    keeps the integer forms ``table.form((tag, *params))`` read.
     """
 
-    __slots__ = ("_builders", "_ops", "_families")
+    __slots__ = ("_builders", "_ops", "_families", "forms")
 
     def __init__(self, builders: Optional[Dict[str, Callable[..., Operator]]] = None):
         self._builders = GENERATORS if builders is None else builders
         self._ops: Dict[Tuple[str, tuple], Operator] = {}
         self._families: Dict[Tuple[str, int], OperatorFamily] = {}
+        self.forms: Dict[tuple, tuple] = {}
 
     def __call__(self, tag: str, *params: int) -> Operator:
         op = self._ops.get((tag, params))
@@ -377,6 +398,13 @@ class GeneratorTable:
     def build(self, tag: str, *params: int) -> Operator:
         """``builders[tag](*params)``, not kept."""
         return self._builders[tag](*params)
+
+    def form(self, key: tuple) -> tuple:
+        """(integer form, coefficient degree) of ``self(*key)``, kept in ``forms``."""
+        form = self(*key)._int_form()
+        degree = max((k[7] for terms in form[1].values() for k, _ in terms), default=-1)
+        self.forms[key] = entry = form, degree
+        return entry
 
     def family(self, tags: str, m: int) -> OperatorFamily:
         fam = self._families.get((tags, m))

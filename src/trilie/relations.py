@@ -9,15 +9,14 @@ scale * lhs = sum of coefficient * generator at affine indices (a
 coefficient is a constant times affine forms times beta atoms), the
 paper's printed form where it differs, and the failure and flag texts.
 RelationSweep.run visits each group's pairs (a, b) over two index ranges,
-the first outer, takes the first case whose stratum holds, builds the
-left side once, compares it with the check's own equality, decomposes it
-only to write a mismatch text the report keeps, counts hits per case and
-mismatches per group, and flags each printed form's first disagreement
-with the oracle.  As [B_b, A_a] = -[A_a, B_b], a case that ``mirrors`` a
-case of the swapped left side (with r and s swapped: the same scale, the
-right side negated) lets a passed visit (a, b) decide the later (b, a)
-without building either side; the mirror plan is read off the Case data
-at each call, and an empty plan is the full sweep.
+the first outer, takes the first case whose stratum holds and decides it
+by one exact residual on integer forms: the left side's (D, acc) minus
+each right-hand generator's numerators, scaled.  An Operator of the left
+side is built only where a mismatch text, a decomposition or a caller
+reads it.  As [B_b, A_a] = -[A_a, B_b], a case that ``mirrors`` a case of
+the swapped left side (r and s swapped: the same scale, the right side
+negated) lets a passed visit (a, b) decide the later (b, a) with no
+residual; an empty mirror plan is the full sweep.
 
 The checks here are Table 5.1, the linear independence of the published
 operator families, the Section 3 structure of the weighted bracket's
@@ -41,11 +40,13 @@ from .operators import (
     ad_w,
     ad_x,
     ad_y,
+    commutator_form,
     invariant_line_structure,
     operator_rank,
     ops_equal,
+    residual_form,
 )
-from .polys import Rational, add_into, rat_str
+from .polys import Rational, add_into, divided, rat_str
 from .report import PASS, ConfigError, VerdictReport, Window
 
 
@@ -176,18 +177,26 @@ class RelationSweep:
     ):
         self.rep, self.gens, self.k, self.s0 = rep, gens, k, s0
         self.functional, self.window, self.family, self.explain = functional, window, family, explain
-        self.degree_fail, self._lhs, self._combos = degree_fail, {} if memo else None, {}
+        self.degree_fail, self._combos, self._forms = degree_fail, {}, {} if memo else None
+
+    def form(self, group: RelationGroup, a: int, b: int) -> tuple:
+        """The left side's integer form (D, acc) at (a, b): A(a, b)'s terms
+        over D = 1, or [A_a, B_b]'s, kept for the call with ``memo``."""
+        if len(group.lhs) == 1:
+            return 1, self.gens.build(group.lhs[0], a, b).terms
+        form = None if self._forms is None else self._forms.get((group.lhs, a, b))
+        if form is None:
+            (key_a, key_b), forms = ((group.lhs[0], a), (group.lhs[1], b)), self.gens.forms
+            form = commutator_form((forms.get(key_a) or self.gens.form(key_a))[0],
+                                   (forms.get(key_b) or self.gens.form(key_b))[0])
+            if self._forms is not None:  # without the cancelled sums, as it lives for the call
+                form = self._forms[group.lhs, a, b] = form[0], {key: n for key, n in form[1].items() if n}
+        return form
 
     def lhs(self, group: RelationGroup, a: int, b: int) -> Operator:
-        """The left side at (a, b); with ``memo`` a commutator is kept for the call."""
-        if len(group.lhs) == 1:
-            return self.gens.build(group.lhs[0], a, b)
-        op = None if self._lhs is None else self._lhs.get((group.lhs, a, b))
-        if op is None:
-            op = self.gens(group.lhs[0], a).commutator(self.gens(group.lhs[1], b))
-            if self._lhs is not None:
-                self._lhs[(group.lhs, a, b)] = op
-        return op
+        """The left side at (a, b) as an Operator, built where it is read."""
+        den, acc = self.form(group, a, b)
+        return Operator(divided(acc, den))
 
     def decompose(self, group: RelationGroup, a: int, b: int) -> Optional[dict]:
         """The left side's decomposition in ``family(a + b)``, kept for the call."""
@@ -195,10 +204,6 @@ class RelationSweep:
         if key not in self._combos:
             self._combos[key] = self.family(a + b).decompose(self.lhs(group, a, b))
         return self._combos[key]
-
-    def _at(self, forms: Forms, r: int, s: int) -> List[int]:
-        k, s0 = self.k, self.s0
-        return [a * r + b * s + c * k + d * s0 + e for a, b, c, d, e in forms]
 
     def _value(self, coef: Coef, r: int, s: int) -> Rational:
         k, s0, v = self.k, self.s0, coef.const
@@ -213,19 +218,19 @@ class RelationSweep:
         if case.rhs:
             coef, _, index = case.rhs[0]
             c = Fraction(self._value(coef, r, s)) / self._value(case.scale, r, s)
-            fields.update(c=rat_str(c), i=self._at(index, r, s)[0])
+            fields.update(c=rat_str(c), i=self._value(Coef(1, index[:1]), r, s))
         if combo is not None:
             extra = self.explain(combo, fields)
         return text.format(**fields, **extra)
 
-    def _mismatch(self, group: RelationGroup, case: Case, r: int, s: int, a: int, b: int, lhs: Operator) -> str:
+    def _mismatch(self, group: RelationGroup, case: Case, r: int, s: int, a: int, b: int) -> str:
         """The failure text of a left side at (a, b) that disagrees with its
         case: the decomposition's text, or the off-span text when it has none."""
         if not group.off_span or group.span_first:
             return self._text(case.fail, group, case, r, s)
         combo = self.decompose(group, a, b)
         if combo is None:
-            return self._text(group.off_span, group, case, r, s, lhs=lhs)
+            return self._text(group.off_span, group, case, r, s, lhs=self.lhs(group, a, b))
         return self._text(case.fail, group, case, r, s, combo)
 
     def run(self, sweep: Sequence[tuple], interleave: bool = False) -> Tuple[List[List[int]], List[int]]:
@@ -233,21 +238,26 @@ class RelationSweep:
         pair by pair across entries of one domain with ``interleave``;
         returns the hits per case and the mismatches of each entry.
 
+        A visit holds when ``residual_form`` of its left side's form and its
+        generators' kept forms is all zeros (the zero relation reads the
+        form); under a weight ``ops_equal`` compares a nonzero residual with
+        0.  The degree check reads an exact match's one term, or the form.
+
         A commutator is antisymmetric, so in order (not ``interleave``) a
         visit (a, b) whose case ``mirrors`` a case of its swapped left side
         is decided by the mirror visit (b, a) if that came earlier in the
         sweep, fell in such a case and neither mismatched nor failed the
         degree check: it counts its hit and its printed form's flag, and
-        builds no left or right side.  A diagonal visit [A_a, A_a] of a
-        self-mirrored case is decided alone: both of its sides are zero.
-        Every other visit, among them the mirror of a failed one, is
-        checked, so the failure records are those of the full sweep."""
+        computes no form.  A diagonal visit [A_a, A_a] of a self-mirrored
+        case is decided alone: both of its sides are zero.  Every other
+        visit, among them the mirror of a failed one, is checked, so the
+        failure records are those of the full sweep."""
         hits, misses = [[0] * len(group.cases) for group, _, _ in sweep], [0] * len(sweep)
         if interleave:
             visits = ((g, a, b) for a in sweep[0][1] for b in sweep[0][2] for g in range(len(sweep)))
         else:
             visits = ((g, a, b) for g, (_, outer, inner) in enumerate(sweep) for a in outer for b in inner)
-        fail, flagged, gens, k, s0 = self.rep.record_failure, set(), self.gens, self.k, self.s0
+        fail, flagged, forms, k, s0 = self.rep.record_failure, set(), self.gens.forms, self.k, self.s0
         mirror_plan, failed = {} if interleave else _mirror_plan(sweep), set()
         # per entry: the group, whether a is r, its only case if that has no
         # stratum, and the mirror plan of each case
@@ -269,6 +279,8 @@ class RelationSweep:
                 return False
             if h == g and (i, j) >= (outer[a], inner[b]):  # a later mirror, or the diagonal
                 return a == b and c in cases
+            if plans[h][2] is not None:  # one case, no stratum
+                return 0 in cases
             r, s = (b, a) if plans[h][1] else (a, b)
             return next((d for d, case in enumerate(sweep[h][0].cases) if case.holds(r, s, k, s0)), None) in cases
 
@@ -295,31 +307,29 @@ class RelationSweep:
                     self.rep.flag(self._text(case.flag, group, case, r, s) + suffix)
             if mirrored[c] and decided(g, c, a, b, *mirrored[c]):
                 continue
-            lhs = self.lhs(group, a, b)
-            if self.degree_fail and lhs.max_poly_degree() > 1:
-                failed.add((g, a, b))
-                fail(self._text(self.degree_fail, group, case, r, s))
-            if not case.rhs:  # the zero relation is structural
-                agrees = not lhs
-            else:  # the scaled generators' terms, summed without building each operator
-                want = {}
-                for coef, tag, index in case.rhs:
-                    x = self._value(coef, r, s)
-                    if x:
-                        terms = gens(tag, *[u * r + v * s + w * k + y * s0 + z for u, v, w, y, z in index]).terms
-                        if want:
-                            add_into(want, ((key, x * value) for key, value in terms.items()))
-                        else:
-                            want = {key: x * value for key, value in terms.items()}
-                scaled = lhs if case.scale is _UNIT else lhs.scale(self._value(case.scale, r, s))
-                if self.functional is None:
-                    agrees = scaled.terms == want
-                else:
-                    agrees = ops_equal(scaled, Operator(want), self.functional, self.window)[0]
+            den, acc = self.form(group, a, b)
+            sigma, terms = 1 if case.scale is _UNIT else self._value(case.scale, r, s), []
+            for coef, tag, index in case.rhs:
+                x = self._value(coef, r, s)
+                if x:
+                    key = (tag,)
+                    for u, v, w, y, z in index:
+                        key += (u * r + v * s + w * k + y * s0 + z,)
+                    terms.append((x, *(forms.get(key) or self.gens.form(key))))
+            res = residual_form(den, acc, sigma, terms) if case.rhs else acc
+            exact = not any(res.values())
+            agrees = exact or bool(case.rhs and self.functional is not None and ops_equal(
+                Operator(res), Operator(), self.functional, self.window)[0])
+            if self.degree_fail:  # an exact match of at most one term has that term's degree
+                degree = (terms[0][2] if terms else -1) if exact and sigma and len(terms) < 2 else max(
+                    (key[7] for key, n in acc.items() if n), default=-1)
+                if degree > 1:
+                    failed.add((g, a, b))
+                    fail(self._text(self.degree_fail, group, case, r, s))
             if not agrees:
                 failed.add((g, a, b))
                 misses[g] += 1
-                fail(partial(self._mismatch, group, case, r, s, a, b, lhs))
+                fail(partial(self._mismatch, group, case, r, s, a, b))
         return hits, misses
 
 
@@ -729,7 +739,7 @@ def witt_module_check(i: int, window: Window) -> VerdictReport:
 
     # (c) literal-action invariant subspaces: edge s -> r+s iff [p_r, fam_s] != 0
     edges = {
-        s: {s + r for r in labels if r != 0 and s + r in window and sweep.lhs(action, r, s)}
+        s: {s + r for r in labels if r != 0 and s + r in window and any(sweep.form(action, r, s)[1].values())}
         for s in labels
     }
     literal = invariant_line_structure(labels, eigen, edges)

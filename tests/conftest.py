@@ -89,6 +89,11 @@ def sign_flipped_q(r):
     return (op_from_ad(OMEGA, L(0), M(-r)) + op_from_ad(OMEGA, L(r), M(0))).scale(Fraction(1, r))
 
 
+def coefficient_degree(op):
+    """The highest power of t in an operator's coefficients, -1 for 0."""
+    return max((key[7] for key in op.terms), default=-1)
+
+
 def doubled_x_channel(ad_x):
     """ad_x with the channel landing on index 1 scaled by 2."""
 

@@ -9,6 +9,10 @@ before, written out independently so the derived forms can be compared
 against them value for value and type for type.  ``compose`` and
 ``commutator`` multiply channel operators term by term over rationals,
 the reference for the integer kernel of ``trilie.operators``.
+``relation_holds`` is one visit of a relation sweep decided over
+rationals: scale * lhs as an Operator against the summed terms of the
+scaled right-hand generators, the reference for the integer residual of
+``trilie.relations.RelationSweep.run``.
 ``DensePoly`` is the polynomial as an ascending coefficient tuple, the
 reference for the sparse ``trilie.polys.Poly``.  ``check_realization`` and
 ``check_constructor_agreement`` build both sides of every basis triple as
@@ -83,7 +87,7 @@ from trilie.analysis import (
 from trilie.elements import FAMILY_L, FAMILY_M, BasisVector, Element, FunctionalSpec, functional_eval, window_basis
 from trilie.linalg import null_space, vec_add_scaled, vec_scale
 from trilie.nambu import FKRealization, nambu_bracket, realize
-from trilie.operators import Operator
+from trilie.operators import Operator, ops_equal
 from trilie.polys import Poly, add_into, normalize_rational, rat_str
 from trilie.report import PASS, ConfigError, VerdictReport, Window
 
@@ -222,6 +226,38 @@ def compose(outer, inner):
 def commutator(a, b):
     """a after b minus b after a, as two separate compositions."""
     return compose(a, b) - compose(b, a)
+
+
+def relation_holds(gens, case, lhs, r, s, k=0, s0=0, functional=None, window=None):
+    """Whether scale * lhs = sum of coefficient * generator holds for the
+    relations.Case ``case`` at (r, s), the generators read from ``gens``:
+    the zero relation is lhs == 0, and otherwise scale * lhs is compared
+    with the coefficient-scaled generator terms summed as rationals,
+    structurally, or through ops_equal under a weight."""
+
+    def at(form):
+        a, b, c, d, e = form
+        return a * r + b * s + c * k + d * s0 + e
+
+    def value(coef):
+        v = coef.const
+        for form in coef.forms:
+            v *= at(form)
+        for form in coef.betas:
+            v *= functional.beta(at(form))
+        return v
+
+    if not case.rhs:
+        return not lhs
+    want = {}
+    for coef, tag, index in case.rhs:
+        x = value(coef)
+        if x:
+            add_into(want, ((key, x * c) for key, c in gens(tag, *map(at, index)).terms.items()))
+    scaled = lhs.scale(value(case.scale))
+    if functional is None:
+        return scaled.terms == want
+    return ops_equal(scaled, Operator(want), functional, window)[0]
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import doubled_x_channel, sign_flipped_q
-from trilie import relations
+from trilie import operators, relations
 from trilie.cli import run_command
-from trilie.operators import GENERATORS, GeneratorTable, Operator
+from trilie.operators import GENERATORS, GeneratorTable
 from trilie.relations import (
     SECTION3,
     SL2_LAURENT,
@@ -73,15 +73,17 @@ def test_the_mirror_route_reports_as_the_full_sweep(invocation, mutation, monkey
 
 @pytest.fixture
 def commutators(monkeypatch):
-    """The number of ``Operator.commutator`` calls so far."""
+    """The calls so far of the integer commutator kernel, which
+    ``Operator.commutator`` and the sweep share."""
     calls = []
-    commutator = Operator.commutator
+    kernel = operators.commutator_form
 
-    def counting(self, other):
+    def counting(a, b):
         calls.append(None)
-        return commutator(self, other)
+        return kernel(a, b)
 
-    monkeypatch.setattr(Operator, "commutator", counting)
+    monkeypatch.setattr(operators, "commutator_form", counting)
+    monkeypatch.setattr(relations, "commutator_form", counting)
     return calls
 
 
